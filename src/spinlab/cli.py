@@ -474,6 +474,16 @@ def symbols_suite(
 
         suite.check(f"square-causal-k{k}-l{l}", "Prop. 1", 1e-12, square_causal)
 
+        def closed_form(k=k, l=l):
+            # own generator, so the draws of the other rows stay as they were
+            xi_rng = np.random.default_rng([seed, k, l])
+            directions = [
+                mk.LorentzVector(xi_rng.normal(size=4), covariant=True) for _ in range(2)
+            ]
+            return hs.closed_form_residual(k, l, directions)
+
+        suite.check(f"closed-form-k{k}-l{l}", "Prop. 1", 1e-12, closed_form)
+
     def rank_mismatch_guard():
         vec = rng.normal(size=hs.fiber_dim(1, 0)) + 0j
         phi = hs.unpack(vec, 1, 0)

@@ -22,7 +22,7 @@ import numpy as np
 from scipy.signal import fftconvolve
 from scipy.special import j0
 
-from .higher_spin import fiber_dim, pack, pairing_matrix, symbol_matrix, unpack
+from .higher_spin import KNotEqualL, fiber_dim, pack, pairing_matrix, symbol_matrix, unpack
 from .minkowski import LorentzVector, basis_vector
 
 
@@ -36,10 +36,6 @@ class ZeroProjection(RuntimeError):
 
 class UnsupportedTwist(ValueError):
     """Raised when an operation only defined for k = l = 0 gets twist."""
-
-
-class KNotEqualL(ValueError):
-    """Raised when slice products are requested for k != l fibers."""
 
 
 @dataclass(frozen=True)

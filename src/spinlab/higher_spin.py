@@ -18,10 +18,20 @@ the order sector (phi1, phi2) x chiral (0, 1) x undotted occupation x
 dotted occupation, all ascending. The basis vector of one packed slot is
 the indicator of the whole permutation orbit, so packing reads the sorted
 representative and unpacking is its right inverse on symmetric tensors.
+
+In that basis both fiber operators are Kronecker products of a 4 x 4
+sector-chiral factor and a twist factor. The symbol is the identity on the
+twist slots, symbol_matrix(k, l, xi) = kron(G(xi), I_{(k+1)(l+1)}) with G
+the k = l = 0 symbol; the pairing is kron(P_0, W_k), where P_0 swaps the
+sectors and W_k[(a, b), (b, a)] = C(k, a) C(k, b) swaps the twist
+occupations, weighted by the orbit sizes. Both are built from these closed
+forms; the tensor-level apply_symbol and gen_pairing stay as the
+independent reference that the closed forms are checked against.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -48,6 +58,10 @@ class NotTimelikeFuture(ValueError):
 
 class NoNegativeDirection(RuntimeError):
     """Raised when a negative Gram direction is requested but absent."""
+
+
+class InvariantViolation(RuntimeError):
+    """Raised when a numerical invariant that holds by construction fails."""
 
 
 @dataclass(frozen=True)
@@ -200,6 +214,16 @@ def unpack(vec: np.ndarray, k: int, l: int) -> HigherSpinVector:
     )
 
 
+def _symbol_blocks(xi: LorentzVector) -> tuple[np.ndarray, np.ndarray]:
+    """The chiral blocks sqrt(2) xi^{A X} and sqrt(2) xi_{A X} of covariant xi."""
+    if not xi.covariant:
+        raise ValueError("apply_symbol expects a covariant direction; use .lowered()")
+    up = xi.raised().components
+    xi_up = Spinor(np.einsum("a,aij->ij", up, PAULI), (UNDOTTED_UP, DOTTED_UP))
+    xi_dn = raise_lower(raise_lower(xi_up, 0), 1)
+    return xi_up.data, xi_dn.data
+
+
 def apply_symbol(xi: LorentzVector, phi: HigherSpinVector) -> HigherSpinVector:
     """Principal symbol action s(xi) on a fiber element.
 
@@ -208,16 +232,11 @@ def apply_symbol(xi: LorentzVector, phi: HigherSpinVector) -> HigherSpinVector:
     by the tensor engine; twist axes are untouched. The square of this
     action is eta(xi, xi) times the identity.
     """
-    if not xi.covariant:
-        raise ValueError("apply_symbol expects a covariant direction; use .lowered()")
-    up = xi.raised().components
-    xi_up = Spinor(np.einsum("a,aij->ij", up, PAULI), (UNDOTTED_UP, DOTTED_UP))
-    xi_dn = raise_lower(raise_lower(xi_up, 0), 1)
-
+    xi_up, xi_dn = _symbol_blocks(xi)
     # phi1' ^A = xi_up[A, X] (phi2)_X ; contraction over the chiral axes only
-    new1 = np.tensordot(xi_up.data, phi.phi2.data, axes=([1], [0]))
+    new1 = np.tensordot(xi_up, phi.phi2.data, axes=([1], [0]))
     # phi2' _X = xi_dn[A, X] (phi1)^A
-    new2 = np.tensordot(xi_dn.data, phi.phi1.data, axes=([0], [0]))
+    new2 = np.tensordot(xi_dn, phi.phi1.data, axes=([0], [0]))
     return HigherSpinVector(
         phi.k,
         phi.l,
@@ -226,26 +245,26 @@ def apply_symbol(xi: LorentzVector, phi: HigherSpinVector) -> HigherSpinVector:
     )
 
 
-_SYMBOL_CACHE: dict = {}
-_PAIRING_CACHE: dict = {}
-
-
 def symbol_matrix(k: int, l: int, xi: LorentzVector) -> np.ndarray:
-    """Packed matrix of s(xi), built column by column through apply_symbol."""
-    key = (k, l, bytes(np.asarray(xi.lowered().components)))
-    cached = _SYMBOL_CACHE.get(key)
-    if cached is not None:
-        return cached
-    dim = fiber_dim(k, l)
-    mat = np.empty((dim, dim), dtype=complex)
+    """Packed matrix of s(xi): kron(G(xi), I) with G the 4 x 4 chiral symbol.
+
+    The symbol contracts the chiral axes only, so it is the identity on the
+    (k+1)(l+1) twist slots. Returns a fresh array on every call.
+    """
+    xi_up, xi_dn = _symbol_blocks(xi.lowered())
+    zero = np.zeros((2, 2))
+    chiral = np.block([[zero, xi_up], [xi_dn.T, zero]])
+    return np.kron(chiral, np.eye((k + 1) * (l + 1)))
+
+
+def _unit_fibers(k: int, l: int) -> list[HigherSpinVector]:
+    return [unpack(unit, k, l) for unit in np.eye(fiber_dim(k, l), dtype=complex)]
+
+
+def _symbol_matrix_reference(k: int, l: int, xi: LorentzVector) -> np.ndarray:
+    """symbol_matrix built column by column through the tensor engine."""
     xi_low = xi.lowered()
-    for j in range(dim):
-        unit = np.zeros(dim, dtype=complex)
-        unit[j] = 1.0
-        mat[:, j] = pack(apply_symbol(xi_low, unpack(unit, k, l)))
-    if len(_SYMBOL_CACHE) < 64:
-        _SYMBOL_CACHE[key] = mat
-    return mat
+    return np.stack([pack(apply_symbol(xi_low, phi)) for phi in _unit_fibers(k, l)], axis=1)
 
 
 def dirac_adjoint(psi: DiracSpinor):
@@ -298,22 +317,37 @@ def gen_dirac_adjoint(phi: HigherSpinVector):
 
 
 def pairing_matrix(k: int) -> np.ndarray:
-    """Gram matrix P of the generalized pairing in the packed basis."""
-    cached = _PAIRING_CACHE.get(k)
-    if cached is not None:
-        return cached
-    dim = fiber_dim(k, k)
-    basis = []
-    for j in range(dim):
-        unit = np.zeros(dim, dtype=complex)
-        unit[j] = 1.0
-        basis.append(unpack(unit, k, k))
-    mat = np.empty((dim, dim), dtype=complex)
-    for i in range(dim):
-        for j in range(dim):
-            mat[i, j] = gen_pairing(basis[i], basis[j])
-    _PAIRING_CACHE[k] = mat
-    return mat
+    """Gram matrix P of the generalized pairing in the packed basis.
+
+    P = kron(P_0, W_k): P_0 pairs each sector with the other on the same
+    chiral slot, and W_k pairs twist occupation (a, b) with (b, a), weighted
+    by the orbit sizes C(k, a) C(k, b). Returns a fresh array on every call.
+    """
+    n = k + 1
+    orbit = np.array([math.comb(k, a) for a in range(n)], dtype=float)
+    a, b = np.indices((n, n))
+    twist = np.zeros((n, n, n, n), dtype=complex)
+    twist[a, b, b, a] = np.outer(orbit, orbit)
+    sectors = np.kron([[0.0, 1.0], [1.0, 0.0]], np.eye(2))
+    return np.kron(sectors, twist.reshape(n * n, n * n))
+
+
+def _pairing_matrix_reference(k: int) -> np.ndarray:
+    """pairing_matrix built entry by entry through gen_pairing."""
+    basis = _unit_fibers(k, k)
+    return np.array([[gen_pairing(phi, psi) for psi in basis] for phi in basis])
+
+
+def closed_form_residual(k: int, l: int, directions: list[LorentzVector]) -> float:
+    """Max |closed form - tensor-engine reference| of the packed operators.
+
+    Compares symbol_matrix at each direction and, when k = l, pairing_matrix
+    against their builds through apply_symbol and gen_pairing.
+    """
+    gaps = [symbol_matrix(k, l, xi) - _symbol_matrix_reference(k, l, xi) for xi in directions]
+    if k == l:
+        gaps.append(pairing_matrix(k) - _pairing_matrix_reference(k))
+    return max(float(np.max(np.abs(gap))) for gap in gaps)
 
 
 def xi_form(phi: HigherSpinVector, psi: HigherSpinVector, xi: LorentzVector) -> complex:
@@ -352,7 +386,8 @@ def gram_matrix(k: int, xi: LorentzVector) -> np.ndarray:
     mat = pairing_matrix(k) @ symbol_matrix(k, k, xi.lowered())
     herm_gap = float(np.max(np.abs(mat - mat.conj().T)))
     scale = max(float(np.max(np.abs(mat))), 1e-30)
-    assert herm_gap <= 1e-10 * scale, f"xi-form Gram not Hermitian (gap {herm_gap:.3e})"
+    if not herm_gap <= 1e-10 * scale:
+        raise InvariantViolation(f"xi-form Gram not Hermitian (gap {herm_gap:.3e})")
     return 0.5 * (mat + mat.conj().T)
 
 
@@ -400,12 +435,14 @@ def witness_pair(
         raise NoNegativeDirection("form has no positive direction either; degenerate")
     plus = unpack(vec[:, -1], k, k)
     q_plus = xi_form(plus, plus, xi).real
-    assert q_plus > 0, "positive witness failed certification"
+    if not q_plus > 0:
+        raise InvariantViolation(f"positive witness failed certification ({q_plus:.3e})")
     if eig[0] >= -tol:
         raise NoNegativeDirection(f"smallest eigenvalue {eig[0]:.3e} is not negative")
     minus = unpack(vec[:, 0], k, k)
     q_minus = xi_form(minus, minus, xi).real
-    assert q_minus < 0, "negative witness failed certification"
+    if not q_minus < 0:
+        raise InvariantViolation(f"negative witness failed certification ({q_minus:.3e})")
     return (plus, q_plus), (minus, q_minus)
 
 

@@ -150,6 +150,10 @@ def test_slice_product_needs_matching_ranks():
         ev.slice_product(field, field, 0)
 
 
+def test_rank_mismatch_is_one_exception_class():
+    assert ev.KNotEqualL is hs.KNotEqualL
+
+
 def test_support_stays_inside_the_discrete_cone():
     n_pts = 512
     dz = 25.6 / n_pts

@@ -217,3 +217,38 @@ def test_pairing_matrix_represents_gen_pairing():
 def test_gram_matrix_is_hermitian():
     gram = hs.gram_matrix(2, E0_COV)
     np.testing.assert_allclose(gram, gram.conj().T, atol=1e-13)
+
+
+def test_fiber_operators_return_fresh_arrays():
+    hs.symbol_matrix(0, 0, E0_COV)[:] = 0
+    hs.pairing_matrix(1)[:] = 0
+    np.testing.assert_array_equal(hs.symbol_matrix(0, 0, E0_COV), weyl_gammas()[0])
+    np.testing.assert_array_equal(hs.pairing_matrix(1), hs._pairing_matrix_reference(1))
+
+
+def test_closed_forms_match_the_tensor_engine_reference():
+    rng = np.random.default_rng(12)
+    for k in range(4):
+        for l in range(4):
+            directions = [mk.LorentzVector(rng.normal(size=4), covariant=True) for _ in range(2)]
+            assert hs.closed_form_residual(k, l, directions) <= 1e-12
+
+
+def test_gram_signature_matches_the_analytic_count():
+    # Remark 6 / Lemma 4: with n = k + 1 the xi-form has 2n(n+1) positive
+    # and 2n(n-1) negative directions and no null ones, so (60, 40, 0) at k = 4
+    for k in range(5):
+        n = k + 1
+        assert hs.gram_signature(k) == (2 * n * (n + 1), 2 * n * (n - 1), 0)
+
+
+def test_gram_matrix_raises_when_not_hermitian(monkeypatch):
+    monkeypatch.setattr(hs, "pairing_matrix", lambda k: np.triu(np.ones((4, 4))))
+    with pytest.raises(hs.InvariantViolation):
+        hs.gram_matrix(0, E0_COV)
+
+
+def test_witness_pair_raises_when_certification_fails(monkeypatch):
+    monkeypatch.setattr(hs, "xi_form", lambda phi, psi, xi: -1.0 + 0j)
+    with pytest.raises(hs.InvariantViolation):
+        hs.witness_pair(2)

@@ -989,8 +989,9 @@ def cmd_evolve(args) -> int:
         print(f"error: cannot read config: {exc}", file=sys.stderr)
         return 2
     try:
+        t0 = 0.0
         if "values" in obj:
-            cfg, _, initial = ev.snapshot_from_json(obj)
+            cfg, t0, initial = ev.snapshot_from_json(obj)
         else:
             cfg = ev.config_from_json(obj["config"] if "config" in obj else obj)
             wave = ev.plane_wave(2 * np.pi * 4 / cfg.extent, cfg.mass, cfg.k, cfg.l)
@@ -999,7 +1000,9 @@ def cmd_evolve(args) -> int:
     except (ev.CFLViolation, ValueError, KeyError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    _write_json(args.out, ev.snapshot_to_json(field, cfg.steps))
+    snapshot = ev.snapshot_to_json(field, cfg.steps)
+    snapshot["time"] += t0  # a restart continues the clock of its snapshot
+    _write_json(args.out, snapshot)
     if cfg.k == cfg.l:
         drift = ev.conservation_report(field)["drift"]
         print(f"evolved {cfg.steps} steps; slice-product drift {drift:.3e}")
@@ -1011,24 +1014,26 @@ def cmd_evolve(args) -> int:
 def cmd_green(args) -> int:
     n_pts = args.points
     extent = 16.0
-    dz = extent / n_pts
     try:
+        if n_pts < 1:
+            raise ValueError(f"--points must be positive, got {n_pts}")
+        dz = extent / n_pts
         cfg = ev.EvolutionConfig(
             mass=args.m, k=0, l=0, extent=extent, points=n_pts, dt=dz, steps=n_pts // 2
         )
-    except (ev.CFLViolation, ValueError) as exc:
+        z = cfg.zgrid()
+        t = cfg.times()
+        tt, zz = np.meshgrid(t, z, indexing="ij")
+        profile = bump((tt - extent / 4) / (extent / 8)) * bump((zz - extent / 2) / (extent / 8))
+        data = np.zeros((cfg.steps + 1, n_pts, 4), dtype=complex)
+        data[:, :, 0] = profile
+        data[:, :, 3] = 0.5j * profile
+        source = ev.GridField(cfg, data)
+        result = ev.retarded_green_apply(source, cfg)
+        residual = ev.green_residual(result, source)
+    except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    z = cfg.zgrid()
-    t = cfg.times()
-    tt, zz = np.meshgrid(t, z, indexing="ij")
-    profile = bump((tt - extent / 4) / (extent / 8)) * bump((zz - extent / 2) / (extent / 8))
-    data = np.zeros((cfg.steps + 1, n_pts, 4), dtype=complex)
-    data[:, :, 0] = profile
-    data[:, :, 3] = 0.5j * profile
-    source = ev.GridField(cfg, data)
-    result = ev.retarded_green_apply(source, cfg)
-    residual = ev.green_residual(result, source)
     first = int(np.nonzero(np.max(np.abs(data), axis=(1, 2)))[0][0])
     peak = float(np.max(np.abs(result.data)))
     before = float(np.max(np.abs(result.data[: first - 1]))) / peak if first > 1 else 0.0

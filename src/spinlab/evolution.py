@@ -12,22 +12,44 @@ per step (so discrete causality can be asserted as exact zeros) and its
 two-level quadratic form is conserved to round-off, which keeps slice
 products flat far below generic one-step schemes. The startup half uses the
 identity (A D_z + B)^2 ~ D2 - m^2 to stay both second order and one-cell.
+Leapfrog is stable only while dt sqrt(dz^-2 + m^2) < 1, and the stepping
+core refuses to start otherwise.
+
+Every fiber operator the evolver and the slice products use (A, Gamma0 and
+hence B, and the currents X^a = P Gamma(e^a)) is a generalized permutation
+matrix: one nonzero per row, because Gamma(e^a) = kron(G(e^a), I) and
+P = kron(P_0, W_k) are. They are applied as a gather and a scale,
+u[..., cols] * w, which is N F work per level instead of the N F^2 of a
+dense product. One generator, ``_leapfrog``, is the only time-stepping loop;
+it holds two levels. ``evolve`` stores what it yields, the causality audit
+reduces each level as it arrives, and the slice-product reductions walk a
+stored field in blocks of levels so their temporaries stay small.
 """
 
 from __future__ import annotations
 
+import math
+from collections.abc import Iterator
 from dataclasses import dataclass
 
 import numpy as np
 from scipy.signal import fftconvolve
 from scipy.special import j0
 
-from .higher_spin import KNotEqualL, fiber_dim, pack, pairing_matrix, symbol_matrix, unpack
+from .higher_spin import (
+    InvariantViolation,
+    KNotEqualL,
+    fiber_dim,
+    pack,
+    pairing_matrix,
+    symbol_matrix,
+    unpack,
+)
 from .minkowski import LorentzVector, basis_vector
 
 
 class CFLViolation(ValueError):
-    """Raised when the time step exceeds the grid spacing."""
+    """Raised when the time step breaks the unit-speed or leapfrog stability bound."""
 
 
 class ZeroProjection(RuntimeError):
@@ -45,8 +67,9 @@ class EvolutionConfig:
     ``extent`` is the periodic domain length, ``points`` the number of
     cells (dz = extent / points), ``steps`` the number of time steps taken
     beyond the initial level. The unit-speed constraint dt <= dz is
-    enforced; with mass, staying strictly below it keeps the scheme in the
-    stable region.
+    enforced here; the stricter leapfrog bound dt sqrt(dz^-2 + m^2) < 1 is
+    enforced when time stepping starts, because the aligned dt = dz grid of
+    the Green operator is valid with mass but must never be time-stepped.
     """
 
     mass: float
@@ -58,6 +81,8 @@ class EvolutionConfig:
     steps: int
 
     def __post_init__(self) -> None:
+        if not all(math.isfinite(v) for v in (self.mass, self.extent, self.dt)):
+            raise ValueError("mass, extent, dt must be finite")
         if self.points < 8:
             raise ValueError("need at least 8 grid points")
         if self.extent <= 0 or self.dt <= 0 or self.steps < 1:
@@ -104,14 +129,31 @@ class GridField:
         return unpack(self.data[t_index, j], self.config.k, self.config.l)
 
 
-def _evolution_matrices(cfg: EvolutionConfig) -> tuple[np.ndarray, np.ndarray]:
-    e0 = basis_vector(0, covariant=True)
-    e3 = basis_vector(3, covariant=True)
-    g0 = symbol_matrix(cfg.k, cfg.l, e0)
-    g3 = symbol_matrix(cfg.k, cfg.l, e3)
-    a_mat = -g0 @ g3
-    b_mat = -1j * cfg.mass * g0
-    return a_mat, b_mat
+# Level blocks of the slice-product reductions hold about this many bytes.
+# Measured on a 2-core host: 1 MiB blocks made divergence_check slower (it
+# recomputes two halo levels per block), and 8 MiB blocks, whose temporaries
+# pass the 4 MiB from which numpy advises huge pages, sometimes made the
+# first reduction of a process about a second slower.
+_BLOCK_BYTES = 2 * 2**20
+
+
+def _monomial(mat: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(cols, w) with u[..., cols] * w == u @ mat.T for a one-nonzero-per-row mat.
+
+    Raises InvariantViolation when some row of ``mat`` does not have exactly
+    one nonzero entry.
+    """
+    counts = np.count_nonzero(mat, axis=1)
+    if np.any(counts != 1):
+        raise InvariantViolation(
+            f"not a generalized permutation matrix: row nonzero counts {sorted(set(counts))}"
+        )
+    cols = np.argmax(mat != 0, axis=1)
+    return cols, mat[np.arange(mat.shape[0]), cols]
+
+
+def _symbol(cfg: EvolutionConfig, direction: int) -> np.ndarray:
+    return symbol_matrix(cfg.k, cfg.l, basis_vector(direction, covariant=True))
 
 
 def _coerce_initial(phi0, cfg: EvolutionConfig) -> np.ndarray:
@@ -124,33 +166,55 @@ def _coerce_initial(phi0, cfg: EvolutionConfig) -> np.ndarray:
     return arr
 
 
-def evolve(phi0, cfg: EvolutionConfig) -> GridField:
-    """Run the leapfrog scheme from packed (points, fiber) initial data.
+def _leapfrog(u0: np.ndarray, cfg: EvolutionConfig) -> Iterator[tuple[int, np.ndarray]]:
+    """Yield (n, u^n) for n = 0 .. steps, holding two levels.
 
     The first step is the Taylor half-step
     u^1 = u^0 + dt L u^0 + (dt^2/2)(D2 - m^2) u^0 with D2 the one-cell
     second difference; it matches L^2 through the operator identities in
     the module docstring, so no extra reach and no first-order startup
-    error is introduced. All time levels are stored.
+    error is introduced. Later levels are updated in place: a yielded
+    array is overwritten two steps on, so a caller that keeps a level
+    copies it. Raises CFLViolation before the first level when the run
+    would be unstable.
     """
-    u0 = _coerce_initial(phi0, cfg)
-    a_mat, b_mat = _evolution_matrices(cfg)
-    at = a_mat.T.copy()
-    bt = b_mat.T.copy()
     dz, dt = cfg.dz, cfg.dt
+    if dt * math.sqrt(dz**-2 + cfg.mass**2) >= 1.0:
+        raise CFLViolation(
+            f"leapfrog needs dt sqrt(dz^-2 + m^2) < 1; dt = {dt}, dz = {dz}, m = {cfg.mass}"
+        )
+    g0 = _symbol(cfg, 0)
+    a_cols, a_w = _monomial(-g0 @ _symbol(cfg, 3))
+    b_cols, g0_w = _monomial(g0)
+    b_w = -1j * cfg.mass * g0_w
     inv2dz = 1.0 / (2.0 * dz)
     m2 = cfg.mass**2
 
     def rhs(u):
         dzu = (np.roll(u, -1, axis=0) - np.roll(u, 1, axis=0)) * inv2dz
-        return dzu @ at + u @ bt
+        return dzu[:, a_cols] * a_w + u[:, b_cols] * b_w
 
+    prev = u0.copy()
+    yield 0, prev
+    lap = (np.roll(prev, -1, axis=0) - 2.0 * prev + np.roll(prev, 1, axis=0)) / dz**2
+    cur = prev + dt * rhs(prev) + 0.5 * dt**2 * (lap - m2 * prev)
+    yield 1, cur
+    for n in range(2, cfg.steps + 1):
+        prev += 2.0 * dt * rhs(cur)
+        prev, cur = cur, prev
+        yield n, cur
+
+
+def evolve(phi0, cfg: EvolutionConfig) -> GridField:
+    """Run the leapfrog scheme from packed (points, fiber) initial data.
+
+    All time levels are stored; see ``_leapfrog`` for the scheme and its
+    stability bound.
+    """
+    u0 = _coerce_initial(phi0, cfg)
     out = np.empty((cfg.steps + 1, cfg.points, cfg.fiber), dtype=complex)
-    out[0] = u0
-    lap = (np.roll(u0, -1, axis=0) - 2.0 * u0 + np.roll(u0, 1, axis=0)) / dz**2
-    out[1] = u0 + dt * rhs(u0) + 0.5 * dt**2 * (lap - m2 * u0)
-    for n in range(1, cfg.steps):
-        out[n + 1] = out[n - 1] + 2.0 * dt * rhs(out[n])
+    for n, u in _leapfrog(u0, cfg):
+        out[n] = u
     return GridField(cfg, out)
 
 
@@ -207,25 +271,40 @@ def plane_wave(
         if norm > 1e-8:
             u = u / norm
             residual = float(np.linalg.norm(s_p @ u - mass * u))
-            assert residual < 1e-12, f"on-shell residual {residual:.3e}"
+            if not residual < 1e-12:
+                raise InvariantViolation(f"plane wave off shell: residual {residual:.3e}")
             return PlaneWave(k, l, u, omega, p, branch)
     raise ZeroProjection("all chiral seeds were annihilated by the projector")
 
 
-def _xi_current_matrix(cfg: EvolutionConfig, direction: int) -> np.ndarray:
+def _current(cfg: EvolutionConfig, direction: int) -> tuple[np.ndarray, np.ndarray]:
+    """Monomial form of the pair-current matrix X^a = P s(e^a)."""
     if cfg.k != cfg.l:
         raise KNotEqualL("slice products need k = l")
-    e_cov = basis_vector(direction, covariant=True)
-    return pairing_matrix(cfg.k) @ symbol_matrix(cfg.k, cfg.l, e_cov)
+    return _monomial(pairing_matrix(cfg.k) @ _symbol(cfg, direction))
+
+
+def _current_density(
+    a: np.ndarray, b: np.ndarray, current: tuple[np.ndarray, np.ndarray]
+) -> np.ndarray:
+    """<a, X b> over the trailing fiber axis for X in monomial form (cols, w)."""
+    cols, w = current
+    return (np.conj(a) * b[..., cols]) @ w
+
+
+def _level_blocks(field: GridField, start: int, stop: int) -> Iterator[slice]:
+    """Slices covering levels start .. stop - 1 of about _BLOCK_BYTES each."""
+    per = max(1, _BLOCK_BYTES // field.data[0].nbytes)
+    for first in range(start, stop, per):
+        yield slice(first, min(first + per, stop))
 
 
 def slice_product(fa: GridField, fb: GridField, t_index: int) -> complex:
     """Constant-time slice product sum_j <A, s(e^0) B> dz at one level."""
     cfg = fa.config
-    x0 = _xi_current_matrix(cfg, 0)
-    a = fa.data[t_index]
-    b = fb.data[t_index]
-    return complex(np.sum(np.conj(a) * (b @ x0.T)) * cfg.dz)
+    x0 = _current(cfg, 0)
+    density = _current_density(fa.data[t_index], fb.data[t_index], x0)
+    return complex(np.sum(density) * cfg.dz)
 
 
 def conservation_report(fa: GridField, fb: GridField | None = None) -> dict:
@@ -238,8 +317,11 @@ def conservation_report(fa: GridField, fb: GridField | None = None) -> dict:
     if fb is None:
         fb = fa
     cfg = fa.config
-    x0 = _xi_current_matrix(cfg, 0)
-    values = np.sum(np.conj(fa.data) * (fb.data @ x0.T), axis=(1, 2)) * cfg.dz
+    x0 = _current(cfg, 0)
+    values = np.empty(cfg.steps + 1, dtype=complex)
+    for block in _level_blocks(fa, 0, cfg.steps + 1):
+        density = _current_density(fa.data[block], fb.data[block], x0)
+        values[block] = np.sum(density, axis=1) * cfg.dz
     scale = cfg.dz * float(np.linalg.norm(fa.data[0]) * np.linalg.norm(fb.data[0]))
     denom = max(abs(values[0]), 1e-9 * scale, 1e-300)
     drift = float(np.max(np.abs(values - values[0])) / denom)
@@ -257,19 +339,23 @@ def divergence_check(fa: GridField, fb: GridField) -> float:
     X^a(t, z) = <A, s(e^a) B> pointwise; both derivatives are centered, so
     the residual is evaluated on interior time levels only. For two
     solutions of the evolved equation this is a discrete conservation law
-    and the residual converges to zero at second order.
+    and the residual converges to zero at second order. Blocks of interior
+    levels read one extra level on each side for the time derivative.
     """
     cfg = fa.config
     if cfg.steps < 2:
         raise ValueError("need at least 3 time levels for a centered residual")
-    x0 = _xi_current_matrix(cfg, 0)
-    x3 = _xi_current_matrix(cfg, 3)
-    conj_a = np.conj(fa.data)
-    cur0 = np.sum(conj_a * (fb.data @ x0.T), axis=2)
-    cur3 = np.sum(conj_a * (fb.data @ x3.T), axis=2)
-    dt_cur = (cur0[2:] - cur0[:-2]) / (2.0 * cfg.dt)
-    dz_cur = (np.roll(cur3, -1, axis=1) - np.roll(cur3, 1, axis=1))[1:-1] / (2.0 * cfg.dz)
-    return float(np.max(np.abs(dt_cur + dz_cur)))
+    x0 = _current(cfg, 0)
+    x3 = _current(cfg, 3)
+    worst = []
+    for block in _level_blocks(fa, 1, cfg.steps):
+        halo = slice(block.start - 1, block.stop + 1)
+        cur0 = _current_density(fa.data[halo], fb.data[halo], x0)
+        cur3 = _current_density(fa.data[block], fb.data[block], x3)
+        dt_cur = (cur0[2:] - cur0[:-2]) / (2.0 * cfg.dt)
+        dz_cur = (np.roll(cur3, -1, axis=1) - np.roll(cur3, 1, axis=1)) / (2.0 * cfg.dz)
+        worst.append(np.max(np.abs(dt_cur + dz_cur)))
+    return float(np.max(worst))
 
 
 def causal_support_check(phi0, cfg: EvolutionConfig) -> dict:
@@ -280,7 +366,8 @@ def causal_support_check(phi0, cfg: EvolutionConfig) -> dict:
     IEEE arithmetic keeps exact zeros through linear updates, so any
     nonzero there is a genuine scheme bug, not round-off. The continuum
     cone widened by 3 cells is then checked as a relative amplitude leak.
-    Returns {"exact_outside": ..., "cone_leak": ..., "peak": ...}.
+    Each level is audited as the stepping core yields it; no field is
+    stored. Returns {"exact_outside": ..., "cone_leak": ..., "peak": ...}.
     """
     u0 = _coerce_initial(phi0, cfg)
     profile = np.max(np.abs(u0), axis=1)
@@ -290,25 +377,25 @@ def causal_support_check(phi0, cfg: EvolutionConfig) -> dict:
     if nonzero[0] == 0 or nonzero[-1] == cfg.points - 1:
         raise ValueError("initial support touches the periodic seam")
     ia, ib = int(nonzero[0]), int(nonzero[-1])
-    field = evolve(u0, cfg)
-    amp = np.max(np.abs(field.data), axis=2)
-    peak = float(np.max(amp))
     idx = np.arange(cfg.points)
-    exact_outside = 0.0
-    cone_leak = 0.0
-    for n in range(cfg.steps + 1):
+    # np.maximum, unlike max(), keeps a NaN level visible in the result
+    peak = exact_outside = cone_leak = 0.0
+    for n, u in _leapfrog(u0, cfg):
+        amp = np.max(np.abs(u), axis=1)
+        peak = np.maximum(peak, np.max(amp))
         lo, hi = ia - n, ib + n
         if hi - lo + 1 < cfg.points:
             outside = ((idx - lo) % cfg.points) > (hi - lo)
-            exact_outside = max(exact_outside, float(np.max(amp[n, outside])))
+            exact_outside = np.maximum(exact_outside, np.max(amp[outside]))
         t = n * cfg.dt
         width = int(np.ceil(t / cfg.dz)) + 3
         lo_c, hi_c = ia - width, ib + width
         if hi_c - lo_c + 1 < cfg.points:
             outside_c = ((idx - lo_c) % cfg.points) > (hi_c - lo_c)
-            cone_leak = max(cone_leak, float(np.max(amp[n, outside_c])))
+            cone_leak = np.maximum(cone_leak, np.max(amp[outside_c]))
+    peak, cone_leak = float(peak), float(cone_leak)
     return {
-        "exact_outside": exact_outside,
+        "exact_outside": float(exact_outside),
         "cone_leak": cone_leak,
         "peak": peak,
         "cone_leak_rel": cone_leak / peak if peak > 0 else 0.0,
@@ -398,7 +485,9 @@ def snapshot_to_json(field: GridField, t_index: int) -> dict:
 
     values[j] carries the packed coefficients of the two sectors as
     [re, im] pairs, phi1 first, in packed (chiral, undotted occupation,
-    dotted occupation) order.
+    dotted occupation) order. ``time`` is t_index * dt, counted from the
+    field's first level; a run restarted from a snapshot adds that
+    snapshot's time.
     """
     cfg = field.config
     half = cfg.fiber // 2

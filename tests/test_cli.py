@@ -142,6 +142,37 @@ def test_evolve_rejects_unreadable_or_invalid_configs(tmp_path):
                     str(tmp_path / "y.json")]) == 2
 
 
+def test_evolve_refuses_an_unstable_run_and_writes_nothing(tmp_path, capsys):
+    cfg_path = tmp_path / "unstable.json"
+    cfg_path.write_text(json.dumps({"mass": 2, "k": 0, "l": 0, "extent": 16,
+                                    "points": 128, "dt": 0.125, "steps": 400}))
+    out_path = tmp_path / "out.json"
+    assert cli.run(["evolve", "--config", str(cfg_path), "--out", str(out_path)]) == 2
+    assert capsys.readouterr().err.startswith("error:")
+    assert not out_path.exists()
+
+
+def test_restarted_snapshots_carry_the_elapsed_time(tmp_path):
+    cfg = ev.EvolutionConfig(mass=1.0, k=0, l=0, extent=16.0, points=128,
+                             dt=0.0625, steps=32)
+    source = tmp_path / "cfg.json"
+    source.write_text(json.dumps(ev.config_to_json(cfg)))
+    for leg in (1, 2, 3):
+        out_path = tmp_path / f"leg{leg}.json"
+        assert cli.run(["evolve", "--config", str(source), "--out", str(out_path)]) == 0
+        assert json.loads(out_path.read_text())["time"] == pytest.approx(leg * 2.0)
+        source = out_path
+
+
+# 8 points leave too few time levels for an interior residual; 0 has no grid
+@pytest.mark.parametrize("points", ["8", "0"])
+def test_green_rejects_unusable_point_counts(tmp_path, capsys, points):
+    out_path = tmp_path / "green.json"
+    assert cli.run(["green", "--m", "1", "--points", points, "--out", str(out_path)]) == 2
+    assert capsys.readouterr().err.startswith("error:")
+    assert not out_path.exists()
+
+
 def test_green_subcommand_writes_a_snapshot(tmp_path, capsys):
     out_path = tmp_path / "green.json"
     assert cli.run(["green", "--m", "1.0", "--points", "128",

@@ -1,5 +1,7 @@
 """Leapfrog Cauchy evolution, conservation, causality, and the Green operator."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -35,6 +37,27 @@ def test_config_validates_grid_parameters():
         small_config(k=-1)
 
 
+def test_config_rejects_non_finite_parameters():
+    for field in ("mass", "extent", "dt"):
+        for bad in (np.nan, np.inf):
+            with pytest.raises(ValueError):
+                small_config(**{field: bad})
+
+
+def test_stepping_enforces_the_leapfrog_stability_bound():
+    # dt = dz passes the unit-speed check but with mass
+    # dt sqrt(dz^-2 + m^2) > 1, where leapfrog grows without bound
+    cfg = small_config(mass=2.0, dt=0.0625)
+    u0 = np.zeros((cfg.points, 4), dtype=complex)
+    u0[cfg.points // 2, 0] = 1.0
+    with pytest.raises(ev.CFLViolation):
+        ev.evolve(u0, cfg)
+    with pytest.raises(ev.CFLViolation):
+        ev.causal_support_check(u0, cfg)
+    with pytest.raises(ev.CFLViolation):
+        ev.evolve(u0, small_config(mass=0.0, dt=0.0625))
+
+
 def test_grid_field_checks_its_shape():
     cfg = small_config()
     with pytest.raises(ValueError):
@@ -51,6 +74,14 @@ def test_plane_wave_is_on_shell():
             )
             mat = hs.symbol_matrix(0, 0, p_cov)
             assert np.linalg.norm(mat @ wave.u - mass * wave.u) < 1e-12
+
+
+def test_plane_wave_raises_when_the_profile_is_off_shell(monkeypatch):
+    # a symbol that is not the on-shell matrix makes the projected seed fail
+    # the residual check, which must raise even under python -O
+    monkeypatch.setattr(ev, "symbol_matrix", lambda k, l, xi: np.ones((4, 4)))
+    with pytest.raises(hs.InvariantViolation):
+        ev.plane_wave(1.3, 1.0)
 
 
 def test_plane_wave_validates_arguments():
@@ -258,3 +289,100 @@ def test_snapshot_parser_validates_lengths():
     snap["values"] = snap["values"][:-1]
     with pytest.raises(ValueError):
         ev.snapshot_from_json(snap)
+
+
+def _dense_leapfrog(u0, cfg):
+    """Reference: the all-levels leapfrog with dense fiber operator products."""
+    g0 = hs.symbol_matrix(cfg.k, cfg.l, mk.basis_vector(0, covariant=True))
+    g3 = hs.symbol_matrix(cfg.k, cfg.l, mk.basis_vector(3, covariant=True))
+    at = (-g0 @ g3).T.copy()
+    bt = (-1j * cfg.mass * g0).T.copy()
+    dz, dt = cfg.dz, cfg.dt
+    inv2dz = 1.0 / (2.0 * dz)
+
+    def rhs(u):
+        dzu = (np.roll(u, -1, axis=0) - np.roll(u, 1, axis=0)) * inv2dz
+        return dzu @ at + u @ bt
+
+    out = np.empty((cfg.steps + 1, cfg.points, cfg.fiber), dtype=complex)
+    out[0] = u0
+    lap = (np.roll(u0, -1, axis=0) - 2.0 * u0 + np.roll(u0, 1, axis=0)) / dz**2
+    out[1] = u0 + dt * rhs(u0) + 0.5 * dt**2 * (lap - cfg.mass**2 * u0)
+    for n in range(1, cfg.steps):
+        out[n + 1] = out[n - 1] + 2.0 * dt * rhs(out[n])
+    return out
+
+
+def _dense_currents(fa, fb, direction):
+    e_cov = mk.basis_vector(direction, covariant=True)
+    cfg = fa.config
+    x = hs.pairing_matrix(cfg.k) @ hs.symbol_matrix(cfg.k, cfg.l, e_cov)
+    return np.sum(np.conj(fa.data) * (fb.data @ x.T), axis=2)
+
+
+def _random_field(rng, cfg):
+    shape = (cfg.steps + 1, cfg.points, cfg.fiber)
+    return ev.GridField(cfg, rng.normal(size=shape) + 1j * rng.normal(size=shape))
+
+
+def test_evolve_is_bitwise_equal_to_the_dense_reference():
+    rng = np.random.default_rng(21)
+    for k in (0, 1, 2):
+        for mass in (0.0, 1.0):
+            cfg = small_config(mass=mass, k=k, l=k, points=32, extent=4.0, dt=0.0625, steps=12)
+            u0 = rng.normal(size=(cfg.points, cfg.fiber)) + 1j * rng.normal(
+                size=(cfg.points, cfg.fiber)
+            )
+            field = ev.evolve(u0, cfg)
+            assert np.array_equal(field.data, _dense_leapfrog(u0, cfg))
+            assert np.array_equal(field.data[0], u0)
+
+
+def test_blocked_reductions_match_dense_full_array_references(monkeypatch):
+    rng = np.random.default_rng(22)
+    cfg = small_config(k=1, l=1, points=16, extent=4.0, dt=0.1, steps=10)
+    fa, fb = _random_field(rng, cfg), _random_field(rng, cfg)
+    # blocks of 3 levels: 11 levels is not a multiple of the block size
+    monkeypatch.setattr(ev, "_BLOCK_BYTES", 3 * fa.data[0].nbytes)
+    cur0 = _dense_currents(fa, fb, 0)
+    cur3 = _dense_currents(fa, fb, 3)
+
+    values = np.sum(cur0, axis=1) * cfg.dz
+    report = ev.conservation_report(fa, fb)
+    scale = np.max(np.abs(values))
+    assert np.max(np.abs(report["values"] - values)) <= 1e-13 * scale
+    assert report["initial"] == pytest.approx(values[0], rel=1e-13)
+    for t_index in (0, 7, 10):
+        assert ev.slice_product(fa, fb, t_index) == pytest.approx(values[t_index], rel=1e-13)
+
+    dt_cur = (cur0[2:] - cur0[:-2]) / (2.0 * cfg.dt)
+    dz_cur = (np.roll(cur3, -1, axis=1) - np.roll(cur3, 1, axis=1))[1:-1] / (2.0 * cfg.dz)
+    expected = float(np.max(np.abs(dt_cur + dz_cur)))
+    assert ev.divergence_check(fa, fb) == pytest.approx(expected, rel=1e-13)
+
+
+def test_monomial_form_rejects_a_dense_matrix():
+    cols, w = ev._monomial(np.array([[0, 2j], [-1, 0]]))
+    assert cols.tolist() == [1, 0] and w.tolist() == [2j, -1]
+    with pytest.raises(hs.InvariantViolation):
+        ev._monomial(np.ones((4, 4)))
+    with pytest.raises(hs.InvariantViolation):
+        ev._monomial(np.diag([1.0, 0.0, 1.0]))
+
+
+def test_causal_audit_streams_levels_instead_of_storing_the_field():
+    n_pts = 512
+    dz = 25.6 / n_pts
+    cfg = small_config(k=1, l=1, extent=25.6, points=n_pts, dt=0.5 * dz, steps=200)
+    z = cfg.zgrid()
+    u0 = np.zeros((n_pts, cfg.fiber), dtype=complex)
+    u0[:, 0] = bump((z - 12.8) / (8 * dz))
+    field_nbytes = (cfg.steps + 1) * cfg.points * cfg.fiber * 16
+    tracemalloc.start()
+    try:
+        report = ev.causal_support_check(u0, cfg)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert report["exact_outside"] == 0.0
+    assert peak < field_nbytes / 4

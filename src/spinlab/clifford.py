@@ -41,6 +41,10 @@ class SingularIntertwiner(RuntimeError):
     """Raised when no invertible intertwiner candidate is found."""
 
 
+class InvariantViolation(RuntimeError):
+    """Raised when a numerical invariant that holds by construction fails."""
+
+
 def weyl_gammas() -> np.ndarray:
     """Chiral-basis gamma matrices, shape (4, 4, 4)."""
     gammas = np.zeros((4, 4, 4), dtype=complex)
@@ -217,7 +221,9 @@ def covering_lambda(s2: np.ndarray, tol: float = DEFAULT_TOL) -> np.ndarray:
 
     Column b holds the Pauli-basis coefficients of S s_b S^dag, read off
     with the trace pairing tr(s_a s_b) = 2 delta_ab. The result is the same
-    for S and -S.
+    for S and -S. Raises InvariantViolation when the coefficients come out
+    complex or the result fails the restricted-group test at tolerance
+    max(tol, 1e-9).
     """
     s2 = np.asarray(s2, dtype=complex)
     det = np.linalg.det(s2)
@@ -228,7 +234,10 @@ def covering_lambda(s2: np.ndarray, tol: float = DEFAULT_TOL) -> np.ndarray:
         image = s2 @ PAULI[b] @ s2.conj().T
         coeff = np.einsum("aij,ji->a", PAULI, image) / 2.0
         # S s_b S^dag is Hermitian for any S, so the Pauli coefficients are real.
-        assert np.max(np.abs(coeff.imag)) < 1e-10
+        imag = float(np.max(np.abs(coeff.imag)))
+        if not imag < 1e-10:
+            raise InvariantViolation(f"complex Pauli coefficients (imag {imag:.3e})")
         lam[:, b] = coeff.real
-    assert is_restricted_lorentz(lam, tol=max(tol, 1e-9)), "covering output left the restricted group"
+    if not is_restricted_lorentz(lam, tol=max(tol, 1e-9)):
+        raise InvariantViolation("covering output left the restricted group")
     return lam

@@ -24,6 +24,14 @@ dense product. One generator, ``_leapfrog``, is the only time-stepping loop;
 it holds two levels. ``evolve`` stores what it yields, the causality audit
 reduces each level as it arrives, and the slice-product reductions walk a
 stored field in blocks of levels so their temporaries stay small.
+
+The retarded Green operator convolves the source with the sampled kernel
+E(t, z) over the whole (t, z) grid. The convolution is linear (not
+periodic), and only its retarded window, the n_t levels and n points of the
+source grid, is needed, so it runs as a cyclic FFT convolution of size
+next_fast_len(2 n_t - 1) x next_fast_len(2 n - 1): the smallest fast sizes
+for which no wrapped term reaches that window (see
+``retarded_green_apply``).
 """
 
 from __future__ import annotations
@@ -33,11 +41,11 @@ from collections.abc import Iterator
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.signal import fftconvolve
+from scipy import fft as sfft
 from scipy.special import j0
 
+from .clifford import InvariantViolation
 from .higher_spin import (
-    InvariantViolation,
     KNotEqualL,
     fiber_dim,
     pack,
@@ -434,18 +442,33 @@ def retarded_green_apply(source: GridField, cfg: EvolutionConfig) -> GridField:
     error on interior levels, and the output vanishes to round-off at
     levels more than one stencil width before the source support. Sources
     must stay clear of the z-boundary: the convolution is non-periodic.
+
+    The convolution is exact and runs through FFTs of size
+    (L_t, L_z) = (next_fast_len(2 n_t - 1), next_fast_len(2 n - 1)) for
+    n_t levels and n points; the kernel is transformed once per call. Only
+    rows 0 .. n_t - 1 and columns n - 1 .. 2 n - 2 of the full linear
+    convolution are kept, and the cyclic wrap cannot reach them: in t the
+    full result spans 2 n_t - 1 <= L_t rows, so nothing wraps, and in z it
+    spans indices 0 .. 3 n - 3, so an index that wraps lands at or below
+    3 n - 3 - L_z <= n - 2, left of the window. Each component is
+    transformed along t on its n data columns only (the padding is zero),
+    and only the n window columns are transformed back along t.
     """
     if cfg.k != 0 or cfg.l != 0:
         raise UnsupportedTwist("the retarded kernel is implemented for k = l = 0")
     if abs(cfg.dt - cfg.dz) > 1e-12 * cfg.dz:
         raise ValueError("retarded kernel needs the aligned grid dt = dz")
     f = source.data
-    kernel = retarded_kernel(cfg)
     n_t, n_pts = cfg.steps + 1, cfg.points
+    shape = (sfft.next_fast_len(2 * n_t - 1), sfft.next_fast_len(2 * n_pts - 1))
+    kernel_hat = sfft.fft2(retarded_kernel(cfg), s=shape)
+    window = slice(n_pts - 1, 2 * n_pts - 1)
     u = np.empty_like(f)
     for c in range(f.shape[2]):
-        conv = fftconvolve(f[:, :, c], kernel, mode="full")
-        u[:, :, c] = conv[:n_t, n_pts - 1 : n_pts - 1 + n_pts]
+        spec = sfft.fft(sfft.fft(f[:, :, c], n=shape[0], axis=0), n=shape[1], axis=1)
+        spec *= kernel_hat
+        cols = sfft.ifft(spec, axis=1, overwrite_x=True)[:, window]
+        u[:, :, c] = sfft.ifft(cols, axis=0, overwrite_x=True)[:n_t]
     u *= cfg.dt * cfg.dz
 
     g0 = symbol_matrix(0, 0, basis_vector(0, covariant=True))
@@ -508,7 +531,12 @@ def snapshot_to_json(field: GridField, t_index: int) -> dict:
 
 
 def snapshot_from_json(obj: dict) -> tuple[EvolutionConfig, float, np.ndarray]:
-    """Parse a snapshot dict back into (config, time, packed (points, fiber))."""
+    """Parse a snapshot dict back into (config, time, packed (points, fiber)).
+
+    Raises ValueError on malformed values and on any non-finite number:
+    Python's json accepts NaN and Infinity tokens, and they must not reach
+    the evolver.
+    """
     cfg = config_from_json(obj["config"])
     values = obj["values"]
     if len(values) != cfg.points:
@@ -521,7 +549,10 @@ def snapshot_from_json(obj: dict) -> tuple[EvolutionConfig, float, np.ndarray]:
             raise ValueError(f"grid value {j} has wrong sector lengths")
         data[j, :half] = [complex(re, im) for re, im in p1]
         data[j, half:] = [complex(re, im) for re, im in p2]
-    return cfg, float(obj.get("time", 0.0)), data
+    time = float(obj.get("time", 0.0))
+    if not (math.isfinite(time) and np.all(np.isfinite(data))):
+        raise ValueError("snapshot holds a non-finite value")
+    return cfg, time, data
 
 
 def green_residual(result: GridField, source: GridField) -> float:

@@ -36,7 +36,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .clifford import PAULI
+from .clifford import PAULI, InvariantViolation
 from .minkowski import LorentzVector, basis_vector, classify_causal, metric_eval
 from .spinor_core import (
     DOTTED_LOW,
@@ -58,10 +58,6 @@ class NotTimelikeFuture(ValueError):
 
 class NoNegativeDirection(RuntimeError):
     """Raised when a negative Gram direction is requested but absent."""
-
-
-class InvariantViolation(RuntimeError):
-    """Raised when a numerical invariant that holds by construction fails."""
 
 
 @dataclass(frozen=True)

@@ -152,6 +152,21 @@ def test_evolve_refuses_an_unstable_run_and_writes_nothing(tmp_path, capsys):
     assert not out_path.exists()
 
 
+def test_evolve_refuses_a_snapshot_with_a_nan_value(tmp_path, capsys):
+    cfg = ev.EvolutionConfig(mass=1.0, k=0, l=0, extent=16.0, points=128,
+                             dt=0.0625, steps=32)
+    field = ev.GridField(cfg, np.ones((cfg.steps + 1, cfg.points, cfg.fiber)))
+    snap = ev.snapshot_to_json(field, cfg.steps)
+    snap["values"][40]["phi1"][0][1] = float("nan")
+    snap_path = tmp_path / "nan.json"
+    snap_path.write_text(json.dumps(snap))  # Python's json writes the NaN token
+    assert "NaN" in snap_path.read_text()
+    out_path = tmp_path / "out.json"
+    assert cli.run(["evolve", "--config", str(snap_path), "--out", str(out_path)]) == 2
+    assert capsys.readouterr().err.startswith("error:")
+    assert not out_path.exists()
+
+
 def test_restarted_snapshots_carry_the_elapsed_time(tmp_path):
     cfg = ev.EvolutionConfig(mass=1.0, k=0, l=0, extent=16.0, points=128,
                              dt=0.0625, steps=32)

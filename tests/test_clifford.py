@@ -1,11 +1,19 @@
 """Gamma collections, spin generators, and the double cover of the Lorentz group."""
 
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import spinlab
 from spinlab import clifford as cl
+from spinlab import evolution as ev
+from spinlab import higher_spin as hs
 from spinlab import minkowski as mk
 
 small = st.floats(-1.5, 1.5, allow_nan=False, allow_infinity=False)
@@ -106,6 +114,43 @@ def test_covering_image_is_restricted_lorentz():
 def test_covering_rejects_non_unimodular_input():
     with pytest.raises(cl.NotUnimodular):
         cl.covering_lambda(2.0 * np.eye(2))
+
+
+# The product prev @ s2 that seed 10's covering-map-batch feeds the covering
+# map: its image, with entries near 6e3, misses eta by more than 1e-9.
+SEED10_PRODUCT = np.array([
+    [2.7539372996205023 + 5.3916637385345224e-02j, 12.72615524031299 + 9.4650893408601688e-01j],
+    [0.7291897135676436 - 1.6381734234997996e+01j, 7.882849758728357 - 7.5604962096375800e+01j],
+])
+
+
+def test_covering_raises_when_its_output_leaves_the_restricted_group():
+    with pytest.raises(cl.InvariantViolation, match="restricted group"):
+        cl.covering_lambda(SEED10_PRODUCT)
+    boost = np.diag([1e4, 1e-4]).astype(complex)
+    with pytest.raises(cl.InvariantViolation, match="restricted group"):
+        cl.covering_lambda(boost)
+
+
+def test_covering_check_survives_optimized_mode():
+    env = dict(os.environ, PYTHONPATH=str(Path(spinlab.__file__).parent.parent))
+    code = (
+        "import numpy as np\n"
+        "from spinlab import clifford as cl\n"
+        "try:\n"
+        "    cl.covering_lambda(np.diag([1e4, 1e-4]).astype(complex))\n"
+        "except cl.InvariantViolation:\n"
+        "    print('raised')\n"
+    )
+    out = subprocess.run([sys.executable, "-O", "-c", code], env=env, capture_output=True,
+                         text=True, check=True, timeout=120)
+    assert out.stdout.strip() == "raised"
+
+
+def test_invariant_violation_is_one_exception_class():
+    assert hs.InvariantViolation is cl.InvariantViolation
+    assert ev.InvariantViolation is cl.InvariantViolation
+    assert spinlab.InvariantViolation is cl.InvariantViolation
 
 
 def test_intertwiner_conjugates_weyl_into_dirac():

@@ -1,10 +1,15 @@
 """Leapfrog Cauchy evolution, conservation, causality, and the Green operator."""
 
+import os
+import subprocess
+import sys
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import spinlab
 from spinlab import evolution as ev
 from spinlab import higher_spin as hs
 from spinlab import minkowski as mk
@@ -240,6 +245,48 @@ def test_green_output_vanishes_before_the_source():
     peak = float(np.max(np.abs(result.data)))
     assert first > 2
     assert float(np.max(np.abs(result.data[: first - 1]))) < 1e-10 * peak
+
+
+def _direct_green(f, cfg):
+    """Reference: the retarded convolution as an explicit double sum, then D - i m."""
+    kernel = ev.retarded_kernel(cfg)
+    n_t, n_pts = f.shape[:2]
+    u = np.zeros_like(f)
+    for t in range(n_t):
+        for z in range(n_pts):
+            for s in range(t + 1):
+                for y in range(n_pts):
+                    u[t, z] += kernel[t - s, z - y + n_pts - 1] * f[s, y]
+    u *= cfg.dt * cfg.dz
+    g0 = hs.symbol_matrix(0, 0, mk.basis_vector(0, covariant=True))
+    g3 = hs.symbol_matrix(0, 0, mk.basis_vector(3, covariant=True))
+    du_t = np.gradient(u, cfg.dt, axis=0)
+    du_z = (np.roll(u, -1, axis=1) - np.roll(u, 1, axis=1)) / (2.0 * cfg.dz)
+    return du_t @ g0.T + du_z @ g3.T - 1j * cfg.mass * u
+
+
+# at 12 points and 7 levels both FFT lengths pad: 2 n_t - 1 = 13 -> 14, 2 n - 1 = 23 -> 24
+@pytest.mark.parametrize("mass", [0.0, 1.0])
+@pytest.mark.parametrize("points", [8, 12, 16])
+@pytest.mark.parametrize("more_levels", [False, True])
+def test_green_convolution_matches_a_direct_sum(points, mass, more_levels):
+    steps = points + 3 if more_levels else points // 2
+    dz = 4.0 / points
+    cfg = small_config(mass=mass, extent=4.0, points=points, dt=dz, steps=steps)
+    rng = np.random.default_rng(points + steps)
+    shape = (steps + 1, points, 4)
+    source = ev.GridField(cfg, rng.normal(size=shape) + 1j * rng.normal(size=shape))
+    expect = _direct_green(source.data, cfg)
+    got = ev.retarded_green_apply(source, cfg).data
+    assert np.max(np.abs(got - expect)) <= 1e-12 * np.max(np.abs(expect))
+
+
+def test_importing_spinlab_does_not_load_scipy_signal():
+    env = dict(os.environ, PYTHONPATH=str(Path(spinlab.__file__).parent.parent))
+    code = "import sys, spinlab; print('scipy.signal' in sys.modules)"
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                         text=True, check=True, timeout=120)
+    assert out.stdout.strip() == "False"
 
 
 def test_green_operator_guards_its_preconditions():

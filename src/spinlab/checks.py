@@ -1,0 +1,914 @@
+"""The check battery: the suites of residual checks behind the report.
+
+``algebra`` covers the Clifford relations, the covering map and the epsilon
+calculus; ``symbols`` Prop. 1's prenormal factorization and the closed-form
+fiber operators; ``signature`` Remark 6's indefinite xi-form; ``evolution``
+Theorem 1's retarded Green operator and finite propagation speed and
+Theorem 2's conserved slice product. A suite body records its rows as
+ordered ``suite.check`` calls that draw from the suite's one rng in that
+order, so a seed fixes every residual. ``SUITES`` lists the suites in
+report order; ``build_report`` turns a selection into the JSON document.
+A row whose check raises or returns a non-finite residual gets status
+``"error"``, residual ``None`` and ``"error": "<Type>: <message>"``; it
+counts as not passed and the remaining rows still run.
+"""
+
+from __future__ import annotations
+
+import json
+import math
+import time
+from collections.abc import Callable
+
+import numpy as np
+from scipy.linalg import block_diag, expm
+
+from . import __version__
+from . import clifford as cl
+from . import evolution as ev
+from . import higher_spin as hs
+from . import minkowski as mk
+from . import spinor_core as sc
+
+SCHEMA_VERSION = 1
+
+DIMENSION_FLAG = {
+    "id": "twist-dimension-formula",
+    "paper_anchor": "Appendix 4",
+    "note": (
+        "the stated closed form (2k+1)(2l+1) for the twist-space dimension "
+        "disagrees with the symmetric-power enumeration (k+1)(l+1); this "
+        "artifact computes dimensions by enumeration and uses (k+1)(l+1)"
+    ),
+}
+
+
+def stable_json(obj) -> str:
+    return json.dumps(obj, sort_keys=True, separators=(",", ":")) + "\n"
+
+
+def bump(x: np.ndarray) -> np.ndarray:
+    """Smooth compactly supported bump on (-1, 1), normalized to peak 1."""
+    out = np.zeros_like(np.asarray(x, dtype=float))
+    inside = np.abs(x) < 1.0
+    out[inside] = np.exp(-1.0 / (1.0 - x[inside] ** 2))
+    return out / np.exp(-1.0)
+
+
+def random_sl2(rng: np.random.Generator) -> np.ndarray:
+    mat = rng.normal(size=(2, 2)) + 1j * rng.normal(size=(2, 2))
+    return mat / np.sqrt(np.linalg.det(mat))
+
+
+def random_timelike_future(rng: np.random.Generator) -> mk.LorentzVector:
+    space = rng.normal(size=3)
+    t = float(np.linalg.norm(space) + 0.2 + rng.uniform(0.0, 2.0))
+    return mk.LorentzVector(np.array([t, *space]), covariant=True)
+
+
+def _misses(exc_type: type[Exception], fn, *args) -> float:
+    """0.0 when ``fn(*args)`` raises ``exc_type`` (a guard row's pass), else 1.0."""
+    try:
+        fn(*args)
+    except exc_type:
+        return 0.0
+    return 1.0
+
+
+def _summary(rows: list[dict]) -> dict:
+    passed = sum(1 for row in rows if row["status"] == "pass")
+    return {"total": len(rows), "passed": passed, "failed": len(rows) - passed}
+
+
+class Suite:
+    """Collects check rows; rows are sorted by id in the final report."""
+
+    def __init__(self, name: str, tol_scale: float = 1.0, timings: bool = True):
+        self.name = name
+        self.tol_scale = tol_scale
+        self.timings = timings
+        self.checks: list[dict] = []
+        self.info: dict = {}
+
+    def check(self, check_id, anchor, tolerance, fn, direction="below") -> None:
+        start = time.perf_counter()
+        error = None
+        try:
+            residual = float(fn())
+            if not math.isfinite(residual):
+                raise ValueError(f"non-finite residual {residual}")
+        except Exception as exc:  # the row records it; the suite runs on
+            residual, error = None, f"{type(exc).__name__}: {exc}"
+        elapsed_ms = (time.perf_counter() - start) * 1000.0
+        tol = tolerance * self.tol_scale
+        ok = error is None and (residual <= tol if direction == "below" else residual >= tol)
+        row = {
+            "id": check_id,
+            "paper_anchor": anchor,
+            "status": "error" if error is not None else ("pass" if ok else "fail"),
+            "residual": residual,
+            "tolerance": tol,
+            "direction": direction,
+            "runtime_ms": round(elapsed_ms, 3) if self.timings else 0.0,
+        }
+        if error is not None:
+            row["error"] = error
+        self.checks.append(row)
+
+    def report(self) -> dict:
+        checks = sorted(self.checks, key=lambda c: c["id"])
+        out = {"suite": self.name, "checks": checks, "summary": _summary(checks)}
+        if self.info:
+            out["info"] = self.info
+        return out
+
+
+#: The battery in report order, filled by ``@_suite`` as the bodies below
+#: are defined: name -> runner(seed, tol_scale=1.0, timings=True, **selection).
+SUITES: dict[str, Callable[..., Suite]] = {}
+
+
+def _suite(body):
+    """Register ``body(suite, seed, **selection)`` as the suite it fills.
+
+    The suite is named after the body (``algebra_suite`` records ``algebra``);
+    the runner constructs it, runs the body and returns it.
+    """
+    name = body.__name__.removesuffix("_suite")
+
+    def run(seed: int, tol_scale: float = 1.0, timings: bool = True, **selection) -> Suite:
+        suite = Suite(name, tol_scale, timings)
+        body(suite, seed, **selection)
+        return suite
+
+    SUITES[name] = run
+    return run
+
+
+# ---------------------------------------------------------------------------
+# algebra suite
+
+
+@_suite
+def algebra_suite(suite: Suite, seed: int) -> None:
+    rng = np.random.default_rng(seed)
+
+    suite.check(
+        "anticommutator-weyl",
+        "Eq. (1)",
+        1e-9,
+        lambda: cl.dirac_collection_check(cl.weyl_gammas()),
+    )
+    suite.check(
+        "anticommutator-dirac",
+        "Eq. (1)",
+        1e-9,
+        lambda: cl.dirac_collection_check(cl.dirac_gammas()),
+    )
+
+    def broken_collection():
+        gammas = cl.weyl_gammas()
+        gammas[3] = 1j * gammas[3]
+        return cl.dirac_collection_check(gammas)
+
+    suite.check(
+        "anticommutator-negative-control",
+        "Eq. (1)",
+        1.0,
+        broken_collection,
+        direction="above",
+    )
+
+    suite.check(
+        "commutator-table",
+        "(CR)",
+        1e-12,
+        lambda: cl.check_commutator_relations()["max"],
+    )
+
+    def generator_blocks():
+        gen_m, gen_n = cl.spin_generators()
+        m2, n2 = cl.spin_generators_2x2()
+        worst = 0.0
+        for i in range(3):
+            block_m = np.kron(np.eye(2), m2[i])
+            block_n = np.kron(np.diag([1.0, -1.0]), n2[i])
+            worst = max(
+                worst,
+                float(np.max(np.abs(gen_m[i] - block_m))),
+                float(np.max(np.abs(gen_n[i] - block_n))),
+            )
+        return worst
+
+    suite.check("generator-blocks", "(GD)", 1e-12, generator_blocks)
+
+    exp_params = [(rng.normal(size=3) * 0.7, rng.normal(size=3) * 0.7) for _ in range(50)]
+
+    def exp_spin_blocks():
+        worst = 0.0
+        for a, b in exp_params:
+            s2, s4 = cl.exp_spin(a, b)
+            block = block_diag(s2, np.linalg.inv(s2.conj().T))
+            worst = max(worst, float(np.max(np.abs(s4 - block))))
+        return worst
+
+    suite.check("exp-spin-blocks", "Appendix 3", 1e-9, exp_spin_blocks)
+
+    eps3 = np.zeros((3, 3, 3))
+    eps3[0, 1, 2] = eps3[1, 2, 0] = eps3[2, 0, 1] = 1.0
+    eps3[0, 2, 1] = eps3[2, 1, 0] = eps3[1, 0, 2] = -1.0
+    rot = np.zeros((3, 4, 4))
+    rot[:, 1:, 1:] = -eps3.transpose(2, 0, 1)  # rot[i][1 + a, 1 + b] = -eps3[a, b, i]
+    boost = np.zeros((3, 4, 4))
+    boost[:, 0, 1:] = boost[:, 1:, 0] = np.eye(3)
+
+    def exp_spin_vector_rep():
+        worst = 0.0
+        for a, b in exp_params:
+            s2, _ = cl.exp_spin(a, b)
+            lam = cl.covering_lambda(s2)
+            lam_vec = expm(np.einsum("i,iab->ab", a, rot) + np.einsum("i,iab->ab", b, boost))
+            worst = max(worst, float(np.max(np.abs(lam - lam_vec))))
+        return worst
+
+    suite.check("exp-spin-vector-rep", "Appendix 6", 1e-7, exp_spin_vector_rep)
+
+    def covering_examples():
+        s2, _ = cl.exp_spin([0, 0, 0], [0, 0, 1])
+        lam = cl.covering_lambda(s2)
+        worst = max(
+            abs(lam[0, 0] - np.cosh(1.0)),
+            abs(lam[0, 3] - np.sinh(1.0)),
+            abs(lam[3, 0] - np.sinh(1.0)),
+        )
+        full_turn, _ = cl.exp_spin([0, 0, 2 * np.pi], [0, 0, 0])
+        worst = max(worst, float(np.max(np.abs(full_turn + np.eye(2)))))
+        worst = max(worst, float(np.max(np.abs(cl.covering_lambda(full_turn) - np.eye(4)))))
+        return worst
+
+    suite.check("covering-map-examples", "Appendix 6", 1e-12, covering_examples)
+
+    def covering_batch():
+        worst = 0.0
+        prev = None
+        eta = mk.ETA
+        for _ in range(1000):
+            s2 = random_sl2(rng)
+            lam = cl.covering_lambda(s2)
+            worst = max(worst, float(np.max(np.abs(lam.T @ eta @ lam - eta))))
+            if not mk.is_restricted_lorentz(lam):
+                return 1.0
+            worst = max(worst, float(np.max(np.abs(cl.covering_lambda(-s2) - lam))))
+            x = mk.LorentzVector(rng.normal(size=4))
+            lhs = sc.sigma_map(mk.LorentzVector(lam @ x.components))
+            rhs = sc.apply_sl2(sc.sigma_map(x), s2)
+            worst = max(worst, float(np.max(np.abs(lhs.data - rhs.data))))
+            if prev is not None:
+                composed = cl.covering_lambda(prev @ s2)
+                worst = max(
+                    worst,
+                    float(np.max(np.abs(composed - cl.covering_lambda(prev) @ lam))),
+                )
+            prev = s2
+        return worst
+
+    suite.check("covering-map-batch", "Appendix 6", 1e-9, covering_batch)
+
+    def intertwiner_planted():
+        gammas = cl.weyl_gammas()
+        worst = 0.0
+        for trial in range(50):
+            while True:
+                planted = rng.normal(size=(4, 4)) + 1j * rng.normal(size=(4, 4))
+                if np.linalg.cond(planted) < 100.0:
+                    break
+            target = np.array([planted @ g @ np.linalg.inv(planted) for g in gammas])
+            found = cl.pauli_intertwiner(gammas, target, seed=seed + 1000 + trial)
+            found_inv = np.linalg.inv(found)
+            conj_res = max(
+                float(np.max(np.abs(found @ g @ found_inv - t)))
+                for g, t in zip(gammas, target)
+            )
+            # irreducibility forces found = scalar * planted
+            ratio = np.linalg.inv(planted) @ found
+            lam = np.trace(ratio) / 4.0
+            scalar_res = float(np.max(np.abs(ratio - lam * np.eye(4)))) / abs(lam)
+            worst = max(worst, conj_res, scalar_res)
+        return worst
+
+    suite.check("intertwiner-planted", "Appendix 1", 1e-10, intertwiner_planted)
+
+    def intertwiner_weyl_dirac():
+        gw = cl.weyl_gammas()
+        gd = cl.dirac_gammas()
+        s = cl.pauli_intertwiner(gw, gd, seed=seed + 2000)
+        s_inv = np.linalg.inv(s)
+        return max(float(np.max(np.abs(s @ g @ s_inv - t))) for g, t in zip(gw, gd))
+
+    suite.check("intertwiner-weyl-dirac", "Appendix 1", 1e-10, intertwiner_weyl_dirac)
+
+    def epsilon_identities():
+        eps_up = sc.epsilon("upper-undotted")
+        eps_low = sc.epsilon("lower-undotted")
+        # eps^{AB} eps_{CB} = delta^A_C, contracted on the second slots
+        delta = sc.contract(eps_up, 1, eps_low, 1)
+        worst = float(np.max(np.abs(delta.data - np.eye(2))))
+        worst = max(worst, abs(eps_low.data[0, 1] - 1.0))
+        worst = max(worst, float(np.max(np.abs(sc.epsilon("lower-dotted").data - eps_low.data))))
+        return worst
+
+    suite.check("epsilon-identities", "Appendix 5", 1e-13, epsilon_identities)
+
+    def raise_lower_roundtrip():
+        worst = 0.0
+        up = sc.Spinor(np.array([1.0, 0.0]), (sc.UNDOTTED_UP,))
+        worst = max(worst, float(np.max(np.abs(sc.raise_lower(up, 0).data - np.array([0.0, 1.0])))))
+        up2 = sc.Spinor(np.array([0.0, 1.0]), (sc.UNDOTTED_UP,))
+        worst = max(worst, float(np.max(np.abs(sc.raise_lower(up2, 0).data - np.array([-1.0, 0.0])))))
+        for tag in (sc.UNDOTTED_UP, sc.UNDOTTED_LOW, sc.DOTTED_UP, sc.DOTTED_LOW):
+            for _ in range(20):
+                psi = sc.Spinor(rng.normal(size=2) + 1j * rng.normal(size=2), (tag,))
+                back = sc.raise_lower(sc.raise_lower(psi, 0), 0)
+                worst = max(worst, float(np.max(np.abs(back.data - psi.data))))
+        for _ in range(20):
+            psi = sc.Spinor(rng.normal(size=2) + 1j * rng.normal(size=2), (sc.UNDOTTED_UP,))
+            null = sc.contract(sc.raise_lower(psi, 0), 0, psi, 0).item()
+            worst = max(worst, abs(null))
+        return worst
+
+    suite.check("raise-lower-roundtrip", "Appendix 5", 1e-13, raise_lower_roundtrip)
+
+    def sigma_isometry():
+        e0_map = sc.sigma_map(mk.basis_vector(0))
+        worst = float(np.max(np.abs(e0_map.data - np.eye(2) / np.sqrt(2.0))))
+        for _ in range(50):
+            x = mk.LorentzVector(rng.normal(size=4))
+            back = sc.sigma_inv(sc.sigma_map(x))
+            worst = max(worst, float(np.max(np.abs(back.components - x.components))))
+        return worst
+
+    suite.check("sigma-isometry", "Appendix 6", 1e-12, sigma_isometry)
+
+    def eta_from_epsilon():
+        worst = 0.0
+        for a in range(4):
+            for b in range(4):
+                worst = max(
+                    worst,
+                    sc.eta_from_eps_check(mk.basis_vector(a), mk.basis_vector(b)),
+                )
+        for _ in range(50):
+            x = mk.LorentzVector(rng.normal(size=4))
+            y = mk.LorentzVector(rng.normal(size=4))
+            worst = max(worst, sc.eta_from_eps_check(x, y))
+        return worst
+
+    suite.check("eta-from-epsilon", "Appendix 6", 1e-12, eta_from_epsilon)
+
+    def covering_diagram():
+        worst = 0.0
+        for _ in range(100):
+            s2 = random_sl2(rng)
+            lam = cl.covering_lambda(s2)
+            x = mk.LorentzVector(rng.normal(size=4))
+            lhs = sc.sigma_map(mk.LorentzVector(lam @ x.components))
+            rhs = sc.apply_sl2(sc.sigma_map(x), s2)
+            worst = max(worst, float(np.max(np.abs(lhs.data - rhs.data))))
+        return worst
+
+    suite.check("covering-diagram", "Appendix 6", 1e-9, covering_diagram)
+
+    def frame_invariance_batch():
+        worst = 0.0
+        for _ in range(100):
+            worst = max(worst, sc.frame_invariance_check(random_sl2(rng))["max"])
+        return worst
+
+    suite.check("frame-invariance-batch", "Appendix 8", 1e-9, frame_invariance_batch)
+
+    def clebsch_roundtrip():
+        worst = 0.0
+        for k in range(1, 5):
+            for l in range(3):
+                tags = (sc.UNDOTTED_UP,) * (k + 1) + (sc.DOTTED_LOW,) * l
+                data = rng.normal(size=(2,) * (k + 1 + l)) + 1j * rng.normal(
+                    size=(2,) * (k + 1 + l)
+                )
+                s = sc.Spinor(data, tags)
+                s = sc.symmetrize(s, tuple(range(1, k + 1)))
+                if l >= 2:
+                    s = sc.symmetrize(s, tuple(range(k + 1, k + 1 + l)))
+                high, low = sc.clebsch_split(s)
+                rec = sc.clebsch_reconstruct(high, low)
+                worst = max(worst, float(np.max(np.abs(rec.data - s.data))))
+        return worst
+
+    suite.check("clebsch-roundtrip", "Appendix 4", 1e-12, clebsch_roundtrip)
+
+    def clebsch_ranks():
+        k, l = 2, 1
+        cols_high, cols_low = [], []
+        for c in range(2):
+            for tu in range(k + 1):
+                for td in range(l + 1):
+                    vec = np.zeros(hs.fiber_dim(k, l), dtype=complex)
+                    vec[(c * (k + 1) + tu) * (l + 1) + td] = 1.0
+                    block = hs.unpack(vec, k, l).phi1
+                    high, low = sc.clebsch_split(block)
+                    cols_high.append(high.data.ravel())
+                    cols_low.append(low.data.ravel())
+        rank_high = np.linalg.matrix_rank(np.array(cols_high).T, tol=1e-10)
+        rank_low = np.linalg.matrix_rank(np.array(cols_low).T, tol=1e-10)
+        return abs(rank_high - 8) + abs(rank_low - 4)
+
+    suite.check("clebsch-ranks", "Appendix 4", 0.5, clebsch_ranks)
+
+    def sym_dimension_enumeration():
+        mismatches = 0
+        for k in range(5):
+            for l in range(5):
+                cols = []
+                for idx in range(2 ** (k + l)):
+                    data = np.zeros(2 ** (k + l))
+                    data[idx] = 1.0
+                    data = data.reshape((2,) * (k + l))
+                    s = sc.Spinor(data, (sc.UNDOTTED_UP,) * k + (sc.DOTTED_LOW,) * l)
+                    if k >= 2:
+                        s = sc.symmetrize(s, tuple(range(k)))
+                    if l >= 2:
+                        s = sc.symmetrize(s, tuple(range(k, k + l)))
+                    cols.append(s.data.ravel())
+                rank = np.linalg.matrix_rank(np.array(cols).T, tol=1e-10)
+                if rank != sc.sym_dimension(k, l):
+                    mismatches += 1
+        return float(mismatches)
+
+    suite.check("sym-dimension-enumeration", "Appendix 4", 0.5, sym_dimension_enumeration)
+    suite.info["dimension-formula-note"] = DIMENSION_FLAG["note"]
+
+
+# ---------------------------------------------------------------------------
+# symbols suite
+
+
+@_suite
+def symbols_suite(
+    suite: Suite, seed: int, pairs: list[tuple[int, int]] | None = None
+) -> None:
+    rng = np.random.default_rng(seed)
+    if pairs is None:
+        pairs = [(k, l) for k in range(3) for l in range(3)]
+
+    causal_set = [
+        mk.LorentzVector([1.0, 0, 0, 0], covariant=True),
+        mk.LorentzVector([1.0, 0, 0, 1.0], covariant=True),
+        mk.LorentzVector([1.0, 0, 0, -1.0], covariant=True),
+        mk.LorentzVector([0.0, 1.0, 0, 0], covariant=True),
+        mk.LorentzVector([0.0, 0, 0, 1.0], covariant=True),
+    ]
+
+    for k, l in pairs:
+        def factorization(k=k, l=l):
+            worst = 0.0
+            for _ in range(100):
+                xi = mk.LorentzVector(rng.normal(size=4), covariant=True)
+                mass = float(rng.normal())
+                worst = max(worst, hs.check_prenormal_factorization(xi, mass, k, l))
+            return worst
+
+        suite.check(f"factorization-k{k}-l{l}", "Prop. 1", 1e-12, factorization)
+
+        def square_causal(k=k, l=l):
+            worst = 0.0
+            for xi in causal_set:
+                worst = max(worst, hs.check_prenormal_factorization(xi, 0.5, k, l))
+            return worst
+
+        suite.check(f"square-causal-k{k}-l{l}", "Prop. 1", 1e-12, square_causal)
+
+        def closed_form(k=k, l=l):
+            # own generator, so the draws of the other rows stay as they were
+            xi_rng = np.random.default_rng([seed, k, l])
+            directions = [
+                mk.LorentzVector(xi_rng.normal(size=4), covariant=True) for _ in range(2)
+            ]
+            return hs.closed_form_residual(k, l, directions)
+
+        suite.check(f"closed-form-k{k}-l{l}", "Prop. 1", 1e-12, closed_form)
+
+    def rank_mismatch_guard():
+        vec = rng.normal(size=hs.fiber_dim(1, 0)) + 0j
+        return _misses(hs.KNotEqualL, hs.gen_dirac_adjoint, hs.unpack(vec, 1, 0))
+
+    suite.check("adjoint-rank-guard", "Definition 2", 0.5, rank_mismatch_guard)
+
+    def rand_pair(k):
+        dim = hs.fiber_dim(k, k)
+        a = hs.unpack(rng.normal(size=dim) + 1j * rng.normal(size=dim), k, k)
+        b = hs.unpack(rng.normal(size=dim) + 1j * rng.normal(size=dim), k, k)
+        return a, b
+
+    for k in sorted({k for k, l in pairs if k == l}):
+        def pairing_hermitian(k=k):
+            worst = 0.0
+            for _ in range(20):
+                a, b = rand_pair(k)
+                worst = max(worst, abs(np.conj(hs.gen_pairing(a, b)) - hs.gen_pairing(b, a)))
+            return worst
+
+        suite.check(f"pairing-hermitian-k{k}", "Definition 2", 1e-12, pairing_hermitian)
+
+        def self_adjoint_symbol(k=k):
+            worst = 0.0
+            for _ in range(20):
+                a, b = rand_pair(k)
+                xi = mk.LorentzVector(rng.normal(size=4), covariant=True)
+                lhs = hs.gen_pairing(a, hs.apply_symbol(xi, b))
+                rhs = hs.gen_pairing(hs.apply_symbol(xi, a), b)
+                worst = max(worst, abs(lhs - rhs))
+            return worst
+
+        suite.check(f"self-adjoint-symbol-k{k}", "Remark 5", 1e-12, self_adjoint_symbol)
+
+        def xi_form_hermitian(k=k):
+            worst = 0.0
+            for _ in range(20):
+                a, b = rand_pair(k)
+                xi = mk.LorentzVector(rng.normal(size=4), covariant=True)
+                worst = max(
+                    worst, abs(np.conj(hs.xi_form(a, b, xi)) - hs.xi_form(b, a, xi))
+                )
+            return worst
+
+        suite.check(f"xi-form-hermitian-k{k}", "Remark 5", 1e-12, xi_form_hermitian)
+
+    def dirac_reduction():
+        worst = 0.0
+        for _ in range(20):
+            a = hs.DiracSpinor(rng.normal(size=2) + 1j * rng.normal(size=2),
+                               rng.normal(size=2) + 1j * rng.normal(size=2))
+            b = hs.DiracSpinor(rng.normal(size=2) + 1j * rng.normal(size=2),
+                               rng.normal(size=2) + 1j * rng.normal(size=2))
+            lhs = hs.dirac_adjoint(a)(b)
+            rhs = hs.gen_pairing(a.as_higher(), b.as_higher())
+            worst = max(worst, abs(lhs - rhs))
+        return worst
+
+    suite.check("dirac-reduction", "Example 1", 1e-13, dirac_reduction)
+
+    def positive_example():
+        phi = hs.DiracSpinor([1.0, 0.0], [1.0, 0.0]).as_higher()
+        value = hs.xi_form(phi, phi, mk.basis_vector(0, covariant=True))
+        return abs(value - 2.0)
+
+    suite.check("xi-form-positive-example", "Example 1", 1e-13, positive_example)
+
+
+# ---------------------------------------------------------------------------
+# signature suite
+
+
+@_suite
+def signature_suite(suite: Suite, seed: int, ks: tuple[int, ...] = (0, 1, 2)) -> None:
+    rng = np.random.default_rng(seed)
+    e0 = mk.basis_vector(0, covariant=True)
+
+    for k in ks:
+        def gram_dimension(k=k):
+            return abs(hs.gram_matrix(k, e0).shape[0] - 4 * (k + 1) ** 2)
+
+        suite.check(f"gram-dimension-k{k}", "Remark 3", 0.5, gram_dimension)
+
+        triple = hs.gram_signature(k, e0)
+        suite.info[f"signature-k{k}"] = list(triple)
+
+        if k == 0:
+            def signature_positive(k=k):
+                mismatches = 0 if hs.gram_signature(0, e0) == (4, 0, 0) else 1
+                for _ in range(20):
+                    xi = random_timelike_future(rng)
+                    if hs.gram_signature(0, xi) != (4, 0, 0):
+                        mismatches += 1
+                return float(mismatches)
+
+            suite.check("signature-k0-positive", "Example 1", 0.5, signature_positive)
+
+            def signature_minus_xi():
+                past = mk.LorentzVector([-1.0, 0, 0, 0], covariant=True)
+                got = hs.gram_signature(0, past, require_future=False)
+                return 0.0 if got == (0, 4, 0) else 1.0
+
+            suite.check("signature-k0-minus-xi", "Example 1", 0.5, signature_minus_xi)
+
+        if k == 1:
+            # indefinite but reported without assertion
+            suite.check(f"signature-k{k}-report", "Remark 6", 1.0, lambda: 0.0)
+
+        if k >= 2:
+            def witnesses(k=k):
+                (plus, q_plus), (minus, q_minus) = hs.witness_pair(k, e0)
+                ok = q_plus > 0 and q_minus < 0
+                sig = hs.gram_signature(k, e0)
+                ok = ok and sig[0] >= 1 and sig[1] >= 1
+                return 0.0 if ok else 1.0
+
+            suite.check(f"signature-k{k}-witnesses", "Remark 6", 0.5, witnesses)
+
+        def boost_invariance(k=k):
+            base = hs.gram_signature(k, e0)
+            mismatches = 0
+            for _ in range(20):
+                s2, _ = cl.exp_spin(rng.normal(size=3) * 0.5, rng.normal(size=3) * 0.5)
+                lam = cl.covering_lambda(s2)
+                xi = mk.LorentzVector(lam @ np.array([1.0, 0, 0, 0])).lowered()
+                if hs.gram_signature(k, xi) != base:
+                    mismatches += 1
+            return float(mismatches)
+
+        suite.check(f"signature-boost-invariance-k{k}", "Remark 6", 0.5, boost_invariance)
+
+    def positivity_kron():
+        wrong = 0
+        for dim in range(1, 6):
+            basis = rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))
+            form = basis.conj().T @ basis + 0.1 * np.eye(dim)
+            if not hs.twisted_positivity_check(form):
+                wrong += 1
+            eig, vec = np.linalg.eigh(form)
+            eig_flipped = eig.copy()
+            eig_flipped[0] = -eig_flipped[0]
+            flipped = vec @ np.diag(eig_flipped) @ vec.conj().T
+            if hs.twisted_positivity_check(flipped):
+                wrong += 1
+        return float(wrong)
+
+    suite.check("positivity-kron", "Lemma 4", 0.5, positivity_kron)
+
+    def not_future_guard():
+        spacelike = mk.LorentzVector([0.0, 1.0, 0, 0], covariant=True)
+        return _misses(hs.NotTimelikeFuture, hs.gram_signature, 0, spacelike)
+
+    suite.check("not-future-guard", "Remark 6", 0.5, not_future_guard)
+
+
+# ---------------------------------------------------------------------------
+# evolution suite
+
+
+def packet_initial(cfg: ev.EvolutionConfig, fiber: np.ndarray, width: float, mode: int) -> np.ndarray:
+    z = cfg.zgrid()
+    envelope = bump((z - cfg.extent / 2) / width) * np.exp(
+        1j * 2 * np.pi * mode * z / cfg.extent
+    )
+    return envelope[:, None] * fiber[None, :]
+
+
+def green_pulse(mass: float, n_pts: int) -> tuple[ev.GridField, float, float]:
+    """The retarded Green operator on the built-in (t, z) bump pulse.
+
+    The pulse sits at t = 4, z = 8 with half-width 2 on a 16-long domain,
+    sampled on the aligned dt = dz grid with n_pts // 2 steps, and feeds
+    fiber components 0 and 3. Returns (G f, green_residual, pre-support
+    leak), the leak being max |G f| over the levels more than one before
+    the source support, relative to max |G f|.
+    """
+    extent = 16.0
+    dz = extent / n_pts
+    cfg = ev.EvolutionConfig(
+        mass=mass, k=0, l=0, extent=extent, points=n_pts, dt=dz, steps=n_pts // 2
+    )
+    tt, zz = np.meshgrid(cfg.times(), cfg.zgrid(), indexing="ij")
+    profile = bump((tt - extent / 4) / (extent / 8)) * bump((zz - extent / 2) / (extent / 8))
+    data = np.zeros((cfg.steps + 1, n_pts, 4), dtype=complex)
+    data[:, :, 0] = profile
+    data[:, :, 3] = 0.5j * profile
+    source = ev.GridField(cfg, data)
+    result = ev.retarded_green_apply(source, cfg)
+    residual = ev.green_residual(result, source)
+    first = int(np.nonzero(profile.max(axis=1))[0][0])
+    peak = float(np.max(np.abs(result.data)))
+    before = float(np.max(np.abs(result.data[: first - 1]))) if first > 1 else 0.0
+    return result, residual, before / peak
+
+
+@_suite
+def evolution_suite(suite: Suite, seed: int) -> None:
+    rng = np.random.default_rng(seed)
+
+    def conservation(k: int):
+        n_pts, extent = 1024, 32.0
+        dz = extent / n_pts
+        cfg = ev.EvolutionConfig(
+            mass=1.0, k=k, l=k, extent=extent, points=n_pts, dt=0.5 * dz, steps=200
+        )
+        if k == 0:
+            fiber = ev.plane_wave(2 * np.pi * 4 / extent, 1.0).u
+        else:
+            (plus, _), _ = hs.witness_pair(k)
+            fiber = hs.pack(plus)
+        field = ev.evolve(packet_initial(cfg, fiber, 4.0, 6), cfg)
+        return ev.conservation_report(field)["drift"]
+
+    suite.check("conservation-k0", "Theorem 2", 1e-5, lambda: conservation(0))
+    suite.check("conservation-k2", "Theorem 2", 1e-5, lambda: conservation(2))
+
+    def convergence_order():
+        errors = []
+        for n_pts in (256, 512, 1024):
+            extent = 8.0
+            dz = extent / n_pts
+            steps = int(round(2.0 / (0.5 * dz)))
+            cfg = ev.EvolutionConfig(
+                mass=1.0, k=0, l=0, extent=extent, points=n_pts, dt=0.5 * dz, steps=steps
+            )
+            wave = ev.plane_wave(2 * np.pi * 2 / extent, 1.0)
+            z = cfg.zgrid()
+            field = ev.evolve(wave.sample(0.0, z), cfg)
+            exact = wave.sample(cfg.steps * cfg.dt, z)
+            errors.append(float(np.sqrt(dz * np.sum(np.abs(field.data[-1] - exact) ** 2))))
+        orders = [float(np.log2(errors[i] / errors[i + 1])) for i in range(2)]
+        suite.info["convergence-orders"] = [round(o, 3) for o in orders]
+        return min(orders)
+
+    suite.check("convergence-order", "Theorem 2", 1.8, convergence_order, direction="above")
+
+    def divergence_current():
+        n_pts, extent = 512, 16.0
+        dz = extent / n_pts
+        cfg = ev.EvolutionConfig(
+            mass=1.0, k=0, l=0, extent=extent, points=n_pts, dt=0.5 * dz, steps=64
+        )
+        z = cfg.zgrid()
+        wave_a = ev.plane_wave(2 * np.pi * 3 / extent, 1.0, branch="+")
+        wave_b = ev.plane_wave(2 * np.pi * 5 / extent, 1.0, branch="-")
+        fa = ev.evolve(wave_a.sample(0.0, z), cfg)
+        fb = ev.evolve(wave_b.sample(0.0, z), cfg)
+        return ev.divergence_check(fa, fb)
+
+    suite.check("divergence-current", "Theorem 2", 5e-3, divergence_current)
+
+    def causality(mass: float) -> dict:
+        n_pts, extent = 1024, 51.2
+        dz = extent / n_pts
+        cfg = ev.EvolutionConfig(
+            mass=mass, k=0, l=0, extent=extent, points=n_pts, dt=0.98 * dz, steps=100
+        )
+        z = cfg.zgrid()
+        envelope = bump((z - extent / 2) / (10 * dz))
+        u0 = np.zeros((n_pts, 4), dtype=complex)
+        u0[:, 0] = envelope
+        u0[:, 2] = 0.3 * envelope
+        return ev.causal_support_check(u0, cfg)
+
+    for mass in (0.0, 2.0):
+        tag = f"m{int(mass)}"
+        audit = {}
+
+        def run_audit(mass=mass, audit=audit):
+            audit.update(causality(mass))
+            return audit["exact_outside"]
+
+        suite.check(f"causality-exact-{tag}", "Theorem 1(c)", 0.0, run_audit)
+        suite.check(
+            f"causality-cone-{tag}",
+            "Theorem 1(c)",
+            1e-10,
+            lambda audit=audit: audit["cone_leak_rel"],
+        )
+
+    def green_study(mass: float) -> dict:
+        residuals = {}
+        support = {}
+        for n_pts in (128, 256, 512):
+            _, residuals[n_pts], support[n_pts] = green_pulse(mass, n_pts)
+        return {"residuals": residuals, "support": support}
+
+    for mass in (0.0, 1.0):
+        tag = f"m{int(mass)}"
+        study = {}
+
+        def run_study(mass=mass, study=study, tag=tag):
+            study.update(green_study(mass))
+            res = study["residuals"]
+            suite.info[f"green-residuals-{tag}"] = {
+                str(n): round(v, 6) for n, v in res.items()
+            }
+            return res[512]
+
+        suite.check(f"green-residual-{tag}", "Theorem 1(b)", 5e-2, run_study)
+        suite.check(
+            f"green-monotone-{tag}",
+            "Theorem 1(b)",
+            0.99,
+            lambda study=study: max(
+                study["residuals"][256] / study["residuals"][128],
+                study["residuals"][512] / study["residuals"][256],
+            ),
+        )
+        suite.check(
+            f"green-support-{tag}",
+            "Theorem 1(b)",
+            1e-8,
+            lambda study=study: max(study["support"].values()),
+        )
+
+    def plane_wave_onshell():
+        worst = 0.0
+        for k in (0, 1):
+            for mass in (0.0, 1.0, 2.5):
+                for branch in ("+", "-"):
+                    for pol in range(min((k + 1) ** 2, 2)):
+                        wave = ev.plane_wave(1.3, mass, k, k, branch, pol)
+                        p_cov = mk.LorentzVector(
+                            np.array([wave._sign * wave.omega, 0, 0, -wave.p]),
+                            covariant=True,
+                        )
+                        mat = hs.symbol_matrix(k, k, p_cov)
+                        worst = max(
+                            worst, float(np.linalg.norm(mat @ wave.u - mass * wave.u))
+                        )
+        return worst
+
+    suite.check("plane-wave-onshell", "Theorem 1(c)", 1e-12, plane_wave_onshell)
+
+    suite.check(
+        "zero-projection-guard",
+        "Theorem 1(c)",
+        0.5,
+        lambda: _misses(ev.ZeroProjection, ev.plane_wave, 0.0, 0.0),
+    )
+
+    def massless_transport():
+        n_pts, extent = 512, 25.6
+        dz = extent / n_pts
+        steps = n_pts // 4
+        cfg = ev.EvolutionConfig(
+            mass=0.0, k=0, l=0, extent=extent, points=n_pts, dt=0.5 * dz, steps=steps
+        )
+        z = cfg.zgrid()
+        wave = ev.plane_wave(2 * np.pi * 8 / extent, 0.0)
+        u0 = (bump((z - extent / 2) / 3.0) * wave.phase(0.0, z))[:, None] * wave.u[None, :]
+        field = ev.evolve(u0, cfg)
+        shift = int(round(steps * cfg.dt / dz))
+        err = float(np.sqrt(dz * np.sum(np.abs(field.data[-1] - np.roll(u0, shift, axis=0)) ** 2)))
+        norm = float(np.sqrt(dz * np.sum(np.abs(u0) ** 2)))
+        return err / norm
+
+    suite.check("massless-transport", "Theorem 1(c)", 5e-2, massless_transport)
+
+    def slice_product_crosscheck():
+        n_pts, extent = 16, 4.0
+        dz = extent / n_pts
+        cfg = ev.EvolutionConfig(
+            mass=0.5, k=1, l=1, extent=extent, points=n_pts, dt=0.5 * dz, steps=1
+        )
+        dim = cfg.fiber
+        data_a = rng.normal(size=(2, n_pts, dim)) + 1j * rng.normal(size=(2, n_pts, dim))
+        data_b = rng.normal(size=(2, n_pts, dim)) + 1j * rng.normal(size=(2, n_pts, dim))
+        fa = ev.GridField(cfg, data_a)
+        fb = ev.GridField(cfg, data_b)
+        packed = ev.slice_product(fa, fb, 0)
+        e0 = mk.basis_vector(0, covariant=True)
+        semantic = sum(
+            hs.xi_form(fa.at(0, j), fb.at(0, j), e0) for j in range(n_pts)
+        ) * dz
+        return abs(packed - semantic)
+
+    suite.check("slice-product-crosscheck", "Theorem 2", 1e-12, slice_product_crosscheck)
+
+
+# ---------------------------------------------------------------------------
+# the JSON document
+
+
+def build_report(
+    seed: int,
+    tol_scale: float = 1.0,
+    timings: bool = True,
+    select: dict[str, dict] | None = None,
+) -> dict:
+    """The versioned JSON document of the selected suites, in table order.
+
+    ``select`` maps a suite name to its keyword selection (``pairs`` for
+    ``symbols``, ``ks`` for ``signature``); by default every suite runs with
+    its default selection. The summary status is ``"pass"`` only when every
+    row passed.
+    """
+    if select is None:
+        select = dict.fromkeys(SUITES, {})
+    reports = [
+        run(seed, tol_scale, timings, **select[name]).report()
+        for name, run in SUITES.items()
+        if name in select
+    ]
+    summary = _summary([row for report in reports for row in report["checks"]])
+    summary["status"] = "pass" if summary["failed"] == 0 else "fail"
+    return {
+        "schema": SCHEMA_VERSION,
+        "tool": {"name": "spinlab", "version": __version__},
+        "seed": seed,
+        "tol_scale": tol_scale,
+        "suites": reports,
+        "flags": [DIMENSION_FLAG],
+        "summary": summary,
+    }

@@ -22,7 +22,8 @@ representative and unpacking is its right inverse on symmetric tensors.
 In that basis both fiber operators are Kronecker products of a 4 x 4
 sector-chiral factor and a twist factor. The symbol is the identity on the
 twist slots, symbol_matrix(k, l, xi) = kron(G(xi), I_{(k+1)(l+1)}) with G
-the k = l = 0 symbol; the pairing is kron(P_0, W_k), where P_0 swaps the
+the k = l = 0 symbol, which is Clifford multiplication xi^a gamma_a in the
+chiral basis; the pairing is kron(P_0, W_k), where P_0 swaps the
 sectors and W_k[(a, b), (b, a)] = C(k, a) C(k, b) swaps the twist
 occupations, weighted by the orbit sizes. Both are built from these closed
 forms; the tensor-level apply_symbol and gen_pairing stay as the
@@ -36,7 +37,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .clifford import PAULI, InvariantViolation
+from .clifford import PAULI, InvariantViolation, weyl_gammas
 from .minkowski import LorentzVector, basis_vector, classify_causal, metric_eval
 from .spinor_core import (
     DOTTED_LOW,
@@ -46,6 +47,11 @@ from .spinor_core import (
     raise_lower,
     symmetrize,
 )
+
+
+# read-only chiral-basis gammas that symbol_matrix contracts with xi^a
+_GAMMAS = weyl_gammas()
+_GAMMAS.flags.writeable = False
 
 
 class KNotEqualL(ValueError):
@@ -210,16 +216,6 @@ def unpack(vec: np.ndarray, k: int, l: int) -> HigherSpinVector:
     )
 
 
-def _symbol_blocks(xi: LorentzVector) -> tuple[np.ndarray, np.ndarray]:
-    """The chiral blocks sqrt(2) xi^{A X} and sqrt(2) xi_{A X} of covariant xi."""
-    if not xi.covariant:
-        raise ValueError("apply_symbol expects a covariant direction; use .lowered()")
-    up = xi.raised().components
-    xi_up = Spinor(np.einsum("a,aij->ij", up, PAULI), (UNDOTTED_UP, DOTTED_UP))
-    xi_dn = raise_lower(raise_lower(xi_up, 0), 1)
-    return xi_up.data, xi_dn.data
-
-
 def apply_symbol(xi: LorentzVector, phi: HigherSpinVector) -> HigherSpinVector:
     """Principal symbol action s(xi) on a fiber element.
 
@@ -228,11 +224,15 @@ def apply_symbol(xi: LorentzVector, phi: HigherSpinVector) -> HigherSpinVector:
     by the tensor engine; twist axes are untouched. The square of this
     action is eta(xi, xi) times the identity.
     """
-    xi_up, xi_dn = _symbol_blocks(xi)
+    if not xi.covariant:
+        raise ValueError("apply_symbol expects a covariant direction; use .lowered()")
+    up = xi.raised().components
+    xi_up = Spinor(np.einsum("a,aij->ij", up, PAULI), (UNDOTTED_UP, DOTTED_UP))
+    xi_dn = raise_lower(raise_lower(xi_up, 0), 1)
     # phi1' ^A = xi_up[A, X] (phi2)_X ; contraction over the chiral axes only
-    new1 = np.tensordot(xi_up, phi.phi2.data, axes=([1], [0]))
+    new1 = np.tensordot(xi_up.data, phi.phi2.data, axes=([1], [0]))
     # phi2' _X = xi_dn[A, X] (phi1)^A
-    new2 = np.tensordot(xi_dn, phi.phi1.data, axes=([0], [0]))
+    new2 = np.tensordot(xi_dn.data, phi.phi1.data, axes=([0], [0]))
     return HigherSpinVector(
         phi.k,
         phi.l,
@@ -242,14 +242,14 @@ def apply_symbol(xi: LorentzVector, phi: HigherSpinVector) -> HigherSpinVector:
 
 
 def symbol_matrix(k: int, l: int, xi: LorentzVector) -> np.ndarray:
-    """Packed matrix of s(xi): kron(G(xi), I) with G the 4 x 4 chiral symbol.
+    """Packed matrix of s(xi): kron(xi^a gamma_a, I), Clifford multiplication.
 
-    The symbol contracts the chiral axes only, so it is the identity on the
-    (k+1)(l+1) twist slots. Returns a fresh array on every call.
+    On the chiral slots of a (0, 0) fiber the symbol is the chiral-basis
+    gamma matrix of xi; it contracts those slots only, so it is the identity
+    on the (k+1)(l+1) twist slots. Built independently of apply_symbol's
+    epsilon lowering, which checks it. Returns a fresh array on every call.
     """
-    xi_up, xi_dn = _symbol_blocks(xi.lowered())
-    zero = np.zeros((2, 2))
-    chiral = np.block([[zero, xi_up], [xi_dn.T, zero]])
+    chiral = np.einsum("a,aij->ij", xi.raised().components, _GAMMAS)
     return np.kron(chiral, np.eye((k + 1) * (l + 1)))
 
 
@@ -465,21 +465,3 @@ def twisted_positivity_check(form: np.ndarray, tol_factor: float = 1e-12) -> boo
     tol = tol_factor * max(float(np.max(np.abs(eig))), 1e-30)
     return bool(eig[0] > tol)
 
-
-@dataclass(frozen=True)
-class PrincipalSymbol:
-    """The symbol s(xi) on fibers of type (k, l), with its packed matrix."""
-
-    k: int
-    l: int
-    xi: LorentzVector
-
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "xi", self.xi.lowered())
-
-    @property
-    def matrix(self) -> np.ndarray:
-        return symbol_matrix(self.k, self.l, self.xi)
-
-    def __call__(self, phi: HigherSpinVector) -> HigherSpinVector:
-        return apply_symbol(self.xi, phi)

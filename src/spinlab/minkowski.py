@@ -14,10 +14,6 @@ import numpy as np
 ETA_DIAG = np.array([1.0, -1.0, -1.0, -1.0])
 ETA = np.diag(ETA_DIAG)
 
-#: 4x4 real ndarray acting on component columns; validated by
-#: :func:`is_restricted_lorentz` rather than wrapped in a class.
-LorentzMatrix = np.ndarray
-
 DEFAULT_TOL = 1e-9
 
 
@@ -38,10 +34,6 @@ class LorentzVector:
         if comp.shape != (4,):
             raise ValueError(f"expected 4 components, got shape {comp.shape}")
         object.__setattr__(self, "components", comp)
-
-    @property
-    def is_real(self) -> bool:
-        return bool(np.max(np.abs(self.components.imag)) < 1e-13)
 
     def raised(self) -> "LorentzVector":
         """Contravariant version of this vector."""

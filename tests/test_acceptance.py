@@ -10,7 +10,7 @@ import time
 
 import numpy as np
 
-from spinlab import cli
+from spinlab import checks
 from spinlab import clifford as cl
 from spinlab import evolution as ev
 from spinlab import higher_spin as hs
@@ -348,7 +348,7 @@ def test_criterion_10_bookkeeping_and_report_flag():
             high, low = sc.clebsch_split(s)
             rec = sc.clebsch_reconstruct(high, low)
             worst = max(worst, float(np.max(np.abs(rec.data - s.data))))
-    report = cli.build_report(seed=0, tol_scale=1.0, timings=False)
+    report = checks.build_report(seed=0, tol_scale=1.0, timings=False)
     flags = [flag["id"] for flag in report["flags"]]
     flag_present = "twist-dimension-formula" in flags
     report_pass = report["summary"]["status"] == "pass"

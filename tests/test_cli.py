@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from spinlab import cli
+from spinlab import checks, cli
 from spinlab import evolution as ev
 
 
@@ -67,18 +67,75 @@ def test_injected_tolerance_forces_exit_one(capsys):
     assert "[FAIL]" in capsys.readouterr().out
 
 
+@pytest.mark.parametrize("scale", ["inf", "nan", "-1", "0", "-inf"])
+def test_tol_scale_must_be_finite_and_positive(capsys, scale):
+    assert cli.run(["verify", "symbols", "--k", "0", "--l", "0",
+                    f"--tol-scale={scale}", "--no-timings"]) == 2
+    captured = capsys.readouterr()
+    assert captured.err.startswith("error:")
+    assert captured.out == ""
+
+
+@pytest.mark.parametrize("direction", ["below", "above"])
+@pytest.mark.parametrize("value", [float("nan"), float("inf"), float("-inf")])
+def test_non_finite_residual_is_an_error_in_either_direction(value, direction):
+    suite = checks.Suite("probe")
+    suite.check("non-finite", "Eq. (1)", 1.0, lambda: value, direction=direction)
+    row = suite.report()["checks"][0]
+    assert row["status"] == "error"
+    assert row["residual"] is None
+    assert row["error"].startswith("ValueError: non-finite residual")
+    assert suite.report()["summary"] == {"total": 1, "passed": 0, "failed": 1}
+
+
+def test_raising_check_is_recorded_and_the_suite_runs_on():
+    def broken():
+        raise ZeroDivisionError("no residual")
+
+    suite = checks.Suite("probe")
+    suite.check("broken", "Eq. (1)", 1.0, broken)
+    suite.check("fine", "Eq. (1)", 1.0, lambda: 0.0)
+    broken_row, fine_row = suite.report()["checks"]
+    assert broken_row["error"] == "ZeroDivisionError: no residual"
+    assert broken_row["status"] == "error" and broken_row["residual"] is None
+    assert fine_row["status"] == "pass" and "error" not in fine_row
+
+
+def test_verify_reports_a_non_finite_row_as_error(monkeypatch, capsys):
+    monkeypatch.setattr(checks.hs, "closed_form_residual", lambda *args: float("inf"))
+    assert cli.run(["verify", "symbols", "--k", "0", "--l", "0", "--no-timings"]) == 1
+    out = capsys.readouterr().out
+    assert "[ERROR] symbols/closed-form-k0-l0" in out
+    assert "suite symbols: 8/9 passed" in out
+
+
+def test_verify_algebra_seed_ten_records_the_covering_batch_error(tmp_path, capsys):
+    path = tmp_path / "algebra.json"
+    assert cli.run(["verify", "algebra", "--seed", "10", "--no-timings",
+                    "--json", str(path)]) == 1
+    captured = capsys.readouterr()
+    assert "Traceback" not in captured.err
+    assert "[ERROR] algebra/covering-map-batch" in captured.out
+    suite = json.loads(path.read_text())["suites"][0]
+    errors = [row for row in suite["checks"] if row["status"] == "error"]
+    assert [row["id"] for row in errors] == ["covering-map-batch"]
+    assert errors[0]["residual"] is None
+    assert errors[0]["error"].startswith("InvariantViolation: ")
+    assert suite["summary"]["failed"] == 1
+
+
 @given(st.floats(1e-25, 1e-18), st.integers(0, 2**32 - 1))
 def test_check_recorder_pass_iff_residual_within_tolerance(scale, seed):
-    suite = cli.Suite("probe", tol_scale=scale)
+    suite = checks.Suite("probe", tol_scale=scale)
     suite.check("tiny-but-nonzero", "Eq. (1)", 1e-9, lambda: 1e-12)
     assert suite.checks[0]["status"] == "fail"
-    suite2 = cli.Suite("probe", tol_scale=1.0)
+    suite2 = checks.Suite("probe", tol_scale=1.0)
     suite2.check("tiny-but-nonzero", "Eq. (1)", 1e-9, lambda: 1e-12)
     assert suite2.checks[0]["status"] == "pass"
 
 
 def test_report_rows_are_sorted_by_id():
-    suite = cli.Suite("probe")
+    suite = checks.Suite("probe")
     suite.check("zebra", "Eq. (1)", 1.0, lambda: 0.0)
     suite.check("aardvark", "Eq. (1)", 1.0, lambda: 0.0)
     ids = [c["id"] for c in suite.report()["checks"]]
@@ -104,7 +161,7 @@ def test_seed_env_fallback(monkeypatch, capsys):
 
 
 def test_check_rows_carry_anchors_and_fields():
-    suite = cli.algebra_suite(seed=0, timings=False)
+    suite = checks.algebra_suite(seed=0, timings=False)
     for check in suite.report()["checks"]:
         assert set(check) == {
             "id", "paper_anchor", "status", "residual", "tolerance",
@@ -201,11 +258,11 @@ def test_full_report_structure(tmp_path):
     # assembled from cheap suites here; the complete battery runs in the
     # acceptance tests
     report = {
-        "schema": cli.SCHEMA_VERSION,
-        "suites": [cli.symbols_suite(0, pairs=[(0, 0)]).report()],
-        "flags": [cli.DIMENSION_FLAG],
+        "schema": checks.SCHEMA_VERSION,
+        "suites": [checks.symbols_suite(0, pairs=[(0, 0)]).report()],
+        "flags": [checks.DIMENSION_FLAG],
     }
-    text = cli.stable_json(report)
+    text = checks.stable_json(report)
     assert text.endswith("\n")
     parsed = json.loads(text)
     assert parsed["flags"][0]["id"] == "twist-dimension-formula"

@@ -49,9 +49,15 @@ def print_suite(report: dict, seed: int) -> None:
     )
 
 
-def _write_json(path: str, payload: dict) -> None:
-    with open(path, "w", encoding="utf-8") as handle:
-        handle.write(checks.stable_json(payload))
+def _write_json(path: str, payload: dict) -> bool:
+    """Write the payload; on failure print ``error: cannot write …`` and return False."""
+    try:
+        with open(path, "w", encoding="utf-8") as handle:
+            handle.write(checks.stable_json(payload))
+    except OSError as exc:
+        print(f"error: cannot write {path}: {exc.strerror or exc}", file=sys.stderr)
+        return False
+    return True
 
 
 def _run_suites(args, select: dict[str, dict] | None = None) -> dict:
@@ -72,10 +78,15 @@ def cmd_verify(args) -> int:
         if args.k is None or args.l is None:
             print("error: provide both --k and --l or neither", file=sys.stderr)
             return 2
+        try:
+            hs.fiber_dim(args.k, args.l)
+        except ValueError as exc:
+            print(f"error: {exc}", file=sys.stderr)
+            return 2
         selection = {"pairs": [(args.k, args.l)]}
     report = _run_suites(args, {args.target: selection})
-    if args.json:
-        _write_json(args.json, report)
+    if args.json and not _write_json(args.json, report):
+        return 2
     return _exit_status(report)
 
 
@@ -88,9 +99,9 @@ def cmd_signature(args) -> int:
         except ValueError:
             print("error: --xi expects four comma-separated numbers", file=sys.stderr)
             return 2
-    try:
+    try:  # a past or spacelike xi, or a negative k
         triple = hs.gram_signature(args.k, xi)
-    except hs.NotTimelikeFuture as exc:
+    except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     print(f"({triple[0]}, {triple[1]}, {triple[2]})")
@@ -101,29 +112,38 @@ def cmd_evolve(args) -> int:
     try:
         with open(args.config, encoding="utf-8") as handle:
             obj = json.load(handle)
-    except (OSError, json.JSONDecodeError) as exc:
+    except (OSError, ValueError) as exc:  # ValueError covers malformed JSON
         print(f"error: cannot read config: {exc}", file=sys.stderr)
         return 2
+    final = None
+
+    def levels():  # the run's levels; the last one stays in ``final``
+        nonlocal final
+        for final in ev._leapfrog(initial, cfg):
+            yield final
+
     try:
         t0 = 0.0
-        if "values" in obj:
+        if isinstance(obj, dict) and "values" in obj:
             cfg, t0, initial = ev.snapshot_from_json(obj)
         else:
-            cfg = ev.config_from_json(obj["config"] if "config" in obj else obj)
+            cfg = ev.config_from_json(obj.get("config", obj) if isinstance(obj, dict) else obj)
             wave = ev.plane_wave(2 * np.pi * 4 / cfg.extent, cfg.mass, cfg.k, cfg.l)
             initial = checks.packet_initial(cfg, wave.u, cfg.extent / 8, 4)
-        field = ev.evolve(initial, cfg)
-    except (ev.CFLViolation, ValueError, KeyError) as exc:
+        if cfg.k == cfg.l:
+            drift = ev.conservation_fold(cfg, levels())["drift"]
+        else:
+            final, drift = ev.final_level(initial, cfg), None
+    except (ValueError, KeyError, OverflowError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    snapshot = ev.snapshot_to_json(field, cfg.steps)
-    snapshot["time"] += t0  # a restart continues the clock of its snapshot
-    _write_json(args.out, snapshot)
-    if cfg.k == cfg.l:
-        drift = ev.conservation_report(field)["drift"]
-        print(f"evolved {cfg.steps} steps; slice-product drift {drift:.3e}")
-    else:
+    # a restart continues the clock of its snapshot
+    if not _write_json(args.out, ev.snapshot_to_json(cfg, final, cfg.steps * cfg.dt + t0)):
+        return 2
+    if drift is None:
         print(f"evolved {cfg.steps} steps")
+    else:
+        print(f"evolved {cfg.steps} steps; slice-product drift {drift:.3e}")
     return 0
 
 
@@ -136,7 +156,9 @@ def cmd_green(args) -> int:
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    _write_json(args.out, ev.snapshot_to_json(result, result.config.steps))
+    cfg = result.config
+    if not _write_json(args.out, ev.snapshot_to_json(cfg, result.data[-1], cfg.steps * cfg.dt)):
+        return 2
     print(f"green demo: mass={args.m} points={n_pts} residual={residual:.3e} "
           f"support-leak={leak:.3e}")
     return 0 if residual <= 5e-2 and leak <= 1e-8 else 1
@@ -147,18 +169,9 @@ def cmd_report(args) -> int:
     print(f"flags: {[flag['id'] for flag in report['flags']]}")
     summary = report["summary"]
     print(f"total: {summary['passed']}/{summary['total']} passed -> {summary['status']}")
-    _write_json(args.json, report)
+    if not _write_json(args.json, report):
+        return 2
     return _exit_status(report)
-
-
-def _default_seed() -> int:
-    env = os.environ.get("SPINLAB_SEED")
-    if env is not None:
-        try:
-            return int(env)
-        except ValueError:
-            pass
-    return 0
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -167,7 +180,7 @@ def build_parser() -> argparse.ArgumentParser:
         description="verification suites for two-spinor calculus and 1+1D evolution",
     )
     common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--seed", type=int, default=_default_seed(),
+    common.add_argument("--seed", type=int, default=None,
                         help="RNG seed (default: SPINLAB_SEED or 0)")
     common.add_argument("--tol-scale", type=float, default=1.0,
                         help="multiply all check tolerances (testing hook)")
@@ -213,6 +226,13 @@ def run(argv=None) -> int:
         args = parser.parse_args(argv)
     except SystemExit as exc:
         return 2 if exc.code not in (0, None) else 0
+    if args.seed is None:
+        env = os.environ.get("SPINLAB_SEED", "0")
+        try:
+            args.seed = int(env)
+        except ValueError:
+            print(f"error: SPINLAB_SEED must be an integer, got {env!r}", file=sys.stderr)
+            return 2
     if not (math.isfinite(args.tol_scale) and args.tol_scale > 0):
         print(f"error: --tol-scale must be finite and positive, got {args.tol_scale}",
               file=sys.stderr)

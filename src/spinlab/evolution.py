@@ -21,9 +21,9 @@ matrix: one nonzero per row, because Gamma(e^a) = kron(G(e^a), I) and
 P = kron(P_0, W_k) are. They are applied as a gather and a scale,
 u[..., cols] * w, which is N F work per level instead of the N F^2 of a
 dense product. One generator, ``_leapfrog``, is the only time-stepping loop;
-it holds two levels. ``evolve`` stores what it yields, the causality audit
-reduces each level as it arrives, and the slice-product reductions walk a
-stored field in blocks of levels so their temporaries stay small.
+it holds two levels. ``evolve`` stores what it yields; every other consumer
+takes each level as it arrives. The slice-product reductions are folds over
+levels, fed a stored field's ``data`` or ``_leapfrog`` itself.
 
 The retarded Green operator convolves the source with the sampled kernel
 E(t, z) over the whole (t, z) grid. The convolution is linear (not
@@ -37,8 +37,9 @@ for which no wrapped term reaches that window (see
 from __future__ import annotations
 
 import math
-from collections.abc import Iterator
-from dataclasses import dataclass
+from collections import deque
+from collections.abc import Iterable, Iterator
+from dataclasses import asdict, dataclass
 
 import numpy as np
 from scipy import fft as sfft
@@ -95,8 +96,7 @@ class EvolutionConfig:
             raise ValueError("need at least 8 grid points")
         if self.extent <= 0 or self.dt <= 0 or self.steps < 1:
             raise ValueError("extent, dt, steps must be positive")
-        if self.k < 0 or self.l < 0:
-            raise ValueError("twist ranks must be nonnegative")
+        fiber_dim(self.k, self.l)  # raises ValueError on a negative twist rank
         if self.dt > self.dz * (1 + 1e-12):
             raise CFLViolation(f"dt = {self.dt} exceeds dz = {self.dz}")
 
@@ -137,14 +137,6 @@ class GridField:
         return unpack(self.data[t_index, j], self.config.k, self.config.l)
 
 
-# Level blocks of the slice-product reductions hold about this many bytes.
-# Measured on a 2-core host: 1 MiB blocks made divergence_check slower (it
-# recomputes two halo levels per block), and 8 MiB blocks, whose temporaries
-# pass the 4 MiB from which numpy advises huge pages, sometimes made the
-# first reduction of a process about a second slower.
-_BLOCK_BYTES = 2 * 2**20
-
-
 def _monomial(mat: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """(cols, w) with u[..., cols] * w == u @ mat.T for a one-nonzero-per-row mat.
 
@@ -174,8 +166,8 @@ def _coerce_initial(phi0, cfg: EvolutionConfig) -> np.ndarray:
     return arr
 
 
-def _leapfrog(u0: np.ndarray, cfg: EvolutionConfig) -> Iterator[tuple[int, np.ndarray]]:
-    """Yield (n, u^n) for n = 0 .. steps, holding two levels.
+def _leapfrog(phi0, cfg: EvolutionConfig) -> Iterator[np.ndarray]:
+    """Yield the levels u^0 .. u^steps from packed initial data, holding two.
 
     The first step is the Taylor half-step
     u^1 = u^0 + dt L u^0 + (dt^2/2)(D2 - m^2) u^0 with D2 the one-cell
@@ -183,9 +175,10 @@ def _leapfrog(u0: np.ndarray, cfg: EvolutionConfig) -> Iterator[tuple[int, np.nd
     the module docstring, so no extra reach and no first-order startup
     error is introduced. Later levels are updated in place: a yielded
     array is overwritten two steps on, so a caller that keeps a level
-    copies it. Raises CFLViolation before the first level when the run
-    would be unstable.
+    copies it (the last level is never overwritten). Raises ValueError on
+    misshapen initial data and CFLViolation, both before the first level.
     """
+    u0 = _coerce_initial(phi0, cfg)
     dz, dt = cfg.dz, cfg.dt
     if dt * math.sqrt(dz**-2 + cfg.mass**2) >= 1.0:
         raise CFLViolation(
@@ -198,19 +191,30 @@ def _leapfrog(u0: np.ndarray, cfg: EvolutionConfig) -> Iterator[tuple[int, np.nd
     inv2dz = 1.0 / (2.0 * dz)
     m2 = cfg.mass**2
 
+    # Steps write into preallocated levels (mode="clip" keeps take unbuffered):
+    # level-sized temporaries every step make glibc trim and refault its heap.
+    dzu, out, term = np.empty_like(u0), np.empty_like(u0), np.empty_like(u0)
+
     def rhs(u):
-        dzu = (np.roll(u, -1, axis=0) - np.roll(u, 1, axis=0)) * inv2dz
-        return dzu[:, a_cols] * a_w + u[:, b_cols] * b_w
+        """L u = A D_z u + B u into ``out``, D_z the periodic centered difference."""
+        np.subtract(u[2:], u[:-2], out=dzu[1:-1])
+        np.subtract(u[1], u[-1], out=dzu[0])
+        np.subtract(u[0], u[-2], out=dzu[-1])
+        np.multiply(dzu, inv2dz, out=dzu)
+        np.multiply(np.take(dzu, a_cols, axis=1, out=out, mode="clip"), a_w, out=out)
+        np.multiply(np.take(u, b_cols, axis=1, out=term, mode="clip"), b_w, out=term)
+        return np.add(out, term, out=out)
 
     prev = u0.copy()
-    yield 0, prev
+    yield prev
     lap = (np.roll(prev, -1, axis=0) - 2.0 * prev + np.roll(prev, 1, axis=0)) / dz**2
     cur = prev + dt * rhs(prev) + 0.5 * dt**2 * (lap - m2 * prev)
-    yield 1, cur
-    for n in range(2, cfg.steps + 1):
-        prev += 2.0 * dt * rhs(cur)
+    yield cur
+    for _ in range(2, cfg.steps + 1):
+        step = rhs(cur)
+        prev += np.multiply(step, 2.0 * dt, out=step)
         prev, cur = cur, prev
-        yield n, cur
+        yield cur
 
 
 def evolve(phi0, cfg: EvolutionConfig) -> GridField:
@@ -219,11 +223,15 @@ def evolve(phi0, cfg: EvolutionConfig) -> GridField:
     All time levels are stored; see ``_leapfrog`` for the scheme and its
     stability bound.
     """
-    u0 = _coerce_initial(phi0, cfg)
     out = np.empty((cfg.steps + 1, cfg.points, cfg.fiber), dtype=complex)
-    for n, u in _leapfrog(u0, cfg):
+    for n, u in enumerate(_leapfrog(phi0, cfg)):
         out[n] = u
     return GridField(cfg, out)
+
+
+def final_level(phi0, cfg: EvolutionConfig) -> np.ndarray:
+    """The last level u^steps of a run, stepped with two levels held."""
+    return deque(_leapfrog(phi0, cfg), maxlen=1)[0]
 
 
 class PlaneWave:
@@ -292,78 +300,83 @@ def _current(cfg: EvolutionConfig, direction: int) -> tuple[np.ndarray, np.ndarr
     return _monomial(pairing_matrix(cfg.k) @ _symbol(cfg, direction))
 
 
-def _current_density(
-    a: np.ndarray, b: np.ndarray, current: tuple[np.ndarray, np.ndarray]
-) -> np.ndarray:
-    """<a, X b> over the trailing fiber axis for X in monomial form (cols, w)."""
+def _current_density(a: np.ndarray, b: np.ndarray, current, scratch: np.ndarray) -> np.ndarray:
+    """<a, X b> per point of a level, X = (cols, w) monomial, in two scratch levels."""
     cols, w = current
-    return (np.conj(a) * b[..., cols]) @ w
+    prod = np.conjugate(a, out=scratch[0])
+    prod *= np.take(b, cols, axis=1, out=scratch[1], mode="clip")
+    return prod @ w
 
 
-def _level_blocks(field: GridField, start: int, stop: int) -> Iterator[slice]:
-    """Slices covering levels start .. stop - 1 of about _BLOCK_BYTES each."""
-    per = max(1, _BLOCK_BYTES // field.data[0].nbytes)
-    for first in range(start, stop, per):
-        yield slice(first, min(first + per, stop))
+def conservation_fold(
+    cfg: EvolutionConfig,
+    levels_a: Iterable[np.ndarray],
+    levels_b: Iterable[np.ndarray] | None = None,
+) -> dict:
+    """Slice products sum_j <A, s(e^0) B> dz, level by level, and their drift.
 
-
-def slice_product(fa: GridField, fb: GridField, t_index: int) -> complex:
-    """Constant-time slice product sum_j <A, s(e^0) B> dz at one level."""
-    cfg = fa.config
-    x0 = _current(cfg, 0)
-    density = _current_density(fa.data[t_index], fb.data[t_index], x0)
-    return complex(np.sum(density) * cfg.dz)
-
-
-def conservation_report(fa: GridField, fb: GridField | None = None) -> dict:
-    """Slice products at every stored level and their relative drift.
-
-    The drift denominator is the initial value when it is solidly nonzero,
-    otherwise a positive scale built from the field norms, so orthogonal
-    initial data does not divide by zero.
+    ``levels_a``/``levels_b`` iterate the (points, fiber) levels of two runs
+    (without ``levels_b`` the run pairs with itself). The drift denominator
+    is the initial value when it is solidly nonzero, otherwise a positive
+    scale from the initial level norms, so orthogonal data does not divide by 0.
     """
-    if fb is None:
-        fb = fa
-    cfg = fa.config
     x0 = _current(cfg, 0)
-    values = np.empty(cfg.steps + 1, dtype=complex)
-    for block in _level_blocks(fa, 0, cfg.steps + 1):
-        density = _current_density(fa.data[block], fb.data[block], x0)
-        values[block] = np.sum(density, axis=1) * cfg.dz
-    scale = cfg.dz * float(np.linalg.norm(fa.data[0]) * np.linalg.norm(fb.data[0]))
+    pairs = ((u, u) for u in levels_a) if levels_b is None else zip(levels_a, levels_b)
+    scratch = np.empty((2, cfg.points, cfg.fiber), dtype=complex)
+    values = []
+    for a, b in pairs:
+        if not values:
+            scale = cfg.dz * float(np.linalg.norm(a) * np.linalg.norm(b))
+        values.append(np.sum(_current_density(a, b, x0, scratch)) * cfg.dz)
+    values = np.array(values)
     denom = max(abs(values[0]), 1e-9 * scale, 1e-300)
     drift = float(np.max(np.abs(values - values[0])) / denom)
-    return {
-        "values": values,
-        "initial": complex(values[0]),
-        "drift": drift,
-        "denominator": denom,
-    }
+    return {"values": values, "initial": complex(values[0]), "drift": drift, "denominator": denom}
 
 
-def divergence_check(fa: GridField, fb: GridField) -> float:
-    """Max interior residual of d_t X^0 + d_z X^3 for the pair current.
+def divergence_fold(
+    cfg: EvolutionConfig, levels_a: Iterable[np.ndarray], levels_b: Iterable[np.ndarray]
+) -> float:
+    """Max interior residual of d_t X^0 + d_z X^3 for the pair current of two runs.
 
     X^a(t, z) = <A, s(e^a) B> pointwise; both derivatives are centered, so
     the residual is evaluated on interior time levels only. For two
     solutions of the evolved equation this is a discrete conservation law
-    and the residual converges to zero at second order. Blocks of interior
-    levels read one extra level on each side for the time derivative.
+    and the residual converges to zero at second order. The fold keeps the
+    X^0 densities of the last two levels and the X^3 density of the last.
     """
-    cfg = fa.config
     if cfg.steps < 2:
         raise ValueError("need at least 3 time levels for a centered residual")
     x0 = _current(cfg, 0)
     x3 = _current(cfg, 3)
-    worst = []
-    for block in _level_blocks(fa, 1, cfg.steps):
-        halo = slice(block.start - 1, block.stop + 1)
-        cur0 = _current_density(fa.data[halo], fb.data[halo], x0)
-        cur3 = _current_density(fa.data[block], fb.data[block], x3)
-        dt_cur = (cur0[2:] - cur0[:-2]) / (2.0 * cfg.dt)
-        dz_cur = (np.roll(cur3, -1, axis=1) - np.roll(cur3, 1, axis=1)) / (2.0 * cfg.dz)
-        worst.append(np.max(np.abs(dt_cur + dz_cur)))
-    return float(np.max(worst))
+    # np.maximum, unlike max(), keeps a NaN residual visible in the result
+    worst = 0.0
+    before = here = flux = None
+    scratch = np.empty((2, cfg.points, cfg.fiber), dtype=complex)
+    for a, b in zip(levels_a, levels_b):
+        ahead = _current_density(a, b, x0, scratch)
+        if before is not None:
+            dt_cur = (ahead - before) / (2.0 * cfg.dt)
+            dz_cur = (np.roll(flux, -1) - np.roll(flux, 1)) / (2.0 * cfg.dz)
+            worst = np.maximum(worst, np.max(np.abs(dt_cur + dz_cur)))
+        before, here = here, ahead
+        flux = _current_density(a, b, x3, scratch)
+    return float(worst)
+
+
+def slice_product(fa: GridField, fb: GridField, t_index: int) -> complex:
+    """The slice product at one stored level: ``conservation_fold`` over it alone."""
+    return conservation_fold(fa.config, [fa.data[t_index]], [fb.data[t_index]])["initial"]
+
+
+def conservation_report(fa: GridField, fb: GridField | None = None) -> dict:
+    """``conservation_fold`` over the stored levels of one field or two."""
+    return conservation_fold(fa.config, fa.data, None if fb is None else fb.data)
+
+
+def divergence_check(fa: GridField, fb: GridField) -> float:
+    """``divergence_fold`` over the stored levels of two fields."""
+    return divergence_fold(fa.config, fa.data, fb.data)
 
 
 def causal_support_check(phi0, cfg: EvolutionConfig) -> dict:
@@ -388,7 +401,7 @@ def causal_support_check(phi0, cfg: EvolutionConfig) -> dict:
     idx = np.arange(cfg.points)
     # np.maximum, unlike max(), keeps a NaN level visible in the result
     peak = exact_outside = cone_leak = 0.0
-    for n, u in _leapfrog(u0, cfg):
+    for n, u in enumerate(_leapfrog(u0, cfg)):
         amp = np.max(np.abs(u), axis=1)
         peak = np.maximum(peak, np.max(amp))
         lo, hi = ia - n, ib + n
@@ -480,79 +493,74 @@ def retarded_green_apply(source: GridField, cfg: EvolutionConfig) -> GridField:
 
 
 def config_to_json(cfg: EvolutionConfig) -> dict:
-    return {
-        "mass": cfg.mass,
-        "k": cfg.k,
-        "l": cfg.l,
-        "extent": cfg.extent,
-        "points": cfg.points,
-        "dt": cfg.dt,
-        "steps": cfg.steps,
-    }
+    return asdict(cfg)
+
+
+def _json_object(obj, what: str) -> dict:
+    if not isinstance(obj, dict):
+        raise ValueError(f"{what} must be a JSON object, got {type(obj).__name__}")
+    return obj
+
+
+def _is_number(value) -> bool:
+    return isinstance(value, (int, float)) and not isinstance(value, bool)
 
 
 def config_from_json(obj: dict) -> EvolutionConfig:
-    return EvolutionConfig(
-        mass=float(obj["mass"]),
-        k=int(obj["k"]),
-        l=int(obj["l"]),
-        extent=float(obj["extent"]),
-        points=int(obj["points"]),
-        dt=float(obj["dt"]),
-        steps=int(obj["steps"]),
-    )
+    """Parse a config object; ValueError on a non-object, a non-number, or a
+    fractional k, l, points or steps (refused rather than truncated)."""
+    obj = _json_object(obj, "config")
+    parsed = {}
+    for name in ("mass", "k", "l", "extent", "points", "dt", "steps"):
+        value, integral = obj[name], name in ("k", "l", "points", "steps")
+        if not _is_number(value) or integral and value % 1 != 0:
+            kind = "an integer" if integral else "a number"
+            raise ValueError(f"config {name} must be {kind}, got {value!r}")
+        parsed[name] = int(value) if integral else float(value)
+    return EvolutionConfig(**parsed)
 
 
-def snapshot_to_json(field: GridField, t_index: int) -> dict:
-    """One time level as a JSON-ready dict.
+def snapshot_to_json(cfg: EvolutionConfig, level: np.ndarray, time: float) -> dict:
+    """One (points, fiber) level at ``time`` as a JSON-ready dict.
 
     values[j] carries the packed coefficients of the two sectors as
     [re, im] pairs, phi1 first, in packed (chiral, undotted occupation,
-    dotted occupation) order. ``time`` is t_index * dt, counted from the
-    field's first level; a run restarted from a snapshot adds that
-    snapshot's time.
+    dotted occupation) order. A run restarted from a snapshot continues
+    its clock from ``time``.
     """
-    cfg = field.config
     half = cfg.fiber // 2
-    values = []
-    for j in range(cfg.points):
-        vec = field.data[t_index, j]
-        values.append(
-            {
-                "phi1": [[float(c.real), float(c.imag)] for c in vec[:half]],
-                "phi2": [[float(c.real), float(c.imag)] for c in vec[half:]],
-            }
-        )
-    return {
-        "config": config_to_json(cfg),
-        "time": t_index * cfg.dt,
-        "values": values,
-    }
+
+    def pairs(vec):
+        return [[float(c.real), float(c.imag)] for c in vec]
+
+    values = [{"phi1": pairs(vec[:half]), "phi2": pairs(vec[half:])} for vec in level]
+    return {"config": config_to_json(cfg), "time": time, "values": values}
 
 
 def snapshot_from_json(obj: dict) -> tuple[EvolutionConfig, float, np.ndarray]:
     """Parse a snapshot dict back into (config, time, packed (points, fiber)).
 
-    Raises ValueError on malformed values and on any non-finite number:
-    Python's json accepts NaN and Infinity tokens, and they must not reach
-    the evolver.
+    Raises ValueError on malformed or mistyped values and on any non-finite
+    number: Python's json accepts NaN and Infinity tokens, and they must
+    not reach the evolver.
     """
+    obj = _json_object(obj, "snapshot")
     cfg = config_from_json(obj["config"])
     values = obj["values"]
-    if len(values) != cfg.points:
-        raise ValueError(f"snapshot has {len(values)} grid values, config says {cfg.points}")
+    if not isinstance(values, list) or len(values) != cfg.points:
+        raise ValueError(f"snapshot needs a list of {cfg.points} grid values")
     half = cfg.fiber // 2
     data = np.empty((cfg.points, cfg.fiber), dtype=complex)
     for j, entry in enumerate(values):
-        p1, p2 = entry["phi1"], entry["phi2"]
-        if len(p1) != half or len(p2) != half:
-            raise ValueError(f"grid value {j} has wrong sector lengths")
-        data[j, :half] = [complex(re, im) for re, im in p1]
-        data[j, half:] = [complex(re, im) for re, im in p2]
-    time = float(obj.get("time", 0.0))
-    if not (math.isfinite(time) and np.all(np.isfinite(data))):
-        raise ValueError("snapshot holds a non-finite value")
-    return cfg, time, data
+        entry = _json_object(entry, f"grid value {j}")
+        pairs = np.asarray([entry["phi1"], entry["phi2"]])
+        if pairs.shape != (2, half, 2) or pairs.dtype.kind not in "iuf":
+            raise ValueError(f"grid value {j} needs phi1 and phi2 as {half} [re, im] number pairs")
+        data[j] = pairs.reshape(-1, 2).astype(float).view(complex)[:, 0]
+    time = obj.get("time", 0.0)
+    if not (_is_number(time) and math.isfinite(time) and np.all(np.isfinite(data))):
+        raise ValueError("snapshot holds a non-finite or non-numeric value")
+    return cfg, float(time), data
 
 
 def green_residual(result: GridField, source: GridField) -> float:

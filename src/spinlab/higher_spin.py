@@ -160,7 +160,13 @@ class HigherSpinVector:
 
 
 def fiber_dim(k: int, l: int) -> int:
-    """Packed dimension: 2 sectors x 2 chiral x (k+1)(l+1) twist slots."""
+    """Packed dimension: 2 sectors x 2 chiral x (k+1)(l+1) twist slots.
+
+    Every fiber operator sizes itself through this, so a negative twist
+    rank is refused here with ValueError.
+    """
+    if k < 0 or l < 0:
+        raise ValueError(f"twist ranks must be nonnegative, got k = {k}, l = {l}")
     return 4 * (k + 1) * (l + 1)
 
 
@@ -250,7 +256,7 @@ def symbol_matrix(k: int, l: int, xi: LorentzVector) -> np.ndarray:
     epsilon lowering, which checks it. Returns a fresh array on every call.
     """
     chiral = np.einsum("a,aij->ij", xi.raised().components, _GAMMAS)
-    return np.kron(chiral, np.eye((k + 1) * (l + 1)))
+    return np.kron(chiral, np.eye(fiber_dim(k, l) // 4))
 
 
 def _unit_fibers(k: int, l: int) -> list[HigherSpinVector]:
@@ -319,13 +325,13 @@ def pairing_matrix(k: int) -> np.ndarray:
     chiral slot, and W_k pairs twist occupation (a, b) with (b, a), weighted
     by the orbit sizes C(k, a) C(k, b). Returns a fresh array on every call.
     """
-    n = k + 1
+    slots, n = fiber_dim(k, k) // 4, k + 1
     orbit = np.array([math.comb(k, a) for a in range(n)], dtype=float)
     a, b = np.indices((n, n))
     twist = np.zeros((n, n, n, n), dtype=complex)
     twist[a, b, b, a] = np.outer(orbit, orbit)
     sectors = np.kron([[0.0, 1.0], [1.0, 0.0]], np.eye(2))
-    return np.kron(sectors, twist.reshape(n * n, n * n))
+    return np.kron(sectors, twist.reshape(slots, slots))
 
 
 def _pairing_matrix_reference(k: int) -> np.ndarray:

@@ -213,7 +213,7 @@ def test_evolve_refuses_a_snapshot_with_a_nan_value(tmp_path, capsys):
     cfg = ev.EvolutionConfig(mass=1.0, k=0, l=0, extent=16.0, points=128,
                              dt=0.0625, steps=32)
     field = ev.GridField(cfg, np.ones((cfg.steps + 1, cfg.points, cfg.fiber)))
-    snap = ev.snapshot_to_json(field, cfg.steps)
+    snap = ev.snapshot_to_json(cfg, field.data[cfg.steps], cfg.steps * cfg.dt)
     snap["values"][40]["phi1"][0][1] = float("nan")
     snap_path = tmp_path / "nan.json"
     snap_path.write_text(json.dumps(snap))  # Python's json writes the NaN token
@@ -268,3 +268,73 @@ def test_full_report_structure(tmp_path):
     assert parsed["flags"][0]["id"] == "twist-dimension-formula"
     suite = parsed["suites"][0]
     assert suite["summary"]["total"] == len(suite["checks"])
+
+
+def _malformed_evolve_inputs() -> dict:
+    config = {"mass": 1.0, "k": 0, "l": 0, "extent": 16.0, "points": 64, "dt": 0.0625,
+              "steps": 8}
+    cfg = ev.config_from_json(config)
+
+    def snapshot():
+        return ev.snapshot_to_json(cfg, np.ones((cfg.points, cfg.fiber)), 0.0)
+
+    not_an_object, string_pair = snapshot(), snapshot()
+    not_an_object["values"][3] = [1.0, 0.0]
+    string_pair["values"][3]["phi1"][0] = ["1", "0"]
+    return {
+        "k-null": {**config, "k": None},
+        "k-fractional": {**config, "k": 0.7},
+        "top-level-list": [config],
+        "value-not-an-object": not_an_object,
+        "phi1-pair-of-strings": string_pair,
+    }
+
+
+@pytest.mark.parametrize("case", sorted(_malformed_evolve_inputs()))
+def test_evolve_rejects_malformed_json_and_writes_nothing(tmp_path, capsys, case):
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps(_malformed_evolve_inputs()[case]))
+    out_path = tmp_path / "out.json"
+    assert cli.run(["evolve", "--config", str(cfg_path), "--out", str(out_path)]) == 2
+    assert capsys.readouterr().err.startswith("error:")
+    assert not out_path.exists()
+
+
+def test_signature_rejects_a_negative_rank(capsys):
+    assert cli.run(["signature", "--k", "-1", "--no-timings"]) == 2
+    captured = capsys.readouterr()
+    assert captured.err.startswith("error: twist ranks must be nonnegative")
+    assert captured.out == ""
+
+
+def test_verify_symbols_rejects_a_negative_rank(capsys):
+    assert cli.run(["verify", "symbols", "--k", "-1", "--l", "0", "--no-timings"]) == 2
+    captured = capsys.readouterr()
+    assert captured.err.startswith("error: twist ranks must be nonnegative")
+    assert captured.out == ""
+
+
+def test_a_non_integer_seed_variable_is_a_usage_error(monkeypatch, capsys):
+    monkeypatch.setenv("SPINLAB_SEED", "abc")
+    assert cli.run(["verify", "symbols", "--k", "0", "--l", "0", "--no-timings"]) == 2
+    captured = capsys.readouterr()
+    assert captured.err.startswith("error: SPINLAB_SEED")
+    assert captured.out == ""
+    # an explicit --seed does not read the variable
+    assert cli.run(["signature", "--k", "0", "--seed", "5", "--no-timings"]) == 0
+
+
+@pytest.mark.parametrize("command", ["evolve", "green", "verify", "report"])
+def test_an_unwritable_output_path_exits_two(tmp_path, capsys, command):
+    out = str(tmp_path / "missing-dir" / "out.json")
+    config = tmp_path / "cfg.json"
+    config.write_text(json.dumps({"mass": 1.0, "k": 0, "l": 0, "extent": 16.0,
+                                  "points": 64, "dt": 0.0625, "steps": 8}))
+    argv = {
+        "evolve": ["evolve", "--config", str(config), "--out", out],
+        "green": ["green", "--m", "1", "--points", "64", "--out", out],
+        "verify": ["verify", "symbols", "--k", "0", "--l", "0", "--json", out],
+        "report": ["report", "--no-timings", "--json", out],
+    }[command]
+    assert cli.run(argv) == 2
+    assert capsys.readouterr().err.startswith(f"error: cannot write {out}")

@@ -10,6 +10,7 @@ import numpy as np
 import pytest
 
 import spinlab
+from spinlab import checks
 from spinlab import evolution as ev
 from spinlab import higher_spin as hs
 from spinlab import minkowski as mk
@@ -322,7 +323,7 @@ def test_snapshot_json_roundtrip():
     cfg = small_config(points=16, extent=4.0, dt=0.1, steps=2)
     shape = (cfg.steps + 1, cfg.points, cfg.fiber)
     field = ev.GridField(cfg, rng.normal(size=shape) + 1j * rng.normal(size=shape))
-    snap = ev.snapshot_to_json(field, 2)
+    snap = ev.snapshot_to_json(cfg, field.data[2], 2 * cfg.dt)
     cfg_back, time, data = ev.snapshot_from_json(snap)
     assert cfg_back == cfg
     assert time == pytest.approx(2 * cfg.dt)
@@ -332,7 +333,7 @@ def test_snapshot_json_roundtrip():
 def test_snapshot_parser_validates_lengths():
     cfg = small_config(points=16, extent=4.0, dt=0.1, steps=2)
     field = ev.GridField(cfg, np.zeros((3, 16, 4), dtype=complex))
-    snap = ev.snapshot_to_json(field, 0)
+    snap = ev.snapshot_to_json(cfg, field.data[0], 0.0)
     snap["values"] = snap["values"][:-1]
     with pytest.raises(ValueError):
         ev.snapshot_from_json(snap)
@@ -385,12 +386,10 @@ def test_evolve_is_bitwise_equal_to_the_dense_reference():
             assert np.array_equal(field.data[0], u0)
 
 
-def test_blocked_reductions_match_dense_full_array_references(monkeypatch):
+def test_fold_reductions_match_dense_full_array_references():
     rng = np.random.default_rng(22)
     cfg = small_config(k=1, l=1, points=16, extent=4.0, dt=0.1, steps=10)
     fa, fb = _random_field(rng, cfg), _random_field(rng, cfg)
-    # blocks of 3 levels: 11 levels is not a multiple of the block size
-    monkeypatch.setattr(ev, "_BLOCK_BYTES", 3 * fa.data[0].nbytes)
     cur0 = _dense_currents(fa, fb, 0)
     cur3 = _dense_currents(fa, fb, 3)
 
@@ -406,6 +405,48 @@ def test_blocked_reductions_match_dense_full_array_references(monkeypatch):
     dz_cur = (np.roll(cur3, -1, axis=1) - np.roll(cur3, 1, axis=1))[1:-1] / (2.0 * cfg.dz)
     expected = float(np.max(np.abs(dt_cur + dz_cur)))
     assert ev.divergence_check(fa, fb) == pytest.approx(expected, rel=1e-13)
+
+
+def test_streamed_and_stored_reductions_are_bitwise_equal():
+    rng = np.random.default_rng(23)
+    for k in (0, 1, 2):
+        cfg = small_config(k=k, l=k, points=32, extent=4.0, dt=0.0625, steps=12)
+        shape = (cfg.points, cfg.fiber)
+        u_a = rng.normal(size=shape) + 1j * rng.normal(size=shape)
+        u_b = rng.normal(size=shape) + 1j * rng.normal(size=shape)
+        fa, fb = ev.evolve(u_a, cfg), ev.evolve(u_b, cfg)
+        a, b = ev._leapfrog(u_a, cfg), ev._leapfrog(u_b, cfg)
+        pairs = [
+            (ev.conservation_report(fa), ev.conservation_fold(cfg, ev._leapfrog(u_a, cfg))),
+            (ev.conservation_report(fa, fb), ev.conservation_fold(cfg, a, b)),
+        ]
+        for stored, streamed in pairs:
+            assert np.array_equal(stored["values"], streamed["values"])
+            assert stored["drift"] == streamed["drift"]
+            assert stored["denominator"] == streamed["denominator"]
+        a, b = ev._leapfrog(u_a, cfg), ev._leapfrog(u_b, cfg)
+        assert ev.divergence_check(fa, fb) == ev.divergence_fold(cfg, a, b)
+        assert np.array_equal(ev.final_level(u_a, cfg), fa.data[-1])
+
+
+def test_divergence_fold_keeps_a_non_finite_level_visible():
+    rng = np.random.default_rng(24)
+    cfg = small_config(points=16, extent=4.0, dt=0.1, steps=6)
+    fa, fb = _random_field(rng, cfg), _random_field(rng, cfg)
+    fa.data[3, 5, 0] = np.nan
+    assert np.isnan(ev.divergence_check(fa, fb))
+
+
+def test_conservation_check_streams_levels_instead_of_storing_the_field():
+    field_nbytes = 201 * 1024 * hs.fiber_dim(2, 2) * 16  # the row's 200-step run
+    tracemalloc.start()
+    try:
+        drift = checks.conservation_drift(2)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert drift < 1e-5
+    assert peak < field_nbytes / 4
 
 
 def test_monomial_form_rejects_a_dense_matrix():

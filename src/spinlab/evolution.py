@@ -15,23 +15,28 @@ identity (A D_z + B)^2 ~ D2 - m^2 to stay both second order and one-cell.
 Leapfrog is stable only while dt sqrt(dz^-2 + m^2) < 1, and the stepping
 core refuses to start otherwise.
 
-Every fiber operator the evolver and the slice products use (A, Gamma0 and
-hence B, and the currents X^a = P Gamma(e^a)) is a generalized permutation
-matrix: one nonzero per row, because Gamma(e^a) = kron(G(e^a), I) and
-P = kron(P_0, W_k) are. They are applied as a gather and a scale,
+Every fiber operator the evolver, the slice products and the Green
+operator use (A, Gamma0 and hence B, the currents X^a = P Gamma(e^a), and
+the Dirac operator Gamma^0 d_t + Gamma^3 d_z +- i m) is a generalized
+permutation matrix: one nonzero per row, because Gamma(e^a) = kron(G(e^a), I)
+and P = kron(P_0, W_k) are. They are applied as a gather and a scale,
 u[..., cols] * w, which is N F work per level instead of the N F^2 of a
-dense product. One generator, ``_leapfrog``, is the only time-stepping loop;
-it holds two levels. ``evolve`` stores what it yields; every other consumer
-takes each level as it arrives. The slice-product reductions are folds over
-levels, fed a stored field's ``data`` or ``_leapfrog`` itself.
+dense product, and all of them take the one periodic centered z-difference
+``_centered_difference``. One generator, ``_leapfrog``, is the only
+time-stepping loop; it holds two levels. ``evolve`` stores what it yields;
+every other consumer takes each level as it arrives. The slice-product
+reductions are folds over levels, fed a stored field's ``data`` or
+``_leapfrog`` itself.
 
 The retarded Green operator convolves the source with the sampled kernel
-E(t, z) over the whole (t, z) grid. The convolution is linear (not
-periodic), and only its retarded window, the n_t levels and n points of the
-source grid, is needed, so it runs as a cyclic FFT convolution of size
+E(t, z) over the whole (t, z) grid, then applies D - i m. It acts per fiber
+component for any twist (k, l): E is scalar and Gamma(e^a) = kron(G(e^a), I)
+touches only the chiral axes, so the twisted operator is the untwisted one
+applied per twist slot. The convolution is linear (not periodic), and only
+its retarded window, the n_t levels and n points of the source grid, is
+needed, so it runs as a cyclic FFT convolution of size
 next_fast_len(2 n_t - 1) x next_fast_len(2 n - 1): the smallest fast sizes
-for which no wrapped term reaches that window (see
-``retarded_green_apply``).
+for which no wrapped term reaches that window (see ``_retarded_convolution``).
 """
 
 from __future__ import annotations
@@ -63,10 +68,6 @@ class CFLViolation(ValueError):
 
 class ZeroProjection(RuntimeError):
     """Raised when every seed is annihilated by the on-shell projector."""
-
-
-class UnsupportedTwist(ValueError):
-    """Raised when an operation only defined for k = l = 0 gets twist."""
 
 
 @dataclass(frozen=True)
@@ -156,6 +157,32 @@ def _symbol(cfg: EvolutionConfig, direction: int) -> np.ndarray:
     return symbol_matrix(cfg.k, cfg.l, basis_vector(direction, covariant=True))
 
 
+def _centered_difference(u: np.ndarray, out: np.ndarray, dz: float) -> np.ndarray:
+    """out = (u[j + 1] - u[j - 1]) / (2 dz) along axis 0, periodic, with no temporary."""
+    np.subtract(u[2:], u[:-2], out=out[1:-1])
+    np.subtract(u[1:2], u[-1:], out=out[:1])
+    np.subtract(u[:1], u[-2:-1], out=out[-1:])
+    return np.multiply(out, 1.0 / (2.0 * dz), out=out)
+
+
+def _dirac(cfg: EvolutionConfig, u: np.ndarray, du_t: np.ndarray, sign: float) -> np.ndarray:
+    """Gamma^0 du_t + Gamma^3 D_z u + sign i m u for a (levels, points, fiber) field u.
+
+    ``du_t`` is the time derivative of u and is overwritten as scratch.
+    Both Gamma^a are monomial, so each term is a gather and a scale; the
+    z-difference and the result are the only fields allocated.
+    """
+    c0, w0 = _monomial(_symbol(cfg, 0))
+    c3, w3 = _monomial(_symbol(cfg, 3))
+    du_z = np.empty_like(u)
+    _centered_difference(u.swapaxes(0, 1), du_z.swapaxes(0, 1), cfg.dz)
+    out = np.take(du_t, c0, axis=-1)
+    out *= w0
+    out += np.multiply(np.take(du_z, c3, axis=-1, out=du_t, mode="clip"), w3, out=du_t)
+    out += np.multiply(u, sign * 1j * cfg.mass, out=du_t)
+    return out
+
+
 def _coerce_initial(phi0, cfg: EvolutionConfig) -> np.ndarray:
     if isinstance(phi0, np.ndarray):
         arr = np.asarray(phi0, dtype=complex)
@@ -188,7 +215,6 @@ def _leapfrog(phi0, cfg: EvolutionConfig) -> Iterator[np.ndarray]:
     a_cols, a_w = _monomial(-g0 @ _symbol(cfg, 3))
     b_cols, g0_w = _monomial(g0)
     b_w = -1j * cfg.mass * g0_w
-    inv2dz = 1.0 / (2.0 * dz)
     m2 = cfg.mass**2
 
     # Steps write into preallocated levels (mode="clip" keeps take unbuffered):
@@ -196,11 +222,8 @@ def _leapfrog(phi0, cfg: EvolutionConfig) -> Iterator[np.ndarray]:
     dzu, out, term = np.empty_like(u0), np.empty_like(u0), np.empty_like(u0)
 
     def rhs(u):
-        """L u = A D_z u + B u into ``out``, D_z the periodic centered difference."""
-        np.subtract(u[2:], u[:-2], out=dzu[1:-1])
-        np.subtract(u[1], u[-1], out=dzu[0])
-        np.subtract(u[0], u[-2], out=dzu[-1])
-        np.multiply(dzu, inv2dz, out=dzu)
+        """L u = A D_z u + B u into ``out``."""
+        _centered_difference(u, dzu, dz)
         np.multiply(np.take(dzu, a_cols, axis=1, out=out, mode="clip"), a_w, out=out)
         np.multiply(np.take(u, b_cols, axis=1, out=term, mode="clip"), b_w, out=term)
         return np.add(out, term, out=out)
@@ -353,11 +376,12 @@ def divergence_fold(
     worst = 0.0
     before = here = flux = None
     scratch = np.empty((2, cfg.points, cfg.fiber), dtype=complex)
+    dz_cur = np.empty(cfg.points, dtype=complex)
     for a, b in zip(levels_a, levels_b):
         ahead = _current_density(a, b, x0, scratch)
         if before is not None:
             dt_cur = (ahead - before) / (2.0 * cfg.dt)
-            dz_cur = (np.roll(flux, -1) - np.roll(flux, 1)) / (2.0 * cfg.dz)
+            _centered_difference(flux, dz_cur, cfg.dz)
             worst = np.maximum(worst, np.max(np.abs(dt_cur + dz_cur)))
         before, here = here, ahead
         flux = _current_density(a, b, x3, scratch)
@@ -430,7 +454,11 @@ def retarded_kernel(cfg: EvolutionConfig) -> np.ndarray:
     weights: 1 inside the cone, 1/2 on the boundary t = |z| (which lies on
     grid points because dt = dz), 1/4 at the apex. Shape
     (steps + 1, 2 points - 1), column index z = (j - points + 1) dz.
+    Raises ValueError off the aligned grid, where the cone edge falls
+    between grid points and those weights would land on the wrong samples.
     """
+    if abs(cfg.dt - cfg.dz) > 1e-12 * cfg.dz:
+        raise ValueError("retarded kernel needs the aligned grid dt = dz")
     n_t = cfg.steps + 1
     n_z = 2 * cfg.points - 1
     t = (np.arange(n_t) * cfg.dt)[:, None]
@@ -445,16 +473,8 @@ def retarded_kernel(cfg: EvolutionConfig) -> np.ndarray:
     return kernel * weight
 
 
-def retarded_green_apply(source: GridField, cfg: EvolutionConfig) -> GridField:
-    """Apply the retarded Green operator to an untwisted source field.
-
-    Computes u = E * f by linear (zero padded, non-periodic) convolution in
-    z and retarded summation in t, then G f = (D - i m) u with centered
-    derivatives (one sided at the time ends). Applying the equation
-    operator (D + i m) to the result reproduces f up to discretization
-    error on interior levels, and the output vanishes to round-off at
-    levels more than one stencil width before the source support. Sources
-    must stay clear of the z-boundary: the convolution is non-periodic.
+def _retarded_convolution(f: np.ndarray, cfg: EvolutionConfig) -> np.ndarray:
+    """u = E * f per fiber component, summed with the dt dz cell weight.
 
     The convolution is exact and runs through FFTs of size
     (L_t, L_z) = (next_fast_len(2 n_t - 1), next_fast_len(2 n - 1)) for
@@ -467,11 +487,6 @@ def retarded_green_apply(source: GridField, cfg: EvolutionConfig) -> GridField:
     transformed along t on its n data columns only (the padding is zero),
     and only the n window columns are transformed back along t.
     """
-    if cfg.k != 0 or cfg.l != 0:
-        raise UnsupportedTwist("the retarded kernel is implemented for k = l = 0")
-    if abs(cfg.dt - cfg.dz) > 1e-12 * cfg.dz:
-        raise ValueError("retarded kernel needs the aligned grid dt = dz")
-    f = source.data
     n_t, n_pts = cfg.steps + 1, cfg.points
     shape = (sfft.next_fast_len(2 * n_t - 1), sfft.next_fast_len(2 * n_pts - 1))
     kernel_hat = sfft.fft2(retarded_kernel(cfg), s=shape)
@@ -482,14 +497,31 @@ def retarded_green_apply(source: GridField, cfg: EvolutionConfig) -> GridField:
         spec *= kernel_hat
         cols = sfft.ifft(spec, axis=1, overwrite_x=True)[:, window]
         u[:, :, c] = sfft.ifft(cols, axis=0, overwrite_x=True)[:n_t]
+        del spec, cols  # else they stay live while the next component's spectrum is built
     u *= cfg.dt * cfg.dz
+    return u
 
-    g0 = symbol_matrix(0, 0, basis_vector(0, covariant=True))
-    g3 = symbol_matrix(0, 0, basis_vector(3, covariant=True))
+
+def retarded_green_apply(source: GridField, cfg: EvolutionConfig) -> GridField:
+    """Apply the retarded Green operator to a source field of any twist (k, l).
+
+    Computes u = E * f by linear (zero padded, non-periodic) convolution in
+    z and retarded summation in t, then G f = (D - i m) u with centered
+    derivatives (one sided at the time ends). Applying the equation
+    operator (D + i m) to the result reproduces f up to discretization
+    error on interior levels, and the output vanishes to round-off at
+    levels more than one stencil width before the source support. Sources
+    must stay clear of the z-boundary: the convolution is non-periodic.
+
+    Any twist (k, l) works: E is scalar and Gamma(e^a) = kron(G(e^a), I)
+    acts on the chiral axes only, so u is convolved per fiber component.
+    ValueError when ``cfg`` is not ``source.config`` or not aligned.
+    """
+    if source.config != cfg:
+        raise ValueError(f"source was built for {source.config}, not {cfg}")
+    u = _retarded_convolution(source.data, cfg)
     du_t = np.gradient(u, cfg.dt, axis=0)
-    du_z = (np.roll(u, -1, axis=1) - np.roll(u, 1, axis=1)) / (2.0 * cfg.dz)
-    out = du_t @ g0.T + du_z @ g3.T - 1j * cfg.mass * u
-    return GridField(cfg, out)
+    return GridField(cfg, _dirac(cfg, u, du_t, -1.0))
 
 
 def config_to_json(cfg: EvolutionConfig) -> dict:
@@ -568,20 +600,21 @@ def green_residual(result: GridField, source: GridField) -> float:
 
     Uses centered differences and drops two levels at each end of the time
     axis, where the one-sided derivatives inside the Green application
-    contaminate the comparison.
+    contaminate the comparison. Raises ValueError when the two fields were
+    built for different configs.
     """
     cfg = result.config
+    if source.config != cfg:
+        raise ValueError(f"result was built for {cfg}, source for {source.config}")
     if cfg.steps < 6:
         raise ValueError("need more time levels for an interior residual")
-    g0 = symbol_matrix(0, 0, basis_vector(0, covariant=True))
-    g3 = symbol_matrix(0, 0, basis_vector(3, covariant=True))
     u = result.data
-    du_t = (u[2:] - u[:-2]) / (2.0 * cfg.dt)
-    du_z = (np.roll(u, -1, axis=1) - np.roll(u, 1, axis=1))[1:-1] / (2.0 * cfg.dz)
-    lhs = du_t @ g0.T + du_z @ g3.T + 1j * cfg.mass * u[1:-1]
-    diff = lhs - source.data[1:-1]
+    du_t = np.subtract(u[2:], u[:-2])
+    du_t /= 2.0 * cfg.dt
+    diff = _dirac(cfg, u[1:-1], du_t, 1.0)
+    diff -= source.data[1:-1]
     # drop one more level at each time end (one-sided derivatives inside the
-    # Green application live there) and the two seam columns the z-roll wraps
+    # Green application live there) and the two seam columns the z-difference wraps
     interior = diff[1:-1, 1:-1]
     scale = max(float(np.max(np.abs(source.data))), 1e-300)
     return float(np.max(np.abs(interior)) / scale)

@@ -214,26 +214,35 @@ def test_causality_audit_rejects_bad_initial_data():
 
 
 def _pulse_source(cfg):
+    """A (t, z) bump on fiber components 0 and 3 of twist slot 0."""
     z = cfg.zgrid()
     t = cfg.times()
     tt, zz = np.meshgrid(t, z, indexing="ij")
     profile = bump((tt - cfg.extent / 4) / (cfg.extent / 8)) * bump(
         (zz - cfg.extent / 2) / (cfg.extent / 8)
     )
-    data = np.zeros((cfg.steps + 1, cfg.points, 4), dtype=complex)
+    data = np.zeros((cfg.steps + 1, cfg.points, cfg.fiber), dtype=complex)
     data[:, :, 0] = profile
-    data[:, :, 3] = 0.5j * profile
+    data[:, :, 3 * (cfg.k + 1) * (cfg.l + 1)] = 0.5j * profile
     return ev.GridField(cfg, data)
 
 
 def test_green_operator_inverts_the_field_operator():
+    # Gamma(e^a) = kron(G(e^a), I) and the kernel is scalar, so a pulse on one
+    # twist slot sees exactly the untwisted problem
+    n_pts = 128
+    dz = 16.0 / n_pts
     for mass in (0.0, 1.0):
-        n_pts = 128
-        dz = 16.0 / n_pts
-        cfg = small_config(mass=mass, extent=16.0, points=n_pts, dt=dz, steps=n_pts // 2)
-        source = _pulse_source(cfg)
-        result = ev.retarded_green_apply(source, cfg)
-        assert ev.green_residual(result, source) < 5e-2
+        residuals = []
+        for k in (0, 1, 2):
+            cfg = small_config(
+                mass=mass, k=k, l=k, extent=16.0, points=n_pts, dt=dz, steps=n_pts // 2
+            )
+            source = _pulse_source(cfg)
+            result = ev.retarded_green_apply(source, cfg)
+            residuals.append(ev.green_residual(result, source))
+        assert residuals[0] < 5e-2
+        assert residuals[1:] == pytest.approx([residuals[0]] * 2, rel=1e-12)
 
 
 def test_green_output_vanishes_before_the_source():
@@ -259,23 +268,25 @@ def _direct_green(f, cfg):
                 for y in range(n_pts):
                     u[t, z] += kernel[t - s, z - y + n_pts - 1] * f[s, y]
     u *= cfg.dt * cfg.dz
-    g0 = hs.symbol_matrix(0, 0, mk.basis_vector(0, covariant=True))
-    g3 = hs.symbol_matrix(0, 0, mk.basis_vector(3, covariant=True))
+    g0 = hs.symbol_matrix(cfg.k, cfg.l, mk.basis_vector(0, covariant=True))
+    g3 = hs.symbol_matrix(cfg.k, cfg.l, mk.basis_vector(3, covariant=True))
     du_t = np.gradient(u, cfg.dt, axis=0)
     du_z = (np.roll(u, -1, axis=1) - np.roll(u, 1, axis=1)) / (2.0 * cfg.dz)
     return du_t @ g0.T + du_z @ g3.T - 1j * cfg.mass * u
 
 
 # at 12 points and 7 levels both FFT lengths pad: 2 n_t - 1 = 13 -> 14, 2 n - 1 = 23 -> 24
-@pytest.mark.parametrize("mass", [0.0, 1.0])
+@pytest.mark.parametrize(
+    "mass, k", [(0.0, 0), (1.0, 0), (0.0, 1), (1.0, 1)], ids=["0.0", "1.0", "0.0-k1", "1.0-k1"]
+)
 @pytest.mark.parametrize("points", [8, 12, 16])
 @pytest.mark.parametrize("more_levels", [False, True])
-def test_green_convolution_matches_a_direct_sum(points, mass, more_levels):
+def test_green_convolution_matches_a_direct_sum(points, mass, k, more_levels):
     steps = points + 3 if more_levels else points // 2
     dz = 4.0 / points
-    cfg = small_config(mass=mass, extent=4.0, points=points, dt=dz, steps=steps)
+    cfg = small_config(mass=mass, k=k, l=k, extent=4.0, points=points, dt=dz, steps=steps)
     rng = np.random.default_rng(points + steps)
-    shape = (steps + 1, points, 4)
+    shape = (steps + 1, points, cfg.fiber)
     source = ev.GridField(cfg, rng.normal(size=shape) + 1j * rng.normal(size=shape))
     expect = _direct_green(source.data, cfg)
     got = ev.retarded_green_apply(source, cfg).data
@@ -291,14 +302,51 @@ def test_importing_spinlab_does_not_load_scipy_signal():
 
 
 def test_green_operator_guards_its_preconditions():
-    cfg = small_config(k=1, l=1, points=16, extent=4.0, dt=0.25, steps=8)
-    field = ev.GridField(cfg, np.zeros((9, 16, cfg.fiber), dtype=complex))
-    with pytest.raises(ev.UnsupportedTwist):
-        ev.retarded_green_apply(field, cfg)
-    cfg2 = small_config(points=16, extent=4.0, dt=0.1, steps=8)
-    field2 = ev.GridField(cfg2, np.zeros((9, 16, 4), dtype=complex))
+    cfg = small_config(points=16, extent=4.0, dt=0.1, steps=8)
+    field = ev.GridField(cfg, np.zeros((9, 16, 4), dtype=complex))
     with pytest.raises(ValueError):
-        ev.retarded_green_apply(field2, cfg2)
+        ev.retarded_green_apply(field, cfg)
+
+
+def test_retarded_kernel_refuses_a_non_aligned_grid():
+    # with dt != dz the cone edge t = |z| falls between samples, so the
+    # 1/2 edge weights would sit on the wrong points
+    with pytest.raises(ValueError, match="aligned"):
+        ev.retarded_kernel(small_config(points=16, extent=4.0, dt=0.1, steps=8))
+
+
+def test_green_apply_refuses_a_source_built_for_another_config():
+    massless = small_config(mass=0.0, points=16, extent=4.0, dt=0.25, steps=8)
+    source = ev.GridField(massless, np.ones((9, 16, 4), dtype=complex))
+    with pytest.raises(ValueError):
+        ev.retarded_green_apply(source, small_config(points=16, extent=4.0, dt=0.25, steps=8))
+
+
+def test_green_residual_refuses_fields_of_different_configs():
+    massless = small_config(mass=0.0, points=16, extent=4.0, dt=0.25, steps=8)
+    massive = small_config(points=16, extent=4.0, dt=0.25, steps=8)
+    source = ev.GridField(massless, np.ones((9, 16, 4), dtype=complex))
+    result = ev.GridField(massive, np.zeros((9, 16, 4), dtype=complex))
+    with pytest.raises(ValueError):
+        ev.green_residual(result, source)
+
+
+def test_green_operator_holds_at_most_five_fields():
+    # u = E * f, its two derivatives and the output are the four fields the
+    # apply must hold at once; the convolution before them holds u, the
+    # kernel's spectrum and one component's, each about one k = 0 field of
+    # (2 n_t)(2 n) cells. The bound allows one more transient field.
+    n_pts = 256
+    dz = 16.0 / n_pts
+    cfg = small_config(mass=1.0, extent=16.0, points=n_pts, dt=dz, steps=n_pts // 2)
+    source = _pulse_source(cfg)
+    tracemalloc.start()
+    try:
+        ev.retarded_green_apply(source, cfg)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 5 * source.data.nbytes
 
 
 def test_retarded_kernel_weights_massless_case():

@@ -161,7 +161,7 @@ def cmd_green(args) -> int:
         return 2
     print(f"green demo: mass={args.m} points={n_pts} residual={residual:.3e} "
           f"support-leak={leak:.3e}")
-    return 0 if residual <= 5e-2 and leak <= 1e-8 else 1
+    return 0 if residual <= checks.GREEN_RESIDUAL_TOL and leak <= checks.GREEN_SUPPORT_TOL else 1
 
 
 def cmd_report(args) -> int:

@@ -18,7 +18,7 @@ import itertools
 import numpy as np
 from scipy.linalg import expm
 
-from .minkowski import LorentzVector, basis_vector, is_restricted_lorentz, metric_eval
+from .minkowski import DEFAULT_TOL, ETA, is_restricted_lorentz
 
 PAULI = np.array(
     [
@@ -30,7 +30,7 @@ PAULI = np.array(
     dtype=complex,
 )
 
-DEFAULT_TOL = 1e-9
+_INTERTWINER_TRIES = 8
 
 
 class NotUnimodular(ValueError):
@@ -67,17 +67,8 @@ def dirac_gammas() -> np.ndarray:
     return gammas
 
 
-def dirac_collection_check(
-    gammas: np.ndarray, basis: list[LorentzVector] | None = None
-) -> float:
-    """Max deviation of the anticommutators from 2 eta(b_a, b_b) Id.
-
-    ``basis`` defaults to the standard contravariant frame; passing a
-    different frame checks the collection against that frame's metric
-    values instead.
-    """
-    if basis is None:
-        basis = [basis_vector(a) for a in range(4)]
+def dirac_collection_check(gammas: np.ndarray) -> float:
+    """Max deviation of the anticommutators from 2 eta_ab Id."""
     gammas = np.asarray(gammas, dtype=complex)
     dim = gammas.shape[1]
     eye = np.eye(dim)
@@ -85,7 +76,7 @@ def dirac_collection_check(
     for a in range(4):
         for b in range(4):
             anti = gammas[a] @ gammas[b] + gammas[b] @ gammas[a]
-            target = 2.0 * metric_eval(basis[a], basis[b]) * eye
+            target = 2.0 * ETA[a, b] * eye
             worst = max(worst, float(np.max(np.abs(anti - target))))
     return worst
 
@@ -114,15 +105,14 @@ def pauli_intertwiner(
     gammas_from: np.ndarray,
     gammas_to: np.ndarray,
     seed: int = 0,
-    max_tries: int = 8,
 ) -> np.ndarray:
     """Invertible S with gammas_to[a] = S @ gammas_from[a] @ inv(S).
 
     Averages a random matrix F over the 16 basis monomials,
     S = sum_A m'_A F inv(m_A); the sum commutes with the two actions by
     construction, so any invertible candidate intertwines. Singular
-    candidates are retried with fresh F up to ``max_tries`` times. The seed
-    is explicit so concurrent callers stay deterministic.
+    candidates are retried with fresh F up to 8 times. The seed is explicit
+    so concurrent callers stay deterministic.
     """
     gammas_to = np.asarray(gammas_to, dtype=complex)
     mono_from = clifford_basis_monomials(gammas_from)
@@ -130,7 +120,7 @@ def pauli_intertwiner(
     inv_from = np.array([np.linalg.inv(m) for m in mono_from])
     rng = np.random.default_rng(seed)
     dim = mono_from.shape[1]
-    for _ in range(max_tries):
+    for _ in range(_INTERTWINER_TRIES):
         f = rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))
         cand = np.einsum("aij,jk,akl->il", mono_to, f, inv_from)
         sv = np.linalg.svd(cand, compute_uv=False)
@@ -146,7 +136,7 @@ def pauli_intertwiner(
                     "conjugate gamma collections"
                 )
             return cand
-    raise SingularIntertwiner(f"no invertible candidate after {max_tries} tries")
+    raise SingularIntertwiner(f"no invertible candidate after {_INTERTWINER_TRIES} tries")
 
 
 def spin_generators() -> tuple[np.ndarray, np.ndarray]:
@@ -216,18 +206,18 @@ def exp_spin(a, b) -> tuple[np.ndarray, np.ndarray]:
     return expm(gen2), expm(gen4)
 
 
-def covering_lambda(s2: np.ndarray, tol: float = DEFAULT_TOL) -> np.ndarray:
+def covering_lambda(s2: np.ndarray) -> np.ndarray:
     """Restricted Lorentz matrix of the covering action H -> S H S^dag.
 
     Column b holds the Pauli-basis coefficients of S s_b S^dag, read off
     with the trace pairing tr(s_a s_b) = 2 delta_ab. The result is the same
-    for S and -S. Raises InvariantViolation when the coefficients come out
-    complex or the result fails the restricted-group test at tolerance
-    max(tol, 1e-9).
+    for S and -S. Raises NotUnimodular when |det S - 1| exceeds DEFAULT_TOL,
+    and InvariantViolation when the coefficients come out complex or the
+    result fails the restricted-group test.
     """
     s2 = np.asarray(s2, dtype=complex)
     det = np.linalg.det(s2)
-    if abs(det - 1.0) > tol:
+    if abs(det - 1.0) > DEFAULT_TOL:
         raise NotUnimodular(f"det = {det}, expected 1")
     lam = np.empty((4, 4), dtype=float)
     for b in range(4):
@@ -238,6 +228,6 @@ def covering_lambda(s2: np.ndarray, tol: float = DEFAULT_TOL) -> np.ndarray:
         if not imag < 1e-10:
             raise InvariantViolation(f"complex Pauli coefficients (imag {imag:.3e})")
         lam[:, b] = coeff.real
-    if not is_restricted_lorentz(lam, tol=max(tol, 1e-9)):
+    if not is_restricted_lorentz(lam):
         raise InvariantViolation("covering output left the restricted group")
     return lam

@@ -54,7 +54,6 @@ from .clifford import InvariantViolation
 from .higher_spin import (
     KNotEqualL,
     fiber_dim,
-    pack,
     pairing_matrix,
     symbol_matrix,
     unpack,
@@ -184,10 +183,7 @@ def _dirac(cfg: EvolutionConfig, u: np.ndarray, du_t: np.ndarray, sign: float) -
 
 
 def _coerce_initial(phi0, cfg: EvolutionConfig) -> np.ndarray:
-    if isinstance(phi0, np.ndarray):
-        arr = np.asarray(phi0, dtype=complex)
-    else:
-        arr = np.array([pack(v) for v in phi0], dtype=complex)
+    arr = np.asarray(phi0, dtype=complex)
     if arr.shape != (cfg.points, cfg.fiber):
         raise ValueError(f"initial data shape {arr.shape}, expected {(cfg.points, cfg.fiber)}")
     return arr
@@ -257,27 +253,21 @@ def final_level(phi0, cfg: EvolutionConfig) -> np.ndarray:
     return deque(_leapfrog(phi0, cfg), maxlen=1)[0]
 
 
+@dataclass(frozen=True)
 class PlaneWave:
-    """On-shell plane wave u exp(-i (s omega t - p z)) with packed profile u."""
+    """On-shell plane wave u exp(-i (sign omega t - p z)) with packed profile u."""
 
-    def __init__(self, cfg_k: int, cfg_l: int, u: np.ndarray, omega: float, p: float, branch: str):
-        self.k = cfg_k
-        self.l = cfg_l
-        self.u = u
-        self.omega = omega
-        self.p = p
-        self.branch = branch
-        self._sign = +1.0 if branch == "+" else -1.0
+    u: np.ndarray
+    omega: float
+    p: float
+    sign: float
 
     def phase(self, t: float, z) -> np.ndarray:
-        return np.exp(-1j * (self._sign * self.omega * t - self.p * np.asarray(z)))
+        return np.exp(-1j * (self.sign * self.omega * t - self.p * np.asarray(z)))
 
     def sample(self, t: float, zgrid: np.ndarray) -> np.ndarray:
         """Packed field values on a grid, shape (len(zgrid), fiber)."""
         return self.phase(t, zgrid)[:, None] * self.u[None, :]
-
-    def __call__(self, t: float, z: float):
-        return unpack(self.u * self.phase(t, float(z)), self.k, self.l)
 
 
 def plane_wave(
@@ -312,7 +302,7 @@ def plane_wave(
             residual = float(np.linalg.norm(s_p @ u - mass * u))
             if not residual < 1e-12:
                 raise InvariantViolation(f"plane wave off shell: residual {residual:.3e}")
-            return PlaneWave(k, l, u, omega, p, branch)
+            return PlaneWave(u, omega, p, sign)
     raise ZeroProjection("all chiral seeds were annihilated by the projector")
 
 
@@ -510,8 +500,13 @@ def retarded_green_apply(source: GridField, cfg: EvolutionConfig) -> GridField:
     derivatives (one sided at the time ends). Applying the equation
     operator (D + i m) to the result reproduces f up to discretization
     error on interior levels, and the output vanishes to round-off at
-    levels more than one stencil width before the source support. Sources
-    must stay clear of the z-boundary: the convolution is non-periodic.
+    levels more than one stencil width before the source support.
+
+    Precondition, not checked: the solution's cone, not only the source,
+    must stay off columns 0 and n - 1 for the whole run. The convolution is
+    non-periodic but D takes the periodic z-difference, so once the cone
+    reaches the z-edge those columns pick up an O(1/dz) error and the
+    residual grows under refinement.
 
     Any twist (k, l) works: E is scalar and Gamma(e^a) = kron(G(e^a), I)
     acts on the chiral axes only, so u is convolved per fiber component.

@@ -138,16 +138,6 @@ class HigherSpinVector:
         if worst > 1e-10 * scale:
             raise ValueError(f"twist axes are not symmetric (residual {worst:.3e})")
 
-    def __add__(self, other: "HigherSpinVector") -> "HigherSpinVector":
-        if (self.k, self.l) != (other.k, other.l):
-            raise ValueError("twist type mismatch")
-        return HigherSpinVector(
-            self.k,
-            self.l,
-            Spinor(self.phi1.data + other.phi1.data, self.phi1.tags),
-            Spinor(self.phi2.data + other.phi2.data, self.phi2.tags),
-        )
-
     def __mul__(self, scalar: complex) -> "HigherSpinVector":
         return HigherSpinVector(
             self.k,
@@ -397,21 +387,20 @@ def gram_signature(
     k: int,
     xi: LorentzVector | None = None,
     require_future: bool = True,
-    tol_factor: float = 1e-10,
 ) -> tuple[int, int, int]:
     """Signature (n_plus, n_minus, n_zero) of the xi-form on type (k, k).
 
     ``xi`` defaults to the covariant time direction. The public contract
     wants timelike future-pointing xi; ``require_future=False`` lets tests
     evaluate past-pointing directions deliberately. Eigenvalues within
-    tol_factor times the spectral radius count as zero.
+    1e-10 times the spectral radius count as zero.
     """
     if xi is None:
         xi = basis_vector(0, covariant=True)
     if require_future:
         xi = _require_timelike_future(xi)
     eig = np.linalg.eigvalsh(gram_matrix(k, xi))
-    tol = tol_factor * max(float(np.max(np.abs(eig))), 1e-30)
+    tol = 1e-10 * max(float(np.max(np.abs(eig))), 1e-30)
     n_plus = int(np.sum(eig > tol))
     n_minus = int(np.sum(eig < -tol))
     return n_plus, n_minus, len(eig) - n_plus - n_minus
@@ -448,13 +437,14 @@ def witness_pair(
     return (plus, q_plus), (minus, q_minus)
 
 
-def twisted_positivity_check(form: np.ndarray, tol_factor: float = 1e-12) -> bool:
+def twisted_positivity_check(form: np.ndarray) -> bool:
     """Whether the Dirac form tensor a twist-factor form is positive definite.
 
     ``form`` is the Hermitian Gram matrix of the twist factor; the Dirac
     factor is the time-direction form at k = 0 (computed, not assumed).
     Positivity of the product form holds exactly when ``form`` itself is
-    positive definite.
+    positive definite. The product counts as positive definite when its
+    smallest eigenvalue exceeds 1e-12 times its spectral radius.
     """
     form = np.asarray(form, dtype=complex)
     if form.ndim != 2 or form.shape[0] != form.shape[1]:
@@ -468,6 +458,6 @@ def twisted_positivity_check(form: np.ndarray, tol_factor: float = 1e-12) -> boo
     dirac_gram = gram_matrix(0, basis_vector(0, covariant=True))
     total = np.kron(dirac_gram, 0.5 * (form + form.conj().T))
     eig = np.linalg.eigvalsh(total)
-    tol = tol_factor * max(float(np.max(np.abs(eig))), 1e-30)
+    tol = 1e-12 * max(float(np.max(np.abs(eig))), 1e-30)
     return bool(eig[0] > tol)
 

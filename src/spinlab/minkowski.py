@@ -62,9 +62,6 @@ class LorentzVector:
 
     __rmul__ = __mul__
 
-    def __neg__(self) -> "LorentzVector":
-        return LorentzVector(-self.components, self.covariant)
-
 
 def basis_vector(a: int, covariant: bool = False) -> LorentzVector:
     """Standard basis vector e_a (a in 0..3)."""
@@ -90,51 +87,52 @@ def _require_real(x: LorentzVector, what: str) -> np.ndarray:
     return x.components.real
 
 
-def classify_causal(x: LorentzVector, tol: float = DEFAULT_TOL) -> tuple[str, str]:
+def classify_causal(x: LorentzVector) -> tuple[str, str]:
     """Causal class and time orientation of a real vector.
 
     Returns (cls, orientation) with cls in {"timelike", "null", "spacelike"}
     and orientation in {"future", "past", "none"}. Vectors with
-    |eta(x, x)| <= tol are reported null; for causal vectors the orientation
-    follows the sign of the contravariant time component against the
-    orientation vector e_0, with "none" inside the same tolerance. Spacelike
-    vectors have no invariant time orientation and always report "none";
-    the zero vector is ("null", "none").
+    |eta(x, x)| <= DEFAULT_TOL are reported null; for causal vectors the
+    orientation follows the sign of the contravariant time component against
+    the orientation vector e_0, with "none" inside the same tolerance.
+    Spacelike vectors have no invariant time orientation and always report
+    "none"; the zero vector is ("null", "none").
     """
     _require_real(x, "classify_causal")
     up = x.raised()
     q = metric_eval(x, x).real
-    if abs(q) <= tol:
+    if abs(q) <= DEFAULT_TOL:
         cls = "null"
     elif q > 0:
         cls = "timelike"
     else:
         cls = "spacelike"
     t = up.components[0].real
-    if cls == "spacelike" or abs(t) <= tol:
+    if cls == "spacelike" or abs(t) <= DEFAULT_TOL:
         orientation = "none"
-    elif t > tol:
+    elif t > DEFAULT_TOL:
         orientation = "future"
     else:
         orientation = "past"
     return cls, orientation
 
 
-def is_restricted_lorentz(lam: np.ndarray, tol: float = DEFAULT_TOL) -> bool:
+def is_restricted_lorentz(lam: np.ndarray) -> bool:
     """True when lam preserves the metric, has det > 0, and lam[0,0] >= 1-tol.
 
-    The two positivity conditions select the identity component (proper and
-    orthochronous) among metric-preserving matrices.
+    tol is DEFAULT_TOL, which also bounds the metric gap and any imaginary
+    part. The two positivity conditions select the identity component
+    (proper and orthochronous) among metric-preserving matrices.
     """
     lam = np.asarray(lam)
     if lam.shape != (4, 4):
         return False
     if np.iscomplexobj(lam):
-        if np.max(np.abs(lam.imag)) > tol:
+        if np.max(np.abs(lam.imag)) > DEFAULT_TOL:
             return False
         lam = lam.real
-    if np.max(np.abs(lam.T @ ETA @ lam - ETA)) > tol:
+    if np.max(np.abs(lam.T @ ETA @ lam - ETA)) > DEFAULT_TOL:
         return False
     if np.linalg.det(lam) <= 0:
         return False
-    return bool(lam[0, 0] >= 1.0 - tol)
+    return bool(lam[0, 0] >= 1.0 - DEFAULT_TOL)

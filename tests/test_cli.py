@@ -236,6 +236,21 @@ def test_restarted_snapshots_carry_the_elapsed_time(tmp_path):
         source = out_path
 
 
+def test_evolve_with_unequal_ranks_writes_the_final_level_without_drift(tmp_path, capsys):
+    cfg = ev.EvolutionConfig(mass=0.5, k=1, l=0, extent=16.0, points=64,
+                             dt=0.125, steps=20)
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps(ev.config_to_json(cfg)))
+    out_path = tmp_path / "final.json"
+    assert cli.run(["evolve", "--config", str(cfg_path), "--out", str(out_path)]) == 0
+    assert capsys.readouterr().out == "evolved 20 steps\n"
+    _, _, data = ev.snapshot_from_json(json.loads(out_path.read_text()))
+    # the packet cmd_evolve builds from a bare config
+    wave = ev.plane_wave(2 * np.pi * 4 / cfg.extent, cfg.mass, cfg.k, cfg.l)
+    initial = checks.packet_initial(cfg, wave.u, cfg.extent / 8, 4)
+    np.testing.assert_array_equal(data, ev.final_level(initial, cfg))
+
+
 # 8 points leave too few time levels for an interior residual; 0 has no grid
 @pytest.mark.parametrize("points", ["8", "0"])
 def test_green_rejects_unusable_point_counts(tmp_path, capsys, points):
@@ -252,6 +267,17 @@ def test_green_subcommand_writes_a_snapshot(tmp_path, capsys):
     assert "residual=" in capsys.readouterr().out
     snap = json.loads(out_path.read_text())
     assert len(snap["values"]) == 128
+
+
+def test_report_runs_every_suite_and_passes_at_seed_zero(tmp_path, capsys):
+    out_path = tmp_path / "report.json"
+    assert cli.run(["report", "--seed", "0", "--no-timings", "--json", str(out_path)]) == 0
+    assert capsys.readouterr().out.endswith("total: 89/89 passed -> pass\n")
+    report = json.loads(out_path.read_text())
+    rows = [row for suite in report["suites"] for row in suite["checks"]]
+    assert len(rows) == 89
+    assert len({row["id"] for row in rows}) == 89
+    assert all(row["status"] == "pass" for row in rows)
 
 
 def test_full_report_structure(tmp_path):

@@ -76,7 +76,7 @@ def test_plane_wave_is_on_shell():
             wave = ev.plane_wave(1.3, mass, branch=branch)
             assert wave.omega == pytest.approx(np.hypot(1.3, mass))
             p_cov = mk.LorentzVector(
-                np.array([wave._sign * wave.omega, 0.0, 0.0, -wave.p]), covariant=True
+                np.array([wave.sign * wave.omega, 0.0, 0.0, -wave.p]), covariant=True
             )
             mat = hs.symbol_matrix(0, 0, p_cov)
             assert np.linalg.norm(mat @ wave.u - mass * wave.u) < 1e-12

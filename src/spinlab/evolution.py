@@ -34,9 +34,15 @@ component for any twist (k, l): E is scalar and Gamma(e^a) = kron(G(e^a), I)
 touches only the chiral axes, so the twisted operator is the untwisted one
 applied per twist slot. The convolution is linear (not periodic), and only
 its retarded window, the n_t levels and n points of the source grid, is
-needed, so it runs as a cyclic FFT convolution of size
-next_fast_len(2 n_t - 1) x next_fast_len(2 n - 1): the smallest fast sizes
-for which no wrapped term reaches that window (see ``_retarded_convolution``).
+needed. It transforms only the source's support: the levels up to its last
+nonzero one, t1, its nonzero columns z0 .. z1 (width b) and its nonzero
+fiber components. So it runs as a cyclic FFT convolution of size
+next_fast_len(n_t + t1) x next_fast_len(n + b - 1), against the n + b - 1
+kernel columns that reach the window. These are the smallest fast sizes for
+which no wrapped term reaches the window: in z a wrapped index lands at or
+below b - 2, left of it, as in overlap-save (see ``_retarded_convolution``).
+A source that fills the grid gets next_fast_len(2 n_t - 1) x
+next_fast_len(2 n - 1).
 """
 
 from __future__ import annotations
@@ -415,8 +421,11 @@ def causal_support_check(phi0, cfg: EvolutionConfig) -> dict:
     idx = np.arange(cfg.points)
     # np.maximum, unlike max(), keeps a NaN level visible in the result
     peak = exact_outside = cone_leak = 0.0
+    # one |u| buffer for every level: a level-sized temporary per step makes
+    # glibc trim and refault its heap (see _leapfrog)
+    mag, amp = np.empty(u0.shape), np.empty(cfg.points)
     for n, u in enumerate(_leapfrog(u0, cfg)):
-        amp = np.max(np.abs(u), axis=1)
+        np.max(np.abs(u, out=mag), axis=1, out=amp)
         peak = np.maximum(peak, np.max(amp))
         lo, hi = ia - n, ib + n
         if hi - lo + 1 < cfg.points:
@@ -463,27 +472,66 @@ def retarded_kernel(cfg: EvolutionConfig) -> np.ndarray:
     return kernel * weight
 
 
+def _source_support(f: np.ndarray) -> tuple[int, int, int, np.ndarray]:
+    """(t1, z0, z1, components): where a (levels, points, fiber) source is nonzero.
+
+    t1 is its last nonzero level, z0 .. z1 its nonzero column range and
+    components the indices of its nonzero fiber components (empty, with
+    t1 = z0 = z1 = -1, for an all-zero source). The one pass over |f| that
+    finds them also refuses a NaN or infinite entry with ValueError, which
+    the transforms would otherwise spread over a whole output component.
+    """
+    amp = np.abs(f)
+    # max keeps a NaN; the reductions run along whole rows, not the short fiber axis
+    levels = amp.reshape(len(amp), -1).max(axis=1)
+    columns = amp.max(axis=0)
+    peaks = columns.max(axis=0)
+    if not np.all(np.isfinite(peaks)):
+        raise ValueError("source holds a non-finite value")
+    components = np.flatnonzero(peaks)
+    if components.size == 0:
+        return -1, -1, -1, components
+    rows = np.flatnonzero(levels)
+    cols = np.flatnonzero(columns.max(axis=1))
+    return int(rows[-1]), int(cols[0]), int(cols[-1]), components
+
+
 def _retarded_convolution(f: np.ndarray, cfg: EvolutionConfig) -> np.ndarray:
     """u = E * f per fiber component, summed with the dt dz cell weight.
 
-    The convolution is exact and runs through FFTs of size
-    (L_t, L_z) = (next_fast_len(2 n_t - 1), next_fast_len(2 n - 1)) for
-    n_t levels and n points; the kernel is transformed once per call. Only
-    rows 0 .. n_t - 1 and columns n - 1 .. 2 n - 2 of the full linear
-    convolution are kept, and the cyclic wrap cannot reach them: in t the
-    full result spans 2 n_t - 1 <= L_t rows, so nothing wraps, and in z it
-    spans indices 0 .. 3 n - 3, so an index that wraps lands at or below
-    3 n - 3 - L_z <= n - 2, left of the window. Each component is
-    transformed along t on its n data columns only (the padding is zero),
-    and only the n window columns are transformed back along t.
+    The convolution is exact and transforms only the source's support:
+    rows 0 .. t1 (t1 its last nonzero level; the leading rows stay, so the
+    levels before the source are computed, not set to zero) and columns
+    z0 .. z1 (width b), of each component that is not identically zero.
+    Only the kernel columns n - 1 - z1 .. 2 n - 2 - z0 (n + b - 1 offsets)
+    reach an output point, and the FFT size is
+    (L_t, L_z) = (next_fast_len(n_t + t1), next_fast_len(n + b - 1)) for
+    n_t levels and n points. Rows 0 .. n_t - 1 and columns b - 1 .. n + b - 2
+    of the linear convolution of that kernel slice with the support are u,
+    and the cyclic wrap cannot reach them: in t the full result spans
+    n_t + t1 <= L_t rows, so nothing wraps, and in z it spans indices
+    0 .. n + 2 b - 3, so an index that wraps lands at or below
+    n + 2 b - 3 - L_z <= b - 2, left of the window (the valid part of an
+    overlap-save step). A full-support source gets the sizes
+    (next_fast_len(2 n_t - 1), next_fast_len(2 n - 1)); a zero component's
+    output is exact zeros and an all-zero source runs no transform. The
+    kernel is transformed once per call, each component along t on its b
+    data columns only, and only the n window columns are transformed back
+    along t. ValueError on a non-finite source (see ``_source_support``).
     """
     n_t, n_pts = cfg.steps + 1, cfg.points
-    shape = (sfft.next_fast_len(2 * n_t - 1), sfft.next_fast_len(2 * n_pts - 1))
-    kernel_hat = sfft.fft2(retarded_kernel(cfg), s=shape)
-    window = slice(n_pts - 1, 2 * n_pts - 1)
-    u = np.empty_like(f)
-    for c in range(f.shape[2]):
-        spec = sfft.fft(sfft.fft(f[:, :, c], n=shape[0], axis=0), n=shape[1], axis=1)
+    kernel = retarded_kernel(cfg)  # refuses a non-aligned grid, a zero source too
+    t1, z0, z1, components = _source_support(f)
+    u = np.zeros_like(f)
+    if components.size == 0:
+        return u
+    width = z1 - z0 + 1
+    shape = (sfft.next_fast_len(n_t + t1), sfft.next_fast_len(n_pts + width - 1))
+    kernel_hat = sfft.fft2(kernel[:, n_pts - 1 - z1 : 2 * n_pts - 1 - z0], s=shape)
+    window = slice(width - 1, width - 1 + n_pts)
+    for c in components:
+        support = f[: t1 + 1, z0 : z1 + 1, c]
+        spec = sfft.fft(sfft.fft(support, n=shape[0], axis=0), n=shape[1], axis=1)
         spec *= kernel_hat
         cols = sfft.ifft(spec, axis=1, overwrite_x=True)[:, window]
         u[:, :, c] = sfft.ifft(cols, axis=0, overwrite_x=True)[:n_t]
@@ -510,7 +558,8 @@ def retarded_green_apply(source: GridField, cfg: EvolutionConfig) -> GridField:
 
     Any twist (k, l) works: E is scalar and Gamma(e^a) = kron(G(e^a), I)
     acts on the chiral axes only, so u is convolved per fiber component.
-    ValueError when ``cfg`` is not ``source.config`` or not aligned.
+    ValueError when ``cfg`` is not ``source.config`` or not aligned, and
+    when the source holds a NaN or infinite value.
     """
     if source.config != cfg:
         raise ValueError(f"source was built for {source.config}, not {cfg}")

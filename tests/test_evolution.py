@@ -293,6 +293,55 @@ def test_green_convolution_matches_a_direct_sum(points, mass, k, more_levels):
     assert np.max(np.abs(got - expect)) <= 1e-12 * np.max(np.abs(expect))
 
 
+# (levels, columns, slots) the source is nonzero on, at 12 points and 16 levels;
+# slot s is fiber component s (k + 1)(l + 1), as in the pulse. Rows before the
+# support stay in the transform, rows after it do not
+COMPACT_SUPPORTS = {
+    "column-0": (slice(0, 16), slice(0, 3), [0, 3]),
+    "column-last": (slice(2, 16), slice(9, 12), [0, 3]),
+    "one-column": (slice(0, 16), slice(5, 6), [0, 3]),
+    "trailing-zero-rows": (slice(3, 7), slice(4, 8), [0, 3]),
+    # Gamma(e^0) and Gamma(e^3) map component c to c +- fiber / 2, an even
+    # shift, so the output's odd components see only zero input components
+    "zero-components": (slice(1, 12), slice(2, 10), [0, 2]),
+}
+
+
+@pytest.mark.parametrize("mass, k", [(0.0, 0), (1.0, 0), (1.0, 1)], ids=["0.0", "1.0", "1.0-k1"])
+@pytest.mark.parametrize("support", list(COMPACT_SUPPORTS))
+def test_green_convolution_matches_a_direct_sum_on_a_compact_support(support, mass, k):
+    points, steps = 12, 15
+    dz = 4.0 / points
+    cfg = small_config(mass=mass, k=k, l=k, extent=4.0, points=points, dt=dz, steps=steps)
+    rows, cols, components = COMPACT_SUPPORTS[support]
+    rng = np.random.default_rng(points + steps)
+    data = np.zeros((steps + 1, points, cfg.fiber), dtype=complex)
+    slots = (k + 1) * (k + 1)
+    for c in components:
+        block = data[rows, cols, c * slots]
+        block[...] = rng.normal(size=block.shape) + 1j * rng.normal(size=block.shape)
+    expect = _direct_green(data, cfg)
+    got = ev.retarded_green_apply(ev.GridField(cfg, data), cfg).data
+    assert np.max(np.abs(got - expect)) <= 1e-12 * np.max(np.abs(expect))
+    if support == "zero-components":
+        assert np.all(got[..., 1::2] == 0.0)
+
+
+def test_green_operator_of_a_zero_source_is_zero():
+    cfg = small_config(points=16, extent=4.0, dt=0.25, steps=8)
+    source = ev.GridField(cfg, np.zeros((9, 16, 4), dtype=complex))
+    assert np.all(ev.retarded_green_apply(source, cfg).data == 0.0)
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, complex(0.0, -np.inf)], ids=["nan", "inf", "-inf-j"])
+def test_green_operator_refuses_a_non_finite_source(bad):
+    cfg = small_config(points=16, extent=4.0, dt=0.25, steps=8)
+    data = np.ones((9, 16, 4), dtype=complex)
+    data[4, 7, 2] = bad
+    with pytest.raises(ValueError, match="non-finite"):
+        ev.retarded_green_apply(ev.GridField(cfg, data), cfg)
+
+
 def test_importing_spinlab_does_not_load_scipy_signal():
     env = dict(os.environ, PYTHONPATH=str(Path(spinlab.__file__).parent.parent))
     code = "import sys, spinlab; print('scipy.signal' in sys.modules)"
@@ -334,8 +383,9 @@ def test_green_residual_refuses_fields_of_different_configs():
 def test_green_operator_holds_at_most_five_fields():
     # u = E * f, its two derivatives and the output are the four fields the
     # apply must hold at once; the convolution before them holds u, the
-    # kernel's spectrum and one component's, each about one k = 0 field of
-    # (2 n_t)(2 n) cells. The bound allows one more transient field.
+    # kernel's spectrum and one component's, each at most one k = 0 field of
+    # (2 n_t)(2 n) cells and smaller when the source's support is compact.
+    # The bound allows one more transient field.
     n_pts = 256
     dz = 16.0 / n_pts
     cfg = small_config(mass=1.0, extent=16.0, points=n_pts, dt=dz, steps=n_pts // 2)

@@ -99,6 +99,9 @@ def cmd_signature(args) -> int:
         except ValueError:
             print("error: --xi expects four comma-separated numbers", file=sys.stderr)
             return 2
+        if not np.all(np.isfinite(xi.components)):
+            print(f"error: --xi components must be finite, got {args.xi}", file=sys.stderr)
+            return 2
     try:  # a past or spacelike xi, or a negative k
         triple = hs.gram_signature(args.k, xi)
     except ValueError as exc:

@@ -99,14 +99,10 @@ def _phi2_tags(k: int, l: int) -> tuple[str, ...]:
 
 
 def _symmetry_residual(block: Spinor, k: int, l: int) -> float:
-    res = 0.0
-    if k >= 2:
-        sym = symmetrize(block, tuple(range(1, k + 1)))
-        res = max(res, float(np.max(np.abs(sym.data - block.data))))
-    if l >= 2:
-        sym = symmetrize(block, tuple(range(k + 1, k + 1 + l)))
-        res = max(res, float(np.max(np.abs(sym.data - block.data))))
-    return res
+    """Max |Sym(block) - block| over the twist groups of two or more axes."""
+    groups = [axes for axes in (range(1, k + 1), range(k + 1, k + 1 + l)) if len(axes) >= 2]
+    gaps = [np.max(np.abs(symmetrize(block, tuple(axes)).data - block.data)) for axes in groups]
+    return float(np.max(gaps, initial=0.0))
 
 
 @dataclass(frozen=True)
@@ -126,17 +122,13 @@ class HigherSpinVector:
             raise ValueError(f"phi1 tags {self.phi1.tags} do not match type ({k},{l})")
         if self.phi2.tags != _phi2_tags(k, l):
             raise ValueError(f"phi2 tags {self.phi2.tags} do not match type ({k},{l})")
-        scale = max(
-            float(np.max(np.abs(self.phi1.data))),
-            float(np.max(np.abs(self.phi2.data))),
-            1e-30,
-        )
-        worst = max(
-            _symmetry_residual(self.phi1, k, l),
-            _symmetry_residual(self.phi2, k, l),
-        )
-        if worst > 1e-10 * scale:
-            raise ValueError(f"twist axes are not symmetric (residual {worst:.3e})")
+        # np.max keeps a NaN entry in the scale, so a NaN or inf block fails the
+        # test below at every (k, l), even with no twist group to symmetrize
+        scale = np.max([np.max(np.abs(self.phi1.data)), np.max(np.abs(self.phi2.data)), 1e-30])
+        worst = np.max([_symmetry_residual(self.phi1, k, l), _symmetry_residual(self.phi2, k, l)])
+        if not (np.isfinite(scale) and worst <= 1e-10 * scale):
+            raise ValueError(f"twist axes are not symmetric or a block is not finite "
+                             f"(residual {worst:.3e}, scale {scale:.3e})")
 
     def __mul__(self, scalar: complex) -> "HigherSpinVector":
         return HigherSpinVector(
@@ -339,7 +331,7 @@ def closed_form_residual(k: int, l: int, directions: list[LorentzVector]) -> flo
     gaps = [symbol_matrix(k, l, xi) - _symbol_matrix_reference(k, l, xi) for xi in directions]
     if k == l:
         gaps.append(pairing_matrix(k) - _pairing_matrix_reference(k))
-    return max(float(np.max(np.abs(gap))) for gap in gaps)
+    return float(np.max([np.max(np.abs(gap)) for gap in gaps]))
 
 
 def xi_form(phi: HigherSpinVector, psi: HigherSpinVector, xi: LorentzVector) -> complex:
@@ -453,8 +445,8 @@ def twisted_positivity_check(form: np.ndarray) -> bool:
         return True
     gap = float(np.max(np.abs(form - form.conj().T)))
     scale = max(float(np.max(np.abs(form))), 1e-30)
-    if gap > 1e-10 * scale:
-        raise ValueError("form must be Hermitian")
+    if not gap <= 1e-10 * scale:  # NaN and inf fail closed
+        raise ValueError("form must be finite and Hermitian")
     dirac_gram = gram_matrix(0, basis_vector(0, covariant=True))
     total = np.kron(dirac_gram, 0.5 * (form + form.conj().T))
     eig = np.linalg.eigvalsh(total)

@@ -207,8 +207,9 @@ def apply_sl2(s: Spinor, s2: np.ndarray) -> Spinor:
     are the epsilon spinors invariant.
     """
     s2 = np.asarray(s2, dtype=complex)
-    if abs(np.linalg.det(s2) - 1.0) > 1e-9:
-        raise NotUnimodular(f"det = {np.linalg.det(s2)}, expected 1")
+    det = np.linalg.det(s2)
+    if not abs(det - 1.0) <= 1e-9:  # NaN and inf fail closed
+        raise NotUnimodular(f"det = {det}, expected 1")
     inv_t = np.linalg.inv(s2).T
     matrices = {
         UNDOTTED_UP: s2,
@@ -335,5 +336,5 @@ def frame_invariance_check(s2: np.ndarray) -> dict:
     rotated_g = np.einsum("ba,bij->aij", lam_inv, s4 @ gammas @ np.linalg.inv(s4))
     report["gamma"] = float(np.max(np.abs(rotated_g - gammas)))
 
-    report["max"] = max(report.values())
+    report["max"] = float(np.max(list(report.values())))
     return report

@@ -1,0 +1,89 @@
+"""The row contract of the check battery: gaps reduce to one NaN-keeping residual."""
+
+import sys
+
+import numpy as np
+
+from spinlab import checks
+from spinlab import clifford as cl
+from spinlab import evolution as ev
+from spinlab import higher_spin as hs
+
+
+def _row(suite: checks.Suite, check_id: str) -> dict:
+    return next(row for row in suite.report()["checks"] if row["id"] == check_id)
+
+
+def test_a_generator_row_reports_the_largest_gap():
+    def gaps():
+        yield np.array([1e-3, -2e-3])
+        yield 3e-4 + 4e-4j
+        yield -1e-4
+
+    suite = checks.Suite("probe")
+    suite.check("gaps", "Eq. (1)", 1e-2, gaps)
+    row = suite.report()["checks"][0]
+    assert row["status"] == "pass" and row["residual"] == 2e-3
+
+
+def test_a_nan_gap_anywhere_makes_an_error_row():
+    suite = checks.Suite("probe")
+    suite.check("later-nan", "Eq. (1)", 1.0, lambda: (gap for gap in [0.0, np.nan, 1e-20]))
+    row = suite.report()["checks"][0]
+    assert row["status"] == "error" and row["residual"] is None
+    assert row["error"] == "ValueError: non-finite residual nan"
+
+
+def test_an_empty_generator_passes_at_zero():
+    suite = checks.Suite("probe")
+    suite.check("no-gaps", "Eq. (1)", 0.0, lambda: (gap for gap in []))
+    row = suite.report()["checks"][0]
+    assert row["status"] == "pass" and row["residual"] == 0.0
+
+
+def _poison_call(real, caller, nth, poison):
+    """``real``, except that its nth call made from ``caller`` returns ``poison(result)``."""
+    calls = []
+
+    def wrapped(*args):
+        result = real(*args)
+        if sys._getframe(1).f_code.co_name == caller:
+            calls.append(None)
+            if len(calls) == nth:
+                return poison(result)
+        return result
+
+    return wrapped
+
+
+def _assert_only_error(suite: checks.Suite, check_id: str) -> None:
+    statuses = {row["id"]: row["status"] for row in suite.report()["checks"]}
+    assert statuses.pop(check_id) == "error"
+    assert set(statuses.values()) == {"pass"}
+
+
+def test_a_later_nan_exp_spin_result_makes_an_error_row(monkeypatch):
+    nan_s4 = lambda pair: (pair[0], np.full_like(pair[1], np.nan))
+    monkeypatch.setattr(cl, "exp_spin", _poison_call(cl.exp_spin, "exp_spin_blocks", 2, nan_s4))
+    _assert_only_error(checks.SUITES["algebra"](0, timings=False), "exp-spin-blocks")
+
+
+def test_a_later_nan_pairing_makes_an_error_row_at_rank_one(monkeypatch):
+    poisoned = _poison_call(hs.gen_pairing, "pairing_hermitian", 4, lambda _: complex("nan"))
+    monkeypatch.setattr(hs, "gen_pairing", poisoned)
+    suite = checks.SUITES["symbols"](0, timings=False, pairs=[(1, 1)])
+    _assert_only_error(suite, "pairing-hermitian-k1")
+
+
+def test_a_later_nan_green_ratio_makes_an_error_row(monkeypatch):
+    residuals = {128: 4e-2, 256: 1e-2, 512: np.nan}
+    monkeypatch.setattr(checks, "green_pulse", lambda mass, n_pts: (None, residuals[n_pts], 0.0))
+    row = _row(checks.SUITES["evolution"](0, timings=False), "green-monotone-m0")
+    assert row["status"] == "error" and row["error"] == "ValueError: non-finite residual nan"
+
+
+def test_a_later_nan_convergence_order_makes_an_error_row(monkeypatch):
+    poisoned = _poison_call(ev.final_level, "convergence_order", 3, lambda u: np.full_like(u, np.nan))
+    monkeypatch.setattr(ev, "final_level", poisoned)
+    row = _row(checks.SUITES["evolution"](0, timings=False), "convergence-order")
+    assert row["status"] == "error" and row["error"] == "ValueError: non-finite residual nan"

@@ -54,6 +54,14 @@ def test_signature_rejects_non_future_directions(capsys):
     assert cli.run(["signature", "--k", "0", "--xi", "a,b,c,d"]) == 2
 
 
+@pytest.mark.parametrize("xi", ["inf,0,0,0", "1,nan,0,0", "1,0,0,-inf"])
+def test_signature_refuses_non_finite_directions_before_any_arithmetic(xi, capsys):
+    assert cli.run(["signature", "--k", "0", "--xi", xi]) == 2
+    captured = capsys.readouterr()
+    assert captured.err == f"error: --xi components must be finite, got {xi}\n"
+    assert captured.out == ""
+
+
 def test_usage_errors_exit_two():
     assert cli.run(["bogus"]) == 2
     assert cli.run(["verify"]) == 2

@@ -116,6 +116,31 @@ def test_covering_rejects_non_unimodular_input():
         cl.covering_lambda(2.0 * np.eye(2))
 
 
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")  # det of a non-finite matrix
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_covering_refuses_a_non_finite_matrix_as_not_unimodular(bad):
+    s2 = np.eye(2, dtype=complex)
+    s2[0, 1] = bad
+    with pytest.raises(cl.NotUnimodular):
+        cl.covering_lambda(s2)
+
+
+def test_anticommutator_check_keeps_a_nan_entry():
+    gammas = cl.weyl_gammas()
+    gammas[2, 0, 2] = np.nan  # its anticommutators come after finite ones
+    assert np.isnan(cl.dirac_collection_check(gammas))
+
+
+def test_commutator_table_keeps_a_nan_generator(monkeypatch):
+    m2, n2 = cl.spin_generators_2x2()
+    n2[1, 0, 0] = np.nan
+    monkeypatch.setattr(cl, "spin_generators_2x2", lambda: (m2, n2))
+    report = cl.check_commutator_relations()
+    assert report["four_mm"] == report["four_nn"] == report["four_mn"] == 0.0
+    assert np.isnan(report["two_nn"]) and np.isnan(report["two_mn"])
+    assert np.isnan(report["max"])
+
+
 # The product prev @ s2 that seed 10's covering-map-batch feeds the covering
 # map: its image, with entries near 6e3, misses eta by more than 1e-9.
 SEED10_PRODUCT = np.array([

@@ -5,6 +5,7 @@ import pytest
 
 from spinlab import higher_spin as hs
 from spinlab import minkowski as mk
+from spinlab import spinor_core as sc
 from spinlab.clifford import weyl_gammas
 
 E0_COV = mk.basis_vector(0, covariant=True)
@@ -38,8 +39,6 @@ def test_unpack_validates_length():
 
 
 def test_fiber_vectors_enforce_twist_symmetry():
-    from spinlab import spinor_core as sc
-
     data = np.zeros((2, 2, 2), dtype=complex)
     data[0, 0, 1] = 1.0  # antisymmetric part in the two twist axes
     data[0, 1, 0] = -1.0
@@ -47,6 +46,17 @@ def test_fiber_vectors_enforce_twist_symmetry():
     phi2 = sc.Spinor(np.zeros((2, 2, 2), dtype=complex), (sc.DOTTED_LOW, sc.UNDOTTED_UP, sc.UNDOTTED_UP))
     with pytest.raises(ValueError):
         hs.HigherSpinVector(2, 0, phi1, phi2)
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")  # symmetrizing inf makes inf - inf
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+@pytest.mark.parametrize("k, l", [(0, 0), (1, 0), (0, 1), (1, 1), (2, 0), (2, 2), (3, 1)])
+def test_fiber_vectors_refuse_a_non_finite_block(k, l, bad):
+    phi = hs.unpack(np.ones(hs.fiber_dim(k, l), dtype=complex), k, l)
+    data = phi.phi2.data.copy()
+    data.flat[-1] = bad
+    with pytest.raises(ValueError, match="not finite"):
+        hs.HigherSpinVector(k, l, phi.phi1, sc.Spinor(data, phi.phi2.tags))
 
 
 def test_untwisted_symbol_matches_the_gamma_action():
@@ -199,6 +209,23 @@ def test_twisted_positivity_validates_input():
         hs.twisted_positivity_check(np.zeros((2, 3)))
     with pytest.raises(ValueError):
         hs.twisted_positivity_check(np.array([[0.0, 1.0], [0.0, 0.0]]))
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")  # inf - inf in the Hermitian gap
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_twisted_positivity_refuses_a_non_finite_form(bad):
+    form = np.eye(3, dtype=complex)
+    form[1, 1] = bad
+    with pytest.raises(ValueError, match="finite and Hermitian"):
+        hs.twisted_positivity_check(form)
+
+
+def test_closed_form_residual_keeps_a_nan_gap(monkeypatch):
+    pairing = hs.pairing_matrix(1)
+    pairing[0, 0] = np.nan
+    monkeypatch.setattr(hs, "pairing_matrix", lambda k: pairing)
+    # the pairing gap comes after the finite symbol gaps
+    assert np.isnan(hs.closed_form_residual(1, 1, [E0_COV]))
 
 
 def test_pairing_matrix_represents_gen_pairing():

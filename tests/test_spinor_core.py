@@ -133,6 +133,24 @@ def test_apply_sl2_rejects_non_unimodular_matrices():
         sc.apply_sl2(psi, 3.0 * np.eye(2))
 
 
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")  # det of a non-finite matrix
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_apply_sl2_refuses_a_non_finite_matrix(bad):
+    s2 = np.eye(2, dtype=complex)
+    s2[1, 0] = bad
+    with pytest.raises(sc.NotUnimodular):
+        sc.apply_sl2(spinor1([1, 0], sc.UNDOTTED_UP), s2)
+
+
+def test_frame_invariance_check_keeps_a_nan_gamma(monkeypatch):
+    gammas = cl.weyl_gammas()
+    gammas[1, 0, 3] = np.nan
+    monkeypatch.setattr(cl, "weyl_gammas", lambda: gammas)
+    report = sc.frame_invariance_check(np.eye(2))
+    assert report["epsilon_lower"] == report["epsilon_upper"] == report["sigma"] == 0.0
+    assert np.isnan(report["gamma"]) and np.isnan(report["max"])
+
+
 def test_apply_sl2_uses_the_four_representations():
     rng = np.random.default_rng(1)
     mat = rng.normal(size=(2, 2)) + 1j * rng.normal(size=(2, 2))

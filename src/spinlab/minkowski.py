@@ -82,6 +82,8 @@ def metric_eval(x: LorentzVector, y: LorentzVector) -> complex:
 
 
 def _require_real(x: LorentzVector, what: str) -> np.ndarray:
+    if not np.all(np.isfinite(x.components)):
+        raise ValueError(f"{what} requires finite components")
     if np.max(np.abs(x.components.imag)) > 1e-12:
         raise ValueError(f"{what} requires real components")
     return x.components.real
@@ -96,7 +98,8 @@ def classify_causal(x: LorentzVector) -> tuple[str, str]:
     orientation follows the sign of the contravariant time component against
     the orientation vector e_0, with "none" inside the same tolerance.
     Spacelike vectors have no invariant time orientation and always report
-    "none"; the zero vector is ("null", "none").
+    "none"; the zero vector is ("null", "none"). Raises ValueError on a
+    complex, NaN or infinite component.
     """
     _require_real(x, "classify_causal")
     up = x.raised()
@@ -122,10 +125,11 @@ def is_restricted_lorentz(lam: np.ndarray) -> bool:
 
     tol is DEFAULT_TOL, which also bounds the metric gap and any imaginary
     part. The two positivity conditions select the identity component
-    (proper and orthochronous) among metric-preserving matrices.
+    (proper and orthochronous) among metric-preserving matrices. A NaN or
+    infinite entry is refused before any arithmetic, which would let it through.
     """
     lam = np.asarray(lam)
-    if lam.shape != (4, 4):
+    if lam.shape != (4, 4) or not np.all(np.isfinite(lam)):
         return False
     if np.iscomplexobj(lam):
         if np.max(np.abs(lam.imag)) > DEFAULT_TOL:

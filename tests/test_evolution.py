@@ -572,3 +572,94 @@ def test_causal_audit_streams_levels_instead_of_storing_the_field():
         tracemalloc.stop()
     assert report["exact_outside"] == 0.0
     assert peak < field_nbytes / 4
+
+
+def test_leapfrog_operator_is_diagonal_and_currents_share_columns():
+    for k in range(4):
+        for l in range(4):
+            cfg = small_config(k=k, l=l)
+            a = -ev._symbol(cfg, 0) @ ev._symbol(cfg, 3)
+            assert np.array_equal(a, np.diag(np.diag(a)))
+            assert set(np.diag(a).tolist()) <= {1.0, -1.0}
+        cols0, _ = ev._current(small_config(k=k, l=k), 0)
+        cols3, _ = ev._current(small_config(k=k, l=k), 3)
+        assert np.array_equal(cols0, cols3)
+
+
+def test_fast_paths_refuse_operators_without_their_structure(monkeypatch):
+    cfg = small_config(k=1, l=1, points=16, extent=4.0, dt=0.1, steps=4)
+    symbol = ev._symbol
+    shift = np.roll(np.eye(cfg.fiber), 1, axis=0)  # a cyclic column shift
+    monkeypatch.setattr(ev, "_symbol", lambda c, a: symbol(c, a) @ shift if a == 3 else symbol(c, a))
+    u0 = np.ones((cfg.points, cfg.fiber), dtype=complex)
+    with pytest.raises(hs.InvariantViolation, match="diagonal"):
+        next(ev._leapfrog(u0, cfg))
+    with pytest.raises(hs.InvariantViolation, match="columns"):
+        ev.divergence_fold(cfg, [u0] * 3, [u0] * 3)
+
+
+def _mask_max(mag, ia, ib, reach):
+    """Reference: max |u| over the columns farther than ``reach`` cells from ia .. ib."""
+    n = mag.shape[0]
+    idx = np.arange(n)
+    dist = np.minimum((ia - idx) % n, (idx - ib) % n)
+    dist[ia : ib + 1] = 0
+    return np.max(np.max(mag, axis=1)[dist > reach], initial=0.0)
+
+
+@pytest.mark.parametrize(
+    "ia, ib, reach, outside",
+    [
+        (2, 5, 4, range(10, 14)),  # the cone wraps past row 0
+        (10, 13, 4, range(2, 6)),  # the cone wraps past the last row
+        (4, 9, 3, [*range(0, 1), *range(13, 16)]),  # no wrap: two slices
+        (4, 9, 5, []),  # the cone covers the grid
+        (4, 9, 40, []),
+    ],
+)
+def test_slice_maxima_match_the_distance_mask(ia, ib, reach, outside):
+    rng = np.random.default_rng(25)
+    mag = rng.random((16, 3))
+    got = ev._max_outside(mag, ia - reach, ib + reach)
+    assert got == _mask_max(mag, ia, ib, reach)
+    assert got == (np.max(mag[list(outside)]) if len(outside) else 0.0)
+    for row in range(16):
+        planted = mag.copy()
+        planted[row, 1] = np.nan
+        got = ev._max_outside(planted, ia - reach, ib + reach)
+        assert np.isnan(got) == (row in outside)
+        assert np.array_equal(got, _mask_max(planted, ia, ib, reach), equal_nan=True)
+
+
+def test_slice_maxima_match_the_distance_mask_on_every_support():
+    rng = np.random.default_rng(26)
+    for n in (8, 13):
+        mag = rng.random((n, 2))
+        for ia in range(1, n - 1):
+            for ib in range(ia, n - 1):
+                for reach in range(n + 1):
+                    assert ev._max_outside(mag, ia - reach, ib + reach) == _mask_max(mag, ia, ib, reach)
+
+
+@pytest.mark.parametrize("planted", [0.25, np.nan])
+def test_causal_audit_reports_a_value_planted_outside_both_cones(monkeypatch, planted):
+    cfg = small_config(points=64, extent=8.0, dt=0.0625, steps=3)
+    u0 = np.zeros((cfg.points, cfg.fiber), dtype=complex)
+    u0[30:34, 0] = 1.0
+
+    def planted_levels(phi0, cfg):
+        for n in range(cfg.steps + 1):
+            level = np.zeros_like(u0)
+            level[30 - n : 34 + n, 0] = 1.0
+            if n == 2:
+                level[50, 3] = planted  # 17 cells past the support: outside both cones
+            yield level
+
+    monkeypatch.setattr(ev, "_leapfrog", planted_levels)
+    report = ev.causal_support_check(u0, cfg)
+    if np.isnan(planted):
+        assert np.isnan(report["exact_outside"]) and np.isnan(report["cone_leak"])
+        assert np.isnan(report["cone_leak_rel"])
+    else:
+        assert report["exact_outside"] == report["cone_leak"] == planted
+        assert report["peak"] == 1.0

@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from spinlab import higher_spin as hs
 from spinlab import minkowski as mk
 
 finite = st.floats(-5.0, 5.0, allow_nan=False, allow_infinity=False)
@@ -60,6 +61,22 @@ def test_classify_causal_rejects_complex_components():
         mk.classify_causal(mk.LorentzVector(np.array([1.0, 1j, 0.0, 0.0])))
 
 
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_classify_causal_rejects_non_finite_components(bad):
+    with pytest.raises(ValueError, match="finite"):
+        mk.classify_causal(mk.LorentzVector(np.array([bad, 0.0, 0.0, 0.0])))
+    with pytest.raises(ValueError, match="finite"):
+        mk.classify_causal(mk.LorentzVector(np.array([2.0, 0.0, 0.0, bad]), covariant=True))
+
+
+def test_non_finite_directions_surface_as_value_errors_in_the_gram_form():
+    xi = mk.LorentzVector(np.array([np.nan, 0.0, 0.0, 0.0]))
+    with pytest.raises(ValueError, match="finite"):
+        hs.gram_signature(1, xi)
+    with pytest.raises(ValueError, match="finite"):
+        hs.witness_pair(1, xi)
+
+
 @given(four_floats)
 def test_classification_flips_orientation_under_negation(comps):
     x = mk.LorentzVector(np.array(comps))
@@ -109,6 +126,15 @@ def test_restricted_lorentz_rejects_other_components_and_junk():
     assert not mk.is_restricted_lorentz(np.eye(4) + 1e-3)
     assert not mk.is_restricted_lorentz(np.eye(3))
     assert not mk.is_restricted_lorentz(np.eye(4) * (1 + 1j))
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+@pytest.mark.parametrize("slot", [(1, 2), (0, 0), (3, 3)])
+def test_restricted_lorentz_rejects_non_finite_entries(bad, slot):
+    lam = np.eye(4)
+    lam[slot] = bad
+    assert not mk.is_restricted_lorentz(lam)
+    assert not mk.is_restricted_lorentz(lam.astype(complex))
 
 
 def test_vector_arithmetic_respects_variance():

@@ -33,21 +33,16 @@ fed a stored field's ``data`` or ``_leapfrog`` itself. The causality audit
 reduces |u| over at most two contiguous row slices per level, the rows
 outside the cone.
 
-The retarded Green operator convolves the source with the sampled kernel
-E(t, z) over the whole (t, z) grid, then applies D - i m. It acts per fiber
+The retarded Green operator is that of the cylinder R x S^1 the evolver
+runs on: it convolves the source with the periodic kernel
+E_per(t, z) = sum_j E(t, z + j L), the image sum of the sampled retarded
+kernel, over the whole (t, z) grid, then applies D - i m. It acts per fiber
 component for any twist (k, l): E is scalar and Gamma(e^a) = kron(G(e^a), I)
 touches only the chiral axes, so the twisted operator is the untwisted one
-applied per twist slot. The convolution is linear (not periodic), and only
-its retarded window, the n_t levels and n points of the source grid, is
-needed. It transforms only the source's support: the levels up to its last
-nonzero one, t1, its nonzero columns z0 .. z1 (width b) and its nonzero
-fiber components. So it runs as a cyclic FFT convolution of size
-next_fast_len(n_t + t1) x next_fast_len(n + b - 1), against the n + b - 1
-kernel columns that reach the window. These are the smallest fast sizes for
-which no wrapped term reaches the window: in z a wrapped index lands at or
-below b - 2, left of it, as in overlap-save (see ``_retarded_convolution``).
-A source that fills the grid gets next_fast_len(2 n_t - 1) x
-next_fast_len(2 n - 1).
+applied per twist slot. The convolution is cyclic in z, at size n, and
+linear in t, at size next_fast_len(n_t + t1), where t1 is the source's last
+nonzero level. Only the source's support is transformed: its levels up to
+t1, its nonzero columns along t and its nonzero fiber components.
 """
 
 from __future__ import annotations
@@ -484,29 +479,31 @@ def causal_support_check(phi0, cfg: EvolutionConfig) -> dict:
 
 
 def retarded_kernel(cfg: EvolutionConfig) -> np.ndarray:
-    """Sampled retarded scalar kernel on the aligned dt = dz grid.
+    """Sampled periodic retarded scalar kernel on the aligned dt = dz grid.
 
     E(t, z) = (1/2) theta(t - |z|) J0(m sqrt(t^2 - z^2)) with trapezoid
     weights: 1 inside the cone, 1/2 on the boundary t = |z| (which lies on
-    grid points because dt = dz), 1/4 at the apex. Shape
-    (steps + 1, 2 points - 1), column index z = (j - points + 1) dz.
-    Raises ValueError off the aligned grid, where the cone edge falls
-    between grid points and those weights would land on the wrong samples.
+    grid points because dt = dz), 1/4 at the apex. The z-axis is the circle
+    of length L = points dz, so the kernel is the image sum
+    E_per(t, z) = sum_j E(t, z + j L), summed over every image j whose
+    offsets d = z / dz + j points reach the cone, |d| <= steps. Shape
+    (steps + 1, points), column j at z = j dz. Raises ValueError off
+    the aligned grid, where the cone edge falls between grid points and
+    those weights would land on the wrong samples.
     """
     if abs(cfg.dt - cfg.dz) > 1e-12 * cfg.dz:
         raise ValueError("retarded kernel needs the aligned grid dt = dz")
-    n_t = cfg.steps + 1
-    n_z = 2 * cfg.points - 1
-    t = (np.arange(n_t) * cfg.dt)[:, None]
-    z = ((np.arange(n_z) - (cfg.points - 1)) * cfg.dz)[None, :]
-    s = t * t - z * z
-    inside = s > 1e-12 * cfg.dz**2
-    on_edge = np.abs(np.abs(z) - t) <= 1e-12 * max(cfg.dz, 1.0)
-    kernel = np.where(inside | on_edge, 0.5 * j0(cfg.mass * np.sqrt(np.maximum(s, 0.0))), 0.0)
-    weight = np.ones_like(kernel)
-    weight[on_edge] = 0.5
-    weight[0, cfg.points - 1] = 0.25
-    return kernel * weight
+    n_t, n_pts = cfg.steps + 1, cfg.points
+    level = np.arange(n_t)[:, None]
+    kernel = np.zeros((n_t, n_pts))
+    # column z of image j holds the offset d = z + j n; the first image reaches d = -steps
+    for image in range((-cfg.steps) // n_pts, cfg.steps // n_pts + 1):
+        dist = np.abs(np.arange(n_pts) + image * n_pts)
+        s = (level * cfg.dt) ** 2 - (dist * cfg.dz) ** 2
+        weight = np.where(dist < level, 1.0, np.where(dist == level, 0.5, 0.0))
+        kernel += weight * (0.5 * j0(cfg.mass * np.sqrt(np.maximum(s, 0.0))))
+    kernel[0, 0] *= 0.5  # the apex took the edge weight 1/2; its weight is 1/4
+    return kernel
 
 
 def _source_support(f: np.ndarray) -> tuple[int, int, int, np.ndarray]:
@@ -534,27 +531,21 @@ def _source_support(f: np.ndarray) -> tuple[int, int, int, np.ndarray]:
 
 
 def _retarded_convolution(f: np.ndarray, cfg: EvolutionConfig) -> np.ndarray:
-    """u = E * f per fiber component, summed with the dt dz cell weight.
+    """u = E_per * f per fiber component, summed with the dt dz cell weight.
 
-    The convolution is exact and transforms only the source's support:
-    rows 0 .. t1 (t1 its last nonzero level; the leading rows stay, so the
-    levels before the source are computed, not set to zero) and columns
-    z0 .. z1 (width b), of each component that is not identically zero.
-    Only the kernel columns n - 1 - z1 .. 2 n - 2 - z0 (n + b - 1 offsets)
-    reach an output point, and the FFT size is
-    (L_t, L_z) = (next_fast_len(n_t + t1), next_fast_len(n + b - 1)) for
-    n_t levels and n points. Rows 0 .. n_t - 1 and columns b - 1 .. n + b - 2
-    of the linear convolution of that kernel slice with the support are u,
-    and the cyclic wrap cannot reach them: in t the full result spans
-    n_t + t1 <= L_t rows, so nothing wraps, and in z it spans indices
-    0 .. n + 2 b - 3, so an index that wraps lands at or below
-    n + 2 b - 3 - L_z <= b - 2, left of the window (the valid part of an
-    overlap-save step). A full-support source gets the sizes
-    (next_fast_len(2 n_t - 1), next_fast_len(2 n - 1)); a zero component's
-    output is exact zeros and an all-zero source runs no transform. The
-    kernel is transformed once per call, each component along t on its b
-    data columns only, and only the n window columns are transformed back
-    along t. ValueError on a non-finite source (see ``_source_support``).
+    The convolution is cyclic in z, at size n (the points), and linear in
+    t, and it transforms only the source's support: rows 0 .. t1 (t1 its
+    last nonzero level; the leading rows stay, so the levels before the
+    source are computed, not set to zero) and columns z0 .. z1 (width b),
+    of each component that is not identically zero. The support enters the
+    z-transform at column 0, so the kernel is rolled by z0 before its
+    transform. Along t the FFT size is next_fast_len(n_t + t1) for n_t
+    levels: the linear result spans n_t + t1 rows, so nothing wraps, and
+    rows 0 .. n_t - 1 are u. A zero component's output is exact zeros and
+    an all-zero source runs no transform. The kernel is transformed once
+    per call, each component along t on its b data columns only, and only
+    the n_t kept levels are transformed back along z. ValueError on a
+    non-finite source (see ``_source_support``).
     """
     n_t, n_pts = cfg.steps + 1, cfg.points
     kernel = retarded_kernel(cfg)  # refuses a non-aligned grid, a zero source too
@@ -562,17 +553,15 @@ def _retarded_convolution(f: np.ndarray, cfg: EvolutionConfig) -> np.ndarray:
     u = np.zeros_like(f)
     if components.size == 0:
         return u
-    width = z1 - z0 + 1
-    shape = (sfft.next_fast_len(n_t + t1), sfft.next_fast_len(n_pts + width - 1))
-    kernel_hat = sfft.fft2(kernel[:, n_pts - 1 - z1 : 2 * n_pts - 1 - z0], s=shape)
-    window = slice(width - 1, width - 1 + n_pts)
+    n_fft = sfft.next_fast_len(n_t + t1)
+    kernel_hat = sfft.fft2(np.roll(kernel, z0, axis=1), s=(n_fft, n_pts))
     for c in components:
         support = f[: t1 + 1, z0 : z1 + 1, c]
-        spec = sfft.fft(sfft.fft(support, n=shape[0], axis=0), n=shape[1], axis=1)
+        spec = sfft.fft(sfft.fft(support, n=n_fft, axis=0), n=n_pts, axis=1)
         spec *= kernel_hat
-        cols = sfft.ifft(spec, axis=1, overwrite_x=True)[:, window]
-        u[:, :, c] = sfft.ifft(cols, axis=0, overwrite_x=True)[:n_t]
-        del spec, cols  # else they stay live while the next component's spectrum is built
+        levels = sfft.ifft(spec, axis=0, overwrite_x=True)[:n_t]
+        u[:, :, c] = sfft.ifft(levels, axis=1, overwrite_x=True)
+        del spec, levels  # else they stay live while the next component's spectrum is built
     u *= cfg.dt * cfg.dz
     return u
 
@@ -580,18 +569,13 @@ def _retarded_convolution(f: np.ndarray, cfg: EvolutionConfig) -> np.ndarray:
 def retarded_green_apply(source: GridField, cfg: EvolutionConfig) -> GridField:
     """Apply the retarded Green operator to a source field of any twist (k, l).
 
-    Computes u = E * f by linear (zero padded, non-periodic) convolution in
-    z and retarded summation in t, then G f = (D - i m) u with centered
-    derivatives (one sided at the time ends). Applying the equation
-    operator (D + i m) to the result reproduces f up to discretization
-    error on interior levels, and the output vanishes to round-off at
+    Computes u = E_per * f, cyclic in z and a retarded sum in t, then
+    G f = (D - i m) u with centered derivatives (periodic in z, one sided
+    at the time ends), so the kernel, D and the leapfrog share the periodic
+    grid's one boundary condition. Applying the equation operator (D + i m)
+    to the result reproduces f up to discretization error on interior
+    levels, on every column, and the output vanishes to round-off at
     levels more than one stencil width before the source support.
-
-    Precondition, not checked: the solution's cone, not only the source,
-    must stay off columns 0 and n - 1 for the whole run. The convolution is
-    non-periodic but D takes the periodic z-difference, so once the cone
-    reaches the z-edge those columns pick up an O(1/dz) error and the
-    residual grows under refinement.
 
     Any twist (k, l) works: E is scalar and Gamma(e^a) = kron(G(e^a), I)
     acts on the chiral axes only, so u is convolved per fiber component.
@@ -679,10 +663,10 @@ def snapshot_from_json(obj: dict) -> tuple[EvolutionConfig, float, np.ndarray]:
 def green_residual(result: GridField, source: GridField) -> float:
     """Relative interior residual of (D + i m) G f = f.
 
-    Uses centered differences and drops two levels at each end of the time
-    axis, where the one-sided derivatives inside the Green application
-    contaminate the comparison. Raises ValueError when the two fields were
-    built for different configs.
+    Uses centered differences, periodic in z, on every column and drops
+    two levels at each end of the time axis, where the one-sided
+    derivatives inside the Green application contaminate the comparison.
+    Raises ValueError when the two fields were built for different configs.
     """
     cfg = result.config
     if source.config != cfg:
@@ -694,8 +678,5 @@ def green_residual(result: GridField, source: GridField) -> float:
     du_t /= 2.0 * cfg.dt
     diff = _dirac(cfg, u[1:-1], du_t, 1.0)
     diff -= source.data[1:-1]
-    # drop one more level at each time end (one-sided derivatives inside the
-    # Green application live there) and the two seam columns the z-difference wraps
-    interior = diff[1:-1, 1:-1]
     scale = max(float(np.max(np.abs(source.data))), 1e-300)
-    return float(np.max(np.abs(interior)) / scale)
+    return float(np.max(np.abs(diff[1:-1])) / scale)

@@ -8,6 +8,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from scipy import special
 
 import spinlab
 from spinlab import checks
@@ -258,7 +259,10 @@ def test_green_output_vanishes_before_the_source():
 
 
 def _direct_green(f, cfg):
-    """Reference: the retarded convolution as an explicit double sum, then D - i m."""
+    """Reference: the retarded convolution as an explicit double sum, then D - i m.
+
+    The sum is periodic in z, like the operator's kernel and its z-difference.
+    """
     kernel = ev.retarded_kernel(cfg)
     n_t, n_pts = f.shape[:2]
     u = np.zeros_like(f)
@@ -266,7 +270,7 @@ def _direct_green(f, cfg):
         for z in range(n_pts):
             for s in range(t + 1):
                 for y in range(n_pts):
-                    u[t, z] += kernel[t - s, z - y + n_pts - 1] * f[s, y]
+                    u[t, z] += kernel[t - s, (z - y) % n_pts] * f[s, y]
     u *= cfg.dt * cfg.dz
     g0 = hs.symbol_matrix(cfg.k, cfg.l, mk.basis_vector(0, covariant=True))
     g3 = hs.symbol_matrix(cfg.k, cfg.l, mk.basis_vector(3, covariant=True))
@@ -275,7 +279,8 @@ def _direct_green(f, cfg):
     return du_t @ g0.T + du_z @ g3.T - 1j * cfg.mass * u
 
 
-# at 12 points and 7 levels both FFT lengths pad: 2 n_t - 1 = 13 -> 14, 2 n - 1 = 23 -> 24
+# at 12 points and 7 levels the t length pads, 2 n_t - 1 = 13 -> 14; the z length is n.
+# With steps = points + 3 the cone wraps the circle more than once
 @pytest.mark.parametrize(
     "mass, k", [(0.0, 0), (1.0, 0), (0.0, 1), (1.0, 1)], ids=["0.0", "1.0", "0.0-k1", "1.0-k1"]
 )
@@ -304,6 +309,7 @@ COMPACT_SUPPORTS = {
     # Gamma(e^0) and Gamma(e^3) map component c to c +- fiber / 2, an even
     # shift, so the output's odd components see only zero input components
     "zero-components": (slice(1, 12), slice(2, 10), [0, 2]),
+    "across-seam": (slice(1, 14), [10, 11, 0, 1], [0, 3]),
 }
 
 
@@ -318,8 +324,9 @@ def test_green_convolution_matches_a_direct_sum_on_a_compact_support(support, ma
     data = np.zeros((steps + 1, points, cfg.fiber), dtype=complex)
     slots = (k + 1) * (k + 1)
     for c in components:
-        block = data[rows, cols, c * slots]
-        block[...] = rng.normal(size=block.shape) + 1j * rng.normal(size=block.shape)
+        # indexing with a list of columns returns a copy, so write through the index
+        shape = data[rows, cols, c * slots].shape
+        data[rows, cols, c * slots] = rng.normal(size=shape) + 1j * rng.normal(size=shape)
     expect = _direct_green(data, cfg)
     got = ev.retarded_green_apply(ev.GridField(cfg, data), cfg).data
     assert np.max(np.abs(got - expect)) <= 1e-12 * np.max(np.abs(expect))
@@ -383,8 +390,8 @@ def test_green_residual_refuses_fields_of_different_configs():
 def test_green_operator_holds_at_most_five_fields():
     # u = E * f, its two derivatives and the output are the four fields the
     # apply must hold at once; the convolution before them holds u, the
-    # kernel's spectrum and one component's, each at most one k = 0 field of
-    # (2 n_t)(2 n) cells and smaller when the source's support is compact.
+    # kernel's spectrum and one component's, each at most (2 n_t) n cells,
+    # half a k = 0 field, and fewer when the source's support is compact.
     # The bound allows one more transient field.
     n_pts = 256
     dz = 16.0 / n_pts
@@ -402,12 +409,67 @@ def test_green_operator_holds_at_most_five_fields():
 def test_retarded_kernel_weights_massless_case():
     cfg = small_config(mass=0.0, points=16, extent=4.0, dt=0.25, steps=8)
     kernel = ev.retarded_kernel(cfg)
-    assert kernel.shape == (9, 31)
-    center = cfg.points - 1
-    assert kernel[0, center] == pytest.approx(0.125)  # apex: 1/2 value, 1/4 weight
-    assert kernel[4, center] == pytest.approx(0.5)  # interior of the cone
-    assert kernel[4, center + 4] == pytest.approx(0.25)  # boundary: 1/2 weight
-    assert kernel[4, center + 5] == 0.0  # outside
+    assert kernel.shape == (9, 16)
+    assert kernel[0, 0] == pytest.approx(0.125)  # apex: 1/2 value, 1/4 weight
+    assert kernel[4, 0] == pytest.approx(0.5)  # interior of the cone
+    assert kernel[4, 4] == pytest.approx(0.25)  # boundary: 1/2 weight
+    assert kernel[4, 12] == pytest.approx(0.25)  # boundary d = -4, column -4 mod 16
+    assert kernel[4, 5] == 0.0  # outside
+    # at t = L/2 the edges d = +-8 are images of one point, and their halves add up
+    assert kernel[8, 8] == 0.5
+
+
+def _cone_sample(level, offset, cfg):
+    """E at (level dt, offset dz) with trapezoid weights, one sample at a time."""
+    if abs(offset) > level:
+        return 0.0
+    weight = 0.25 if level == 0 else 0.5 if abs(offset) == level else 1.0
+    return weight * 0.5 * float(special.j0(cfg.mass * cfg.dz * np.sqrt(level**2 - offset**2)))
+
+
+@pytest.mark.parametrize("mass", [0.0, 1.0])
+@pytest.mark.parametrize("steps", [5, 8, 40], ids=["below-half", "half", "above-twice"])
+def test_retarded_kernel_is_the_image_sum_of_the_cone(mass, steps):
+    n_pts = 16
+    cfg = small_config(mass=mass, points=n_pts, extent=4.0, dt=0.25, steps=steps)
+    expect = np.zeros((steps + 1, n_pts))
+    for level in range(steps + 1):
+        for j in range(n_pts):
+            for image in range(-(steps // n_pts) - 1, steps // n_pts + 2):
+                expect[level, j] += _cone_sample(level, j + image * n_pts, cfg)
+    kernel = ev.retarded_kernel(cfg)
+    assert kernel.shape == (steps + 1, n_pts)
+    np.testing.assert_allclose(kernel, expect, rtol=1e-13, atol=1e-15)
+    if mass == 0.0 and steps == 40:
+        assert kernel[20, 0] == pytest.approx(1.5)  # offsets -16, 0, 16 inside
+        assert kernel[40, 3] == pytest.approx(2.5)  # offsets -29, -13, 3, 19, 35 inside
+
+
+def test_green_residual_is_the_same_on_either_side_of_the_seam():
+    # the built-in pulse at z = 8, 4 and 1 (half-width 2, so z = 1 straddles
+    # the seam): a periodic operator sees one problem shifted by whole cells
+    extent, mass = 16.0, 1.0
+    by_centre = []
+    for centre in (8.0, 4.0, 1.0):
+        residuals = []
+        for n_pts in (128, 256, 512):
+            dz = extent / n_pts
+            cfg = small_config(
+                mass=mass, extent=extent, points=n_pts, dt=dz, steps=n_pts // 2
+            )
+            tt, zz = np.meshgrid(cfg.times(), cfg.zgrid(), indexing="ij")
+            distance = (zz - centre + extent / 2) % extent - extent / 2
+            profile = bump((tt - extent / 4) / (extent / 8)) * bump(distance / (extent / 8))
+            data = np.zeros((cfg.steps + 1, n_pts, cfg.fiber), dtype=complex)
+            data[:, :, 0] = profile
+            data[:, :, 3] = 0.5j * profile
+            source = ev.GridField(cfg, data)
+            residuals.append(ev.green_residual(ev.retarded_green_apply(source, cfg), source))
+        assert max(residuals) < checks.GREEN_RESIDUAL_TOL
+        assert residuals[0] > 3.0 * residuals[1] and residuals[1] > 3.0 * residuals[2]
+        by_centre.append(residuals)
+    assert by_centre[1] == pytest.approx(by_centre[0], rel=1e-9)
+    assert by_centre[2] == pytest.approx(by_centre[0], rel=1e-9)
 
 
 def test_config_json_roundtrip():

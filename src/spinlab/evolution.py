@@ -16,30 +16,40 @@ Leapfrog is stable only while dt sqrt(dz^-2 + m^2) < 1, and the stepping
 core refuses to start otherwise.
 
 Every fiber operator the evolver, the slice products and the Green
-operator use (A, Gamma0 and hence B, the currents X^a = P Gamma(e^a), and
-the Dirac operator Gamma^0 d_t + Gamma^3 d_z +- i m) is a generalized
-permutation matrix: one nonzero per row, because Gamma(e^a) = kron(G(e^a), I)
-and P = kron(P_0, W_k) are. A is moreover diagonal with entries +-1 in the
-packed chiral basis, so the system is already in characteristic form: each
-packed component moves left or right at unit speed. The stepping loop
-applies A D_z as one multiply of the z-difference by a level-shaped weight,
-and the other operators as a gather and a scale, u[..., cols] * w. That is
-N F work per level instead of the N F^2 of a dense product. X^0 and X^3
-gather the same columns, so the divergence fold gathers once for both. One
-generator, ``_leapfrog``, is the only time-stepping loop; it holds two
-levels. ``evolve`` stores what it yields; every other consumer takes each
-level as it arrives. The slice-product reductions are folds over levels,
-fed a stored field's ``data`` or ``_leapfrog`` itself. The causality audit
-reduces |u| over at most two contiguous row slices per level, the rows
-outside the cone.
+operator use (A, Gamma0 and hence B, and the currents X^a = P Gamma(e^a))
+is a generalized permutation matrix: one nonzero per row, because
+Gamma(e^a) = kron(G(e^a), I) and P = kron(P_0, W_k) are. A is moreover
+diagonal with entries +-1 in the packed chiral basis, so the system is
+already in characteristic form: each packed component moves left or right
+at unit speed. One helper, ``_first_order``, builds the first-order operator
+
+    L_sigma u = A D_z u - sigma i m Gamma0 u
+
+on one level, applying A D_z as one multiply of the z-difference by a
+level-shaped weight and Gamma0 as a gather and a scale, u[..., cols] * w.
+The leapfrog steps with L = L_1. Because Gamma0^2 = 1, the same L gives the
+Dirac operator level by level,
+
+    (D + sigma i m) u = Gamma0 (d_t u - L_sigma u),
+
+which the Green operator (sigma = -1) and its residual (sigma = +1) apply
+through ``_dirac_levels``. Each is N F work per level instead of the N F^2
+of a dense product. X^0 and X^3 gather the same columns, so the divergence
+fold gathers once for both. One generator, ``_leapfrog``, is the only
+time-stepping loop; it holds two levels. ``evolve`` stores what it yields;
+every other consumer takes each level as it arrives. The slice-product
+reductions are folds over levels, fed a stored field's ``data`` or
+``_leapfrog`` itself. The causality audit reduces |u| over at most two
+contiguous row slices per level, the rows outside the cone.
 
 The retarded Green operator is that of the cylinder R x S^1 the evolver
 runs on: it convolves the source with the periodic kernel
 E_per(t, z) = sum_j E(t, z + j L), the image sum of the sampled retarded
-kernel, over the whole (t, z) grid, then applies D - i m. It acts per fiber
-component for any twist (k, l): E is scalar and Gamma(e^a) = kron(G(e^a), I)
-touches only the chiral axes, so the twisted operator is the untwisted one
-applied per twist slot. The convolution is cyclic in z, at size n, and
+kernel, over the whole (t, z) grid, then applies D - i m = Gamma0 (d_t - L_-1)
+to the result level by level, in place. It acts per fiber component for any
+twist (k, l): E is scalar and Gamma(e^a) = kron(G(e^a), I) touches only the
+chiral axes, so the twisted operator is the untwisted one applied per twist
+slot. The convolution is cyclic in z, at size n, and
 linear in t, at size next_fast_len(n_t + t1), where t1 is the source's last
 nonzero level. Only the source's support is transformed: its levels up to
 t1, its nonzero columns along t and its nonzero fiber components.
@@ -170,27 +180,55 @@ def _periodic_difference(u: np.ndarray, out: np.ndarray) -> np.ndarray:
     return out
 
 
-def _centered_difference(u: np.ndarray, out: np.ndarray, dz: float) -> np.ndarray:
-    """out = (u[j + 1] - u[j - 1]) / (2 dz) along axis 0, periodic, with no temporary."""
-    return np.multiply(_periodic_difference(u, out), 1.0 / (2.0 * dz), out=out)
+def _first_order(cfg: EvolutionConfig, sigma: float):
+    """(L, (cols, w)): L u = A D_z u - sigma i m Gamma0 u on one (points, fiber) level.
 
-
-def _dirac(cfg: EvolutionConfig, u: np.ndarray, du_t: np.ndarray, sign: float) -> np.ndarray:
-    """Gamma^0 du_t + Gamma^3 D_z u + sign i m u for a (levels, points, fiber) field u.
-
-    ``du_t`` is the time derivative of u and is overwritten as scratch.
-    Both Gamma^a are monomial, so each term is a gather and a scale; the
-    z-difference and the result are the only fields allocated.
+    (cols, w) is Gamma0's monomial form. L writes into one buffer it owns,
+    so its result is overwritten by the next call. Raises InvariantViolation
+    unless A = -Gamma0 Gamma3 is diagonal in the packed basis.
     """
-    c0, w0 = _monomial(_symbol(cfg, 0))
-    c3, w3 = _monomial(_symbol(cfg, 3))
-    du_z = np.empty_like(u)
-    _centered_difference(u.swapaxes(0, 1), du_z.swapaxes(0, 1), cfg.dz)
-    out = np.take(du_t, c0, axis=-1)
-    out *= w0
-    out += np.multiply(np.take(du_z, c3, axis=-1, out=du_t, mode="clip"), w3, out=du_t)
-    out += np.multiply(u, sign * 1j * cfg.mass, out=du_t)
-    return out
+    g0 = _symbol(cfg, 0)
+    a_cols, a_w = _monomial(-g0 @ _symbol(cfg, 3))
+    if not np.array_equal(a_cols, np.arange(cfg.fiber)):
+        raise InvariantViolation("A = -Gamma0 Gamma3 is not diagonal in the packed basis")
+    g0_cols, g0_w = _monomial(g0)
+    # Calls write into preallocated levels (mode="clip" keeps take unbuffered):
+    # level-sized temporaries every step make glibc trim and refault its heap.
+    out, term = np.empty((2, cfg.points, cfg.fiber), dtype=complex)
+    # Level-shaped weights: a multiply by a (fiber,) row broadcast along the
+    # points costs about three same-shape multiplies. a_w = +-1, so folding
+    # 1/(2 dz) into it rounds exactly; folding dt in would not.
+    a_scale = np.broadcast_to(a_w * (1.0 / (2.0 * cfg.dz)), out.shape).copy()
+    b_scale = np.broadcast_to(-sigma * 1j * cfg.mass * g0_w, out.shape).copy()
+
+    def rhs(u):
+        """L u into ``out``; A is diagonal, so A D_z is a scale."""
+        np.multiply(_periodic_difference(u, out), a_scale, out=out)
+        np.multiply(np.take(u, g0_cols, axis=1, out=term, mode="clip"), b_scale, out=term)
+        return np.add(out, term, out=out)
+
+    return rhs, (g0_cols, g0_w)
+
+
+def _dirac_levels(cfg: EvolutionConfig, u: np.ndarray, sigma: float) -> Iterator[np.ndarray]:
+    """Yield ((D + sigma i m) u)[t] = Gamma0 (d_t u - L_sigma u)[t] for every level t.
+
+    The identity holds because Gamma0^2 = 1. d_t is the centered difference
+    inside and the one-sided first difference at the two ends, each divided
+    by its span in t. Each yielded level is one reused buffer. Level t of u
+    is copied before it is yielded and u is never written, so a caller may
+    overwrite u[t] with the level it gets.
+    """
+    rhs, (cols, w) = _first_order(cfg, sigma)
+    prev, cur, du_t, level = np.empty((4, cfg.points, cfg.fiber), dtype=complex)
+    for t in range(cfg.steps + 1):
+        np.copyto(cur, u[t])
+        # u[t + 1] is not overwritten yet; at t = 0 the copy of u[t] stands in for u[t - 1]
+        np.subtract(u[min(t + 1, cfg.steps)], prev if t > 0 else cur, out=du_t)
+        du_t /= (2.0 if 0 < t < cfg.steps else 1.0) * cfg.dt
+        du_t -= rhs(cur)
+        yield np.multiply(np.take(du_t, cols, axis=1, out=level, mode="clip"), w, out=level)
+        prev, cur = cur, prev
 
 
 def _coerce_initial(phi0, cfg: EvolutionConfig) -> np.ndarray:
@@ -203,7 +241,8 @@ def _coerce_initial(phi0, cfg: EvolutionConfig) -> np.ndarray:
 def _leapfrog(phi0, cfg: EvolutionConfig) -> Iterator[np.ndarray]:
     """Yield the levels u^0 .. u^steps from packed initial data, holding two.
 
-    The first step is the Taylor half-step
+    L = L_1 = A D_z + B comes from ``_first_order``, the one operator the
+    Green path applies too. The first step is the Taylor half-step
     u^1 = u^0 + dt L u^0 + (dt^2/2)(D2 - m^2) u^0 with D2 the one-cell
     second difference; it matches L^2 through the operator identities in
     the module docstring, so no extra reach and no first-order startup
@@ -218,32 +257,11 @@ def _leapfrog(phi0, cfg: EvolutionConfig) -> Iterator[np.ndarray]:
         raise CFLViolation(
             f"leapfrog needs dt sqrt(dz^-2 + m^2) < 1; dt = {dt}, dz = {dz}, m = {cfg.mass}"
         )
-    g0 = _symbol(cfg, 0)
-    a_cols, a_w = _monomial(-g0 @ _symbol(cfg, 3))
-    if not np.array_equal(a_cols, np.arange(cfg.fiber)):
-        raise InvariantViolation("A = -Gamma0 Gamma3 is not diagonal in the packed basis")
-    b_cols, g0_w = _monomial(g0)
-    m2 = cfg.mass**2
-    # Level-shaped weights: a multiply by a (fiber,) row broadcast along the
-    # points costs about three same-shape multiplies. a_w = +-1, so folding
-    # 1/(2 dz) into it rounds exactly; folding dt in would not.
-    a_scale = np.broadcast_to(a_w * (1.0 / (2.0 * dz)), u0.shape).copy()
-    b_scale = np.broadcast_to(-1j * cfg.mass * g0_w, u0.shape).copy()
-
-    # Steps write into preallocated levels (mode="clip" keeps take unbuffered):
-    # level-sized temporaries every step make glibc trim and refault its heap.
-    out, term = np.empty_like(u0), np.empty_like(u0)
-
-    def rhs(u):
-        """L u = A D_z u + B u into ``out``; A is diagonal, so A D_z is a scale."""
-        np.multiply(_periodic_difference(u, out), a_scale, out=out)
-        np.multiply(np.take(u, b_cols, axis=1, out=term, mode="clip"), b_scale, out=term)
-        return np.add(out, term, out=out)
-
+    rhs, _ = _first_order(cfg, 1.0)
     prev = u0.copy()
     yield prev
     lap = (np.roll(prev, -1, axis=0) - 2.0 * prev + np.roll(prev, 1, axis=0)) / dz**2
-    cur = prev + dt * rhs(prev) + 0.5 * dt**2 * (lap - m2 * prev)
+    cur = prev + dt * rhs(prev) + 0.5 * dt**2 * (lap - cfg.mass**2 * prev)
     yield cur
     for _ in range(2, cfg.steps + 1):
         step = rhs(cur)
@@ -570,12 +588,14 @@ def retarded_green_apply(source: GridField, cfg: EvolutionConfig) -> GridField:
     """Apply the retarded Green operator to a source field of any twist (k, l).
 
     Computes u = E_per * f, cyclic in z and a retarded sum in t, then
-    G f = (D - i m) u with centered derivatives (periodic in z, one sided
-    at the time ends), so the kernel, D and the leapfrog share the periodic
-    grid's one boundary condition. Applying the equation operator (D + i m)
-    to the result reproduces f up to discretization error on interior
-    levels, on every column, and the output vanishes to round-off at
-    levels more than one stencil width before the source support.
+    G f = (D - i m) u = Gamma0 (d_t u - L_-1 u) level by level, written over
+    u in place, with the leapfrog's L (periodic in z) and d_t centered
+    inside and one sided at the time ends. So the kernel, D and the
+    leapfrog share the periodic grid's one boundary condition, and the
+    Dirac step holds a few levels beyond u. Applying the equation operator
+    (D + i m) to the result reproduces f up to discretization error on
+    interior levels, on every column, and the output vanishes to round-off
+    at levels more than one stencil width before the source support.
 
     Any twist (k, l) works: E is scalar and Gamma(e^a) = kron(G(e^a), I)
     acts on the chiral axes only, so u is convolved per fiber component.
@@ -585,8 +605,9 @@ def retarded_green_apply(source: GridField, cfg: EvolutionConfig) -> GridField:
     if source.config != cfg:
         raise ValueError(f"source was built for {source.config}, not {cfg}")
     u = _retarded_convolution(source.data, cfg)
-    du_t = np.gradient(u, cfg.dt, axis=0)
-    return GridField(cfg, _dirac(cfg, u, du_t, -1.0))
+    for t, level in enumerate(_dirac_levels(cfg, u, -1.0)):
+        u[t] = level
+    return GridField(cfg, u)
 
 
 def config_to_json(cfg: EvolutionConfig) -> dict:
@@ -663,20 +684,26 @@ def snapshot_from_json(obj: dict) -> tuple[EvolutionConfig, float, np.ndarray]:
 def green_residual(result: GridField, source: GridField) -> float:
     """Relative interior residual of (D + i m) G f = f.
 
-    Uses centered differences, periodic in z, on every column and drops
-    two levels at each end of the time axis, where the one-sided
-    derivatives inside the Green application contaminate the comparison.
-    Raises ValueError when the two fields were built for different configs.
+    (D + i m) u = Gamma0 (d_t u - L_1 u) is taken level by level with the
+    leapfrog's L and centered differences, periodic in z, on every column.
+    The fold keeps max |(D + i m) u - f| over levels 2 .. steps - 2, so it
+    drops two levels at each end of the time axis, where the one-sided
+    derivatives inside the Green application contaminate the comparison,
+    and a NaN level keeps the result NaN. No field-sized temporary is made
+    beyond |f| for the scale. Raises ValueError when the two fields were
+    built for different configs.
     """
     cfg = result.config
     if source.config != cfg:
         raise ValueError(f"result was built for {cfg}, source for {source.config}")
     if cfg.steps < 6:
         raise ValueError("need more time levels for an interior residual")
-    u = result.data
-    du_t = np.subtract(u[2:], u[:-2])
-    du_t /= 2.0 * cfg.dt
-    diff = _dirac(cfg, u[1:-1], du_t, 1.0)
-    diff -= source.data[1:-1]
+    mag = np.empty((cfg.points, cfg.fiber))
+    # np.maximum, unlike max(), keeps a NaN residual visible in the result
+    worst = 0.0
+    for t, level in enumerate(_dirac_levels(cfg, result.data, 1.0)):
+        if 2 <= t <= cfg.steps - 2:
+            level -= source.data[t]
+            worst = np.maximum(worst, np.max(np.abs(level, out=mag)))
     scale = max(float(np.max(np.abs(source.data))), 1e-300)
-    return float(np.max(np.abs(diff[1:-1])) / scale)
+    return float(worst / scale)

@@ -388,11 +388,11 @@ def test_green_residual_refuses_fields_of_different_configs():
 
 
 def test_green_operator_holds_at_most_five_fields():
-    # u = E * f, its two derivatives and the output are the four fields the
-    # apply must hold at once; the convolution before them holds u, the
-    # kernel's spectrum and one component's, each at most (2 n_t) n cells,
-    # half a k = 0 field, and fewer when the source's support is compact.
-    # The bound allows one more transient field.
+    # u = E * f is the one field the apply returns: the Dirac step writes G f
+    # into it level by level. The convolution before it holds u, the kernel's
+    # spectrum and one component's, each at most (2 n_t) n cells, half a
+    # k = 0 field, and fewer when the source's support is compact: about two
+    # fields at once. The bound leaves room for three more.
     n_pts = 256
     dz = 16.0 / n_pts
     cfg = small_config(mass=1.0, extent=16.0, points=n_pts, dt=dz, steps=n_pts // 2)
@@ -404,6 +404,73 @@ def test_green_operator_holds_at_most_five_fields():
     finally:
         tracemalloc.stop()
     assert peak < 5 * source.data.nbytes
+
+
+def _traced_peak(call):
+    """Peak traced bytes allocated while ``call()`` runs."""
+    tracemalloc.start()
+    try:
+        call()
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    return peak
+
+
+def _green_pulse_256():
+    n_pts = 256
+    dz = 16.0 / n_pts
+    cfg = small_config(mass=1.0, extent=16.0, points=n_pts, dt=dz, steps=n_pts // 2)
+    return cfg, _pulse_source(cfg)
+
+
+def test_green_apply_holds_at_most_three_fields():
+    # u and the convolution's two half-field spectra, about 2.1 fields; the
+    # level-by-level Dirac step adds a few levels, not a field
+    cfg, source = _green_pulse_256()
+    peak = _traced_peak(lambda: ev.retarded_green_apply(source, cfg))
+    assert peak < 3 * source.data.nbytes
+
+
+def test_green_residual_holds_no_field():
+    # the residual is a fold over levels; only |f| for its scale, half a
+    # complex field, is taken whole
+    cfg, source = _green_pulse_256()
+    result = ev.retarded_green_apply(source, cfg)
+    peak = _traced_peak(lambda: ev.green_residual(result, source))
+    assert peak < source.data.nbytes
+
+
+def _dense_green_residual(u, f, cfg):
+    """Reference: (D + i m) u - f on levels 2 .. n_t - 3 from dense symbol matrices."""
+    g0 = hs.symbol_matrix(cfg.k, cfg.l, mk.basis_vector(0, covariant=True))
+    g3 = hs.symbol_matrix(cfg.k, cfg.l, mk.basis_vector(3, covariant=True))
+    du_t = (u[2:] - u[:-2]) / (2.0 * cfg.dt)
+    du_z = (np.roll(u, -1, axis=1) - np.roll(u, 1, axis=1)) / (2.0 * cfg.dz)
+    gap = du_t @ g0.T + (du_z @ g3.T + 1j * cfg.mass * u - f)[1:-1]
+    return np.max(np.abs(gap[1:-1])) / np.max(np.abs(f))
+
+
+@pytest.mark.parametrize("mass", [0.0, 1.0])
+@pytest.mark.parametrize("k", [0, 1])
+def test_green_residual_matches_a_dense_reference(mass, k):
+    points = 12
+    dz = 4.0 / points
+    cfg = small_config(mass=mass, k=k, l=k, extent=4.0, points=points, dt=dz, steps=10)
+    rng = np.random.default_rng(26 + k)
+    result, source = _random_field(rng, cfg), _random_field(rng, cfg)
+    expect = _dense_green_residual(result.data, source.data, cfg)
+    assert ev.green_residual(result, source) == pytest.approx(expect, rel=1e-13)
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, complex(0.0, -np.inf)], ids=["nan", "inf", "-inf-j"])
+def test_green_residual_keeps_a_non_finite_level_visible(bad):
+    cfg, source = _green_pulse_256()
+    result = ev.retarded_green_apply(source, cfg)
+    result.data[cfg.steps // 2, 7, 2] = bad
+    # complex arithmetic meets inf * 0 and numpy warns; what is checked is the value
+    with np.errstate(invalid="ignore"):
+        assert not np.isfinite(ev.green_residual(result, source))
 
 
 def test_retarded_kernel_weights_massless_case():

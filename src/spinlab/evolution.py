@@ -689,15 +689,20 @@ def green_residual(result: GridField, source: GridField) -> float:
     The fold keeps max |(D + i m) u - f| over levels 2 .. steps - 2, so it
     drops two levels at each end of the time axis, where the one-sided
     derivatives inside the Green application contaminate the comparison,
-    and a NaN level keeps the result NaN. No field-sized temporary is made
-    beyond |f| for the scale. Raises ValueError when the two fields were
-    built for different configs.
+    and a NaN in the source keeps the result NaN. No field-sized temporary
+    is made beyond |f| for the scale. Raises ValueError when the two fields
+    were built for different configs and, naming its first non-finite
+    level, when ``result`` holds a NaN or inf, which the differences would
+    meet as inf - inf or inf * 0.
     """
     cfg = result.config
     if source.config != cfg:
         raise ValueError(f"result was built for {cfg}, source for {source.config}")
     if cfg.steps < 6:
         raise ValueError("need more time levels for an interior residual")
+    for t, level in enumerate(result.data):
+        if not np.all(np.isfinite(level)):
+            raise ValueError(f"result level {t} holds a non-finite value")
     mag = np.empty((cfg.points, cfg.fiber))
     # np.maximum, unlike max(), keeps a NaN residual visible in the result
     worst = 0.0

@@ -15,9 +15,13 @@ once k >= 2 (and already for k = 1).
 
 Packed coordinates: symmetric tensors are stored by occupation count, in
 the order sector (phi1, phi2) x chiral (0, 1) x undotted occupation x
-dotted occupation, all ascending. The basis vector of one packed slot is
-the indicator of the whole permutation orbit, so packing reads the sorted
-representative and unpacking is its right inverse on symmetric tensors.
+dotted occupation, all ascending. One slot map gives every index of a
+sector block its slot, (c (k+1) + ones among the k undotted axes) (l+1) +
+ones among the l dotted axes, so the basis vector of a slot is the
+indicator of its whole permutation orbit. Unpacking gathers each index's
+coordinate through the map, and packing reads each slot's first
+row-major index, the sorted representative; unpacking is the right
+inverse of packing on symmetric tensors.
 
 In that basis both fiber operators are Kronecker products of a 4 x 4
 sector-chiral factor and a twist factor. The symbol is the identity on the
@@ -122,12 +126,14 @@ class HigherSpinVector:
             raise ValueError(f"phi1 tags {self.phi1.tags} do not match type ({k},{l})")
         if self.phi2.tags != _phi2_tags(k, l):
             raise ValueError(f"phi2 tags {self.phi2.tags} do not match type ({k},{l})")
-        # np.max keeps a NaN entry in the scale, so a NaN or inf block fails the
-        # test below at every (k, l), even with no twist group to symmetrize
+        # np.max keeps a NaN entry in the scale, so a NaN or inf block is refused
+        # here at every (k, l), before symmetrize meets it (inf - inf warns)
         scale = np.max([np.max(np.abs(self.phi1.data)), np.max(np.abs(self.phi2.data)), 1e-30])
+        if not np.isfinite(scale):
+            raise ValueError(f"a block is not finite (scale {scale})")
         worst = np.max([_symmetry_residual(self.phi1, k, l), _symmetry_residual(self.phi2, k, l)])
-        if not (np.isfinite(scale) and worst <= 1e-10 * scale):
-            raise ValueError(f"twist axes are not symmetric or a block is not finite "
+        if not worst <= 1e-10 * scale:
+            raise ValueError("twist axes are not symmetric "
                              f"(residual {worst:.3e}, scale {scale:.3e})")
 
     def __mul__(self, scalar: complex) -> "HigherSpinVector":
@@ -152,55 +158,38 @@ def fiber_dim(k: int, l: int) -> int:
     return 4 * (k + 1) * (l + 1)
 
 
-def _weight_mask(n_axes: int, ones: int) -> np.ndarray:
-    """Indicator of all positions with the given number of 1 indices."""
-    if n_axes == 0:
-        return np.array(1.0)
-    weights = np.indices((2,) * n_axes).sum(axis=0)
-    return (weights == ones).astype(float)
+def _slots(k: int, l: int) -> np.ndarray:
+    """Packed slot of every index of one sector block, shape (2,) * (1 + k + l).
 
-
-def _rep_index(n_axes: int, ones: int) -> tuple[int, ...]:
-    return (0,) * (n_axes - ones) + (1,) * ones
+    Index (c, undotted..., dotted...) lies in slot
+    (c (k+1) + ones among the undotted axes) (l+1) + ones among the dotted
+    axes, the position of its permutation orbit within the sector.
+    """
+    idx = np.indices((2,) * (1 + k + l))
+    return (idx[0] * (k + 1) + idx[1:k + 1].sum(axis=0)) * (l + 1) + idx[k + 1:].sum(axis=0)
 
 
 def pack(phi: HigherSpinVector) -> np.ndarray:
-    """Packed coordinates of a fiber element (reads sorted representatives)."""
-    k, l = phi.k, phi.l
-    out = np.empty(fiber_dim(k, l), dtype=complex)
-    pos = 0
-    for block in (phi.phi1, phi.phi2):
-        for c in range(2):
-            for tu in range(k + 1):
-                for td in range(l + 1):
-                    idx = (c,) + _rep_index(k, tu) + _rep_index(l, td)
-                    out[pos] = block.data[idx]
-                    pos += 1
-    return out
+    """Packed coordinates of a fiber element (reads sorted representatives).
+
+    A slot's first row-major index is its sorted representative: zeros
+    before ones is the smallest index of each orbit.
+    """
+    _, first = np.unique(_slots(phi.k, phi.l), return_index=True)
+    return np.concatenate([phi.phi1.data.ravel()[first], phi.phi2.data.ravel()[first]])
 
 
 def unpack(vec: np.ndarray, k: int, l: int) -> HigherSpinVector:
-    """Right inverse of :func:`pack`: orbit indicators at each packed slot."""
+    """Right inverse of :func:`pack`: every index takes its slot's coordinate."""
     vec = np.asarray(vec, dtype=complex)
     if vec.shape != (fiber_dim(k, l),):
         raise ValueError(f"expected {fiber_dim(k, l)} coordinates, got {vec.shape}")
-    blocks = []
-    pos = 0
-    for _ in range(2):
-        data = np.zeros((2,) + (2,) * (k + l), dtype=complex)
-        for c in range(2):
-            for tu in range(k + 1):
-                mask_u = _weight_mask(k, tu)
-                for td in range(l + 1):
-                    orbit = np.tensordot(mask_u, _weight_mask(l, td), axes=0)
-                    data[c] = data[c] + vec[pos] * orbit
-                    pos += 1
-        blocks.append(data)
+    slots, half = _slots(k, l), fiber_dim(k, l) // 2
     return HigherSpinVector(
         k,
         l,
-        Spinor(blocks[0], _phi1_tags(k, l)),
-        Spinor(blocks[1], _phi2_tags(k, l)),
+        Spinor(vec[:half][slots], _phi1_tags(k, l)),
+        Spinor(vec[half:][slots], _phi2_tags(k, l)),
     )
 
 

@@ -87,3 +87,14 @@ def test_a_later_nan_convergence_order_makes_an_error_row(monkeypatch):
     monkeypatch.setattr(ev, "final_level", poisoned)
     row = _row(checks.SUITES["evolution"](0, timings=False), "convergence-order")
     assert row["status"] == "error" and row["error"] == "ValueError: non-finite residual nan"
+
+
+def test_the_rank_one_signature_row_certifies_its_witnesses(monkeypatch):
+    # k = 1 is indefinite, (12, 4, 0), so the row fails when no negative witness certifies
+    row = _row(checks.SUITES["signature"](0, timings=False, ks=(1,)), "signature-k1-report")
+    assert row["status"] == "pass" and row["tolerance"] == 0.5
+    positive_minus = lambda pair: (pair[0], (pair[1][0], 1.0))
+    poisoned = _poison_call(hs.witness_pair, "witnesses", 1, positive_minus)
+    monkeypatch.setattr(hs, "witness_pair", poisoned)
+    row = _row(checks.SUITES["signature"](0, timings=False, ks=(1,)), "signature-k1-report")
+    assert row["status"] == "fail" and row["residual"] == 1.0

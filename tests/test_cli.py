@@ -358,6 +358,32 @@ def test_a_non_integer_seed_variable_is_a_usage_error(monkeypatch, capsys):
     assert cli.run(["signature", "--k", "0", "--seed", "5", "--no-timings"]) == 0
 
 
+@pytest.mark.parametrize("knob", [["--seed", "3"], ["--tol-scale", "1e9"], ["--no-timings"]],
+                         ids=["seed", "tol-scale", "no-timings"])
+@pytest.mark.parametrize("command", ["evolve", "green"])
+def test_evolve_and_green_refuse_the_check_suite_knobs(tmp_path, capsys, command, knob):
+    # neither runs a check suite, so a knob would be silently ignored
+    out = tmp_path / "out.json"
+    config = tmp_path / "cfg.json"
+    config.write_text(json.dumps({"mass": 1.0, "k": 0, "l": 0, "extent": 16.0,
+                                  "points": 64, "dt": 0.0625, "steps": 8}))
+    argv = {
+        "evolve": ["evolve", "--config", str(config), "--out", str(out)],
+        "green": ["green", "--m", "1", "--points", "64", "--out", str(out)],
+    }[command]
+    assert cli.run(argv + knob) == 2
+    assert "unrecognized arguments" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_green_does_not_read_the_seed_variable(monkeypatch, tmp_path, capsys):
+    monkeypatch.setenv("SPINLAB_SEED", "abc")
+    out = tmp_path / "green.json"
+    assert cli.run(["green", "--m", "1", "--points", "128", "--out", str(out)]) == 0
+    assert capsys.readouterr().err == ""
+    assert out.exists()
+
+
 @pytest.mark.parametrize("command", ["evolve", "green", "verify", "report"])
 def test_an_unwritable_output_path_exits_two(tmp_path, capsys, command):
     out = str(tmp_path / "missing-dir" / "out.json")

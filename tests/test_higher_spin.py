@@ -1,5 +1,7 @@
 """Twisted fibers: packing, symbols, pairings, and Gram signatures."""
 
+import itertools
+
 import numpy as np
 import pytest
 
@@ -25,12 +27,56 @@ def test_fiber_dimension_formula():
 
 def test_pack_unpack_roundtrip():
     rng = np.random.default_rng(0)
-    for k in range(3):
-        for l in range(3):
+    for k in range(4):
+        for l in range(4):
             vec = rng.normal(size=hs.fiber_dim(k, l)) + 1j * rng.normal(
                 size=hs.fiber_dim(k, l)
             )
-            np.testing.assert_allclose(hs.pack(hs.unpack(vec, k, l)), vec, atol=1e-13)
+            assert np.array_equal(hs.pack(hs.unpack(vec, k, l)), vec)
+
+
+def _orbit_indicators(k, l):
+    """Packed basis enumerated index by index: (sector, block) per slot, in packed order."""
+    indices = list(itertools.product(range(2), repeat=1 + k + l))
+    basis = []
+    for sector, c, tu, td in itertools.product(range(2), range(2), range(k + 1), range(l + 1)):
+        block = np.zeros((2,) * (1 + k + l))
+        for idx in indices:
+            if idx[0] == c and sum(idx[1:k + 1]) == tu and sum(idx[k + 1:]) == td:
+                block[idx] = 1.0
+        basis.append((sector, block))
+    return basis
+
+
+@pytest.mark.parametrize("k, l", list(itertools.product(range(4), repeat=2)))
+def test_packed_slots_are_the_enumerated_orbit_indicators(k, l):
+    basis = _orbit_indicators(k, l)
+    units = np.eye(hs.fiber_dim(k, l), dtype=complex)
+    assert len(basis) == len(units)
+    for unit, (sector, block) in zip(units, basis):
+        phi = hs.unpack(unit, k, l)
+        blocks = (phi.phi1.data, phi.phi2.data)
+        assert np.array_equal(blocks[sector], block)
+        assert not np.any(blocks[1 - sector])
+        assert np.array_equal(hs.pack(phi), unit)
+
+
+@pytest.mark.parametrize("k, l", list(itertools.product(range(4), repeat=2)))
+def test_pack_reads_the_sorted_representative(k, l):
+    rng = np.random.default_rng(10 * k + l)
+    dim = hs.fiber_dim(k, l)
+    vec = rng.normal(size=dim) + 1j * rng.normal(size=dim)
+    phi = hs.unpack(vec, k, l)
+    # an asymmetry far below the validation bound tells the orbit's entries apart
+    blocks = [block.data + 1e-13 * rng.normal(size=block.data.shape)
+              for block in (phi.phi1, phi.phi2)]
+    packed = hs.pack(hs.HigherSpinVector(
+        k, l, sc.Spinor(blocks[0], phi.phi1.tags), sc.Spinor(blocks[1], phi.phi2.tags)
+    ))
+    reps = [(c,) + (0,) * (k - tu) + (1,) * tu + (0,) * (l - td) + (1,) * td
+            for c, tu, td in itertools.product(range(2), range(k + 1), range(l + 1))]
+    expect = [block[rep] for block in blocks for rep in reps]
+    assert np.array_equal(packed, expect)
 
 
 def test_unpack_validates_length():
@@ -48,15 +94,21 @@ def test_fiber_vectors_enforce_twist_symmetry():
         hs.HigherSpinVector(2, 0, phi1, phi2)
 
 
-@pytest.mark.filterwarnings("ignore::RuntimeWarning")  # symmetrizing inf makes inf - inf
-@pytest.mark.parametrize("bad", [np.nan, np.inf])
-@pytest.mark.parametrize("k, l", [(0, 0), (1, 0), (0, 1), (1, 1), (2, 0), (2, 2), (3, 1)])
+@pytest.mark.parametrize("bad", [np.nan, np.inf, complex(0.0, -np.inf)], ids=["nan", "inf", "-inf-j"])
+@pytest.mark.parametrize("k, l", list(itertools.product(range(4), repeat=2)))
 def test_fiber_vectors_refuse_a_non_finite_block(k, l, bad):
-    phi = hs.unpack(np.ones(hs.fiber_dim(k, l), dtype=complex), k, l)
+    # no errstate: the refusal comes before any arithmetic on the bad entry
+    ones = np.ones(hs.fiber_dim(k, l), dtype=complex)
+    phi = hs.unpack(ones, k, l)
     data = phi.phi2.data.copy()
     data.flat[-1] = bad
     with pytest.raises(ValueError, match="not finite"):
         hs.HigherSpinVector(k, l, phi.phi1, sc.Spinor(data, phi.phi2.tags))
+    for pos in range(len(ones)):
+        vec = ones.copy()
+        vec[pos] = bad
+        with pytest.raises(ValueError, match="not finite"):
+            hs.unpack(vec, k, l)
 
 
 def test_untwisted_symbol_matches_the_gamma_action():

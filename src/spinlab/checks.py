@@ -249,20 +249,16 @@ def algebra_suite(suite: Suite, seed: int) -> None:
     suite.check("covering-map-examples", "Appendix 6", 1e-12, covering_examples)
 
     def covering_batch():
-        # covering_lambda itself raises when lam leaves the restricted group
-        prev = None
-        eta = mk.ETA
-        for _ in range(1000):
-            s2 = random_sl2(rng)
-            lam = cl.covering_lambda(s2)
-            yield lam.T @ eta @ lam - eta
-            yield cl.covering_lambda(-s2) - lam
-            x = mk.LorentzVector(rng.normal(size=4))
-            lhs = sc.sigma_map(mk.LorentzVector(lam @ x.components))
-            yield lhs.data - sc.apply_sl2(sc.sigma_map(x), s2).data
-            if prev is not None:
-                yield cl.covering_lambda(prev @ s2) - cl.covering_lambda(prev) @ lam
-            prev = s2
+        # every draw comes first, so a batch that raises leaves the later rows' inputs alone
+        draws = [(random_sl2(rng), rng.normal(size=4)) for _ in range(1000)]
+        s2 = np.array([s for s, _ in draws])
+        lam = cl.covering_lambda(s2)
+        yield np.swapaxes(lam, 1, 2) @ mk.ETA @ lam - mk.ETA
+        yield cl.covering_lambda(-s2) - lam
+        yield cl.covering_lambda(s2[:-1] @ s2[1:]) - lam[:-1] @ lam[1:]
+        for (s, x), lam_s in zip(draws, lam):
+            lhs = sc.sigma_map(mk.LorentzVector(lam_s @ x))
+            yield lhs.data - sc.apply_sl2(sc.sigma_map(mk.LorentzVector(x)), s).data
 
     suite.check("covering-map-batch", "Appendix 6", 1e-9, covering_batch)
 

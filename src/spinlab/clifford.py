@@ -18,7 +18,7 @@ import itertools
 import numpy as np
 from scipy.linalg import expm
 
-from .minkowski import DEFAULT_TOL, ETA, is_restricted_lorentz
+from .minkowski import DEFAULT_TOL, ETA, _restricted
 
 PAULI = np.array(
     [
@@ -184,39 +184,53 @@ def exp_spin(a, b) -> tuple[np.ndarray, np.ndarray]:
     ``a`` holds rotation parameters (a full turn, |a| = 2 pi, gives
     S2 = -Id: the double cover is genuinely 2-to-1), ``b`` holds boost
     rapidities. Returns (S2, S4); S4 is block diagonal with blocks S2 and
-    inv(S2^dag).
+    inv(S2^dag). S2 is the closed form cosh(lam) Id + (sinh(lam)/lam) w . s with
+    w = (b - i a)/2 and lam = sqrt(w . w), since (w . s)^2 = (w . w) Id (the factor is
+    1 at lam = 0, and both terms are even in lam); S4 is ``expm``, an independent route.
+    A NaN or infinite parameter raises ValueError.
     """
     a = np.asarray(a, dtype=float)
     b = np.asarray(b, dtype=float)
-    m2, n2 = spin_generators_2x2()
+    if not (np.all(np.isfinite(a)) and np.all(np.isfinite(b))):
+        raise ValueError("exp_spin requires finite parameters")
+    w = (b - 1j * a) / 2.0
+    lam = np.sqrt(w @ w)
+    shc = np.sinh(lam) / lam if lam != 0 else 1.0
     m4, n4 = spin_generators()
-    gen2 = 0.5 * (np.einsum("i,iab->ab", a, m2) + np.einsum("i,iab->ab", b, n2))
     gen4 = 0.5 * (np.einsum("i,iab->ab", a, m4) + np.einsum("i,iab->ab", b, n4))
-    return expm(gen2), expm(gen4)
+    s2 = np.cosh(lam) * PAULI[0] + shc * np.einsum("i,iab->ab", w, PAULI[1:])
+    return s2, expm(gen4)
+
+
+def _refuse(ok: np.ndarray, exc: type[Exception], message: str, value=None) -> None:
+    """Raise ``exc`` at the first False i of ``ok`` (with value[i]), naming i in a stack."""
+    if not np.all(ok):
+        i = np.unravel_index(np.argmin(ok), np.shape(ok))
+        text = message.format(None if value is None else value[i])
+        raise exc(text + (f" at index {', '.join(map(str, i))}" if i else ""))
 
 
 def covering_lambda(s2: np.ndarray) -> np.ndarray:
-    """Restricted Lorentz matrix of the covering action H -> S H S^dag.
+    """Restricted Lorentz matrices of H -> S H S^dag for one S or a (..., 2, 2) stack.
 
-    Column b holds the Pauli-basis coefficients of S s_b S^dag, read off
-    with the trace pairing tr(s_a s_b) = 2 delta_ab. The result is the same
-    for S and -S. Raises NotUnimodular when |det S - 1| exceeds DEFAULT_TOL,
-    and InvariantViolation when the coefficients come out complex or the
-    result fails the restricted-group test.
+    Entry (a, b) is (1/2) tr(s_a S s_b S^dag), so the (..., 4, 4) result is the
+    Kronecker form (1/2) conj(P) (S kron conj(S)) P^T, row a of P being s_a read
+    row-major; S and -S give the same matrix. Raises NotUnimodular when |det S - 1|
+    exceeds DEFAULT_TOL (NaN and inf fail closed), InvariantViolation when the
+    coefficients come out complex or a result fails the restricted-group test (each
+    naming a stack's first failing index), and ValueError for a shape not ending in (2, 2).
     """
     s2 = np.asarray(s2, dtype=complex)
+    if s2.shape[-2:] != (2, 2):
+        raise ValueError(f"expected shape (..., 2, 2), got {s2.shape}")
     det = np.linalg.det(s2)
-    if not abs(det - 1.0) <= DEFAULT_TOL:  # NaN and inf fail closed
-        raise NotUnimodular(f"det = {det}, expected 1")
-    lam = np.empty((4, 4), dtype=float)
-    for b in range(4):
-        image = s2 @ PAULI[b] @ s2.conj().T
-        coeff = np.einsum("aij,ji->a", PAULI, image) / 2.0
-        # S s_b S^dag is Hermitian for any S, so the Pauli coefficients are real.
-        imag = float(np.max(np.abs(coeff.imag)))
-        if not imag < 1e-10:
-            raise InvariantViolation(f"complex Pauli coefficients (imag {imag:.3e})")
-        lam[:, b] = coeff.real
-    if not is_restricted_lorentz(lam):
-        raise InvariantViolation("covering output left the restricted group")
+    _refuse(np.abs(det - 1.0) <= DEFAULT_TOL, NotUnimodular, "det = {}, expected 1", det)
+    kron = s2[..., :, None, :, None] * s2.conj()[..., None, :, None, :]
+    rows = PAULI.reshape(4, 4)
+    coeff = rows.conj() @ kron.reshape(s2.shape[:-2] + (4, 4)) @ rows.T / 2.0
+    # S s_b S^dag is Hermitian for any S, so the Pauli coefficients are real.
+    imag = np.max(np.abs(coeff.imag), axis=(-2, -1))
+    _refuse(imag < 1e-10, InvariantViolation, "complex Pauli coefficients (imag {:.3e})", imag)
+    lam = coeff.real
+    _refuse(_restricted(lam), InvariantViolation, "covering output left the restricted group")
     return lam

@@ -120,23 +120,20 @@ def classify_causal(x: LorentzVector) -> tuple[str, str]:
     return cls, orientation
 
 
-def is_restricted_lorentz(lam: np.ndarray) -> bool:
-    """True when lam preserves the metric, has det > 0, and lam[0,0] >= 1-tol.
+def _restricted(lam: np.ndarray) -> np.ndarray:
+    """Per-matrix restricted-group mask of a real (..., 4, 4) stack: metric gap at most
+    DEFAULT_TOL, det > 0 and lam[0, 0] >= 1 - DEFAULT_TOL (the two positivity tests pick the
+    proper orthochronous component). A NaN fails every comparison."""
+    gap = np.max(np.abs(np.swapaxes(lam, -1, -2) @ ETA @ lam - ETA), axis=(-2, -1))
+    return (gap <= DEFAULT_TOL) & (np.linalg.det(lam) > 0) & (lam[..., 0, 0] >= 1.0 - DEFAULT_TOL)
 
-    tol is DEFAULT_TOL, which also bounds the metric gap and any imaginary
-    part. The two positivity conditions select the identity component
-    (proper and orthochronous) among metric-preserving matrices. A NaN or
-    infinite entry is refused before any arithmetic, which would let it through.
-    """
+
+def is_restricted_lorentz(lam: np.ndarray) -> bool:
+    """True when one (4, 4) lam passes ``_restricted``. Any other shape, a NaN or infinite
+    entry, or an imaginary part above DEFAULT_TOL gives False before any arithmetic."""
     lam = np.asarray(lam)
     if lam.shape != (4, 4) or not np.all(np.isfinite(lam)):
         return False
-    if np.iscomplexobj(lam):
-        if np.max(np.abs(lam.imag)) > DEFAULT_TOL:
-            return False
-        lam = lam.real
-    if np.max(np.abs(lam.T @ ETA @ lam - ETA)) > DEFAULT_TOL:
+    if np.max(np.abs(lam.imag)) > DEFAULT_TOL:
         return False
-    if np.linalg.det(lam) <= 0:
-        return False
-    return bool(lam[0, 0] >= 1.0 - DEFAULT_TOL)
+    return bool(_restricted(lam.real))

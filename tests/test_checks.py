@@ -3,6 +3,7 @@
 import sys
 
 import numpy as np
+import pytest
 
 from spinlab import checks
 from spinlab import clifford as cl
@@ -98,3 +99,26 @@ def test_the_rank_one_signature_row_certifies_its_witnesses(monkeypatch):
     monkeypatch.setattr(hs, "witness_pair", poisoned)
     row = _row(checks.SUITES["signature"](0, timings=False, ks=(1,)), "signature-k1-report")
     assert row["status"] == "fail" and row["residual"] == 1.0
+
+
+@pytest.mark.parametrize("seed", [0, 10])
+def test_a_covering_batch_that_raises_leaves_the_later_rows_inputs_alone(monkeypatch, seed):
+    # the batch draws every sample before its first covering call, so raising there leaves
+    # every other row as a batch that runs on (to its end, or to its own error at seed 10)
+    def rows():
+        report = checks.SUITES["algebra"](seed, timings=False).report()
+        return {row["id"]: (row["status"], row["residual"]) for row in report["checks"]}
+
+    completed = rows()
+    real = cl.covering_lambda
+
+    def refuse_the_batch(s2):
+        if sys._getframe(1).f_code.co_name == "covering_batch":
+            raise cl.InvariantViolation("planted")
+        return real(s2)
+
+    monkeypatch.setattr(cl, "covering_lambda", refuse_the_batch)
+    raised = rows()
+    assert raised.pop("covering-map-batch") == ("error", None)
+    completed.pop("covering-map-batch")
+    assert raised == completed

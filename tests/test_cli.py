@@ -128,7 +128,9 @@ def test_verify_algebra_seed_ten_records_the_covering_batch_error(tmp_path, caps
     errors = [row for row in suite["checks"] if row["status"] == "error"]
     assert [row["id"] for row in errors] == ["covering-map-batch"]
     assert errors[0]["residual"] is None
-    assert errors[0]["error"].startswith("InvariantViolation: ")
+    # README quotes this message
+    assert errors[0]["error"] == (
+        "InvariantViolation: covering output left the restricted group at index 646")
     assert suite["summary"]["failed"] == 1
 
 

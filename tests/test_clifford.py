@@ -9,6 +9,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.linalg import expm
 
 import spinlab
 from spinlab import clifford as cl
@@ -68,6 +69,40 @@ def test_exp_spin_is_unimodular_and_block_diagonal():
             s4[2:, 2:], np.linalg.inv(s2.conj().T), atol=1e-12
         )
         np.testing.assert_allclose(s4[:2, 2:], 0.0, atol=1e-15)
+
+
+def _exp_spin_by_expm(a, b):
+    m2, n2 = cl.spin_generators_2x2()
+    return expm(0.5 * (np.einsum("i,iab->ab", a, m2) + np.einsum("i,iab->ab", b, n2)))
+
+
+@pytest.mark.parametrize("a, b", [
+    ([0.0, 1.0, 0.0], [1.0, 0.0, 0.0]),  # w = (b - i a)/2 is null: w . w = 0, w != 0
+    ([1e-9, 0.0, 0.0], [0.0, 0.0, 0.0]),
+    ([0.0, 0.0, 2 * np.pi], [0.0, 0.0, 0.0]),
+    ([0.0, 0.0, 0.0], [0.0, 0.0, 0.0]),
+])
+def test_closed_form_exp_spin_matches_expm_at_edge_cases(a, b):
+    s2, _ = cl.exp_spin(a, b)
+    reference = _exp_spin_by_expm(np.array(a), np.array(b))
+    assert np.max(np.abs(s2 - reference)) <= 1e-13 * np.max(np.abs(reference))
+
+
+def test_closed_form_exp_spin_matches_expm_on_random_parameters():
+    rng = np.random.default_rng(17)
+    for _ in range(2000):
+        a, b = rng.normal(size=3) * 1.5, rng.normal(size=3) * 1.5
+        s2, _ = cl.exp_spin(a, b)
+        reference = _exp_spin_by_expm(a, b)
+        assert np.max(np.abs(s2 - reference)) <= 1e-13 * np.max(np.abs(reference))
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_exp_spin_refuses_a_non_finite_parameter(bad):
+    with pytest.raises(ValueError, match="finite"):
+        cl.exp_spin([0.0, bad, 0.0], [0.0, 0.0, 0.0])
+    with pytest.raises(ValueError, match="finite"):
+        cl.exp_spin([0.0, 0.0, 0.0], [bad, 0.0, 0.0])
 
 
 def test_covering_of_a_pure_z_boost():
@@ -157,19 +192,76 @@ def test_covering_raises_when_its_output_leaves_the_restricted_group():
         cl.covering_lambda(boost)
 
 
+def _random_sl2_stack(rng, n):
+    mat = rng.normal(size=(n, 2, 2)) + 1j * rng.normal(size=(n, 2, 2))
+    return mat / np.sqrt(np.linalg.det(mat))[:, None, None]
+
+
+def _trace_pairing(s2):
+    """(1/2) tr(s_a S s_b S^dag), entry by entry."""
+    return np.array([[0.5 * np.trace(cl.PAULI[a] @ s2 @ cl.PAULI[b] @ s2.conj().T).real
+                      for b in range(4)] for a in range(4)])
+
+
+def test_a_covering_stack_equals_the_per_matrix_calls_and_the_trace_pairing():
+    stack = _random_sl2_stack(np.random.default_rng(23), 60)
+    lam = cl.covering_lambda(stack)
+    assert lam.shape == (60, 4, 4)
+    for s2, lam_s in zip(stack, lam):
+        single = cl.covering_lambda(s2)
+        reference = _trace_pairing(s2)
+        scale = np.max(np.abs(reference))
+        assert np.max(np.abs(lam_s - single)) <= 1e-14 * scale
+        assert np.max(np.abs(single - reference)) <= 1e-14 * scale
+    np.testing.assert_allclose(cl.covering_lambda(stack.reshape(3, 20, 2, 2)),
+                               lam.reshape(3, 20, 4, 4), rtol=0, atol=1e-14 * np.max(np.abs(lam)))
+
+
+@pytest.mark.parametrize("j", [0, 5, 9])
+def test_a_covering_stack_names_the_first_member_that_leaves_the_group(j):
+    stack = _random_sl2_stack(np.random.default_rng(29), 10)
+    stack[j] = SEED10_PRODUCT
+    with pytest.raises(cl.InvariantViolation, match=f"restricted group at index {j}$"):
+        cl.covering_lambda(stack)
+    stack[9] = SEED10_PRODUCT
+    with pytest.raises(cl.InvariantViolation, match=f"restricted group at index {j}$"):
+        cl.covering_lambda(stack)
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")  # det of a non-finite matrix
+@pytest.mark.parametrize("bad", [2.0 * np.eye(2), np.full((2, 2), np.nan)])
+def test_a_covering_stack_refuses_a_non_unimodular_member(bad):
+    stack = _random_sl2_stack(np.random.default_rng(31), 8)
+    stack[6] = bad
+    stack[7] = SEED10_PRODUCT  # unimodular, so the det test names index 6 first
+    with pytest.raises(cl.NotUnimodular, match="at index 6$"):
+        cl.covering_lambda(stack)
+
+
+@pytest.mark.parametrize("shape", [(3, 3), (2,), (), (5, 2, 3), (4, 2)])
+def test_covering_refuses_a_shape_not_ending_in_two_by_two(shape):
+    with pytest.raises(ValueError, match="expected shape"):
+        cl.covering_lambda(np.ones(shape, dtype=complex))
+
+
 def test_covering_check_survives_optimized_mode():
     env = dict(os.environ, PYTHONPATH=str(Path(spinlab.__file__).parent.parent))
     code = (
         "import numpy as np\n"
         "from spinlab import clifford as cl\n"
-        "try:\n"
-        "    cl.covering_lambda(np.diag([1e4, 1e-4]).astype(complex))\n"
-        "except cl.InvariantViolation:\n"
-        "    print('raised')\n"
+        "boost = np.diag([1e4, 1e-4]).astype(complex)\n"
+        "for s2 in (boost, np.array([np.eye(2), np.eye(2), boost])):\n"
+        "    try:\n"
+        "        cl.covering_lambda(s2)\n"
+        "    except cl.InvariantViolation as exc:\n"
+        "        print('raised', exc)\n"
     )
     out = subprocess.run([sys.executable, "-O", "-c", code], env=env, capture_output=True,
                          text=True, check=True, timeout=120)
-    assert out.stdout.strip() == "raised"
+    assert out.stdout.splitlines() == [
+        "raised covering output left the restricted group",
+        "raised covering output left the restricted group at index 2",
+    ]
 
 
 def test_invariant_violation_is_one_exception_class():

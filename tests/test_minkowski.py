@@ -128,6 +128,18 @@ def test_restricted_lorentz_rejects_other_components_and_junk():
     assert not mk.is_restricted_lorentz(np.eye(4) * (1 + 1j))
 
 
+def test_restricted_mask_over_a_stack_matches_the_predicate_per_matrix():
+    rot = np.eye(4)
+    rot[1:3, 1:3] = [[np.cos(0.4), -np.sin(0.4)], [np.sin(0.4), np.cos(0.4)]]
+    stack = np.array([np.eye(4), _z_boost(0.7), rot, np.diag([1.0, -1.0, -1.0, -1.0]),
+                      np.diag([-1.0, 1.0, 1.0, 1.0]), -np.eye(4), 2.0 * np.eye(4),
+                      np.eye(4) + 1e-3])
+    mask = mk._restricted(stack)
+    assert mask.tolist() == [True] * 3 + [False] * 5
+    assert mask.tolist() == [mk.is_restricted_lorentz(lam) for lam in stack]
+    assert mk._restricted(stack.reshape(2, 4, 4, 4)).tolist() == [mask[:4].tolist(), mask[4:].tolist()]
+
+
 @pytest.mark.parametrize("bad", [np.nan, np.inf])
 @pytest.mark.parametrize("slot", [(1, 2), (0, 0), (3, 3)])
 def test_restricted_lorentz_rejects_non_finite_entries(bad, slot):

@@ -15,7 +15,10 @@ max |gap| over everything it yields, reduced with one NaN-keeping
 ``np.max``, and 0.0 when it yields nothing. A row whose check raises or
 whose residual is NaN or infinite (so any NaN or infinite gap) gets status
 ``"error"``, residual ``None`` and ``"error": "<Type>: <message>"``; it
-counts as not passed and the remaining rows still run.
+counts as not passed and the remaining rows still run. So does a row whose
+scaled tolerance is not finite, with tolerance ``None``; a non-finite
+number in a suite's ``info`` is written as ``None``, and ``stable_json``
+refuses any NaN or infinity left, so no document carries one.
 """
 
 from __future__ import annotations
@@ -49,7 +52,19 @@ DIMENSION_FLAG = {
 
 
 def stable_json(obj) -> str:
-    return json.dumps(obj, sort_keys=True, separators=(",", ":")) + "\n"
+    """Sorted, compact JSON; a NaN or infinity raises ValueError instead of being written."""
+    return json.dumps(obj, sort_keys=True, separators=(",", ":"), allow_nan=False) + "\n"
+
+
+def _finite_or_null(value):
+    """``value`` with every non-finite float, in nested dicts and lists too, made None."""
+    if isinstance(value, dict):
+        return {key: _finite_or_null(item) for key, item in value.items()}
+    if isinstance(value, list):
+        return [_finite_or_null(item) for item in value]
+    if isinstance(value, float) and not math.isfinite(value):
+        return None
+    return value
 
 
 def bump(x: np.ndarray) -> np.ndarray:
@@ -109,21 +124,23 @@ class Suite:
     def check(self, check_id, anchor, tolerance, fn, direction="below") -> None:
         start = time.perf_counter()
         error = None
+        tol = tolerance * self.tol_scale
         try:
-            residual = _residual(fn())
+            residual = _residual(fn())  # runs even on a bad tolerance, so later draws stay put
             if not math.isfinite(residual):
                 raise ValueError(f"non-finite residual {residual}")
+            if not math.isfinite(tol):
+                raise ValueError(f"non-finite tolerance {tol}")
         except Exception as exc:  # the row records it; the suite runs on
             residual, error = None, f"{type(exc).__name__}: {exc}"
         elapsed_ms = (time.perf_counter() - start) * 1000.0
-        tol = tolerance * self.tol_scale
         ok = error is None and (residual <= tol if direction == "below" else residual >= tol)
         row = {
             "id": check_id,
             "paper_anchor": anchor,
             "status": "error" if error is not None else ("pass" if ok else "fail"),
             "residual": residual,
-            "tolerance": tol,
+            "tolerance": tol if math.isfinite(tol) else None,
             "direction": direction,
             "runtime_ms": round(elapsed_ms, 3) if self.timings else 0.0,
         }
@@ -135,7 +152,7 @@ class Suite:
         checks = sorted(self.checks, key=lambda c: c["id"])
         out = {"suite": self.name, "checks": checks, "summary": _summary(checks)}
         if self.info:
-            out["info"] = self.info
+            out["info"] = _finite_or_null(self.info)
         return out
 
 
@@ -220,11 +237,8 @@ def algebra_suite(suite: Suite, seed: int) -> None:
 
     suite.check("exp-spin-blocks", "Appendix 3", 1e-9, exp_spin_blocks)
 
-    eps3 = np.zeros((3, 3, 3))
-    eps3[0, 1, 2] = eps3[1, 2, 0] = eps3[2, 0, 1] = 1.0
-    eps3[0, 2, 1] = eps3[2, 1, 0] = eps3[1, 0, 2] = -1.0
     rot = np.zeros((3, 4, 4))
-    rot[:, 1:, 1:] = -eps3.transpose(2, 0, 1)  # rot[i][1 + a, 1 + b] = -eps3[a, b, i]
+    rot[:, 1:, 1:] = -cl.LEVI_CIVITA.transpose(2, 0, 1)  # rot[i][1 + a, 1 + b] = -eps[a, b, i]
     boost = np.zeros((3, 4, 4))
     boost[:, 0, 1:] = boost[:, 1:, 0] = np.eye(3)
 

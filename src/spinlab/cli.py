@@ -50,10 +50,18 @@ def print_suite(report: dict, seed: int) -> None:
 
 
 def _write_json(path: str, payload: dict) -> bool:
-    """Write the payload; on failure print ``error: cannot write …`` and return False."""
+    """Write the payload; on failure print ``error: cannot write …`` and return False.
+
+    A payload that holds a NaN or infinity fails before the file is opened.
+    """
+    try:
+        text = checks.stable_json(payload)
+    except ValueError:
+        print(f"error: cannot write {path}: it holds a NaN or infinity", file=sys.stderr)
+        return False
     try:
         with open(path, "w", encoding="utf-8") as handle:
-            handle.write(checks.stable_json(payload))
+            handle.write(text)
     except OSError as exc:
         print(f"error: cannot write {path}: {exc.strerror or exc}", file=sys.stderr)
         return False
@@ -238,6 +246,9 @@ def run(argv=None) -> int:
         except ValueError:
             print(f"error: SPINLAB_SEED must be an integer, got {env!r}", file=sys.stderr)
             return 2
+    if args.seed < 0:  # numpy's generators take none
+        print(f"error: the seed must be nonnegative, got {args.seed}", file=sys.stderr)
+        return 2
     if not (math.isfinite(args.tol_scale) and args.tol_scale > 0):
         print(f"error: --tol-scale must be finite and positive, got {args.tol_scale}",
               file=sys.stderr)

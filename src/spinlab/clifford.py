@@ -13,8 +13,6 @@ restricted Lorentz matrix, the double covering.
 
 from __future__ import annotations
 
-import itertools
-
 import numpy as np
 from scipy.linalg import expm
 
@@ -29,6 +27,10 @@ PAULI = np.array(
     ],
     dtype=complex,
 )
+
+#: The Levi-Civita symbol eps_ijk on {0, 1, 2}, in closed form (read-only).
+LEVI_CIVITA = np.fromfunction(lambda i, j, k: (i - j) * (j - k) * (k - i) / 2, (3, 3, 3))
+LEVI_CIVITA.flags.writeable = False
 
 _INTERTWINER_TRIES = 8
 
@@ -163,17 +165,14 @@ def check_commutator_relations() -> dict:
     The table is [M_i, M_j] = 2 eps_ijk M_k, [N_i, N_j] = -2 eps_ijk M_k,
     [M_i, N_j] = 2 eps_ijk N_k, and identically for the 2x2 blocks.
     """
-    eps = np.zeros((3, 3, 3))
-    for i, j, k in itertools.permutations(range(3)):
-        eps[i, j, k] = np.linalg.det(np.eye(3)[[i, j, k]])
     report = {}
     for label, (gm, gn) in (
         ("four", spin_generators()),
         ("two", spin_generators_2x2()),
     ):
-        report[f"{label}_mm"] = _commutator_residual(gm, gm, 2 * eps, gm)
-        report[f"{label}_nn"] = _commutator_residual(gn, gn, -2 * eps, gm)
-        report[f"{label}_mn"] = _commutator_residual(gm, gn, 2 * eps, gn)
+        report[f"{label}_mm"] = _commutator_residual(gm, gm, 2 * LEVI_CIVITA, gm)
+        report[f"{label}_nn"] = _commutator_residual(gn, gn, -2 * LEVI_CIVITA, gm)
+        report[f"{label}_mn"] = _commutator_residual(gm, gn, 2 * LEVI_CIVITA, gn)
     report["max"] = float(np.max(list(report.values())))
     return report
 
@@ -223,7 +222,9 @@ def covering_lambda(s2: np.ndarray) -> np.ndarray:
     s2 = np.asarray(s2, dtype=complex)
     if s2.shape[-2:] != (2, 2):
         raise ValueError(f"expected shape (..., 2, 2), got {s2.shape}")
-    det = np.linalg.det(s2)
+    # det of a NaN/inf member would warn: I stands in for it, and its det reads NaN
+    finite = np.all(np.isfinite(s2), axis=(-2, -1))
+    det = np.where(finite, np.linalg.det(np.where(finite[..., None, None], s2, np.eye(2))), np.nan)
     _refuse(np.abs(det - 1.0) <= DEFAULT_TOL, NotUnimodular, "det = {}, expected 1", det)
     kron = s2[..., :, None, :, None] * s2.conj()[..., None, :, None, :]
     rows = PAULI.reshape(4, 4)

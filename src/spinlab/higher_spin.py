@@ -432,9 +432,10 @@ def twisted_positivity_check(form: np.ndarray) -> bool:
         raise ValueError("form must be a square matrix")
     if form.shape[0] == 0:
         return True
-    gap = float(np.max(np.abs(form - form.conj().T)))
+    # a NaN/inf form skips the gap, where inf - inf would warn, and fails closed
+    gap = float(np.max(np.abs(form - form.conj().T))) if np.all(np.isfinite(form)) else np.nan
     scale = max(float(np.max(np.abs(form))), 1e-30)
-    if not gap <= 1e-10 * scale:  # NaN and inf fail closed
+    if not gap <= 1e-10 * scale:
         raise ValueError("form must be finite and Hermitian")
     dirac_gram = gram_matrix(0, basis_vector(0, covariant=True))
     total = np.kron(dirac_gram, 0.5 * (form + form.conj().T))

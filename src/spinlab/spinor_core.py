@@ -16,8 +16,6 @@ convention-dependent numbers.
 
 from __future__ import annotations
 
-import itertools
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -171,6 +169,9 @@ def conjugate(s: Spinor) -> Spinor:
 def symmetrize(s: Spinor, axes: tuple[int, ...] | None = None) -> Spinor:
     """Average over all permutations of the given axes (default: all).
 
+    By cosets, not by listing the n! permutations: the identity and the
+    transpositions (i n), i < n, represent the cosets of S_{n-1} in S_n, so
+    Sym_n = (1/n)(id + sum_{i<n} (i n)) Sym_{n-1}, n(n-1)/2 transposes in all.
     The axes must share a single tag; mixing tags in one symmetrization
     group raises MixedVariance.
     """
@@ -182,13 +183,10 @@ def symmetrize(s: Spinor, axes: tuple[int, ...] | None = None) -> Spinor:
     tags_in_group = {s.tags[i] for i in axes}
     if len(tags_in_group) != 1:
         raise MixedVariance(f"symmetrization group mixes tags {sorted(tags_in_group)}")
-    acc = np.zeros_like(s.data)
-    for perm in itertools.permutations(axes):
-        order = list(range(s.rank))
-        for src, dst in zip(axes, perm):
-            order[dst] = src
-        acc = acc + np.transpose(s.data, order)
-    return Spinor(acc / math.factorial(len(axes)), s.tags)
+    data = s.data
+    for n, last in enumerate(axes[1:], start=2):
+        data = (data + sum(np.swapaxes(data, i, last) for i in axes[: n - 1])) / n
+    return Spinor(data, s.tags)
 
 
 def sym_dimension(k: int, l: int) -> int:
@@ -207,8 +205,9 @@ def apply_sl2(s: Spinor, s2: np.ndarray) -> Spinor:
     are the epsilon spinors invariant.
     """
     s2 = np.asarray(s2, dtype=complex)
-    det = np.linalg.det(s2)
-    if not abs(det - 1.0) <= 1e-9:  # NaN and inf fail closed
+    # det of a NaN/inf matrix would warn, so it reads NaN, which fails closed
+    det = np.linalg.det(s2) if np.all(np.isfinite(s2)) else np.nan
+    if not abs(det - 1.0) <= 1e-9:
         raise NotUnimodular(f"det = {det}, expected 1")
     inv_t = np.linalg.inv(s2).T
     matrices = {

@@ -1,5 +1,6 @@
 """The row contract of the check battery: gaps reduce to one NaN-keeping residual."""
 
+import json
 import sys
 
 import numpy as np
@@ -9,6 +10,10 @@ from spinlab import checks
 from spinlab import clifford as cl
 from spinlab import evolution as ev
 from spinlab import higher_spin as hs
+
+
+def _refuse_constant(token):
+    raise AssertionError(f"non-finite JSON token {token}")
 
 
 def _row(suite: checks.Suite, check_id: str) -> dict:
@@ -86,8 +91,15 @@ def test_a_later_nan_green_ratio_makes_an_error_row(monkeypatch):
 def test_a_later_nan_convergence_order_makes_an_error_row(monkeypatch):
     poisoned = _poison_call(ev.final_level, "convergence_order", 3, lambda u: np.full_like(u, np.nan))
     monkeypatch.setattr(ev, "final_level", poisoned)
-    row = _row(checks.SUITES["evolution"](0, timings=False), "convergence-order")
+    suite = checks.SUITES["evolution"](0, timings=False)
+    row = _row(suite, "convergence-order")
     assert row["status"] == "error" and row["error"] == "ValueError: non-finite residual nan"
+    # the NaN order (512 -> 1024) reaches the suite's info, which writes it as null
+    report = json.loads(checks.stable_json(suite.report()), parse_constant=_refuse_constant)
+    first, second = report["info"]["convergence-orders"]
+    assert first > 1.8 and second is None
+    with pytest.raises(ValueError):
+        checks.stable_json({"orders": [float("nan")]})
 
 
 def test_the_rank_one_signature_row_certifies_its_witnesses(monkeypatch):

@@ -360,6 +360,49 @@ def test_a_non_integer_seed_variable_is_a_usage_error(monkeypatch, capsys):
     assert cli.run(["signature", "--k", "0", "--seed", "5", "--no-timings"]) == 0
 
 
+@pytest.mark.parametrize("argv, env", [
+    (["report", "--seed", "-1", "--no-timings", "--json", "bad.json"], None),
+    (["verify", "algebra", "--seed", "-5", "--no-timings"], None),
+    (["signature", "--k", "1", "--seed", "-2", "--no-timings"], None),
+    (["verify", "symbols", "--k", "0", "--l", "0", "--no-timings"], "-3"),
+], ids=["report", "verify", "signature", "variable"])
+def test_a_negative_seed_is_a_usage_error(monkeypatch, tmp_path, capsys, argv, env):
+    # numpy's generators refuse a negative seed with a traceback
+    monkeypatch.chdir(tmp_path)
+    if env is not None:
+        monkeypatch.setenv("SPINLAB_SEED", env)
+    assert cli.run(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.err.startswith("error: the seed must be nonnegative, got -")
+    assert captured.out == ""
+    assert not (tmp_path / "bad.json").exists()
+
+
+def _refuse_constant(token):
+    raise AssertionError(f"non-finite JSON token {token}")
+
+
+def test_an_overflowing_tolerance_is_an_error_row_written_as_null(tmp_path, capsys):
+    # 1.8 (convergence-order) times 1e308 is inf; every smaller tolerance stays finite
+    out = tmp_path / "report.json"
+    assert cli.run(["report", "--seed", "0", "--tol-scale", "1e308", "--no-timings",
+                    "--json", str(out)]) == 1
+    report = json.loads(out.read_text(), parse_constant=_refuse_constant)
+    rows = {row["id"]: row for suite in report["suites"] for row in suite["checks"]}
+    assert rows["convergence-order"]["tolerance"] is None
+    assert rows["convergence-order"]["error"] == "ValueError: non-finite tolerance inf"
+    assert [row["id"] for row in rows.values() if row["status"] == "error"] == [
+        "convergence-order"]
+    assert "[ERROR] evolution/convergence-order" in capsys.readouterr().out
+
+
+def test_a_payload_holding_a_nan_is_not_written(tmp_path, capsys):
+    out = tmp_path / "nan.json"
+    assert not cli._write_json(str(out), {"values": [1.0, float("nan")]})
+    assert capsys.readouterr().err == f"error: cannot write {out}: it holds a NaN or infinity\n"
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("knob", [["--seed", "3"], ["--tol-scale", "1e9"], ["--no-timings"]],
                          ids=["seed", "tol-scale", "no-timings"])
 @pytest.mark.parametrize("command", ["evolve", "green"])

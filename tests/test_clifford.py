@@ -151,7 +151,6 @@ def test_covering_rejects_non_unimodular_input():
         cl.covering_lambda(2.0 * np.eye(2))
 
 
-@pytest.mark.filterwarnings("ignore::RuntimeWarning")  # det of a non-finite matrix
 @pytest.mark.parametrize("bad", [np.nan, np.inf])
 def test_covering_refuses_a_non_finite_matrix_as_not_unimodular(bad):
     s2 = np.eye(2, dtype=complex)
@@ -228,7 +227,6 @@ def test_a_covering_stack_names_the_first_member_that_leaves_the_group(j):
         cl.covering_lambda(stack)
 
 
-@pytest.mark.filterwarnings("ignore::RuntimeWarning")  # det of a non-finite matrix
 @pytest.mark.parametrize("bad", [2.0 * np.eye(2), np.full((2, 2), np.nan)])
 def test_a_covering_stack_refuses_a_non_unimodular_member(bad):
     stack = _random_sl2_stack(np.random.default_rng(31), 8)

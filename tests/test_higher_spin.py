@@ -263,7 +263,6 @@ def test_twisted_positivity_validates_input():
         hs.twisted_positivity_check(np.array([[0.0, 1.0], [0.0, 0.0]]))
 
 
-@pytest.mark.filterwarnings("ignore::RuntimeWarning")  # inf - inf in the Hermitian gap
 @pytest.mark.parametrize("bad", [np.nan, np.inf])
 def test_twisted_positivity_refuses_a_non_finite_form(bad):
     form = np.eye(3, dtype=complex)

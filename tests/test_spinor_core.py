@@ -1,5 +1,8 @@
 """Epsilon index calculus, the soldering map, and the symmetric-trace split."""
 
+import itertools
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -92,14 +95,51 @@ def test_conjugate_flips_dottedness_and_is_an_involution():
     np.testing.assert_allclose(back.data, psi.data)
 
 
-def test_symmetrize_is_idempotent_and_total_for_rank_two():
-    rng = np.random.default_rng(0)
-    data = rng.normal(size=(2, 2)) + 1j * rng.normal(size=(2, 2))
-    s = sc.Spinor(data, (sc.UNDOTTED_UP, sc.UNDOTTED_UP))
+@pytest.mark.parametrize("rank", [2, 3, 4, 5, 6])
+def test_symmetrize_is_idempotent_and_total(rank):
+    rng = np.random.default_rng(rank - 2)
+    shape = (2,) * rank
+    data = rng.normal(size=shape) + 1j * rng.normal(size=shape)
+    s = sc.Spinor(data, (sc.UNDOTTED_UP,) * rank)
     sym = sc.symmetrize(s)
-    np.testing.assert_allclose(sym.data, 0.5 * (data + data.T))
+    if rank == 2:
+        np.testing.assert_allclose(sym.data, 0.5 * (data + data.T))
+    for i in range(rank - 1):  # adjacent transpositions generate every permutation
+        np.testing.assert_allclose(np.swapaxes(sym.data, i, i + 1), sym.data)
+    np.testing.assert_allclose(np.sum(sym.data), np.sum(data))  # a projection, not zero
     again = sc.symmetrize(sym)
     np.testing.assert_allclose(again.data, sym.data)
+
+
+def _permutation_sum(s: sc.Spinor, axes: tuple[int, ...]) -> np.ndarray:
+    """The average over all n! permutations of ``axes``, term by term (the reference)."""
+    acc = np.zeros_like(s.data)
+    for perm in itertools.permutations(axes):
+        order = list(range(s.rank))
+        for src, dst in zip(axes, perm):
+            order[dst] = src
+        acc = acc + np.transpose(s.data, order)
+    return acc / math.factorial(len(axes))
+
+
+@pytest.mark.parametrize("rank", [2, 3, 4, 5, 6])
+def test_coset_symmetrize_matches_the_permutation_sum(rank):
+    rng = np.random.default_rng(100 + rank)
+    shape = (2,) * rank
+    gapped = offset = False
+    for _ in range(8):
+        group = tuple(int(a) for a in rng.permutation(rank)[: rng.integers(2, rank + 1)])
+        tag, *others = rng.permutation(sc._ALL_TAGS)
+        tags = tuple(tag if axis in group else str(rng.choice(others)) for axis in range(rank))
+        data = rng.normal(size=shape) + 1j * rng.normal(size=shape)
+        s = sc.Spinor(data, tags)
+        got = sc.symmetrize(s, group).data
+        gap = np.max(np.abs(got - _permutation_sum(s, group)))
+        assert gap <= 1e-13 * np.max(np.abs(data))
+        gapped |= max(group) - min(group) >= len(group)
+        offset |= min(group) > 0
+    # from rank 3 on, the draws include a non-contiguous group and one that skips axis 0
+    assert (gapped and offset) or rank == 2
 
 
 def test_symmetrize_rejects_mixed_tags():
@@ -133,7 +173,6 @@ def test_apply_sl2_rejects_non_unimodular_matrices():
         sc.apply_sl2(psi, 3.0 * np.eye(2))
 
 
-@pytest.mark.filterwarnings("ignore::RuntimeWarning")  # det of a non-finite matrix
 @pytest.mark.parametrize("bad", [np.nan, np.inf])
 def test_apply_sl2_refuses_a_non_finite_matrix(bad):
     s2 = np.eye(2, dtype=complex)

@@ -13,8 +13,10 @@ restricted Lorentz matrix, the double covering.
 
 from __future__ import annotations
 
+import cmath
+import math
+
 import numpy as np
-from scipy.linalg import expm
 
 from .minkowski import DEFAULT_TOL, ETA, _restricted
 
@@ -177,6 +179,49 @@ def check_commutator_relations() -> dict:
     return report
 
 
+def _even_functions(s: float) -> tuple[float, float, float, float]:
+    """cosh r, sinh(r)/r, (cosh r - 1)/r^2 and (sinh(r)/r - 1)/r^2 at r = sqrt(s).
+
+    Each is even in r, so a real function of the real s (cos and sin for
+    s < 0); their values at 0 are 1, 1, 1/2 and 1/6. The third is computed
+    as (1/2)(sinh(r/2)/(r/2))^2, which cannot cancel, and the last, where
+    |s| < 1, as its Taylor series sum_k s^k/(2k + 3)! (twelve terms reach 1/27!).
+    """
+    r = cmath.sqrt(s)
+    shc = (cmath.sinh(r) / r).real if r else 1.0
+    half = (cmath.sinh(r / 2) / (r / 2)).real if r else 1.0
+    if abs(s) < 1.0:
+        tail, term = 0.0, 1.0 / 6.0
+        for k in range(12):
+            tail += term
+            term *= s / ((2 * k + 4) * (2 * k + 5))
+    else:
+        tail = (shc - 1.0) / s
+    return cmath.cosh(r).real, shc, 0.5 * half**2, tail
+
+
+def _split(diff: float, prod: float) -> tuple[float, float]:
+    """(a, b), both >= 0, with a - b = diff and a b = prod (a negative prod counts as 0).
+
+    The larger root comes from the sum a + b = hypot(diff, 2 sqrt(prod)) and
+    the smaller one as prod over it, so neither cancels.
+    """
+    prod = max(prod, 0.0)
+    total = math.hypot(diff, 2.0 * math.sqrt(prod))
+    if diff >= 0.0:
+        a = (total + diff) / 2.0
+        return a, prod / a if a else 0.0
+    b = (total - diff) / 2.0
+    return prod / b, b
+
+
+def _cubic(gen: np.ndarray, gen2: np.ndarray, coeffs) -> np.ndarray:
+    """c0 I + c1 G + c2 G^2 + c3 G^3, given G and G^2."""
+    c0, c1, c2, c3 = coeffs
+    eye = np.eye(len(gen))
+    return c0 * eye + c1 * gen + gen2 @ (c2 * eye + c3 * gen)
+
+
 def exp_spin(a, b) -> tuple[np.ndarray, np.ndarray]:
     """Exponentiate (1/2)(a . M + b . N) in the 2x2 and 4x4 representations.
 
@@ -185,7 +230,22 @@ def exp_spin(a, b) -> tuple[np.ndarray, np.ndarray]:
     rapidities. Returns (S2, S4); S4 is block diagonal with blocks S2 and
     inv(S2^dag). S2 is the closed form cosh(lam) Id + (sinh(lam)/lam) w . s with
     w = (b - i a)/2 and lam = sqrt(w . w), since (w . s)^2 = (w . w) Id (the factor is
-    1 at lam = 0, and both terms are even in lam); S4 is ``expm``, an independent route.
+    1 at lam = 0, and both terms are even in lam).
+
+    S4 is an independent route, computed on the 4x4 generator G alone. G has
+    eigenvalues +-lam, +-conj(lam), lam = x + i y, and two invariants give them:
+    tr G^2 = 4 (x^2 - y^2) and tr G^4 = 4 Re lam^4. So S4 is the cubic in G
+    that agrees with exp at those four points (Lagrange-Sylvester). With
+    C, S, U, T the even functions cosh r, sinh r / r, (cosh r - 1)/r^2 and
+    (S - 1)/r^2 of r^2, read at x^2 and -y^2, and weights w_x, w_y = x^2, y^2
+    over x^2 + y^2 (1/2 each at lam = 0, where G is nilpotent):
+
+        c2 = S_x S_y / 2,                 c0 = C_x C_y - (x^2 - y^2) c2,
+        c3 = (w_x (U - T)_x S_y + w_y (U - T)_y S_x) / 2,
+        c1 = w_x S_x C_y + w_y C_x S_y - (x^2 - y^2) c3.
+
+    No coefficient divides by a difference of eigenvalues, so null generators
+    (lam = 0, G != 0) and real or imaginary lam need no special case.
     A NaN or infinite parameter raises ValueError.
     """
     a = np.asarray(a, dtype=float)
@@ -195,10 +255,51 @@ def exp_spin(a, b) -> tuple[np.ndarray, np.ndarray]:
     w = (b - 1j * a) / 2.0
     lam = np.sqrt(w @ w)
     shc = np.sinh(lam) / lam if lam != 0 else 1.0
-    m4, n4 = spin_generators()
-    gen4 = 0.5 * (np.einsum("i,iab->ab", a, m4) + np.einsum("i,iab->ab", b, n4))
     s2 = np.cosh(lam) * PAULI[0] + shc * np.einsum("i,iab->ab", w, PAULI[1:])
-    return s2, expm(gen4)
+    m4, n4 = spin_generators()
+    gen = 0.5 * (np.einsum("i,iab->ab", a, m4) + np.einsum("i,iab->ab", b, n4))
+    gen2 = gen @ gen
+    diff = float(np.trace(gen2).real) / 4.0
+    x2, y2 = _split(diff, (diff * diff - float(np.trace(gen2 @ gen2).real) / 4.0) / 4.0)
+    cx, sx, ux, tx = _even_functions(x2)
+    cy, sy, uy, ty = _even_functions(-y2)
+    wx, wy = (x2 / (x2 + y2), y2 / (x2 + y2)) if x2 + y2 else (0.5, 0.5)
+    c2 = sx * sy / 2.0
+    c3 = (wx * (ux - tx) * sy + wy * (uy - ty) * sx) / 2.0
+    coeffs = (cx * cy - diff * c2, wx * sx * cy + wy * cx * sy - diff * c3, c2, c3)
+    return s2, _cubic(gen, gen2, coeffs)
+
+
+def exp_lorentz(gen) -> np.ndarray:
+    """exp(K) for a real so(1,3) generator K (eta K antisymmetric), in closed form.
+
+    K has eigenvalues +-alpha and +-i beta (alpha, beta >= 0), from the two
+    invariants tr K^2 = 2 (alpha^2 - beta^2) and tr K^4 = 2 (alpha^4 + beta^4).
+    So exp(K) is the cubic c0 + c1 K + c2 K^2 + c3 K^3 that agrees with exp
+    at the four eigenvalues (Lagrange-Sylvester). With C, S, U, T the even
+    functions of ``exp_spin``'s docstring and the weights w_a, w_b = alpha^2,
+    beta^2 over alpha^2 + beta^2 (1/2 each where both vanish and K is nilpotent),
+    each coefficient is a weighted mean that cannot cancel:
+
+        c0 = w_a cos beta + w_b cosh alpha,   c1 = w_a S(-beta^2) + w_b S(alpha^2),
+        c2 = w_a U(alpha^2) + w_b U(-beta^2), c3 = w_a T(alpha^2) + w_b T(-beta^2).
+
+    ValueError for a non-finite K and for a K outside so(1,3).
+    """
+    gen = np.asarray(gen, dtype=float)
+    if gen.shape != (4, 4) or not np.all(np.isfinite(gen)):
+        raise ValueError("exp_lorentz needs a finite 4x4 generator")
+    lowered = ETA @ gen
+    if np.max(np.abs(lowered + lowered.T)) > 1e-12 * max(1.0, float(np.max(np.abs(gen)))):
+        raise ValueError("exp_lorentz needs eta K antisymmetric (a generator of so(1,3))")
+    gen2 = gen @ gen
+    diff = float(np.trace(gen2)) / 2.0
+    a2, b2 = _split(diff, (float(np.trace(gen2 @ gen2)) / 2.0 - diff * diff) / 2.0)
+    ca, sa, ua, ta = _even_functions(a2)
+    cb, sb, ub, tb = _even_functions(-b2)
+    wa, wb = (a2 / (a2 + b2), b2 / (a2 + b2)) if a2 + b2 else (0.5, 0.5)
+    coeffs = (wa * cb + wb * ca, wa * sb + wb * sa, wa * ua + wb * ub, wa * ta + wb * tb)
+    return _cubic(gen, gen2, coeffs)
 
 
 def _refuse(ok: np.ndarray, exc: type[Exception], message: str, value=None) -> None:

@@ -50,9 +50,12 @@ to the result level by level, in place. It acts per fiber component for any
 twist (k, l): E is scalar and Gamma(e^a) = kron(G(e^a), I) touches only the
 chiral axes, so the twisted operator is the untwisted one applied per twist
 slot. The convolution is cyclic in z, at size n, and
-linear in t, at size next_fast_len(n_t + t1), where t1 is the source's last
-nonzero level. Only the source's support is transformed: its levels up to
-t1, its nonzero columns along t and its nonzero fiber components.
+linear in t, at the first 5-smooth size >= n_t + t1, where t1 is the
+source's last nonzero level. Only the source's support is transformed: its
+levels up to t1, its nonzero columns along t and the nonzero real and
+imaginary parts of its fiber components, two parts to a complex transform
+because the kernel is real. The module needs numpy alone: J0 is a
+trapezoid sum and the transforms are numpy.fft.
 """
 
 from __future__ import annotations
@@ -63,8 +66,6 @@ from collections.abc import Iterable, Iterator
 from dataclasses import asdict, dataclass
 
 import numpy as np
-from scipy import fft as sfft
-from scipy.special import j0
 
 from .clifford import InvariantViolation
 from .higher_spin import (
@@ -496,6 +497,29 @@ def causal_support_check(phi0, cfg: EvolutionConfig) -> dict:
     }
 
 
+def _bessel_j0(x) -> np.ndarray:
+    """J0(x) = (2/pi) int_0^{pi/2} cos(x sin theta) d theta (A&S 9.1.18), by the midpoint rule.
+
+    The M midpoints on [0, pi/2] are, by the symmetries of sin, the periodic
+    trapezoid rule with N = 4M nodes on the circle. It integrates every
+    term of cos(x sin t) = J0(x) + 2 sum_m J_2m(x) cos(2mt) exactly but the
+    aliases 2m = jN, so its error is at most 2 sum_{j >= 1} |J_jN(x)|, about
+    2 (x/2)^N / N! (Trefethen and Weideman, SIAM Review 2014). M is the
+    smallest count that puts that bound under 2^-56 at the largest |x|
+    given; every x shares the nodes, and the cost grows linearly with it.
+    """
+    x = np.asarray(x, dtype=float)
+    log_half_top = math.log(max(float(np.max(np.abs(x), initial=0.0)), 1e-300) / 2)
+    nodes = 1
+    # the log of the bound 2 (top/2)^N / N! with N = 4 * nodes, against log 2^-56
+    while 4 * nodes * log_half_top - math.lgamma(4 * nodes + 1) > -57 * math.log(2):
+        nodes += 1
+    total = np.zeros_like(x)
+    for s in np.sin((np.arange(nodes) + 0.5) * (np.pi / (2 * nodes))):
+        total += np.cos(x * s)
+    return total / nodes
+
+
 def retarded_kernel(cfg: EvolutionConfig) -> np.ndarray:
     """Sampled periodic retarded scalar kernel on the aligned dt = dz grid.
 
@@ -508,20 +532,63 @@ def retarded_kernel(cfg: EvolutionConfig) -> np.ndarray:
     (steps + 1, points), column j at z = j dz. Raises ValueError off
     the aligned grid, where the cone edge falls between grid points and
     those weights would land on the wrong samples.
+
+    On the lattice, m sqrt(t^2 - z^2) = m dz sqrt(q) with the integer
+    q = level^2 - d^2 in 0 .. steps^2, so J0 is evaluated once per distinct
+    q (found by a scatter into a mask over 0 .. steps^2) and the cone at
+    |d| = 0 .. steps is read from that table before the images fold it.
     """
     if abs(cfg.dt - cfg.dz) > 1e-12 * cfg.dz:
         raise ValueError("retarded kernel needs the aligned grid dt = dz")
     n_t, n_pts = cfg.steps + 1, cfg.points
-    level = np.arange(n_t)[:, None]
+    level, dist = np.arange(n_t)[:, None], np.arange(n_t)
+    q = np.maximum(level**2 - dist**2, 0)  # 0 stands in outside the cone, which tril zeroes
+    seen = np.zeros(cfg.steps**2 + 1, dtype=bool)
+    seen[q] = True
+    args = np.flatnonzero(seen)
+    table = np.zeros(seen.size)
+    table[args] = 0.5 * _bessel_j0(cfg.mass * cfg.dz * np.sqrt(args))
+    cone = np.tril(table[q])  # E at level t and |d| = 0 .. steps
+    cone[dist, dist] *= 0.5  # the edge t = |d|
+    cone[0, 0] *= 0.5  # the apex: 1/4
+    # column i of line holds the offset d = i - steps; image j puts d = z + j n in column z
+    line = np.concatenate([cone[:, :0:-1], cone], axis=1)
     kernel = np.zeros((n_t, n_pts))
-    # column z of image j holds the offset d = z + j n; the first image reaches d = -steps
     for image in range((-cfg.steps) // n_pts, cfg.steps // n_pts + 1):
-        dist = np.abs(np.arange(n_pts) + image * n_pts)
-        s = (level * cfg.dt) ** 2 - (dist * cfg.dz) ** 2
-        weight = np.where(dist < level, 1.0, np.where(dist == level, 0.5, 0.0))
-        kernel += weight * (0.5 * j0(cfg.mass * np.sqrt(np.maximum(s, 0.0))))
-    kernel[0, 0] *= 0.5  # the apex took the edge weight 1/2; its weight is 1/4
+        first = image * n_pts + cfg.steps
+        lo, hi = max(0, -first), min(n_pts, line.shape[1] - first)
+        kernel[:, lo:hi] += line[:, first + lo : first + hi]
     return kernel
+
+
+def _smooth_length(n: int) -> int:
+    """The smallest length >= n with no prime factor above 5, a fast FFT size."""
+    while True:
+        rest = n
+        for p in (2, 3, 5):
+            while rest % p == 0:
+                rest //= p
+        if rest == 1:
+            return n
+        n += 1
+
+
+def _kernel_spectrum(kernel: np.ndarray, n_fft: int) -> np.ndarray:
+    """The 2-D DFT of the real kernel, zero-padded to n_fft levels, shape (n_fft, points).
+
+    E_per is real and even in z, so its z-spectrum is real and even in k:
+    one real transform along z, one along t over the k = 0 .. n/2 columns,
+    and the rest of the spectrum is filled by the two symmetries,
+    X[-w, k] = conj(X[w, k]) and X[w, -k] = X[w, k].
+    """
+    n_pts = kernel.shape[1]
+    half = np.fft.rfft(np.fft.rfft(kernel, axis=1).real, n=n_fft, axis=0)
+    spec = np.empty((n_fft, n_pts), dtype=complex)
+    rows, cols = half.shape
+    spec[:rows, :cols] = half
+    spec[rows:, :cols] = half[1 : (n_fft + 1) // 2][::-1].conj()
+    spec[:, cols:] = spec[:, 1 : (n_pts + 1) // 2][:, ::-1]
+    return spec
 
 
 def _source_support(f: np.ndarray) -> tuple[int, int, int, np.ndarray]:
@@ -555,15 +622,19 @@ def _retarded_convolution(f: np.ndarray, cfg: EvolutionConfig) -> np.ndarray:
     t, and it transforms only the source's support: rows 0 .. t1 (t1 its
     last nonzero level; the leading rows stay, so the levels before the
     source are computed, not set to zero) and columns z0 .. z1 (width b),
-    of each component that is not identically zero. The support enters the
-    z-transform at column 0, so the kernel is rolled by z0 before its
-    transform. Along t the FFT size is next_fast_len(n_t + t1) for n_t
-    levels: the linear result spans n_t + t1 rows, so nothing wraps, and
-    rows 0 .. n_t - 1 are u. A zero component's output is exact zeros and
-    an all-zero source runs no transform. The kernel is transformed once
-    per call, each component along t on its b data columns only, and only
-    the n_t kept levels are transformed back along z. ValueError on a
-    non-finite source (see ``_source_support``).
+    of each real or imaginary part of a component that is not identically
+    zero. The kernel is real, so a part convolves to a real output and two
+    parts p, q share one complex transform as p + i q: a complex component
+    costs one transform, a real or imaginary one half. The support enters
+    the z-transform at column 0, so each output is written back shifted by
+    z0. Along t the FFT size is the first 5-smooth length >= n_t + t1 for
+    n_t levels: the linear result spans n_t + t1 rows, so nothing wraps,
+    and rows 0 .. n_t - 1 are u. A zero part's output is exact zeros and an
+    all-zero source runs no transform. The kernel is transformed once per
+    call by real transforms and its two symmetries (``_kernel_spectrum``),
+    each packed pair along t on its b data columns only, and only the n_t
+    kept levels are transformed back along z. ValueError on a non-finite
+    source (see ``_source_support``).
     """
     n_t, n_pts = cfg.steps + 1, cfg.points
     kernel = retarded_kernel(cfg)  # refuses a non-aligned grid, a zero source too
@@ -571,15 +642,27 @@ def _retarded_convolution(f: np.ndarray, cfg: EvolutionConfig) -> np.ndarray:
     u = np.zeros_like(f)
     if components.size == 0:
         return u
-    n_fft = sfft.next_fast_len(n_t + t1)
-    kernel_hat = sfft.fft2(np.roll(kernel, z0, axis=1), s=(n_fft, n_pts))
-    for c in components:
-        support = f[: t1 + 1, z0 : z1 + 1, c]
-        spec = sfft.fft(sfft.fft(support, n=n_fft, axis=0), n=n_pts, axis=1)
+    n_fft = _smooth_length(n_t + t1)
+    kernel_hat = _kernel_spectrum(kernel, n_fft)
+    block = f[: t1 + 1, z0 : z1 + 1]
+    # (plane, destination): each nonzero real or imaginary part, with the same part of u
+    halves = ((block.real, u.real), (block.imag, u.imag))
+    planes = [(part[..., c], whole[..., c])
+              for c in components for part, whole in halves if np.any(part[..., c])]
+    for i in range(0, len(planes), 2):
+        pair = planes[i : i + 2]
+        # the kernel is real, so E * (p + i q) = E * p + i E * q: two planes per transform
+        packed = pair[0][0] + 1j * pair[1][0] if len(pair) == 2 else pair[0][0].astype(complex)
+        spec = np.fft.fft(np.fft.fft(packed, n=n_fft, axis=0), n=n_pts, axis=1)
         spec *= kernel_hat
-        levels = sfft.ifft(spec, axis=0, overwrite_x=True)[:n_t]
-        u[:, :, c] = sfft.ifft(levels, axis=1, overwrite_x=True)
-        del spec, levels  # else they stay live while the next component's spectrum is built
+        levels = np.fft.ifft(spec, axis=0)[:n_t]
+        del spec
+        out = np.fft.ifft(levels, axis=1)
+        del levels  # else it stays live while the next spectrum is built
+        for (_, dest), result in zip(pair, (out.real, out.imag)):
+            # the support entered the z-transform at column 0: shift back by z0
+            dest[:, z0:] = result[:, : n_pts - z0]
+            dest[:, :z0] = result[:, n_pts - z0 :]
     u *= cfg.dt * cfg.dz
     return u
 

@@ -1,12 +1,16 @@
 """Exit codes, determinism, and file plumbing of the verification front end."""
 
 import json
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+import spinlab
 from spinlab import checks, cli
 from spinlab import evolution as ev
 
@@ -234,6 +238,22 @@ def test_evolve_refuses_a_snapshot_with_a_nan_value(tmp_path, capsys):
     assert not out_path.exists()
 
 
+@pytest.mark.parametrize("k, l, first", [(0, 0, "the slice product at level 0"),
+                                          (1, 0, "level 1 of the run")], ids=["k=l", "k!=l"])
+def test_evolve_refuses_a_run_that_overflows_and_names_its_first_level(
+        tmp_path, capsys, k, l, first):
+    # finite values whose products overflow: the slice product at once (k = l),
+    # the leapfrog's first step (k != l, where the run has no slice product)
+    cfg = ev.EvolutionConfig(mass=1.0, k=k, l=l, extent=16.0, points=64, dt=0.125, steps=8)
+    level = np.full((cfg.points, cfg.fiber), 1e308, dtype=complex)
+    snap_path = tmp_path / "huge.json"
+    snap_path.write_text(json.dumps(ev.snapshot_to_json(cfg, level, 0.0)))
+    out_path = tmp_path / "out.json"
+    assert cli.run(["evolve", "--config", str(snap_path), "--out", str(out_path)]) == 2
+    assert capsys.readouterr().err == f"error: {first} is not finite\n"
+    assert not out_path.exists()
+
+
 def test_restarted_snapshots_carry_the_elapsed_time(tmp_path):
     cfg = ev.EvolutionConfig(mass=1.0, k=0, l=0, extent=16.0, points=128,
                              dt=0.0625, steps=32)
@@ -443,3 +463,18 @@ def test_an_unwritable_output_path_exits_two(tmp_path, capsys, command):
     }[command]
     assert cli.run(argv) == 2
     assert capsys.readouterr().err.startswith(f"error: cannot write {out}")
+
+
+def test_spinlab_runs_without_loading_scipy(tmp_path):
+    # scipy is a test reference only: importing it costs about 0.4 s per run
+    code = (
+        "import json, sys, spinlab, spinlab.cli\n"
+        "codes = [spinlab.cli.run(['verify', 'algebra', '--no-timings']),\n"
+        "         spinlab.cli.run(['green', '--m', '1', '--points', '128', '--out', sys.argv[1]])]\n"
+        "loaded = sorted(m for m in sys.modules if m == 'scipy' or m.startswith('scipy.'))\n"
+        "print(json.dumps([codes, loaded]))\n"
+    )
+    env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(spinlab.__file__)))
+    out = subprocess.run([sys.executable, "-c", code, str(tmp_path / "green.json")], env=env,
+                         capture_output=True, text=True, check=True, timeout=300)
+    assert json.loads(out.stdout.splitlines()[-1]) == [[0, 0], []]

@@ -76,25 +76,65 @@ def _exp_spin_by_expm(a, b):
     return expm(0.5 * (np.einsum("i,iab->ab", a, m2) + np.einsum("i,iab->ab", b, n2)))
 
 
+def _generators(a, b):
+    """(1/2)(a . M + b . N) on Dirac spinors and a . rot + b . boost on vectors."""
+    a, b = np.asarray(a, dtype=float), np.asarray(b, dtype=float)
+    m4, n4 = cl.spin_generators()
+    rot = np.zeros((3, 4, 4))
+    rot[:, 1:, 1:] = -cl.LEVI_CIVITA.transpose(2, 0, 1)
+    boost = np.zeros((3, 4, 4))
+    boost[:, 0, 1:] = boost[:, 1:, 0] = np.eye(3)
+    spin = 0.5 * (np.einsum("i,iab->ab", a, m4) + np.einsum("i,iab->ab", b, n4))
+    return spin, np.einsum("i,iab->ab", a, rot) + np.einsum("i,iab->ab", b, boost)
+
+
+def _relative_gap(got, reference):
+    return np.max(np.abs(got - reference)) / max(1.0, np.max(np.abs(reference)))
+
+
+def _assert_closed_forms_match_expm(a, b, vector_tol):
+    s2, s4 = cl.exp_spin(a, b)
+    reference = _exp_spin_by_expm(np.asarray(a), np.asarray(b))
+    assert np.max(np.abs(s2 - reference)) <= 1e-13 * np.max(np.abs(reference))
+    spin, vector = _generators(a, b)
+    assert _relative_gap(s4, expm(spin)) <= 1e-14
+    assert _relative_gap(cl.exp_lorentz(vector), expm(vector)) <= vector_tol
+
+
+# lam^2 = w . w = (|b|^2 - |a|^2 - 2 i a . b)/4; the vector generator has alpha = 2 Re lam
+# and beta = 2 |Im lam|, so a null spin generator is a nilpotent vector one
 @pytest.mark.parametrize("a, b", [
     ([0.0, 1.0, 0.0], [1.0, 0.0, 0.0]),  # w = (b - i a)/2 is null: w . w = 0, w != 0
     ([1e-9, 0.0, 0.0], [0.0, 0.0, 0.0]),
-    ([0.0, 0.0, 2 * np.pi], [0.0, 0.0, 0.0]),
-    ([0.0, 0.0, 0.0], [0.0, 0.0, 0.0]),
+    ([0.0, 0.0, 2 * np.pi], [0.0, 0.0, 0.0]),  # imaginary lam: a full turn, alpha = 0
+    ([0.0, 0.0, 0.0], [0.0, 0.0, 0.0]),  # lam = 0, G = 0
+    ([0.0, 3.0, 0.0], [3.0, 0.0, 0.0]),  # a larger null generator
+    ([0.0, 1.0, 0.0], [1.0 + 1e-9, 0.0, 0.0]),  # next to null
+    ([0.0, 0.0, 0.0], [0.0, 0.0, 1.3]),  # real lam: a pure boost, beta = 0
+    ([0.5, 0.0, 0.0], [0.0, 2.0, 0.0]),  # real lam with a rotation part
+    ([1.1, 0.0, 0.0], [0.0, 0.4, 0.0]),  # imaginary lam with a boost part
+    ([1.0, 0.0, 0.0], [2.0, 0.0, 0.0]),  # a parallel to b: lam^2 complex, both nonzero
 ])
 def test_closed_form_exp_spin_matches_expm_at_edge_cases(a, b):
-    s2, _ = cl.exp_spin(a, b)
-    reference = _exp_spin_by_expm(np.array(a), np.array(b))
-    assert np.max(np.abs(s2 - reference)) <= 1e-13 * np.max(np.abs(reference))
+    _assert_closed_forms_match_expm(a, b, vector_tol=1e-14)
 
 
 def test_closed_form_exp_spin_matches_expm_on_random_parameters():
     rng = np.random.default_rng(17)
     for _ in range(2000):
         a, b = rng.normal(size=3) * 1.5, rng.normal(size=3) * 1.5
-        s2, _ = cl.exp_spin(a, b)
-        reference = _exp_spin_by_expm(a, b)
-        assert np.max(np.abs(s2 - reference)) <= 1e-13 * np.max(np.abs(reference))
+        # expm's own error on the non-normal real generator reaches about 1e-12 here
+        _assert_closed_forms_match_expm(a, b, vector_tol=5e-12)
+
+
+def test_exp_lorentz_refuses_what_is_not_a_finite_so13_generator():
+    _, vector = _generators([0.1, 0.2, 0.3], [0.3, 0.2, 0.1])
+    with pytest.raises(ValueError, match="antisymmetric"):
+        cl.exp_lorentz(vector + np.diag([0.0, 1.0, 0.0, 0.0]))
+    with pytest.raises(ValueError, match="finite"):
+        cl.exp_lorentz(np.where(vector != 0, np.nan, 0.0))
+    with pytest.raises(ValueError, match="4x4"):
+        cl.exp_lorentz(np.zeros((3, 3)))
 
 
 @pytest.mark.parametrize("bad", [np.nan, np.inf])

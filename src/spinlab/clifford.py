@@ -137,17 +137,26 @@ def pauli_intertwiner(
     raise SingularIntertwiner(f"no invertible candidate after {_INTERTWINER_TRIES} tries")
 
 
+def _build_spin_generators() -> tuple[np.ndarray, np.ndarray]:
+    g = weyl_gammas()
+    m = np.array([g[2] @ g[3], g[3] @ g[1], g[1] @ g[2]])
+    n = np.array([g[i] @ g[0] for i in (1, 2, 3)])
+    m.flags.writeable = n.flags.writeable = False
+    return m, n
+
+
+#: The 4x4 rotation and boost generators of :func:`spin_generators`, built once (read-only).
+SPIN_M4, SPIN_N4 = _build_spin_generators()
+
+
 def spin_generators() -> tuple[np.ndarray, np.ndarray]:
-    """Rotation generators M_i and boost generators N_i, each (3, 4, 4).
+    """Rotation generators M_i and boost generators N_i, each (3, 4, 4), as fresh arrays.
 
     M_i = (1/2) eps_ijk gamma_j gamma_k (the cyclic product), N_i =
     gamma_i gamma_0. In the chiral basis these are block diagonal:
     M_i = diag(-i s_i, -i s_i) and N_i = diag(s_i, -s_i).
     """
-    g = weyl_gammas()
-    m = np.array([g[2] @ g[3], g[3] @ g[1], g[1] @ g[2]])
-    n = np.array([g[i] @ g[0] for i in (1, 2, 3)])
-    return m, n
+    return SPIN_M4.copy(), SPIN_N4.copy()
 
 
 def spin_generators_2x2() -> tuple[np.ndarray, np.ndarray]:
@@ -256,8 +265,7 @@ def exp_spin(a, b) -> tuple[np.ndarray, np.ndarray]:
     lam = np.sqrt(w @ w)
     shc = np.sinh(lam) / lam if lam != 0 else 1.0
     s2 = np.cosh(lam) * PAULI[0] + shc * np.einsum("i,iab->ab", w, PAULI[1:])
-    m4, n4 = spin_generators()
-    gen = 0.5 * (np.einsum("i,iab->ab", a, m4) + np.einsum("i,iab->ab", b, n4))
+    gen = 0.5 * (np.einsum("i,iab->ab", a, SPIN_M4) + np.einsum("i,iab->ab", b, SPIN_N4))
     gen2 = gen @ gen
     diff = float(np.trace(gen2).real) / 4.0
     x2, y2 = _split(diff, (diff * diff - float(np.trace(gen2 @ gen2).real) / 4.0) / 4.0)

@@ -21,32 +21,35 @@ is a generalized permutation matrix: one nonzero per row, because
 Gamma(e^a) = kron(G(e^a), I) and P = kron(P_0, W_k) are. A is moreover
 diagonal with entries +-1 in the packed chiral basis, so the system is
 already in characteristic form: each packed component moves left or right
-at unit speed. One helper, ``_first_order``, builds the first-order operator
+at unit speed. One helper, ``_first_order``, builds the leapfrog's
+first-order operator
 
-    L_sigma u = A D_z u - sigma i m Gamma0 u
+    L u = A D_z u + B u
 
 on one level, applying A D_z as one multiply of the z-difference by a
-level-shaped weight and Gamma0 as a gather and a scale, u[..., cols] * w.
-The leapfrog steps with L = L_1. Because Gamma0^2 = 1, the same L gives the
-Dirac operator level by level,
+level-shaped weight and B as a gather and a scale, u[..., cols] * w. The
+Green operator (sigma = -1) and its residual (sigma = +1) apply the Dirac
+operator level by level through ``_dirac_levels``,
 
-    (D + sigma i m) u = Gamma0 (d_t u - L_sigma u),
+    (D + sigma i m) u = Gamma0 d_t u + Gamma3 D_z u + sigma i m u.
 
-which the Green operator (sigma = -1) and its residual (sigma = +1) apply
-through ``_dirac_levels``. Each is N F work per level instead of the N F^2
-of a dense product. X^0 and X^3 gather the same columns, so the divergence
-fold gathers once for both. One generator, ``_leapfrog``, is the only
-time-stepping loop; it holds two levels. ``evolve`` stores what it yields;
-every other consumer takes each level as it arrives. The slice-product
-reductions are folds over levels, fed a stored field's ``data`` or
-``_leapfrog`` itself. The causality audit reduces |u| over at most two
-contiguous row slices per level, the rows outside the cone.
+Gamma0 and Gamma3 gather the same columns, so the two derivatives, each
+scaled by a weight indexed by source column, are summed and gathered once
+per level; no level is divided. Both operators cost N F work per level
+instead of the N F^2 of a dense product. X^0 and X^3 gather the same
+columns too, so the divergence fold gathers once for both. One generator,
+``_leapfrog``, is the only time-stepping loop; it holds two levels.
+``evolve`` stores what it yields; every other consumer takes each level as
+it arrives. The slice-product reductions are folds over levels, fed a
+stored field's ``data`` or ``_leapfrog`` itself. The causality audit
+reduces |u| over at most two contiguous row slices per level, the rows
+outside the cone.
 
 The retarded Green operator is that of the cylinder R x S^1 the evolver
 runs on: it convolves the source with the periodic kernel
 E_per(t, z) = sum_j E(t, z + j L), the image sum of the sampled retarded
-kernel, over the whole (t, z) grid, then applies D - i m = Gamma0 (d_t - L_-1)
-to the result level by level, in place. It acts per fiber component for any
+kernel, over the whole (t, z) grid, then applies D - i m to the result level
+by level, in place. It acts per fiber component for any
 twist (k, l): E is scalar and Gamma(e^a) = kron(G(e^a), I) touches only the
 chiral axes, so the twisted operator is the untwisted one applied per twist
 slot. The convolution is cyclic in z, at size n, and
@@ -54,8 +57,12 @@ linear in t, at the first 5-smooth size >= n_t + t1, where t1 is the
 source's last nonzero level. Only the source's support is transformed: its
 levels up to t1, its nonzero columns along t and the nonzero real and
 imaginary parts of its fiber components, two parts to a complex transform
-because the kernel is real. The module needs numpy alone: J0 is a
-trapezoid sum and the transforms are numpy.fft.
+because the kernel is real. Both inverse transforms run in place, and the
+dt dz cell weight is applied as each result is written into u, so the apply
+holds u and two half-field spectra at its peak; the Dirac step and the
+residual hold a few levels. The module needs numpy (>= 2.0, for the
+transforms' ``out=``) alone: J0 is a trapezoid sum, or Hankel's asymptotic
+form for large arguments, and the transforms are numpy.fft.
 """
 
 from __future__ import annotations
@@ -181,12 +188,12 @@ def _periodic_difference(u: np.ndarray, out: np.ndarray) -> np.ndarray:
     return out
 
 
-def _first_order(cfg: EvolutionConfig, sigma: float):
-    """(L, (cols, w)): L u = A D_z u - sigma i m Gamma0 u on one (points, fiber) level.
+def _first_order(cfg: EvolutionConfig):
+    """L u = A D_z u + B u on one (points, fiber) level, the leapfrog's right-hand side.
 
-    (cols, w) is Gamma0's monomial form. L writes into one buffer it owns,
-    so its result is overwritten by the next call. Raises InvariantViolation
-    unless A = -Gamma0 Gamma3 is diagonal in the packed basis.
+    L writes into one buffer it owns, so its result is overwritten by the
+    next call. Raises InvariantViolation unless A = -Gamma0 Gamma3 is
+    diagonal in the packed basis.
     """
     g0 = _symbol(cfg, 0)
     a_cols, a_w = _monomial(-g0 @ _symbol(cfg, 3))
@@ -200,7 +207,7 @@ def _first_order(cfg: EvolutionConfig, sigma: float):
     # points costs about three same-shape multiplies. a_w = +-1, so folding
     # 1/(2 dz) into it rounds exactly; folding dt in would not.
     a_scale = np.broadcast_to(a_w * (1.0 / (2.0 * cfg.dz)), out.shape).copy()
-    b_scale = np.broadcast_to(-sigma * 1j * cfg.mass * g0_w, out.shape).copy()
+    b_scale = np.broadcast_to(-1j * cfg.mass * g0_w, out.shape).copy()
 
     def rhs(u):
         """L u into ``out``; A is diagonal, so A D_z is a scale."""
@@ -208,27 +215,46 @@ def _first_order(cfg: EvolutionConfig, sigma: float):
         np.multiply(np.take(u, g0_cols, axis=1, out=term, mode="clip"), b_scale, out=term)
         return np.add(out, term, out=out)
 
-    return rhs, (g0_cols, g0_w)
+    return rhs
 
 
 def _dirac_levels(cfg: EvolutionConfig, u: np.ndarray, sigma: float) -> Iterator[np.ndarray]:
-    """Yield ((D + sigma i m) u)[t] = Gamma0 (d_t u - L_sigma u)[t] for every level t.
+    """Yield ((D + sigma i m) u)[t] = Gamma0 d_t u[t] + Gamma3 D_z u[t] + sigma i m u[t].
 
-    The identity holds because Gamma0^2 = 1. d_t is the centered difference
-    inside and the one-sided first difference at the two ends, each divided
-    by its span in t. Each yielded level is one reused buffer. Level t of u
-    is copied before it is yielded and u is never written, so a caller may
-    overwrite u[t] with the level it gets.
+    d_t is the centered difference inside and the one-sided first
+    difference at the two ends. Gamma0 and Gamma3 gather the same columns,
+    so (d_t u) w0 + (D_z u) w3, with each weight indexed by source column
+    and 1/(2 dt) and 1/(2 dz) folded in, is gathered once per level; the
+    one-sided differences are doubled (exactly) to share the 1/(2 dt)
+    weight, and nothing is divided inside the loop. Each yielded level is
+    one reused buffer. Level t of u is copied before it is yielded and u is
+    never written, so a caller may overwrite u[t] with the level it gets.
+    Raises InvariantViolation unless Gamma0 and Gamma3 gather the same
+    columns, each column once.
     """
-    rhs, (cols, w) = _first_order(cfg, sigma)
-    prev, cur, du_t, level = np.empty((4, cfg.points, cfg.fiber), dtype=complex)
+    cols, w0 = _monomial(_symbol(cfg, 0))
+    cols3, w3 = _monomial(_symbol(cfg, 3))
+    if not (np.array_equal(cols, cols3) and np.array_equal(np.sort(cols), np.arange(cfg.fiber))):
+        raise InvariantViolation("Gamma0 and Gamma3 do not gather the same columns, each once")
+    # level-shaped weights (see _first_order) indexed by source column:
+    # x[:, cols] * w == (x * v)[:, cols] for v[cols] = w, as cols is a permutation
+    prev, cur, d_t, d_z, level, t_scale, z_scale = np.empty(
+        (7, cfg.points, cfg.fiber), dtype=complex
+    )
+    t_scale[:, cols] = w0 * (1.0 / (2.0 * cfg.dt))
+    z_scale[:, cols] = w3 * (1.0 / (2.0 * cfg.dz))
+    mass = sigma * 1j * cfg.mass
     for t in range(cfg.steps + 1):
         np.copyto(cur, u[t])
         # u[t + 1] is not overwritten yet; at t = 0 the copy of u[t] stands in for u[t - 1]
-        np.subtract(u[min(t + 1, cfg.steps)], prev if t > 0 else cur, out=du_t)
-        du_t /= (2.0 if 0 < t < cfg.steps else 1.0) * cfg.dt
-        du_t -= rhs(cur)
-        yield np.multiply(np.take(du_t, cols, axis=1, out=level, mode="clip"), w, out=level)
+        np.subtract(u[min(t + 1, cfg.steps)], prev if t > 0 else cur, out=d_t)
+        if t in (0, cfg.steps):
+            d_t *= 2.0  # a one-sided difference spans dt, not 2 dt
+        d_t *= t_scale
+        d_t += np.multiply(_periodic_difference(cur, d_z), z_scale, out=d_z)
+        np.take(d_t, cols, axis=1, out=level, mode="clip")
+        level += np.multiply(cur, mass, out=d_z)
+        yield level
         prev, cur = cur, prev
 
 
@@ -242,12 +268,11 @@ def _coerce_initial(phi0, cfg: EvolutionConfig) -> np.ndarray:
 def _leapfrog(phi0, cfg: EvolutionConfig) -> Iterator[np.ndarray]:
     """Yield the levels u^0 .. u^steps from packed initial data, holding two.
 
-    L = L_1 = A D_z + B comes from ``_first_order``, the one operator the
-    Green path applies too. The first step is the Taylor half-step
-    u^1 = u^0 + dt L u^0 + (dt^2/2)(D2 - m^2) u^0 with D2 the one-cell
-    second difference; it matches L^2 through the operator identities in
-    the module docstring, so no extra reach and no first-order startup
-    error is introduced. Later levels are updated in place: a yielded
+    L = A D_z + B comes from ``_first_order``. The first step is the
+    Taylor half-step u^1 = u^0 + dt L u^0 + (dt^2/2)(D2 - m^2) u^0 with D2
+    the one-cell second difference; it matches L^2 through the operator
+    identities in the module docstring, so no extra reach and no
+    first-order startup error is introduced. Later levels are updated in place: a yielded
     array is overwritten two steps on, so a caller that keeps a level
     copies it (the last level is never overwritten). Raises ValueError on
     misshapen initial data and CFLViolation, both before the first level.
@@ -258,7 +283,7 @@ def _leapfrog(phi0, cfg: EvolutionConfig) -> Iterator[np.ndarray]:
         raise CFLViolation(
             f"leapfrog needs dt sqrt(dz^-2 + m^2) < 1; dt = {dt}, dz = {dz}, m = {cfg.mass}"
         )
-    rhs, _ = _first_order(cfg, 1.0)
+    rhs = _first_order(cfg)
     prev = u0.copy()
     yield prev
     lap = (np.roll(prev, -1, axis=0) - 2.0 * prev + np.roll(prev, 1, axis=0)) / dz**2
@@ -497,7 +522,13 @@ def causal_support_check(phi0, cfg: EvolutionConfig) -> dict:
     }
 
 
-def _bessel_j0(x) -> np.ndarray:
+#: J0 takes Hankel's asymptotic form above this argument, the trapezoid sum at or below it.
+_HANKEL_SWITCH = 100.0
+#: c_n = prod_{j <= n} (2j - 1)^2 / (n! 8^n), n < 12: Hankel's P and Q at order 0 by powers of 1/x.
+_HANKEL_COEFFS = np.cumprod([1.0] + [(2 * n - 1) ** 2 / (8 * n) for n in range(1, 12)])
+
+
+def _trapezoid_j0(x: np.ndarray) -> np.ndarray:
     """J0(x) = (2/pi) int_0^{pi/2} cos(x sin theta) d theta (A&S 9.1.18), by the midpoint rule.
 
     The M midpoints on [0, pi/2] are, by the symmetries of sin, the periodic
@@ -508,7 +539,6 @@ def _bessel_j0(x) -> np.ndarray:
     smallest count that puts that bound under 2^-56 at the largest |x|
     given; every x shares the nodes, and the cost grows linearly with it.
     """
-    x = np.asarray(x, dtype=float)
     log_half_top = math.log(max(float(np.max(np.abs(x), initial=0.0)), 1e-300) / 2)
     nodes = 1
     # the log of the bound 2 (top/2)^N / N! with N = 4 * nodes, against log 2^-56
@@ -518,6 +548,42 @@ def _bessel_j0(x) -> np.ndarray:
     for s in np.sin((np.arange(nodes) + 0.5) * (np.pi / (2 * nodes))):
         total += np.cos(x * s)
     return total / nodes
+
+
+def _hankel_j0(x: np.ndarray) -> np.ndarray:
+    """J0(x) for x > _HANKEL_SWITCH by Hankel's asymptotic expansion (A&S 9.2.5, 9.2.9, 9.2.10).
+
+    J0 = sqrt(2 / (pi x)) (P cos chi - Q sin chi) with chi = x - pi/4,
+    P = sum_k (-1)^k c_2k x^-2k and Q = sum_k (-1)^(k+1) c_2k+1 x^-(2k+1).
+    For real x the error of a truncated P or Q is below its first omitted
+    term; at x = 100 that is c_12 / 100^12 < 1e-20. The form
+    ((P + Q) cos x + (P - Q) sin x) / sqrt(pi x) never rounds chi, which
+    would cost an absolute error of about x eps sqrt(2 / (pi x)).
+    """
+    y = -1.0 / (x * x)
+    # P and -x Q are polynomials in y = -1/x^2; np.polyval takes the highest power first
+    p = np.polyval(_HANKEL_COEFFS[::2][::-1], y)
+    q = -np.polyval(_HANKEL_COEFFS[1::2][::-1], y) / x
+    return ((p + q) * np.cos(x) + (p - q) * np.sin(x)) / np.sqrt(np.pi * x)
+
+
+def _bessel_j0(x) -> np.ndarray:
+    """J0 by the trapezoid sum up to |x| = _HANKEL_SWITCH and Hankel's form beyond.
+
+    The switch caps the trapezoid's node count (43 at 100), so the work per
+    argument is bounded for any finite x. A NaN or infinite argument raises
+    ValueError: no node count reaches it.
+    """
+    x = np.asarray(x, dtype=float)
+    if not np.isfinite(x).all():
+        raise ValueError("J0 needs finite arguments")
+    far = np.abs(x) > _HANKEL_SWITCH
+    if not far.any():
+        return _trapezoid_j0(x)
+    out = np.empty_like(x)
+    out[far] = _hankel_j0(np.abs(x[far]))
+    out[~far] = _trapezoid_j0(x[~far])
+    return out
 
 
 def retarded_kernel(cfg: EvolutionConfig) -> np.ndarray:
@@ -547,6 +613,10 @@ def retarded_kernel(cfg: EvolutionConfig) -> np.ndarray:
     seen[q] = True
     args = np.flatnonzero(seen)
     table = np.zeros(seen.size)
+    # the largest argument, m dz sqrt(steps^2), in the order numpy forms them all below;
+    # a Python float overflows to inf without a warning
+    if not math.isfinite(cfg.mass * cfg.dz * cfg.steps):
+        raise ValueError(f"the kernel's largest argument m dz steps overflows at mass {cfg.mass}")
     table[args] = 0.5 * _bessel_j0(cfg.mass * cfg.dz * np.sqrt(args))
     cone = np.tril(table[q])  # E at level t and |d| = 0 .. steps
     cone[dist, dist] *= 0.5  # the edge t = |d|
@@ -639,12 +709,13 @@ def _retarded_convolution(f: np.ndarray, cfg: EvolutionConfig) -> np.ndarray:
     n_t, n_pts = cfg.steps + 1, cfg.points
     kernel = retarded_kernel(cfg)  # refuses a non-aligned grid, a zero source too
     t1, z0, z1, components = _source_support(f)
-    u = np.zeros_like(f)
+    u = np.zeros(f.shape, dtype=complex)
     if components.size == 0:
         return u
     n_fft = _smooth_length(n_t + t1)
     kernel_hat = _kernel_spectrum(kernel, n_fft)
     block = f[: t1 + 1, z0 : z1 + 1]
+    cell = cfg.dt * cfg.dz
     # (plane, destination): each nonzero real or imaginary part, with the same part of u
     halves = ((block.real, u.real), (block.imag, u.imag))
     planes = [(part[..., c], whole[..., c])
@@ -655,15 +726,14 @@ def _retarded_convolution(f: np.ndarray, cfg: EvolutionConfig) -> np.ndarray:
         packed = pair[0][0] + 1j * pair[1][0] if len(pair) == 2 else pair[0][0].astype(complex)
         spec = np.fft.fft(np.fft.fft(packed, n=n_fft, axis=0), n=n_pts, axis=1)
         spec *= kernel_hat
-        levels = np.fft.ifft(spec, axis=0)[:n_t]
-        del spec
-        out = np.fft.ifft(levels, axis=1)
-        del levels  # else it stays live while the next spectrum is built
+        # both inverse transforms run in place: the kept levels are a view of spec
+        out = np.fft.ifft(spec, axis=0, out=spec)[:n_t]
+        np.fft.ifft(out, axis=1, out=out)
         for (_, dest), result in zip(pair, (out.real, out.imag)):
             # the support entered the z-transform at column 0: shift back by z0
-            dest[:, z0:] = result[:, : n_pts - z0]
-            dest[:, :z0] = result[:, n_pts - z0 :]
-    u *= cfg.dt * cfg.dz
+            np.multiply(result[:, : n_pts - z0], cell, out=dest[:, z0:])
+            np.multiply(result[:, n_pts - z0 :], cell, out=dest[:, :z0])
+        del spec, out  # else they stay live while the next spectrum is built
     return u
 
 
@@ -671,11 +741,12 @@ def retarded_green_apply(source: GridField, cfg: EvolutionConfig) -> GridField:
     """Apply the retarded Green operator to a source field of any twist (k, l).
 
     Computes u = E_per * f, cyclic in z and a retarded sum in t, then
-    G f = (D - i m) u = Gamma0 (d_t u - L_-1 u) level by level, written over
-    u in place, with the leapfrog's L (periodic in z) and d_t centered
-    inside and one sided at the time ends. So the kernel, D and the
-    leapfrog share the periodic grid's one boundary condition, and the
-    Dirac step holds a few levels beyond u. Applying the equation operator
+    G f = (D - i m) u = Gamma0 d_t u + Gamma3 D_z u - i m u level by level
+    (``_dirac_levels``), written over u in place, with D_z the leapfrog's
+    periodic centered difference and d_t centered inside and one sided at
+    the time ends. So the kernel, D and the leapfrog share the periodic
+    grid's one boundary condition, and the Dirac step holds a few levels
+    beyond u. Applying the equation operator
     (D + i m) to the result reproduces f up to discretization error on
     interior levels, on every column, and the output vanishes to round-off
     at levels more than one stencil width before the source support.
@@ -767,31 +838,35 @@ def snapshot_from_json(obj: dict) -> tuple[EvolutionConfig, float, np.ndarray]:
 def green_residual(result: GridField, source: GridField) -> float:
     """Relative interior residual of (D + i m) G f = f.
 
-    (D + i m) u = Gamma0 (d_t u - L_1 u) is taken level by level with the
-    leapfrog's L and centered differences, periodic in z, on every column.
-    The fold keeps max |(D + i m) u - f| over levels 2 .. steps - 2, so it
-    drops two levels at each end of the time axis, where the one-sided
-    derivatives inside the Green application contaminate the comparison,
-    and a NaN in the source keeps the result NaN. No field-sized temporary
-    is made beyond |f| for the scale. Raises ValueError when the two fields
-    were built for different configs and, naming its first non-finite
-    level, when ``result`` holds a NaN or inf, which the differences would
-    meet as inf - inf or inf * 0.
+    (D + i m) u = Gamma0 d_t u + Gamma3 D_z u + i m u is taken level by
+    level (``_dirac_levels``) with centered differences, periodic in z, on
+    every column. The fold keeps max |(D + i m) u - f| over levels
+    2 .. steps - 2, so it drops two levels at each end of the time axis,
+    where the one-sided derivatives inside the Green application
+    contaminate the comparison, and max |f| over every level for the
+    scale; a NaN in the source keeps the result NaN. The one whole-field
+    temporary is the boolean mask of a single finiteness pass over
+    ``result`` (1/16 of the field); only when it fails are the levels
+    scanned. Raises ValueError when the two
+    fields were built for different configs and, naming its first
+    non-finite level, when ``result`` holds a NaN or inf, which the
+    differences would meet as inf - inf or inf * 0.
     """
     cfg = result.config
     if source.config != cfg:
         raise ValueError(f"result was built for {cfg}, source for {source.config}")
     if cfg.steps < 6:
         raise ValueError("need more time levels for an interior residual")
-    for t, level in enumerate(result.data):
-        if not np.all(np.isfinite(level)):
-            raise ValueError(f"result level {t} holds a non-finite value")
+    if not np.isfinite(result.data).all():
+        # scan the levels only now, to name the first bad one
+        bad = next(t for t, level in enumerate(result.data) if not np.isfinite(level).all())
+        raise ValueError(f"result level {bad} holds a non-finite value")
     mag = np.empty((cfg.points, cfg.fiber))
-    # np.maximum, unlike max(), keeps a NaN residual visible in the result
-    worst = 0.0
+    # np.maximum, unlike max(), keeps a NaN residual or source visible in the result
+    worst = scale = 0.0
     for t, level in enumerate(_dirac_levels(cfg, result.data, 1.0)):
+        scale = np.maximum(scale, np.max(np.abs(source.data[t], out=mag)))
         if 2 <= t <= cfg.steps - 2:
             level -= source.data[t]
             worst = np.maximum(worst, np.max(np.abs(level, out=mag)))
-    scale = max(float(np.max(np.abs(source.data))), 1e-300)
-    return float(worst / scale)
+    return float(worst / max(float(scale), 1e-300))

@@ -290,6 +290,22 @@ def test_green_rejects_unusable_point_counts(tmp_path, capsys, points):
     assert not out_path.exists()
 
 
+def test_green_refuses_an_overflowing_mass_and_writes_nothing(tmp_path):
+    # m dz sqrt(q) overflows at mass 1e308: a usage error before any overflow
+    # warning, not a hang in J0's node count, so the run has a timeout
+    out = tmp_path / "huge-mass.json"
+    env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(spinlab.__file__)),
+               PYTHONWARNINGS="error::RuntimeWarning")
+    run = subprocess.run(
+        [sys.executable, "-m", "spinlab.cli", "green", "--m", "1e308", "--points", "64",
+         "--out", str(out)],
+        env=env, capture_output=True, text=True, timeout=60,
+    )
+    assert run.returncode == 2
+    assert run.stderr.startswith("error:") and "Traceback" not in run.stderr
+    assert not out.exists()
+
+
 def test_green_subcommand_writes_a_snapshot(tmp_path, capsys):
     out_path = tmp_path / "green.json"
     assert cli.run(["green", "--m", "1.0", "--points", "128",

@@ -205,6 +205,16 @@ def test_anticommutator_check_keeps_a_nan_entry():
     assert np.isnan(cl.dirac_collection_check(gammas))
 
 
+def test_spin_generators_are_read_only_constants_handed_out_as_copies():
+    m4, n4 = cl.spin_generators()
+    for const, fresh in ((cl.SPIN_M4, m4), (cl.SPIN_N4, n4)):
+        assert not const.flags.writeable
+        assert np.array_equal(const, fresh)
+        assert fresh.flags.writeable and not np.shares_memory(const, fresh)
+    with pytest.raises(ValueError):
+        cl.SPIN_M4[0, 0, 0] = 1.0
+
+
 def test_commutator_table_keeps_a_nan_generator(monkeypatch):
     m2, n2 = cl.spin_generators_2x2()
     n2[1, 0, 0] = np.nan

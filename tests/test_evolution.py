@@ -1,5 +1,8 @@
 """Leapfrog Cauchy evolution, conservation, causality, and the Green operator."""
 
+import os
+import subprocess
+import sys
 import tracemalloc
 
 import numpy as np
@@ -413,20 +416,22 @@ def _green_pulse_256():
 
 
 def test_green_apply_holds_at_most_three_fields():
-    # u and the convolution's two half-field spectra, about 2.1 fields; the
+    # u and the convolution's two half-field spectra, about 2.15 fields: both
+    # inverse transforms run in place and the cell weight is applied as each
+    # result is written back, so no third spectrum-sized buffer is made; the
     # level-by-level Dirac step adds a few levels, not a field
     cfg, source = _green_pulse_256()
     peak = _traced_peak(lambda: ev.retarded_green_apply(source, cfg))
-    assert peak < 3 * source.data.nbytes
+    assert peak < 2.25 * source.data.nbytes
 
 
 def test_green_residual_holds_no_field():
-    # the residual is a fold over levels; only |f| for its scale, half a
-    # complex field, is taken whole
+    # the residual is a fold over levels, max |f| for its scale included; only
+    # the one-pass finiteness mask, 1/16 of a complex field, is taken whole
     cfg, source = _green_pulse_256()
     result = ev.retarded_green_apply(source, cfg)
     peak = _traced_peak(lambda: ev.green_residual(result, source))
-    assert peak < source.data.nbytes
+    assert peak < source.data.nbytes / 8
 
 
 def _dense_green_residual(u, f, cfg):
@@ -439,8 +444,28 @@ def _dense_green_residual(u, f, cfg):
     return np.max(np.abs(gap[1:-1])) / np.max(np.abs(f))
 
 
+@pytest.mark.parametrize("mass", [0.0, 1.3])
+@pytest.mark.parametrize("k", [0, 1, 2])
+def test_green_apply_matches_a_dense_dirac_operator_on_every_level(mass, k):
+    # dt = dz = 1/3 is not a power of two, so the folded 1/(2 dt) and 1/(2 dz)
+    # weights round; d_t is one sided on the first and last levels
+    points = 12
+    dz = 4.0 / points
+    cfg = small_config(mass=mass, k=k, l=k, extent=4.0, points=points, dt=dz, steps=10)
+    rng = np.random.default_rng(40 + k)
+    source = _random_field(rng, cfg)
+    u = ev._retarded_convolution(source.data, cfg)
+    g0 = hs.symbol_matrix(cfg.k, cfg.l, mk.basis_vector(0, covariant=True))
+    g3 = hs.symbol_matrix(cfg.k, cfg.l, mk.basis_vector(3, covariant=True))
+    du_t = np.gradient(u, cfg.dt, axis=0)
+    du_z = (np.roll(u, -1, axis=1) - np.roll(u, 1, axis=1)) / (2.0 * cfg.dz)
+    expect = du_t @ g0.T + du_z @ g3.T - 1j * cfg.mass * u
+    got = ev.retarded_green_apply(source, cfg).data
+    assert np.max(np.abs(got - expect)) <= 1e-13 * np.max(np.abs(expect))
+
+
 @pytest.mark.parametrize("mass", [0.0, 1.0])
-@pytest.mark.parametrize("k", [0, 1])
+@pytest.mark.parametrize("k", [0, 1, 2])
 def test_green_residual_matches_a_dense_reference(mass, k):
     points = 12
     dz = 4.0 / points
@@ -451,12 +476,25 @@ def test_green_residual_matches_a_dense_reference(mass, k):
     assert ev.green_residual(result, source) == pytest.approx(expect, rel=1e-13)
 
 
-@pytest.mark.parametrize("bad", [np.nan, np.inf, complex(0.0, -np.inf)], ids=["nan", "inf", "-inf-j"])
-def test_green_residual_keeps_a_non_finite_level_visible(bad):
+NON_FINITE = {"nan": np.nan, "inf": np.inf, "-inf-j": complex(0.0, -np.inf)}
+# the planted levels for a run of n steps; with two, the error names the
+# first level, not the first planted
+PLANTED = {"": lambda n: [n // 2], "first": lambda n: [0], "last": lambda n: [n],
+           "two": lambda n: [n - 3, 5]}
+
+
+@pytest.mark.parametrize(
+    "bad, where",
+    [(bad, where) for where in PLANTED for bad in NON_FINITE],
+    ids=[f"{bad}-{where}" if where else bad for where in PLANTED for bad in NON_FINITE],
+)
+def test_green_residual_keeps_a_non_finite_level_visible(bad, where):
     cfg, source = _green_pulse_256()
     result = ev.retarded_green_apply(source, cfg)
-    result.data[cfg.steps // 2, 7, 2] = bad
-    with pytest.raises(ValueError, match=f"result level {cfg.steps // 2} holds a non-finite"):
+    planted = PLANTED[where](cfg.steps)
+    for t in planted:
+        result.data[t, 7, 2] = NON_FINITE[bad]
+    with pytest.raises(ValueError, match=f"result level {min(planted)} holds a non-finite"):
         ev.green_residual(result, source)
 
 
@@ -489,6 +527,53 @@ def test_trapezoid_j0_matches_scipy_over_0_to_100():
         np.testing.assert_allclose(ev._bessel_j0(x), special.j0(x), rtol=0, atol=atol)
     assert ev._bessel_j0(0.0) == 1.0
     assert ev._bessel_j0(np.zeros(3)).tolist() == [1.0, 1.0, 1.0]
+
+
+def test_hankel_j0_matches_scipy_from_the_switch_to_1e4():
+    # scipy forms chi = x - pi/4 in floating point, off by up to half an ulp of
+    # x, x eps / 2, where J0's slope is about sqrt(2 / (pi x)); the rest, from
+    # both sides' products, series and cos, sin, is a few eps at that scale.
+    # The Hankel form here never rounds chi
+    eps = np.finfo(float).eps
+    zeros = special.jn_zeros(0, 3200)  # the last is above 1e4
+    x = np.concatenate([np.linspace(ev._HANKEL_SWITCH, 1e4, 100001), zeros, zeros + 1e-9])
+    x = x[(x > ev._HANKEL_SWITCH) & (x <= 1e4)]
+    bound = np.sqrt(2.0 / (np.pi * x)) * (x / 2 + 16) * eps
+    assert np.all(np.abs(ev._bessel_j0(x) - special.j0(x)) <= bound)
+    # an array that straddles the switch takes each side's form; J0 is even
+    near, far = np.array([8.0, ev._HANKEL_SWITCH]), np.array([150.0])
+    np.testing.assert_array_equal(
+        ev._bessel_j0([8.0, ev._HANKEL_SWITCH, 150.0, -150.0]),
+        np.concatenate([ev._trapezoid_j0(near), ev._hankel_j0(far), ev._hankel_j0(far)]),
+    )
+
+
+def test_kernel_and_j0_refuse_a_non_finite_argument_without_hanging():
+    # m dz sqrt(q) overflows to inf at mass 1e308, and on an infinite argument
+    # J0's node count would never stop growing: a regression must fail on the
+    # timeout, not hang the suite
+    code = (
+        "import warnings; warnings.simplefilter('error', RuntimeWarning)\n"
+        "import numpy as np\n"
+        "from spinlab import evolution as ev\n"
+        "cfg = ev.EvolutionConfig(mass=1e308, k=0, l=0, extent=16.0, points=64, dt=0.25,\n"
+        "                         steps=32)\n"
+        "calls = [lambda: ev.retarded_kernel(cfg)]\n"
+        "calls += [lambda bad=bad: ev._bessel_j0(np.array([1.0, bad]))\n"
+        "          for bad in (np.nan, np.inf, -np.inf)]\n"
+        "for call in calls:\n"
+        "    try:\n"
+        "        call()\n"
+        "    except ValueError as exc:\n"
+        "        print('ValueError', exc)\n"
+    )
+    env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(ev.__file__)))
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True,
+                         timeout=60)
+    assert out.returncode == 0, out.stderr
+    lines = out.stdout.splitlines()
+    assert len(lines) == 4 and all(line.startswith("ValueError") for line in lines)
+    assert "overflows" in lines[0] and all("finite" in line for line in lines[1:])
 
 
 @pytest.mark.parametrize("mass", [0.0, 1.0])
@@ -722,6 +807,8 @@ def test_fast_paths_refuse_operators_without_their_structure(monkeypatch):
         next(ev._leapfrog(u0, cfg))
     with pytest.raises(hs.InvariantViolation, match="columns"):
         ev.divergence_fold(cfg, [u0] * 3, [u0] * 3)
+    with pytest.raises(hs.InvariantViolation, match="columns"):
+        next(ev._dirac_levels(cfg, np.ones((cfg.steps + 1,) + u0.shape, dtype=complex), 1.0))
 
 
 def _mask_max(mag, ia, ib, reach):

@@ -178,7 +178,7 @@ def cmd_green(args) -> int:
         if n_pts < 1:
             raise ValueError(f"--points must be positive, got {n_pts}")
         result, residual, leak = checks.green_pulse(args.m, n_pts)
-    except ValueError as exc:
+    except (ValueError, OverflowError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     cfg = result.config

@@ -57,9 +57,12 @@ linear in t, at the first 5-smooth size >= n_t + t1, where t1 is the
 source's last nonzero level. Only the source's support is transformed: its
 levels up to t1, its nonzero columns along t and the nonzero real and
 imaginary parts of its fiber components, two parts to a complex transform
-because the kernel is real. Both inverse transforms run in place, and the
-dt dz cell weight is applied as each result is written into u, so the apply
-holds u and two half-field spectra at its peak; the Dirac step and the
+because the kernel is real. The source is scanned one level at a time, the
+kernel is kept as the quarter of its spectrum that its symmetries leave,
+and one spectrum is transformed in place for every pair of parts, with the
+dt dz cell weight applied as each result is written into u; so the apply
+holds u, one half-field spectrum and a quarter of one at its peak, and the
+kernel, built in blocks of levels, a few kernels. The Dirac step and the
 residual hold a few levels. The module needs numpy (>= 2.0, for the
 transforms' ``out=``) alone: J0 is a trapezoid sum, or Hankel's asymptotic
 form for large arguments, and the transforms are numpy.fft.
@@ -528,7 +531,7 @@ _HANKEL_SWITCH = 100.0
 _HANKEL_COEFFS = np.cumprod([1.0] + [(2 * n - 1) ** 2 / (8 * n) for n in range(1, 12)])
 
 
-def _trapezoid_j0(x: np.ndarray) -> np.ndarray:
+def _trapezoid_j0(x: np.ndarray, top: float | None = None) -> np.ndarray:
     """J0(x) = (2/pi) int_0^{pi/2} cos(x sin theta) d theta (A&S 9.1.18), by the midpoint rule.
 
     The M midpoints on [0, pi/2] are, by the symmetries of sin, the periodic
@@ -536,10 +539,13 @@ def _trapezoid_j0(x: np.ndarray) -> np.ndarray:
     term of cos(x sin t) = J0(x) + 2 sum_m J_2m(x) cos(2mt) exactly but the
     aliases 2m = jN, so its error is at most 2 sum_{j >= 1} |J_jN(x)|, about
     2 (x/2)^N / N! (Trefethen and Weideman, SIAM Review 2014). M is the
-    smallest count that puts that bound under 2^-56 at the largest |x|
-    given; every x shares the nodes, and the cost grows linearly with it.
+    smallest count that puts that bound under 2^-56 at ``top``, by default
+    the largest |x| given; every x shares the nodes, and the cost grows
+    linearly with them.
     """
-    log_half_top = math.log(max(float(np.max(np.abs(x), initial=0.0)), 1e-300) / 2)
+    if top is None:
+        top = float(np.max(np.abs(x), initial=0.0))
+    log_half_top = math.log(max(top, 1e-300) / 2)
     nodes = 1
     # the log of the bound 2 (top/2)^N / N! with N = 4 * nodes, against log 2^-56
     while 4 * nodes * log_half_top - math.lgamma(4 * nodes + 1) > -57 * math.log(2):
@@ -558,31 +564,36 @@ def _hankel_j0(x: np.ndarray) -> np.ndarray:
     For real x the error of a truncated P or Q is below its first omitted
     term; at x = 100 that is c_12 / 100^12 < 1e-20. The form
     ((P + Q) cos x + (P - Q) sin x) / sqrt(pi x) never rounds chi, which
-    would cost an absolute error of about x eps sqrt(2 / (pi x)).
+    would cost an absolute error of about x eps sqrt(2 / (pi x)). Neither
+    x^2 nor pi x is formed, so every finite x stays in the float range.
     """
-    y = -1.0 / (x * x)
+    y = -((1.0 / x) ** 2)
     # P and -x Q are polynomials in y = -1/x^2; np.polyval takes the highest power first
     p = np.polyval(_HANKEL_COEFFS[::2][::-1], y)
     q = -np.polyval(_HANKEL_COEFFS[1::2][::-1], y) / x
-    return ((p + q) * np.cos(x) + (p - q) * np.sin(x)) / np.sqrt(np.pi * x)
+    return ((p + q) * np.cos(x) + (p - q) * np.sin(x)) / (math.sqrt(math.pi) * np.sqrt(x))
 
 
-def _bessel_j0(x) -> np.ndarray:
+def _bessel_j0(x, top: float | None = None) -> np.ndarray:
     """J0 by the trapezoid sum up to |x| = _HANKEL_SWITCH and Hankel's form beyond.
 
     The switch caps the trapezoid's node count (43 at 100), so the work per
-    argument is bounded for any finite x. A NaN or infinite argument raises
-    ValueError: no node count reaches it.
+    argument is bounded for any finite x. The node count serves the
+    arguments up to ``top`` (capped at the switch), by default those given,
+    so a caller that splits one set of arguments into parts gets the values
+    of one call. A NaN or infinite argument raises ValueError: no node count
+    reaches it.
     """
     x = np.asarray(x, dtype=float)
     if not np.isfinite(x).all():
         raise ValueError("J0 needs finite arguments")
+    near_top = None if top is None else min(top, _HANKEL_SWITCH)
     far = np.abs(x) > _HANKEL_SWITCH
     if not far.any():
-        return _trapezoid_j0(x)
+        return _trapezoid_j0(x, near_top)
     out = np.empty_like(x)
     out[far] = _hankel_j0(np.abs(x[far]))
-    out[~far] = _trapezoid_j0(x[~far])
+    out[~far] = _trapezoid_j0(x[~far], near_top)
     return out
 
 
@@ -600,34 +611,42 @@ def retarded_kernel(cfg: EvolutionConfig) -> np.ndarray:
     those weights would land on the wrong samples.
 
     On the lattice, m sqrt(t^2 - z^2) = m dz sqrt(q) with the integer
-    q = level^2 - d^2 in 0 .. steps^2, so J0 is evaluated once per distinct
-    q (found by a scatter into a mask over 0 .. steps^2) and the cone at
-    |d| = 0 .. steps is read from that table before the images fold it.
+    q = level^2 - d^2. The cone is built and folded by its images in blocks
+    of points // 4 levels, so each block's cone cells number at most a
+    quarter of the kernel's and its temporaries stay within a few kernels
+    whatever the steps. Every block takes J0's node count from the kernel's
+    largest argument, m dz steps, so a block's values do not depend on
+    where the blocks split.
     """
     if abs(cfg.dt - cfg.dz) > 1e-12 * cfg.dz:
         raise ValueError("retarded kernel needs the aligned grid dt = dz")
     n_t, n_pts = cfg.steps + 1, cfg.points
-    level, dist = np.arange(n_t)[:, None], np.arange(n_t)
-    q = np.maximum(level**2 - dist**2, 0)  # 0 stands in outside the cone, which tril zeroes
-    seen = np.zeros(cfg.steps**2 + 1, dtype=bool)
-    seen[q] = True
-    args = np.flatnonzero(seen)
-    table = np.zeros(seen.size)
     # the largest argument, m dz sqrt(steps^2), in the order numpy forms them all below;
     # a Python float overflows to inf without a warning
-    if not math.isfinite(cfg.mass * cfg.dz * cfg.steps):
+    top = cfg.mass * cfg.dz * cfg.steps
+    if not math.isfinite(top):
         raise ValueError(f"the kernel's largest argument m dz steps overflows at mass {cfg.mass}")
-    table[args] = 0.5 * _bessel_j0(cfg.mass * cfg.dz * np.sqrt(args))
-    cone = np.tril(table[q])  # E at level t and |d| = 0 .. steps
-    cone[dist, dist] *= 0.5  # the edge t = |d|
-    cone[0, 0] *= 0.5  # the apex: 1/4
-    # column i of line holds the offset d = i - steps; image j puts d = z + j n in column z
-    line = np.concatenate([cone[:, :0:-1], cone], axis=1)
     kernel = np.zeros((n_t, n_pts))
-    for image in range((-cfg.steps) // n_pts, cfg.steps // n_pts + 1):
-        first = image * n_pts + cfg.steps
-        lo, hi = max(0, -first), min(n_pts, line.shape[1] - first)
-        kernel[:, lo:hi] += line[:, first + lo : first + hi]
+    block = n_pts // 4  # at least 2: a config has 8 points or more
+    for start in range(0, n_t, block):
+        level = np.arange(start, min(start + block, n_t))
+        reach = int(level[-1])  # the block's largest offset |d|
+        # the cone cells of these levels, |d| = 0 .. t on level t, as one flat run
+        width = level + 1
+        row = np.repeat(level, width)
+        dist = np.arange(row.size) - np.repeat(np.cumsum(width) - width, width)
+        cone = np.zeros((level.size, reach + 1))  # E at these levels and |d| = 0 .. reach
+        args = cfg.mass * cfg.dz * np.sqrt(row**2 - dist**2)
+        cone[row - start, dist] = 0.5 * _bessel_j0(args, top)
+        cone[level - start, level] *= 0.5  # the edge t = |d|
+        if start == 0:
+            cone[0, 0] *= 0.5  # the apex: 1/4
+        # column i of line holds the offset d = i - reach; image j puts d = z + j n in column z
+        line = np.concatenate([cone[:, :0:-1], cone], axis=1)
+        for image in range((-reach) // n_pts, reach // n_pts + 1):
+            first = image * n_pts + reach
+            lo, hi = max(0, -first), min(n_pts, line.shape[1] - first)
+            kernel[start : start + level.size, lo:hi] += line[:, first + lo : first + hi]
     return kernel
 
 
@@ -644,21 +663,37 @@ def _smooth_length(n: int) -> int:
 
 
 def _kernel_spectrum(kernel: np.ndarray, n_fft: int) -> np.ndarray:
-    """The 2-D DFT of the real kernel, zero-padded to n_fft levels, shape (n_fft, points).
+    """A quarter of the kernel's 2-D DFT, zero-padded to n_fft levels: rows 0 .. n_fft // 2.
 
     E_per is real and even in z, so its z-spectrum is real and even in k:
-    one real transform along z, one along t over the k = 0 .. n/2 columns,
-    and the rest of the spectrum is filled by the two symmetries,
-    X[-w, k] = conj(X[w, k]) and X[w, -k] = X[w, k].
+    one real transform along z and one along t, over the k = 0 .. n/2
+    columns, give every value of the (n_fft, points) spectrum, whose other
+    three quarters follow by X[-w, k] = conj(X[w, k]) and X[w, -k] = X[w, k]
+    (``_times_kernel_spectrum``). Shape (n_fft // 2 + 1, points // 2 + 1).
     """
-    n_pts = kernel.shape[1]
-    half = np.fft.rfft(np.fft.rfft(kernel, axis=1).real, n=n_fft, axis=0)
-    spec = np.empty((n_fft, n_pts), dtype=complex)
-    rows, cols = half.shape
-    spec[:rows, :cols] = half
-    spec[rows:, :cols] = half[1 : (n_fft + 1) // 2][::-1].conj()
-    spec[:, cols:] = spec[:, 1 : (n_pts + 1) // 2][:, ::-1]
-    return spec
+    return np.fft.rfft(np.fft.rfft(kernel, axis=1).real, n=n_fft, axis=0)
+
+
+def _times_kernel_spectrum(spec: np.ndarray, quarter: np.ndarray) -> None:
+    """spec *= the full (n_fft, points) kernel spectrum, read from its quarter in place.
+
+    Columns past points / 2 read the quarter's columns in reverse, as views.
+    Rows past n_fft / 2 read its rows in reverse, conjugated: a conj(b) is
+    conj(conj(a) b) and conjugation is exact, so those rows of spec are
+    conjugated in place, multiplied and conjugated back, with no conjugated
+    copy, and every product is bitwise that of the full spectrum's.
+    """
+    n_fft, n_pts = spec.shape
+    rows, cols = quarter.shape
+
+    def times(part, factor):  # part *= factor, mirrored past column cols - 1
+        part[:, :cols] *= factor
+        part[:, cols:] *= factor[:, 1 : (n_pts + 1) // 2][:, ::-1]
+
+    times(spec[:rows], quarter)
+    low = np.conjugate(spec[rows:], out=spec[rows:])
+    times(low, quarter[1 : (n_fft + 1) // 2][::-1])
+    np.conjugate(low, out=low)
 
 
 def _source_support(f: np.ndarray) -> tuple[int, int, int, np.ndarray]:
@@ -666,18 +701,25 @@ def _source_support(f: np.ndarray) -> tuple[int, int, int, np.ndarray]:
 
     t1 is its last nonzero level, z0 .. z1 its nonzero column range and
     components the indices of its nonzero fiber components (empty, with
-    t1 = z0 = z1 = -1, for an all-zero source). The one pass over |f| that
-    finds them also refuses a NaN or infinite entry with ValueError, which
-    the transforms would otherwise spread over a whole output component.
+    t1 = z0 = z1 = -1, for an all-zero source). The scan takes |f| one
+    level at a time into one level-sized buffer, keeps each level's max and
+    folds the level into a running max over levels, from which the column
+    and component maxima are read, so it holds no field-sized temporary.
+    It also refuses a NaN or infinite entry with ValueError naming its first
+    level, which the transforms would otherwise spread over a whole output
+    component.
     """
-    amp = np.abs(f)
-    # max keeps a NaN; the reductions run along whole rows, not the short fiber axis
-    levels = amp.reshape(len(amp), -1).max(axis=1)
-    columns = amp.max(axis=0)
-    peaks = columns.max(axis=0)
-    if not np.all(np.isfinite(peaks)):
-        raise ValueError("source holds a non-finite value")
-    components = np.flatnonzero(peaks)
+    amp, columns = np.empty(f.shape[1:]), np.zeros(f.shape[1:])
+    levels = np.empty(len(f))
+    for t, level in enumerate(f):
+        np.abs(level, out=amp)
+        # max and np.maximum both keep a NaN
+        levels[t] = np.max(amp)
+        np.maximum(columns, amp, out=columns)
+    bad = np.flatnonzero(~np.isfinite(levels))
+    if bad.size:
+        raise ValueError(f"source level {bad[0]} holds a non-finite value")
+    components = np.flatnonzero(columns.max(axis=0))
     if components.size == 0:
         return -1, -1, -1, components
     rows = np.flatnonzero(levels)
@@ -701,10 +743,16 @@ def _retarded_convolution(f: np.ndarray, cfg: EvolutionConfig) -> np.ndarray:
     n_t levels: the linear result spans n_t + t1 rows, so nothing wraps,
     and rows 0 .. n_t - 1 are u. A zero part's output is exact zeros and an
     all-zero source runs no transform. The kernel is transformed once per
-    call by real transforms and its two symmetries (``_kernel_spectrum``),
-    each packed pair along t on its b data columns only, and only the n_t
-    kept levels are transformed back along z. ValueError on a non-finite
-    source (see ``_source_support``).
+    call by real transforms and kept as the quarter of its spectrum they
+    give (``_kernel_spectrum``); the kernel itself is dropped then. One
+    (n_fft, n) spectrum serves every pair of parts: a pair is packed into
+    its first b columns, zero-padded along t, the other columns are zeroed,
+    and the t-transform, the z-transform, the product with the kernel and
+    both inverse transforms run in place, only the n_t kept levels
+    transformed back along z. The dt dz cell weight is
+    applied as each result is written into u, so the call holds u, one
+    spectrum and the kernel's quarter. ValueError on a non-finite source
+    (see ``_source_support``).
     """
     n_t, n_pts = cfg.steps + 1, cfg.points
     kernel = retarded_kernel(cfg)  # refuses a non-aligned grid, a zero source too
@@ -714,26 +762,37 @@ def _retarded_convolution(f: np.ndarray, cfg: EvolutionConfig) -> np.ndarray:
         return u
     n_fft = _smooth_length(n_t + t1)
     kernel_hat = _kernel_spectrum(kernel, n_fft)
+    del kernel
     block = f[: t1 + 1, z0 : z1 + 1]
+    width = z1 + 1 - z0
     cell = cfg.dt * cfg.dz
     # (plane, destination): each nonzero real or imaginary part, with the same part of u
     halves = ((block.real, u.real), (block.imag, u.imag))
     planes = [(part[..., c], whole[..., c])
               for c in components for part, whole in halves if np.any(part[..., c])]
+    spec = np.empty((n_fft, n_pts), dtype=complex)
+    # the kept levels, a view of spec: the inverse t-transform leaves u's rows there
+    out = spec[:n_t]
+    # the support's columns of spec, its t1 + 1 levels first and zero padding after
+    data, packed = spec[:, :width], spec[: t1 + 1, :width]
     for i in range(0, len(planes), 2):
         pair = planes[i : i + 2]
         # the kernel is real, so E * (p + i q) = E * p + i E * q: two planes per transform
-        packed = pair[0][0] + 1j * pair[1][0] if len(pair) == 2 else pair[0][0].astype(complex)
-        spec = np.fft.fft(np.fft.fft(packed, n=n_fft, axis=0), n=n_pts, axis=1)
-        spec *= kernel_hat
-        # both inverse transforms run in place: the kept levels are a view of spec
-        out = np.fft.ifft(spec, axis=0, out=spec)[:n_t]
+        if len(pair) == 2:
+            np.add(pair[0][0], np.multiply(1j, pair[1][0], out=packed), out=packed)
+        else:
+            packed[...] = pair[0][0]
+        data[t1 + 1 :] = 0.0
+        np.fft.fft(data, axis=0, out=data)
+        spec[:, width:] = 0.0
+        np.fft.fft(spec, axis=1, out=spec)
+        _times_kernel_spectrum(spec, kernel_hat)
+        np.fft.ifft(spec, axis=0, out=spec)
         np.fft.ifft(out, axis=1, out=out)
         for (_, dest), result in zip(pair, (out.real, out.imag)):
             # the support entered the z-transform at column 0: shift back by z0
             np.multiply(result[:, : n_pts - z0], cell, out=dest[:, z0:])
             np.multiply(result[:, n_pts - z0 :], cell, out=dest[:, :z0])
-        del spec, out  # else they stay live while the next spectrum is built
     return u
 
 
@@ -850,7 +909,11 @@ def green_residual(result: GridField, source: GridField) -> float:
     scanned. Raises ValueError when the two
     fields were built for different configs and, naming its first
     non-finite level, when ``result`` holds a NaN or inf, which the
-    differences would meet as inf - inf or inf * 0.
+    differences would meet as inf - inf or inf * 0. A finite result can
+    still leave the float range here, as G f carries m u and the fold
+    multiplies it by m again: OverflowError names the first level where
+    (D + i m) u, or its gap to a finite f, is not finite. numpy's overflow
+    warnings are silenced inside the fold alone, which checks every level.
     """
     cfg = result.config
     if source.config != cfg:
@@ -864,9 +927,18 @@ def green_residual(result: GridField, source: GridField) -> float:
     mag = np.empty((cfg.points, cfg.fiber))
     # np.maximum, unlike max(), keeps a NaN residual or source visible in the result
     worst = scale = 0.0
-    for t, level in enumerate(_dirac_levels(cfg, result.data, 1.0)):
-        scale = np.maximum(scale, np.max(np.abs(source.data[t], out=mag)))
-        if 2 <= t <= cfg.steps - 2:
-            level -= source.data[t]
-            worst = np.maximum(worst, np.max(np.abs(level, out=mag)))
+    with np.errstate(over="ignore", invalid="ignore"):
+        for t, level in enumerate(_dirac_levels(cfg, result.data, 1.0)):
+            peak = np.max(np.abs(source.data[t], out=mag))
+            scale = np.maximum(scale, peak)
+            interior = 2 <= t <= cfg.steps - 2
+            if interior:
+                level -= source.data[t]
+            gap = np.max(np.abs(level, out=mag))
+            # a non-finite f keeps the result NaN, as above; with f finite, a
+            # non-finite gap is an overflow of (D + i m) u or of its gap to f
+            if not np.isfinite(gap) and np.isfinite(peak):
+                raise OverflowError(f"(D + i m) of the result overflows at level {t}")
+            if interior:
+                worst = np.maximum(worst, gap)
     return float(worst / max(float(scale), 1e-300))

@@ -306,6 +306,24 @@ def test_green_refuses_an_overflowing_mass_and_writes_nothing(tmp_path):
     assert not out.exists()
 
 
+def test_green_refuses_a_mass_whose_residual_overflows_and_writes_nothing(tmp_path):
+    # at mass 1e300 the kernel's arguments are finite, but the residual
+    # multiplies G f, which carries m u, by m again: exit 2 naming the level,
+    # not a traceback from numpy's overflow warning under the CI filter
+    out = tmp_path / "huge-residual.json"
+    env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(spinlab.__file__)),
+               PYTHONWARNINGS="error::RuntimeWarning")
+    run = subprocess.run(
+        [sys.executable, "-m", "spinlab.cli", "green", "--m", "1e300", "--points", "64",
+         "--out", str(out)],
+        env=env, capture_output=True, text=True, timeout=60,
+    )
+    assert run.returncode == 2
+    assert run.stderr.startswith("error:") and "overflows at level" in run.stderr
+    assert "Traceback" not in run.stderr
+    assert not out.exists()
+
+
 def test_green_subcommand_writes_a_snapshot(tmp_path, capsys):
     out_path = tmp_path / "green.json"
     assert cli.run(["green", "--m", "1.0", "--points", "128",

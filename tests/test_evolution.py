@@ -380,10 +380,9 @@ def test_green_residual_refuses_fields_of_different_configs():
 
 def test_green_operator_holds_at_most_five_fields():
     # u = E * f is the one field the apply returns: the Dirac step writes G f
-    # into it level by level. The convolution before it holds u, the kernel's
-    # spectrum and one component's, each at most (2 n_t) n cells, half a
-    # k = 0 field, and fewer when the source's support is compact: about two
-    # fields at once. The bound leaves room for three more.
+    # into it level by level. The convolution before it holds u, one spectrum
+    # of at most (2 n_t) n cells, half a k = 0 field, and a quarter of the
+    # kernel's: under two fields at once. The bound leaves room for three more.
     n_pts = 256
     dz = 16.0 / n_pts
     cfg = small_config(mass=1.0, extent=16.0, points=n_pts, dt=dz, steps=n_pts // 2)
@@ -416,13 +415,60 @@ def _green_pulse_256():
 
 
 def test_green_apply_holds_at_most_three_fields():
-    # u and the convolution's two half-field spectra, about 2.15 fields: both
-    # inverse transforms run in place and the cell weight is applied as each
-    # result is written back, so no third spectrum-sized buffer is made; the
-    # level-by-level Dirac step adds a few levels, not a field
+    # u, one half-field spectrum that every pair of parts reuses in place and
+    # a quarter of the kernel's, about 1.73 fields: the source is scanned one
+    # level at a time, the kernel is dropped once transformed, and the cell
+    # weight is applied as each result is written back; the level-by-level
+    # Dirac step adds a few levels, not a field
     cfg, source = _green_pulse_256()
     peak = _traced_peak(lambda: ev.retarded_green_apply(source, cfg))
-    assert peak < 2.25 * source.data.nbytes
+    assert peak < 1.875 * source.data.nbytes
+
+
+def test_source_support_scans_one_level_at_a_time():
+    # the scan holds |f| of one level and a running max over levels, not |f|
+    # of the whole field, half of it
+    cfg, source = _green_pulse_256()
+    peak = _traced_peak(lambda: ev._source_support(source.data))
+    assert peak < source.data.nbytes / 8
+    t1, z0, z1, components = ev._source_support(source.data)
+    amp = np.abs(source.data)
+    assert t1 == np.flatnonzero(amp.max(axis=(1, 2)))[-1]
+    assert (z0, z1) == tuple(np.flatnonzero(amp.max(axis=(0, 2)))[[0, -1]])
+    assert components.tolist() == [0, 3]
+
+
+@pytest.mark.parametrize("where, bad", [(-1, np.nan), (5, complex(0.0, np.inf))],
+                         ids=["nan-last-level", "inf-imaginary"])
+def test_source_support_names_the_first_non_finite_level(where, bad):
+    cfg, source = _green_pulse_256()
+    data = source.data.copy()
+    data[where, 200, 1] = bad
+    level = where % len(data)
+    with pytest.raises(ValueError, match=f"source level {level} holds a non-finite value"):
+        ev._source_support(data)
+
+
+@pytest.mark.parametrize("n_pts", [8, 9])
+@pytest.mark.parametrize("n_fft", [10, 15])
+def test_quarter_spectrum_multiply_is_the_full_product(n_pts, n_fft):
+    # the points are the user's choice and 5-smooth lengths can be odd; the
+    # full spectrum is filled from the quarter by its two symmetries
+    rng = np.random.default_rng(n_pts * n_fft)
+    kernel = rng.standard_normal((6, n_pts))
+    kernel[:, 1:] += kernel[:, 1:][:, ::-1]  # real and even in z, as E_per is
+    quarter = ev._kernel_spectrum(kernel, n_fft)
+    assert quarter.shape == (n_fft // 2 + 1, n_pts // 2 + 1)
+    rows, cols = quarter.shape
+    full = np.empty((n_fft, n_pts), dtype=complex)
+    full[:rows, :cols] = quarter
+    full[rows:, :cols] = quarter[1 : (n_fft + 1) // 2][::-1].conj()
+    full[:, cols:] = full[:, 1 : (n_pts + 1) // 2][:, ::-1]
+    np.testing.assert_allclose(full, np.fft.fft2(kernel, s=(n_fft, n_pts)), atol=1e-12)
+    spec = rng.standard_normal((n_fft, n_pts)) + 1j * rng.standard_normal((n_fft, n_pts))
+    expect = spec * full
+    ev._times_kernel_spectrum(spec, quarter)
+    np.testing.assert_array_equal(spec, expect)
 
 
 def test_green_residual_holds_no_field():
@@ -546,6 +592,34 @@ def test_hankel_j0_matches_scipy_from_the_switch_to_1e4():
         ev._bessel_j0([8.0, ev._HANKEL_SWITCH, 150.0, -150.0]),
         np.concatenate([ev._trapezoid_j0(near), ev._hankel_j0(far), ev._hankel_j0(far)]),
     )
+
+
+def test_hankel_j0_stays_finite_up_to_the_largest_float():
+    # neither x^2 (past 1.3e154) nor pi x (past 5.7e307) is formed; the suite
+    # turns numpy's overflow warning into an error. P = 1 and Q is below
+    # 1/x here, so J0 is (cos x + sin x) / sqrt(pi x) to round-off
+    x = np.array([1.5e154, 1e300, np.finfo(float).max])
+    got = ev._bessel_j0(x)
+    scale = np.sqrt(2.0 / np.pi) / np.sqrt(x)
+    expect = (np.cos(x) + np.sin(x)) / (np.sqrt(np.pi) * np.sqrt(x))
+    assert np.all(np.abs(got - expect) <= 1e-14 * scale)
+
+
+def test_green_residual_names_the_level_where_a_huge_mass_overflows():
+    # G f carries m u and the residual multiplies it by m again; at m = 1e300
+    # that leaves the float range: a typed error, not a warning (the suite
+    # turns those into errors) or an inf residual
+    with pytest.raises(OverflowError, match=r"overflows at level \d+$"):
+        checks.green_pulse(1e300, 64)
+
+
+def test_retarded_kernel_temporaries_stay_within_a_few_kernels():
+    # 16 points and 1000 steps at m = 1, a 0.13 MB kernel: a whole
+    # (steps + 1)^2 half-cone would take tens of MB, blocks of points // 4
+    # levels hold about 0.6 MB
+    cfg = small_config(mass=1.0, points=16, extent=4.0, dt=0.25, steps=1000)
+    peak = _traced_peak(lambda: ev.retarded_kernel(cfg))
+    assert peak < 2 * 2**20
 
 
 def test_kernel_and_j0_refuse_a_non_finite_argument_without_hanging():

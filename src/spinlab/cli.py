@@ -7,7 +7,7 @@ machine-readable report (``report``). The suites themselves, the report
 document and its schema live in :mod:`spinlab.checks`; this module only
 selects suites, prints their rows and writes files. Exit status is 0 only
 when all selected checks pass, 1 when a check fails or errors, 2 on usage
-errors.
+errors and on sizes too large to allocate.
 
 All randomness flows from one 64-bit seed (``--seed`` or the SPINLAB_SEED
 environment variable), so reports are reproducible; with ``--no-timings``
@@ -110,7 +110,7 @@ def cmd_signature(args) -> int:
         if not np.all(np.isfinite(xi.components)):
             print(f"error: --xi components must be finite, got {args.xi}", file=sys.stderr)
             return 2
-    try:  # a past or spacelike xi, or a negative k
+    try:  # a past or spacelike xi, a negative k, or pairing weights past the float range
         triple = hs.gram_signature(args.k, xi)
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
@@ -251,23 +251,26 @@ def run(argv=None) -> int:
         args = parser.parse_args(argv)
     except SystemExit as exc:
         return 2 if exc.code not in (0, None) else 0
-    if "seed" not in args:  # evolve and green take none of the check-suite knobs
-        return args.func(args)
-    if args.seed is None:
-        env = os.environ.get("SPINLAB_SEED", "0")
-        try:
-            args.seed = int(env)
-        except ValueError:
-            print(f"error: SPINLAB_SEED must be an integer, got {env!r}", file=sys.stderr)
+    if "seed" in args:  # the check-suite knobs; evolve and green take none
+        if args.seed is None:
+            env = os.environ.get("SPINLAB_SEED", "0")
+            try:
+                args.seed = int(env)
+            except ValueError:
+                print(f"error: SPINLAB_SEED must be an integer, got {env!r}", file=sys.stderr)
+                return 2
+        if args.seed < 0:  # numpy's generators take none
+            print(f"error: the seed must be nonnegative, got {args.seed}", file=sys.stderr)
             return 2
-    if args.seed < 0:  # numpy's generators take none
-        print(f"error: the seed must be nonnegative, got {args.seed}", file=sys.stderr)
+        if not (math.isfinite(args.tol_scale) and args.tol_scale > 0):
+            print(f"error: --tol-scale must be finite and positive, got {args.tol_scale}",
+                  file=sys.stderr)
+            return 2
+    try:
+        return args.func(args)
+    except MemoryError as exc:  # a size numpy cannot allocate; every file is written last
+        print(f"error: {str(exc) or 'out of memory'}", file=sys.stderr)
         return 2
-    if not (math.isfinite(args.tol_scale) and args.tol_scale > 0):
-        print(f"error: --tol-scale must be finite and positive, got {args.tol_scale}",
-              file=sys.stderr)
-        return 2
-    return args.func(args)
 
 
 def main() -> None:

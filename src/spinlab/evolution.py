@@ -54,14 +54,15 @@ twist (k, l): E is scalar and Gamma(e^a) = kron(G(e^a), I) touches only the
 chiral axes, so the twisted operator is the untwisted one applied per twist
 slot. The convolution is cyclic in z, at size n, and
 linear in t, at the first 5-smooth size >= n_t + t1, where t1 is the
-source's last nonzero level. Only the source's support is transformed: its
-levels up to t1, its nonzero columns along t and the nonzero real and
-imaginary parts of its fiber components, two parts to a complex transform
-because the kernel is real. The source is scanned one level at a time, the
-kernel is kept as the quarter of its spectrum that its symmetries leave,
-and one spectrum is transformed in place for every pair of parts, with the
-dt dz cell weight applied as each result is written into u; so the apply
-holds u, one half-field spectrum and a quarter of one at its peak, and the
+source's last nonzero level. The kernel is real, so each nonzero real or
+imaginary part of a fiber component convolves to a real output on its own:
+its levels up to t1 take one real transform along z, and the inverse real
+transform writes the result straight into that part of u. The source is
+scanned one level at a time, the kernel is kept as the quarter of its
+spectrum that its symmetries leave, scaled once by the dt dz cell weight,
+and one (n_fft, n // 2 + 1) spectrum is transformed in place for every
+part; so the apply holds u, a spectrum the size of one fiber component
+(a quarter field at k = 0) and the kernel's quarter at its peak, and the
 kernel, built in blocks of levels, a few kernels. The Dirac step and the
 residual hold a few levels. The module needs numpy (>= 2.0, for the
 transforms' ``out=``) alone: J0 is a trapezoid sum, or Hankel's asymptotic
@@ -665,49 +666,42 @@ def _smooth_length(n: int) -> int:
 def _kernel_spectrum(kernel: np.ndarray, n_fft: int) -> np.ndarray:
     """A quarter of the kernel's 2-D DFT, zero-padded to n_fft levels: rows 0 .. n_fft // 2.
 
-    E_per is real and even in z, so its z-spectrum is real and even in k:
-    one real transform along z and one along t, over the k = 0 .. n/2
-    columns, give every value of the (n_fft, points) spectrum, whose other
-    three quarters follow by X[-w, k] = conj(X[w, k]) and X[w, -k] = X[w, k]
-    (``_times_kernel_spectrum``). Shape (n_fft // 2 + 1, points // 2 + 1).
+    E_per is real and even in z, so its z-spectrum is real: one real
+    transform along z and one along t give the k = 0 .. n/2 columns of the
+    (n_fft, points) spectrum, the columns a real z-transform of a source
+    keeps, over rows 0 .. n_fft / 2; the other rows follow by
+    X[-w, k] = conj(X[w, k]) (``_times_kernel_spectrum``). Shape
+    (n_fft // 2 + 1, points // 2 + 1).
     """
     return np.fft.rfft(np.fft.rfft(kernel, axis=1).real, n=n_fft, axis=0)
 
 
 def _times_kernel_spectrum(spec: np.ndarray, quarter: np.ndarray) -> None:
-    """spec *= the full (n_fft, points) kernel spectrum, read from its quarter in place.
+    """spec *= the (n_fft, points // 2 + 1) kernel spectrum, read from its quarter in place.
 
-    Columns past points / 2 read the quarter's columns in reverse, as views.
-    Rows past n_fft / 2 read its rows in reverse, conjugated: a conj(b) is
-    conj(conj(a) b) and conjugation is exact, so those rows of spec are
-    conjugated in place, multiplied and conjugated back, with no conjugated
-    copy, and every product is bitwise that of the full spectrum's.
+    Rows past n_fft / 2 read the quarter's rows in reverse, conjugated:
+    a conj(b) is conj(conj(a) b) and conjugation is exact, so those rows of
+    spec are conjugated in place, multiplied and conjugated back, with no
+    conjugated copy, and every product is bitwise that of the full rows'.
     """
-    n_fft, n_pts = spec.shape
-    rows, cols = quarter.shape
-
-    def times(part, factor):  # part *= factor, mirrored past column cols - 1
-        part[:, :cols] *= factor
-        part[:, cols:] *= factor[:, 1 : (n_pts + 1) // 2][:, ::-1]
-
-    times(spec[:rows], quarter)
+    rows = len(quarter)
+    spec[:rows] *= quarter
     low = np.conjugate(spec[rows:], out=spec[rows:])
-    times(low, quarter[1 : (n_fft + 1) // 2][::-1])
+    low *= quarter[1 : (len(spec) + 1) // 2][::-1]
     np.conjugate(low, out=low)
 
 
-def _source_support(f: np.ndarray) -> tuple[int, int, int, np.ndarray]:
-    """(t1, z0, z1, components): where a (levels, points, fiber) source is nonzero.
+def _source_support(f: np.ndarray) -> tuple[int, np.ndarray]:
+    """(t1, components): where a (levels, points, fiber) source is nonzero.
 
-    t1 is its last nonzero level, z0 .. z1 its nonzero column range and
-    components the indices of its nonzero fiber components (empty, with
-    t1 = z0 = z1 = -1, for an all-zero source). The scan takes |f| one
-    level at a time into one level-sized buffer, keeps each level's max and
-    folds the level into a running max over levels, from which the column
-    and component maxima are read, so it holds no field-sized temporary.
-    It also refuses a NaN or infinite entry with ValueError naming its first
-    level, which the transforms would otherwise spread over a whole output
-    component.
+    t1 is its last nonzero level and components the indices of its nonzero
+    fiber components (empty, with t1 = -1, for an all-zero source). The
+    scan takes |f| one level at a time into one level-sized buffer, keeps
+    each level's max and folds the level into a running max over levels,
+    from which the component maxima are read, so it holds no field-sized
+    temporary. It also refuses a NaN or infinite entry with ValueError
+    naming its first level, which the transforms would otherwise spread
+    over a whole output component.
     """
     amp, columns = np.empty(f.shape[1:]), np.zeros(f.shape[1:])
     levels = np.empty(len(f))
@@ -721,78 +715,56 @@ def _source_support(f: np.ndarray) -> tuple[int, int, int, np.ndarray]:
         raise ValueError(f"source level {bad[0]} holds a non-finite value")
     components = np.flatnonzero(columns.max(axis=0))
     if components.size == 0:
-        return -1, -1, -1, components
-    rows = np.flatnonzero(levels)
-    cols = np.flatnonzero(columns.max(axis=1))
-    return int(rows[-1]), int(cols[0]), int(cols[-1]), components
+        return -1, components
+    return int(np.flatnonzero(levels)[-1]), components
 
 
 def _retarded_convolution(f: np.ndarray, cfg: EvolutionConfig) -> np.ndarray:
     """u = E_per * f per fiber component, summed with the dt dz cell weight.
 
     The convolution is cyclic in z, at size n (the points), and linear in
-    t, and it transforms only the source's support: rows 0 .. t1 (t1 its
+    t, and it transforms each real or imaginary part of a fiber component
+    that is not identically zero on its own: the kernel is real, so a real
+    part convolves to a real output. A part's rows 0 .. t1 (t1 the source's
     last nonzero level; the leading rows stay, so the levels before the
-    source are computed, not set to zero) and columns z0 .. z1 (width b),
-    of each real or imaginary part of a component that is not identically
-    zero. The kernel is real, so a part convolves to a real output and two
-    parts p, q share one complex transform as p + i q: a complex component
-    costs one transform, a real or imaginary one half. The support enters
-    the z-transform at column 0, so each output is written back shifted by
-    z0. Along t the FFT size is the first 5-smooth length >= n_t + t1 for
-    n_t levels: the linear result spans n_t + t1 rows, so nothing wraps,
-    and rows 0 .. n_t - 1 are u. A zero part's output is exact zeros and an
+    source are computed, not set to zero) take a real transform along z,
+    whose n // 2 + 1 columns are all a real signal needs. Along t the FFT
+    size is the first 5-smooth length >= n_t + t1 for n_t levels: the
+    linear result spans n_t + t1 rows, so nothing wraps, and rows
+    0 .. n_t - 1 are u. A zero part's output is exact zeros and an
     all-zero source runs no transform. The kernel is transformed once per
-    call by real transforms and kept as the quarter of its spectrum they
-    give (``_kernel_spectrum``); the kernel itself is dropped then. One
-    (n_fft, n) spectrum serves every pair of parts: a pair is packed into
-    its first b columns, zero-padded along t, the other columns are zeroed,
-    and the t-transform, the z-transform, the product with the kernel and
-    both inverse transforms run in place, only the n_t kept levels
-    transformed back along z. The dt dz cell weight is
-    applied as each result is written into u, so the call holds u, one
-    spectrum and the kernel's quarter. ValueError on a non-finite source
-    (see ``_source_support``).
+    call by real transforms, kept as the quarter of its spectrum they give
+    (``_kernel_spectrum``) and scaled there by the dt dz cell weight; the
+    kernel itself is dropped then. One (n_fft, n // 2 + 1) spectrum serves
+    every part: the z-transform writes the part's rows into it, the rows
+    after them are zeroed, the t-transform, the product with the kernel and
+    the inverse t-transform run in place, and the inverse z-transform of
+    the n_t kept levels is written straight into the part of u. So the call
+    holds u, one spectrum the size of one fiber component and the kernel's
+    quarter. ValueError on a non-finite source (see ``_source_support``).
     """
     n_t, n_pts = cfg.steps + 1, cfg.points
     kernel = retarded_kernel(cfg)  # refuses a non-aligned grid, a zero source too
-    t1, z0, z1, components = _source_support(f)
+    t1, components = _source_support(f)
     u = np.zeros(f.shape, dtype=complex)
     if components.size == 0:
         return u
     n_fft = _smooth_length(n_t + t1)
     kernel_hat = _kernel_spectrum(kernel, n_fft)
     del kernel
-    block = f[: t1 + 1, z0 : z1 + 1]
-    width = z1 + 1 - z0
-    cell = cfg.dt * cfg.dz
-    # (plane, destination): each nonzero real or imaginary part, with the same part of u
-    halves = ((block.real, u.real), (block.imag, u.imag))
-    planes = [(part[..., c], whole[..., c])
-              for c in components for part, whole in halves if np.any(part[..., c])]
-    spec = np.empty((n_fft, n_pts), dtype=complex)
-    # the kept levels, a view of spec: the inverse t-transform leaves u's rows there
-    out = spec[:n_t]
-    # the support's columns of spec, its t1 + 1 levels first and zero padding after
-    data, packed = spec[:, :width], spec[: t1 + 1, :width]
-    for i in range(0, len(planes), 2):
-        pair = planes[i : i + 2]
-        # the kernel is real, so E * (p + i q) = E * p + i E * q: two planes per transform
-        if len(pair) == 2:
-            np.add(pair[0][0], np.multiply(1j, pair[1][0], out=packed), out=packed)
-        else:
-            packed[...] = pair[0][0]
-        data[t1 + 1 :] = 0.0
-        np.fft.fft(data, axis=0, out=data)
-        spec[:, width:] = 0.0
-        np.fft.fft(spec, axis=1, out=spec)
-        _times_kernel_spectrum(spec, kernel_hat)
-        np.fft.ifft(spec, axis=0, out=spec)
-        np.fft.ifft(out, axis=1, out=out)
-        for (_, dest), result in zip(pair, (out.real, out.imag)):
-            # the support entered the z-transform at column 0: shift back by z0
-            np.multiply(result[:, : n_pts - z0], cell, out=dest[:, z0:])
-            np.multiply(result[:, n_pts - z0 :], cell, out=dest[:, :z0])
+    kernel_hat *= cfg.dt * cfg.dz
+    spec = np.empty((n_fft, n_pts // 2 + 1), dtype=complex)
+    for c in components:
+        for part, dest in ((f.real, u.real), (f.imag, u.imag)):
+            source = part[: t1 + 1, :, c]
+            if not np.any(source):
+                continue
+            np.fft.rfft(source, axis=1, out=spec[: t1 + 1])
+            spec[t1 + 1 :] = 0.0
+            np.fft.fft(spec, axis=0, out=spec)
+            _times_kernel_spectrum(spec, kernel_hat)
+            np.fft.ifft(spec, axis=0, out=spec)
+            np.fft.irfft(spec[:n_t], n=n_pts, axis=1, out=dest[..., c])
     return u
 
 

@@ -37,6 +37,7 @@ independent reference that the closed forms are checked against.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -297,6 +298,9 @@ def pairing_matrix(k: int) -> np.ndarray:
     by the orbit sizes C(k, a) C(k, b). Returns a fresh array on every call.
     """
     slots, n = fiber_dim(k, k) // 4, k + 1
+    # the largest weight, checked first: the k + 1 exact binomials take seconds at k ~ 10^4
+    if math.comb(k, k // 2) > sys.float_info.max:
+        raise ValueError(f"the pairing weight C({k}, {k // 2}) exceeds the float range")
     orbit = np.array([math.comb(k, a) for a in range(n)], dtype=float)
     a, b = np.indices((n, n))
     twist = np.zeros((n, n, n, n), dtype=complex)

@@ -326,8 +326,9 @@ def test_green_refuses_a_mass_whose_residual_overflows_and_writes_nothing(tmp_pa
 
 
 def _cap_address_space():
-    # 768 MiB holds the interpreter and numpy but not one 10^8-point grid, the
-    # first array green builds, so the run touches little memory before it fails
+    # 768 MiB holds the interpreter and numpy but not one 10^8-point grid, so
+    # the run touches little memory before it fails; the first grid-sized
+    # array green builds is its (steps + 1, points, 4) complex source
     limit = 768 << 20
     resource.setrlimit(resource.RLIMIT_AS, (limit, limit))
 
@@ -336,15 +337,18 @@ def _cap_address_space():
 def test_a_size_too_large_to_allocate_exits_two_and_writes_nothing(tmp_path, command):
     # every size lies beyond the 128 TiB user address space, and the child's
     # address space is capped besides, so no run can really allocate it. At
-    # k = 10000 the pairing's binomial weights overflow before any allocation
+    # k = 10000 the pairing's binomial weights overflow before any allocation;
+    # green's error names the shape of its source, not of a time or z grid
     out = tmp_path / "huge-points.json"
     config = tmp_path / "huge-config.json"
     config.write_text(json.dumps({"mass": 1.0, "k": 0, "l": 0, "extent": 16.0,
                                   "points": 10**16, "dt": 1e-15, "steps": 8}))
-    argv = {
-        "signature": ["signature", "--k", "10000"],
-        "green": ["green", "--m", "1", "--points", "100000000", "--out", str(out)],
-        "evolve": ["evolve", "--config", str(config), "--out", str(out)],
+    argv, named = {
+        "signature": (["signature", "--k", "10000"], "C(10000, 5000)"),
+        "green": (["green", "--m", "1", "--points", "100000000", "--out", str(out)],
+                  "(50000001, 100000000, 4)"),
+        "evolve": (["evolve", "--config", str(config), "--out", str(out)],
+                   "Unable to allocate"),
     }[command]
     env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(spinlab.__file__)),
                PYTHONWARNINGS="error::RuntimeWarning", OPENBLAS_NUM_THREADS="1")
@@ -353,6 +357,7 @@ def test_a_size_too_large_to_allocate_exits_two_and_writes_nothing(tmp_path, com
                          preexec_fn=_cap_address_space)
     assert run.returncode == 2
     assert run.stderr.startswith("error:") and "Traceback" not in run.stderr
+    assert named in run.stderr
     assert not out.exists()
 
 

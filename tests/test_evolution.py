@@ -432,6 +432,35 @@ def test_green_apply_holds_at_most_three_fields():
     assert peak < 1.5 * source.data.nbytes
 
 
+def test_green_pulse_holds_only_its_source_and_g_f():
+    # the source, G f and the apply's own spectra, about 2.4 fields: no
+    # meshgrid or profile beside the source and no |G f| of the whole field.
+    # A first small call imports numpy.fft, which the trace would count
+    field_nbytes = (256 // 2 + 1) * 256 * 4 * 16
+    checks.green_pulse(1.0, 64)
+    peak = _traced_peak(lambda: checks.green_pulse(1.0, 256))
+    assert peak < 2.5 * field_nbytes
+
+
+@pytest.mark.parametrize("mass", [0.0, 1.0])
+@pytest.mark.parametrize("n_pts", [128, 256])
+def test_green_pulse_matches_the_whole_field_reference(n_pts, mass):
+    # the meshgrid-built source and |G f| of the whole field give the same
+    # G f, residual and leak, bit for bit
+    dz = 16.0 / n_pts
+    cfg = small_config(mass=mass, extent=16.0, points=n_pts, dt=dz, steps=n_pts // 2)
+    source = _pulse_source(cfg)
+    expect = ev.retarded_green_apply(source, cfg)
+    amp = np.abs(expect.data)
+    first = np.flatnonzero(np.abs(source.data).max(axis=(1, 2)))[0]
+    leak = amp[: first - 1].max() / amp.max()
+    result, residual, got_leak = checks.green_pulse(mass, n_pts)
+    assert result.config == cfg
+    assert np.array_equal(result.data, expect.data)
+    assert residual == ev.green_residual(expect, source)
+    assert got_leak == leak
+
+
 def test_source_support_scans_one_level_at_a_time():
     # the scan holds |f| of one level and a running max over levels, not |f|
     # of the whole field, half of it

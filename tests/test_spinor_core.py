@@ -8,6 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from spinlab import checks
 from spinlab import clifford as cl
 from spinlab import minkowski as mk
 from spinlab import spinor_core as sc
@@ -149,22 +150,31 @@ def test_symmetrize_rejects_mixed_tags():
 
 
 def test_sym_dimension_matches_enumeration():
-    for k, l in [(0, 0), (1, 0), (2, 1), (3, 2)]:
-        cols = []
-        for idx in range(2 ** (k + l)):
-            data = np.zeros(2 ** (k + l))
-            data[idx] = 1.0
-            s = sc.Spinor(
-                data.reshape((2,) * (k + l)),
-                (sc.UNDOTTED_UP,) * k + (sc.DOTTED_LOW,) * l,
-            )
-            if k >= 2:
-                s = sc.symmetrize(s, tuple(range(k)))
-            if l >= 2:
-                s = sc.symmetrize(s, tuple(range(k, k + l)))
-            cols.append(s.data.ravel())
-        rank = np.linalg.matrix_rank(np.array(cols).T, tol=1e-10)
-        assert rank == sc.sym_dimension(k, l) == (k + 1) * (l + 1)
+    # the report's sym-dimension-enumeration row reads each rank as
+    # round(trace P) of checks.sym_projector, which holds because P^2 = P;
+    # the reference symmetrizes each basis spinor on its own
+    for k in range(5):
+        for l in range(5):
+            cols = []
+            for idx in range(2 ** (k + l)):
+                data = np.zeros(2 ** (k + l))
+                data[idx] = 1.0
+                s = sc.Spinor(
+                    data.reshape((2,) * (k + l)),
+                    (sc.UNDOTTED_UP,) * k + (sc.DOTTED_LOW,) * l,
+                )
+                if k >= 2:
+                    s = sc.symmetrize(s, tuple(range(k)))
+                if l >= 2:
+                    s = sc.symmetrize(s, tuple(range(k, k + l)))
+                cols.append(s.data.ravel())
+            enumerated = np.array(cols).T
+            rank = np.linalg.matrix_rank(enumerated, tol=1e-10)
+            assert rank == sc.sym_dimension(k, l) == (k + 1) * (l + 1)
+            p = checks.sym_projector(k, l)
+            assert np.array_equal(p, enumerated)
+            assert np.abs(p @ p - p).max() < 1e-12
+            assert round(np.trace(p).real) == rank
 
 
 def test_apply_sl2_rejects_non_unimodular_matrices():

@@ -15,8 +15,7 @@ max |gap| over everything it yields, reduced with one NaN-keeping
 ``np.max``, and 0.0 when it yields nothing. A row whose check raises or
 whose residual is NaN or infinite (so any NaN or infinite gap) gets status
 ``"error"``, residual ``None`` and ``"error": "<Type>: <message>"``; it
-counts as not passed and the remaining rows still run. So does a row whose
-scaled tolerance is not finite, with tolerance ``None``; a non-finite
+counts as not passed and the remaining rows still run. A non-finite
 number in a suite's ``info`` is written as ``None``, and ``stable_json``
 refuses any NaN or infinity left, so no document carries one.
 """
@@ -127,9 +126,8 @@ def _summary(rows: list[dict]) -> dict:
 class Suite:
     """Collects check rows; rows are sorted by id in the final report."""
 
-    def __init__(self, name: str, tol_scale: float = 1.0, timings: bool = True):
+    def __init__(self, name: str, timings: bool = True):
         self.name = name
-        self.tol_scale = tol_scale
         self.timings = timings
         self.checks: list[dict] = []
         self.info: dict = {}
@@ -137,23 +135,21 @@ class Suite:
     def check(self, check_id, anchor, tolerance, fn, direction="below") -> None:
         start = time.perf_counter()
         error = None
-        tol = tolerance * self.tol_scale
         try:
-            residual = _residual(fn())  # runs even on a bad tolerance, so later draws stay put
+            residual = _residual(fn())
             if not math.isfinite(residual):
                 raise ValueError(f"non-finite residual {residual}")
-            if not math.isfinite(tol):
-                raise ValueError(f"non-finite tolerance {tol}")
         except Exception as exc:  # the row records it; the suite runs on
             residual, error = None, f"{type(exc).__name__}: {exc}"
         elapsed_ms = (time.perf_counter() - start) * 1000.0
-        ok = error is None and (residual <= tol if direction == "below" else residual >= tol)
+        below = direction == "below"
+        ok = error is None and (residual <= tolerance if below else residual >= tolerance)
         row = {
             "id": check_id,
             "paper_anchor": anchor,
             "status": "error" if error is not None else ("pass" if ok else "fail"),
             "residual": residual,
-            "tolerance": tol if math.isfinite(tol) else None,
+            "tolerance": tolerance,
             "direction": direction,
             "runtime_ms": round(elapsed_ms, 3) if self.timings else 0.0,
         }
@@ -170,7 +166,7 @@ class Suite:
 
 
 #: The battery in report order, filled by ``@_suite`` as the bodies below
-#: are defined: name -> runner(seed, tol_scale=1.0, timings=True, **selection).
+#: are defined: name -> runner(seed, timings=True, **selection).
 SUITES: dict[str, Callable[..., Suite]] = {}
 
 
@@ -182,8 +178,8 @@ def _suite(body):
     """
     name = body.__name__.removesuffix("_suite")
 
-    def run(seed: int, tol_scale: float = 1.0, timings: bool = True, **selection) -> Suite:
-        suite = Suite(name, tol_scale, timings)
+    def run(seed: int, timings: bool = True, **selection) -> Suite:
+        suite = Suite(name, timings)
         body(suite, seed, **selection)
         return suite
 
@@ -850,7 +846,6 @@ def evolution_suite(suite: Suite, seed: int) -> None:
 
 def build_report(
     seed: int,
-    tol_scale: float = 1.0,
     timings: bool = True,
     select: dict[str, dict] | None = None,
 ) -> dict:
@@ -864,7 +859,7 @@ def build_report(
     if select is None:
         select = dict.fromkeys(SUITES, {})
     reports = [
-        run(seed, tol_scale, timings, **select[name]).report()
+        run(seed, timings, **select[name]).report()
         for name, run in SUITES.items()
         if name in select
     ]
@@ -874,7 +869,7 @@ def build_report(
         "schema": SCHEMA_VERSION,
         "tool": {"name": "spinlab", "version": __version__},
         "seed": seed,
-        "tol_scale": tol_scale,
+        "tol_scale": 1.0,  # a schema-1 field: tolerances are fixed; schema 2 drops it
         "suites": reports,
         "flags": [DIMENSION_FLAG],
         "summary": summary,

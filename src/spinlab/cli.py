@@ -18,7 +18,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import math
 import os
 import sys
 
@@ -70,7 +69,7 @@ def _write_json(path: str, payload: dict) -> bool:
 
 def _run_suites(args, select: dict[str, dict] | None = None) -> dict:
     """Build the report document of the selected suites and print each suite."""
-    report = checks.build_report(args.seed, args.tol_scale, not args.no_timings, select)
+    report = checks.build_report(args.seed, not args.no_timings, select)
     for suite_report in report["suites"]:
         print_suite(suite_report, args.seed)
     return report
@@ -208,8 +207,6 @@ def build_parser() -> argparse.ArgumentParser:
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--seed", type=int, default=None,
                         help="RNG seed (default: SPINLAB_SEED or 0)")
-    common.add_argument("--tol-scale", type=float, default=1.0,
-                        help="multiply all check tolerances (testing hook)")
     common.add_argument("--no-timings", action="store_true",
                         help="zero runtime_ms fields for byte-stable output")
     sub = parser.add_subparsers(dest="command", required=True)
@@ -261,10 +258,6 @@ def run(argv=None) -> int:
                 return 2
         if args.seed < 0:  # numpy's generators take none
             print(f"error: the seed must be nonnegative, got {args.seed}", file=sys.stderr)
-            return 2
-        if not (math.isfinite(args.tol_scale) and args.tol_scale > 0):
-            print(f"error: --tol-scale must be finite and positive, got {args.tol_scale}",
-                  file=sys.stderr)
             return 2
     try:
         return args.func(args)

@@ -61,13 +61,12 @@ def weyl_gammas() -> np.ndarray:
 
 
 def dirac_gammas() -> np.ndarray:
-    """Standard-basis gamma matrices (diagonal gamma0), shape (4, 4, 4)."""
-    gammas = np.zeros((4, 4, 4), dtype=complex)
-    gammas[0, :2, :2] = PAULI[0]
-    gammas[0, 2:, 2:] = -PAULI[0]
-    for i in (1, 2, 3):
-        gammas[i, :2, 2:] = PAULI[i]
-        gammas[i, 2:, :2] = -PAULI[i]
+    """Standard-basis gamma matrices (diagonal gamma0), shape (4, 4, 4).
+
+    The spatial gammas are the chiral basis's; only gamma0 differs.
+    """
+    gammas = weyl_gammas()
+    gammas[0] = np.diag([1, 1, -1, -1])
     return gammas
 
 

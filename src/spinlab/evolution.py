@@ -18,7 +18,8 @@ core refuses to start otherwise.
 Every fiber operator the evolver, the slice products and the Green
 operator use (A, Gamma0 and hence B, and the currents X^a = P Gamma(e^a))
 is a generalized permutation matrix: one nonzero per row, because
-Gamma(e^a) = kron(G(e^a), I) and P = kron(P_0, W_k) are. A is moreover
+Gamma(e^a) = kron(G(e^a), I) and P = kron(P_0, W_k) are; ``_gather``
+reads such matrices as one column map and a weight per matrix. A is moreover
 diagonal with entries +-1 in the packed chiral basis, so the system is
 already in characteristic form: each packed component moves left or right
 at unit speed. One helper, ``_first_order``, builds the leapfrog's
@@ -165,19 +166,25 @@ class GridField:
         return unpack(self.data[t_index, j], self.config.k, self.config.l)
 
 
-def _monomial(mat: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """(cols, w) with u[..., cols] * w == u @ mat.T for a one-nonzero-per-row mat.
+def _gather(*mats: np.ndarray) -> tuple[np.ndarray, tuple[np.ndarray, ...]]:
+    """(cols, weights) with u[..., cols] * w == u @ mat.T for each mat and its w.
 
-    Raises InvariantViolation when some row of ``mat`` does not have exactly
-    one nonzero entry.
+    Raises InvariantViolation when some row of a matrix does not have
+    exactly one nonzero entry, or when two or more matrices do not gather
+    the same columns, each column once.
     """
-    counts = np.count_nonzero(mat, axis=1)
+    stack = np.stack(mats)
+    counts = np.count_nonzero(stack, axis=-1)
     if np.any(counts != 1):
         raise InvariantViolation(
-            f"not a generalized permutation matrix: row nonzero counts {sorted(set(counts))}"
+            f"not a generalized permutation matrix: row nonzero counts {np.unique(counts).tolist()}"
         )
-    cols = np.argmax(mat != 0, axis=1)
-    return cols, mat[np.arange(mat.shape[0]), cols]
+    cols = np.argmax(stack != 0, axis=-1)
+    if len(mats) > 1 and not (
+        np.all(cols == cols[0]) and np.array_equal(np.sort(cols[0]), np.arange(cols.shape[1]))
+    ):
+        raise InvariantViolation("the matrices do not gather the same columns, each column once")
+    return cols[0], tuple(np.take_along_axis(stack, cols[..., None], axis=-1)[..., 0])
 
 
 def _symbol(cfg: EvolutionConfig, direction: int) -> np.ndarray:
@@ -200,10 +207,10 @@ def _first_order(cfg: EvolutionConfig):
     diagonal in the packed basis.
     """
     g0 = _symbol(cfg, 0)
-    a_cols, a_w = _monomial(-g0 @ _symbol(cfg, 3))
+    a_cols, (a_w,) = _gather(-g0 @ _symbol(cfg, 3))
     if not np.array_equal(a_cols, np.arange(cfg.fiber)):
         raise InvariantViolation("A = -Gamma0 Gamma3 is not diagonal in the packed basis")
-    g0_cols, g0_w = _monomial(g0)
+    g0_cols, (g0_w,) = _gather(g0)
     # Calls write into preallocated levels (mode="clip" keeps take unbuffered):
     # level-sized temporaries every step make glibc trim and refault its heap.
     out, term = np.empty((2, cfg.points, cfg.fiber), dtype=complex)
@@ -236,10 +243,7 @@ def _dirac_levels(cfg: EvolutionConfig, u: np.ndarray, sigma: float) -> Iterator
     Raises InvariantViolation unless Gamma0 and Gamma3 gather the same
     columns, each column once.
     """
-    cols, w0 = _monomial(_symbol(cfg, 0))
-    cols3, w3 = _monomial(_symbol(cfg, 3))
-    if not (np.array_equal(cols, cols3) and np.array_equal(np.sort(cols), np.arange(cfg.fiber))):
-        raise InvariantViolation("Gamma0 and Gamma3 do not gather the same columns, each once")
+    cols, (w0, w3) = _gather(_symbol(cfg, 0), _symbol(cfg, 3))
     # level-shaped weights (see _first_order) indexed by source column:
     # x[:, cols] * w == (x * v)[:, cols] for v[cols] = w, as cols is a permutation
     prev, cur, d_t, d_z, level, t_scale, z_scale = np.empty(
@@ -370,19 +374,12 @@ def plane_wave(
     raise ZeroProjection("all chiral seeds were annihilated by the projector")
 
 
-def _current(cfg: EvolutionConfig, direction: int) -> tuple[np.ndarray, np.ndarray]:
-    """Monomial form of the pair-current matrix X^a = P s(e^a)."""
+def _currents(cfg: EvolutionConfig, *directions: int):
+    """``_gather`` of the pair-current matrices X^a = P s(e^a), one per direction."""
     if cfg.k != cfg.l:
         raise KNotEqualL("slice products need k = l")
-    return _monomial(pairing_matrix(cfg.k) @ _symbol(cfg, direction))
-
-
-def _current_density(a: np.ndarray, b: np.ndarray, current, scratch: np.ndarray) -> np.ndarray:
-    """<a, X b> per point of a level, X = (cols, w) monomial, in two scratch levels."""
-    cols, w = current
-    prod = np.conjugate(a, out=scratch[0])
-    prod *= np.take(b, cols, axis=1, out=scratch[1], mode="clip")
-    return prod @ w
+    pairing = pairing_matrix(cfg.k)
+    return _gather(*(pairing @ _symbol(cfg, a) for a in directions))
 
 
 def conservation_fold(
@@ -397,14 +394,16 @@ def conservation_fold(
     is the initial value when it is solidly nonzero, otherwise a positive
     scale from the initial level norms, so orthogonal data does not divide by 0.
     """
-    x0 = _current(cfg, 0)
+    cols, (w0,) = _currents(cfg, 0)
     pairs = ((u, u) for u in levels_a) if levels_b is None else zip(levels_a, levels_b)
     scratch = np.empty((2, cfg.points, cfg.fiber), dtype=complex)
     values = []
     for a, b in pairs:
         if not values:
             scale = cfg.dz * float(np.linalg.norm(a) * np.linalg.norm(b))
-        values.append(np.sum(_current_density(a, b, x0, scratch)) * cfg.dz)
+        prod = np.conjugate(a, out=scratch[0])
+        prod *= np.take(b, cols, axis=1, out=scratch[1], mode="clip")
+        values.append(np.sum(prod @ w0) * cfg.dz)
     values = np.array(values)
     denom = max(abs(values[0]), 1e-9 * scale, 1e-300)
     drift = float(np.max(np.abs(values - values[0])) / denom)
@@ -422,15 +421,12 @@ def divergence_fold(
     and the residual converges to zero at second order. X^0 and X^3 gather
     the same fiber columns, so one gather of B's level and one
     (2, fiber) x (fiber, points) product give both densities; the fold keeps
-    those of the last three levels. Raises InvariantViolation if the two
-    currents' columns differ.
+    those of the last three levels. Raises InvariantViolation unless the
+    two currents gather the same columns, each column once.
     """
     if cfg.steps < 2:
         raise ValueError("need at least 3 time levels for a centered residual")
-    cols, w0 = _current(cfg, 0)
-    cols3, w3 = _current(cfg, 3)
-    if not np.array_equal(cols, cols3):
-        raise InvariantViolation("X^0 and X^3 gather different fiber columns")
+    cols, (w0, w3) = _currents(cfg, 0, 3)
     # one product gives both densities, pre-scaled: X^0 / (2 dt) and X^3 / (2 dz)
     weights = np.stack([w0 / (2.0 * cfg.dt), w3 / (2.0 * cfg.dz)])
     scratch = np.empty((2, cfg.points, cfg.fiber), dtype=complex)

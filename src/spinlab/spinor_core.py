@@ -20,7 +20,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .clifford import PAULI, NotUnimodular, covering_lambda
+from .clifford import PAULI, NotUnimodular, covering_lambda, weyl_gammas
 from .minkowski import LorentzVector, metric_eval
 
 UNDOTTED_UP = "u+"
@@ -309,8 +309,6 @@ def frame_invariance_check(s2: np.ndarray) -> dict:
     and reports how far each invariant object moved. All entries should be
     at round-off for special linear S.
     """
-    from .clifford import weyl_gammas
-
     lam = covering_lambda(s2)
     lam_inv = np.linalg.inv(lam)
     report = {}

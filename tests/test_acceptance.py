@@ -348,7 +348,7 @@ def test_criterion_10_bookkeeping_and_report_flag():
             high, low = sc.clebsch_split(s)
             rec = sc.clebsch_reconstruct(high, low)
             worst = max(worst, float(np.max(np.abs(rec.data - s.data))))
-    report = checks.build_report(seed=0, tol_scale=1.0, timings=False)
+    report = checks.build_report(seed=0, timings=False)
     flags = [flag["id"] for flag in report["flags"]]
     flag_present = "twist-dimension-formula" in flags
     report_pass = report["summary"]["status"] == "pass"

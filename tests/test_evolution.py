@@ -869,12 +869,32 @@ def test_conservation_check_streams_levels_instead_of_storing_the_field():
 
 
 def test_monomial_form_rejects_a_dense_matrix():
-    cols, w = ev._monomial(np.array([[0, 2j], [-1, 0]]))
+    cols, (w,) = ev._gather(np.array([[0, 2j], [-1, 0]]))
     assert cols.tolist() == [1, 0] and w.tolist() == [2j, -1]
-    with pytest.raises(hs.InvariantViolation):
-        ev._monomial(np.ones((4, 4)))
-    with pytest.raises(hs.InvariantViolation):
-        ev._monomial(np.diag([1.0, 0.0, 1.0]))
+    with pytest.raises(hs.InvariantViolation, match="row nonzero counts"):
+        ev._gather(np.ones((4, 4)))
+    with pytest.raises(hs.InvariantViolation, match="row nonzero counts"):
+        ev._gather(np.diag([1.0, 0.0, 1.0]))
+    with pytest.raises(hs.InvariantViolation, match="row nonzero counts"):
+        ev._gather(np.eye(3), np.ones((3, 3)))
+    perm = np.array([[0, 2j, 0], [0, 0, -1], [3, 0, 0]])
+    cols, (w0, w1) = ev._gather(perm, 5 * perm)
+    assert cols.tolist() == [1, 2, 0]
+    assert w0.tolist() == [2j, -1, 3] and w1.tolist() == [10j, -5, 15]
+
+
+def test_gather_refuses_matrices_that_gather_different_columns():
+    with pytest.raises(hs.InvariantViolation, match="same columns"):
+        ev._gather(np.eye(3), np.roll(np.eye(3), 1, axis=1))
+
+
+def test_gather_refuses_shared_columns_that_are_not_a_permutation():
+    # every row reads column 0: one nonzero per row and the same columns, but no permutation
+    shared = np.zeros((3, 3))
+    shared[:, 0] = 1.0
+    assert ev._gather(shared)[0].tolist() == [0, 0, 0]
+    with pytest.raises(hs.InvariantViolation, match="each column once"):
+        ev._gather(shared, 2 * shared)
 
 
 def test_causal_audit_streams_levels_instead_of_storing_the_field():
@@ -902,9 +922,8 @@ def test_leapfrog_operator_is_diagonal_and_currents_share_columns():
             a = -ev._symbol(cfg, 0) @ ev._symbol(cfg, 3)
             assert np.array_equal(a, np.diag(np.diag(a)))
             assert set(np.diag(a).tolist()) <= {1.0, -1.0}
-        cols0, _ = ev._current(small_config(k=k, l=k), 0)
-        cols3, _ = ev._current(small_config(k=k, l=k), 3)
-        assert np.array_equal(cols0, cols3)
+        cols, _ = ev._currents(small_config(k=k, l=k), 0, 3)
+        assert np.array_equal(np.sort(cols), np.arange(cols.size))
 
 
 def test_fast_paths_refuse_operators_without_their_structure(monkeypatch):

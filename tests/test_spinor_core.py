@@ -194,7 +194,7 @@ def test_apply_sl2_refuses_a_non_finite_matrix(bad):
 def test_frame_invariance_check_keeps_a_nan_gamma(monkeypatch):
     gammas = cl.weyl_gammas()
     gammas[1, 0, 3] = np.nan
-    monkeypatch.setattr(cl, "weyl_gammas", lambda: gammas)
+    monkeypatch.setattr(sc, "weyl_gammas", lambda: gammas)  # the name spinor_core imports
     report = sc.frame_invariance_check(np.eye(2))
     assert report["epsilon_lower"] == report["epsilon_upper"] == report["sigma"] == 0.0
     assert np.isnan(report["gamma"]) and np.isnan(report["max"])

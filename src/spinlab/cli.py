@@ -9,16 +9,15 @@ selects suites, prints their rows and writes files. Exit status is 0 only
 when all selected checks pass, 1 when a check fails or errors, 2 on usage
 errors and on sizes too large to allocate.
 
-All randomness flows from one 64-bit seed (``--seed`` or the SPINLAB_SEED
-environment variable), so reports are reproducible; with ``--no-timings``
-the JSON output is byte-identical between runs.
+All randomness flows from one 64-bit seed (``--seed``, default 0), so reports
+are reproducible; with ``--no-timings`` the JSON output is byte-identical
+between runs.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
 
 import numpy as np
@@ -205,8 +204,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     # the knobs of the check suites; evolve and green run none, so they take none
     common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--seed", type=int, default=None,
-                        help="RNG seed (default: SPINLAB_SEED or 0)")
+    common.add_argument("--seed", type=int, default=0, help="RNG seed (default: 0)")
     common.add_argument("--no-timings", action="store_true",
                         help="zero runtime_ms fields for byte-stable output")
     sub = parser.add_subparsers(dest="command", required=True)
@@ -248,17 +246,9 @@ def run(argv=None) -> int:
         args = parser.parse_args(argv)
     except SystemExit as exc:
         return 2 if exc.code not in (0, None) else 0
-    if "seed" in args:  # the check-suite knobs; evolve and green take none
-        if args.seed is None:
-            env = os.environ.get("SPINLAB_SEED", "0")
-            try:
-                args.seed = int(env)
-            except ValueError:
-                print(f"error: SPINLAB_SEED must be an integer, got {env!r}", file=sys.stderr)
-                return 2
-        if args.seed < 0:  # numpy's generators take none
-            print(f"error: the seed must be nonnegative, got {args.seed}", file=sys.stderr)
-            return 2
+    if getattr(args, "seed", 0) < 0:  # numpy's generators take none
+        print(f"error: the seed must be nonnegative, got {args.seed}", file=sys.stderr)
+        return 2
     try:
         return args.func(args)
     except MemoryError as exc:  # a size numpy cannot allocate; every file is written last

@@ -317,6 +317,14 @@ def _refuse(ok: np.ndarray, exc: type[Exception], message: str, value=None) -> N
         raise exc(text + (f" at index {', '.join(map(str, i))}" if i else ""))
 
 
+def _require_unimodular(s2: np.ndarray) -> None:
+    """Raise NotUnimodular unless |det S - 1| <= DEFAULT_TOL for S or every member of a stack."""
+    # det of a NaN/inf member would warn: I stands in for it, and its det reads NaN
+    finite = np.all(np.isfinite(s2), axis=(-2, -1))
+    det = np.where(finite, np.linalg.det(np.where(finite[..., None, None], s2, np.eye(2))), np.nan)
+    _refuse(np.abs(det - 1.0) <= DEFAULT_TOL, NotUnimodular, "det = {}, expected 1", det)
+
+
 def covering_lambda(s2: np.ndarray) -> np.ndarray:
     """Restricted Lorentz matrices of H -> S H S^dag for one S or a (..., 2, 2) stack.
 
@@ -330,10 +338,7 @@ def covering_lambda(s2: np.ndarray) -> np.ndarray:
     s2 = np.asarray(s2, dtype=complex)
     if s2.shape[-2:] != (2, 2):
         raise ValueError(f"expected shape (..., 2, 2), got {s2.shape}")
-    # det of a NaN/inf member would warn: I stands in for it, and its det reads NaN
-    finite = np.all(np.isfinite(s2), axis=(-2, -1))
-    det = np.where(finite, np.linalg.det(np.where(finite[..., None, None], s2, np.eye(2))), np.nan)
-    _refuse(np.abs(det - 1.0) <= DEFAULT_TOL, NotUnimodular, "det = {}, expected 1", det)
+    _require_unimodular(s2)
     kron = s2[..., :, None, :, None] * s2.conj()[..., None, :, None, :]
     rows = PAULI.reshape(4, 4)
     coeff = rows.conj() @ kron.reshape(s2.shape[:-2] + (4, 4)) @ rows.T / 2.0

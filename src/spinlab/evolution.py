@@ -351,14 +351,14 @@ def plane_wave(
     """
     if branch not in ("+", "-"):
         raise ValueError("branch must be '+' or '-'")
-    twist_slots = (k + 1) * (l + 1)
+    dim = fiber_dim(k, l)  # refuses a negative rank before pol is read against it
+    twist_slots = dim // 4
     if not 0 <= pol < twist_slots:
         raise ValueError(f"pol must be in 0..{twist_slots - 1}")
     omega = float(np.sqrt(p * p + mass * mass))
     sign = +1.0 if branch == "+" else -1.0
     p_cov = LorentzVector(np.array([sign * omega, 0.0, 0.0, -p]), covariant=True)
     s_p = symbol_matrix(k, l, p_cov)
-    dim = fiber_dim(k, l)
     projector = s_p + mass * np.eye(dim)
     for slot in range(4):
         seed = np.zeros(dim, dtype=complex)

@@ -50,6 +50,7 @@ from .spinor_core import (
     UNDOTTED_UP,
     Spinor,
     raise_lower,
+    sym_dimension,
     symmetrize,
 )
 
@@ -121,8 +122,7 @@ class HigherSpinVector:
 
     def __post_init__(self) -> None:
         k, l = self.k, self.l
-        if k < 0 or l < 0:
-            raise ValueError("twist ranks must be nonnegative")
+        sym_dimension(k, l)  # refuses a negative rank
         if self.phi1.tags != _phi1_tags(k, l):
             raise ValueError(f"phi1 tags {self.phi1.tags} do not match type ({k},{l})")
         if self.phi2.tags != _phi2_tags(k, l):
@@ -151,12 +151,10 @@ class HigherSpinVector:
 def fiber_dim(k: int, l: int) -> int:
     """Packed dimension: 2 sectors x 2 chiral x (k+1)(l+1) twist slots.
 
-    Every fiber operator sizes itself through this, so a negative twist
-    rank is refused here with ValueError.
+    Every fiber operator sizes itself through this, so sym_dimension refuses
+    a negative twist rank with ValueError.
     """
-    if k < 0 or l < 0:
-        raise ValueError(f"twist ranks must be nonnegative, got k = {k}, l = {l}")
-    return 4 * (k + 1) * (l + 1)
+    return 4 * sym_dimension(k, l)
 
 
 def _slots(k: int, l: int) -> np.ndarray:

@@ -20,7 +20,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .clifford import PAULI, NotUnimodular, covering_lambda, weyl_gammas
+from .clifford import PAULI, NotUnimodular, _require_unimodular, covering_lambda, weyl_gammas
 from .minkowski import LorentzVector, metric_eval
 
 UNDOTTED_UP = "u+"
@@ -112,17 +112,21 @@ def tensor(a: Spinor, b: Spinor) -> Spinor:
     return Spinor(data, a.tags + b.tags)
 
 
+def _require_legal(verb: str, ta: str, tb: str) -> None:
+    """Raise IllegalContraction unless the tags share dottedness and differ in height."""
+    if _is_dotted(ta) != _is_dotted(tb):
+        raise IllegalContraction(f"cannot {verb} {ta} against {tb}: dotted mismatch")
+    if _is_upper(ta) == _is_upper(tb):
+        raise IllegalContraction(f"cannot {verb} {ta} against {tb}: equal height")
+
+
 def contract(a: Spinor, axis_a: int, b: Spinor, axis_b: int) -> Spinor:
     """Contract one axis of ``a`` against one axis of ``b``.
 
     Legal only for same dottedness and opposite height. Remaining axes of
     ``a`` come first in the result.
     """
-    ta, tb = a.tags[axis_a], b.tags[axis_b]
-    if _is_dotted(ta) != _is_dotted(tb):
-        raise IllegalContraction(f"cannot contract {ta} against {tb}: dotted mismatch")
-    if _is_upper(ta) == _is_upper(tb):
-        raise IllegalContraction(f"cannot contract {ta} against {tb}: equal height")
+    _require_legal("contract", a.tags[axis_a], b.tags[axis_b])
     data = np.tensordot(a.data, b.data, axes=(axis_a, axis_b))
     tags = tuple(t for i, t in enumerate(a.tags) if i != axis_a) + tuple(
         t for i, t in enumerate(b.tags) if i != axis_b
@@ -132,11 +136,7 @@ def contract(a: Spinor, axis_a: int, b: Spinor, axis_b: int) -> Spinor:
 
 def trace_pair(a: Spinor, axis_i: int, axis_j: int) -> Spinor:
     """Contract two axes of the same spinor (same rules as contract)."""
-    ti, tj = a.tags[axis_i], a.tags[axis_j]
-    if _is_dotted(ti) != _is_dotted(tj):
-        raise IllegalContraction(f"cannot trace {ti} against {tj}: dotted mismatch")
-    if _is_upper(ti) == _is_upper(tj):
-        raise IllegalContraction(f"cannot trace {ti} against {tj}: equal height")
+    _require_legal("trace", a.tags[axis_i], a.tags[axis_j])
     data = np.trace(a.data, axis1=axis_i, axis2=axis_j)
     tags = tuple(t for i, t in enumerate(a.tags) if i not in (axis_i, axis_j))
     return Spinor(data, tags)
@@ -190,9 +190,9 @@ def symmetrize(s: Spinor, axes: tuple[int, ...] | None = None) -> Spinor:
 
 
 def sym_dimension(k: int, l: int) -> int:
-    """Dimension of the symmetric (k, l) twist space: (k+1)(l+1)."""
+    """Dimension of the symmetric (k, l) twist space: (k+1)(l+1); the one rank check."""
     if k < 0 or l < 0:
-        raise ValueError("twist ranks must be nonnegative")
+        raise ValueError(f"twist ranks must be nonnegative, got k = {k}, l = {l}")
     return (k + 1) * (l + 1)
 
 
@@ -202,13 +202,12 @@ def apply_sl2(s: Spinor, s2: np.ndarray) -> Spinor:
     Upper undotted axes transform with S, upper dotted with conj(S), lower
     undotted with transpose(inv(S)), lower dotted with the conjugate of
     that. Raises NotUnimodular when det(S) strays from 1, since only then
-    are the epsilon spinors invariant.
+    are the epsilon spinors invariant, and ValueError for a shape other than (2, 2).
     """
     s2 = np.asarray(s2, dtype=complex)
-    # det of a NaN/inf matrix would warn, so it reads NaN, which fails closed
-    det = np.linalg.det(s2) if np.all(np.isfinite(s2)) else np.nan
-    if not abs(det - 1.0) <= 1e-9:
-        raise NotUnimodular(f"det = {det}, expected 1")
+    if s2.shape != (2, 2):
+        raise ValueError(f"expected shape (2, 2), got {s2.shape}")
+    _require_unimodular(s2)
     inv_t = np.linalg.inv(s2).T
     matrices = {
         UNDOTTED_UP: s2,

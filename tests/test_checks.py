@@ -88,6 +88,40 @@ def test_a_later_nan_green_ratio_makes_an_error_row(monkeypatch):
     assert row["status"] == "error" and row["error"] == "ValueError: non-finite residual nan"
 
 
+def test_a_study_that_raises_makes_each_row_of_its_group_record_its_error(monkeypatch):
+    # a row group shares one run of its study; a study that raised is not kept,
+    # so every row of the group records the study's own error, not a missing key
+    real_causality = ev.causal_support_check
+    pulses = []
+
+    def causality(u0, cfg):
+        if cfg.mass == 0.0:
+            raise RuntimeError("planted causality")
+        return real_causality(u0, cfg)
+
+    def green_pulse(mass, n_pts):
+        pulses.append((mass, n_pts))
+        if mass == 1.0:
+            raise RuntimeError("planted green")
+        return None, 4e-2 * (128 / n_pts) ** 2, 0.0
+
+    monkeypatch.setattr(ev, "causal_support_check", causality)
+    monkeypatch.setattr(checks, "green_pulse", green_pulse)
+    report = checks.SUITES["evolution"](0, timings=False).report()
+    rows = {row["id"]: row for row in report["checks"]}
+    planted = {"causality-exact-m0": "causality", "causality-cone-m0": "causality",
+               "green-residual-m1": "green", "green-monotone-m1": "green",
+               "green-support-m1": "green"}
+    for check_id, study in planted.items():
+        assert rows[check_id]["status"] == "error"
+        assert rows[check_id]["error"] == f"RuntimeError: planted {study}"
+    for check_id in ("causality-exact-m2", "causality-cone-m2",
+                     "green-residual-m0", "green-monotone-m0", "green-support-m0"):
+        assert rows[check_id]["status"] == "pass"
+    # the study that returned ran once for its three rows
+    assert [n_pts for mass, n_pts in pulses if mass == 0.0] == [128, 256, 512]
+
+
 def test_a_later_nan_convergence_order_makes_an_error_row(monkeypatch):
     poisoned = _poison_call(ev.final_level, "convergence_order", 3, lambda u: np.full_like(u, np.nan))
     monkeypatch.setattr(ev, "final_level", poisoned)

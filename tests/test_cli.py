@@ -177,12 +177,6 @@ def test_same_seed_gives_byte_identical_json(tmp_path):
     assert payload["seed"] == 11
 
 
-def test_seed_env_fallback(monkeypatch, capsys):
-    monkeypatch.setenv("SPINLAB_SEED", "23")
-    assert cli.run(["signature", "--k", "0", "--no-timings"]) == 0
-    assert "(seed=23)" in capsys.readouterr().out
-
-
 def test_check_rows_carry_anchors_and_fields():
     suite = checks.algebra_suite(seed=0, timings=False)
     for check in suite.report()["checks"]:
@@ -449,27 +443,14 @@ def test_verify_symbols_rejects_a_negative_rank(capsys):
     assert captured.out == ""
 
 
-def test_a_non_integer_seed_variable_is_a_usage_error(monkeypatch, capsys):
-    monkeypatch.setenv("SPINLAB_SEED", "abc")
-    assert cli.run(["verify", "symbols", "--k", "0", "--l", "0", "--no-timings"]) == 2
-    captured = capsys.readouterr()
-    assert captured.err.startswith("error: SPINLAB_SEED")
-    assert captured.out == ""
-    # an explicit --seed does not read the variable
-    assert cli.run(["signature", "--k", "0", "--seed", "5", "--no-timings"]) == 0
-
-
-@pytest.mark.parametrize("argv, env", [
-    (["report", "--seed", "-1", "--no-timings", "--json", "bad.json"], None),
-    (["verify", "algebra", "--seed", "-5", "--no-timings"], None),
-    (["signature", "--k", "1", "--seed", "-2", "--no-timings"], None),
-    (["verify", "symbols", "--k", "0", "--l", "0", "--no-timings"], "-3"),
-], ids=["report", "verify", "signature", "variable"])
-def test_a_negative_seed_is_a_usage_error(monkeypatch, tmp_path, capsys, argv, env):
+@pytest.mark.parametrize("argv", [
+    ["report", "--seed", "-1", "--no-timings", "--json", "bad.json"],
+    ["verify", "algebra", "--seed", "-5", "--no-timings"],
+    ["signature", "--k", "1", "--seed", "-2", "--no-timings"],
+], ids=["report", "verify", "signature"])
+def test_a_negative_seed_is_a_usage_error(monkeypatch, tmp_path, capsys, argv):
     # numpy's generators refuse a negative seed with a traceback
     monkeypatch.chdir(tmp_path)
-    if env is not None:
-        monkeypatch.setenv("SPINLAB_SEED", env)
     assert cli.run(argv) == 2
     captured = capsys.readouterr()
     assert captured.err.startswith("error: the seed must be nonnegative, got -")
@@ -501,11 +482,22 @@ def test_evolve_and_green_refuse_the_check_suite_knobs(tmp_path, capsys, command
     assert not out.exists()
 
 
-def test_green_does_not_read_the_seed_variable(monkeypatch, tmp_path, capsys):
-    monkeypatch.setenv("SPINLAB_SEED", "abc")
+def test_no_command_reads_the_seed_variable(monkeypatch, tmp_path, capsys):
+    # --seed is the only way to set the seed: a leftover variable changes nothing
     out = tmp_path / "green.json"
-    assert cli.run(["green", "--m", "1", "--points", "128", "--out", str(out)]) == 0
-    assert capsys.readouterr().err == ""
+    argvs = [
+        ["verify", "symbols", "--k", "0", "--l", "0", "--no-timings"],
+        ["signature", "--k", "0", "--no-timings"],
+        ["green", "--m", "1", "--points", "128", "--out", str(out)],
+    ]
+    monkeypatch.delenv("SPINLAB_SEED", raising=False)
+    plain = [(cli.run(argv), capsys.readouterr()) for argv in argvs]
+    monkeypatch.setenv("SPINLAB_SEED", "abc")
+    for argv, (status, captured) in zip(argvs, plain):
+        assert cli.run(argv) == status == 0
+        assert capsys.readouterr() == captured
+        assert captured.err == ""
+    assert all("(seed=0)" in captured.out for _, captured in plain[:2])
     assert out.exists()
 
 

@@ -98,6 +98,13 @@ def test_plane_wave_validates_arguments():
         ev.plane_wave(1.0, 1.0, pol=7)
 
 
+def test_plane_wave_names_a_negative_rank():
+    # the rank is refused before pol is read against a slot count it makes meaningless
+    with pytest.raises(ValueError) as exc:
+        ev.plane_wave(1.0, 1.0, -1, 0)
+    assert str(exc.value) == "twist ranks must be nonnegative, got k = -1, l = 0"
+
+
 def test_evolver_tracks_an_exact_plane_wave():
     cfg = small_config(points=512, dt=8.0 / 512 / 2, steps=128)
     wave = ev.plane_wave(2 * np.pi * 2 / cfg.extent, cfg.mass)
@@ -686,6 +693,19 @@ def test_kernel_and_j0_refuse_a_non_finite_argument_without_hanging():
     assert "overflows" in lines[0] and all("finite" in line for line in lines[1:])
 
 
+@pytest.mark.parametrize("call, text", [
+    (lambda: ev.retarded_kernel(small_config(mass=1e308, points=64, extent=16.0, dt=0.25)),
+     "the kernel's largest argument m dz steps overflows at mass 1e+308"),
+    (lambda: ev._bessel_j0(np.array([1.0, np.nan])), "J0 needs finite arguments"),
+    (lambda: ev._bessel_j0(np.array([1.0, np.inf])), "J0 needs finite arguments"),
+], ids=["kernel", "j0-nan", "j0-inf"])
+def test_kernel_and_j0_refuse_a_non_finite_argument_in_process(call, text):
+    # the subprocess test above guards against a hang; this one reads the typed error
+    with pytest.raises(ValueError) as exc:
+        call()
+    assert str(exc.value) == text
+
+
 @pytest.mark.parametrize("mass", [0.0, 1.0])
 @pytest.mark.parametrize("steps", [5, 8, 40], ids=["below-half", "half", "above-twice"])
 def test_retarded_kernel_is_the_image_sum_of_the_cone(mass, steps):
@@ -846,6 +866,14 @@ def test_streamed_and_stored_reductions_are_bitwise_equal():
         a, b = ev._leapfrog(u_a, cfg), ev._leapfrog(u_b, cfg)
         assert ev.divergence_check(fa, fb) == ev.divergence_fold(cfg, a, b)
         assert np.array_equal(ev.final_level(u_a, cfg), fa.data[-1])
+
+
+def test_divergence_fold_needs_three_levels():
+    cfg = small_config(points=16, extent=4.0, dt=0.1, steps=1)
+    u0 = np.ones((cfg.points, cfg.fiber), dtype=complex)
+    with pytest.raises(ValueError) as exc:
+        ev.divergence_fold(cfg, [u0] * 2, [u0] * 2)
+    assert str(exc.value) == "need at least 3 time levels for a centered residual"
 
 
 def test_divergence_fold_keeps_a_non_finite_level_visible():

@@ -94,6 +94,35 @@ def test_fiber_vectors_enforce_twist_symmetry():
         hs.HigherSpinVector(2, 0, phi1, phi2)
 
 
+def test_twist_typed_objects_refuse_a_negative_rank_with_one_text():
+    # sym_dimension owns the rule; fiber_dim and the fiber vectors go through it
+    phi = hs.unpack(np.ones(4), 0, 0)
+    calls = [
+        lambda: sc.sym_dimension(-1, 0),
+        lambda: hs.fiber_dim(-1, 0),
+        lambda: hs.HigherSpinVector(-1, 0, phi.phi1, phi.phi2),
+    ]
+    for call in calls:
+        with pytest.raises(ValueError) as exc:
+            call()
+        assert str(exc.value) == "twist ranks must be nonnegative, got k = -1, l = 0"
+
+
+@pytest.mark.parametrize("swap", ["phi1", "phi2"])
+def test_fiber_vectors_refuse_blocks_with_the_wrong_tags(swap):
+    phi = hs.unpack(np.ones(hs.fiber_dim(1, 0)), 1, 0)
+    blocks = (phi.phi2, phi.phi2) if swap == "phi1" else (phi.phi1, phi.phi1)
+    with pytest.raises(ValueError) as exc:
+        hs.HigherSpinVector(1, 0, *blocks)
+    wrong = blocks[0] if swap == "phi1" else blocks[1]
+    assert str(exc.value) == f"{swap} tags {wrong.tags} do not match type (1,0)"
+
+
+def test_dirac_spinor_refuses_a_half_of_the_wrong_length():
+    with pytest.raises(ValueError, match="exactly 2 components"):
+        hs.DiracSpinor([1.0, 0.0, 0.0], [1.0, 0.0])
+
+
 @pytest.mark.parametrize("bad", [np.nan, np.inf, complex(0.0, -np.inf)], ids=["nan", "inf", "-inf-j"])
 @pytest.mark.parametrize("k, l", list(itertools.product(range(4), repeat=2)))
 def test_fiber_vectors_refuse_a_non_finite_block(k, l, bad):
@@ -168,6 +197,14 @@ def test_gen_pairing_is_hermitian_and_sesquilinear():
         assert np.conj(lhs) == pytest.approx(hs.gen_pairing(b, a), abs=1e-12)
         scaled = hs.gen_pairing(2j * a, b)
         assert scaled == pytest.approx(-2j * lhs, abs=1e-12)
+
+
+def test_gen_dirac_adjoint_is_the_pairing_with_its_argument():
+    rng = np.random.default_rng(13)
+    for k in range(3):
+        a = random_fiber(rng, k, k)
+        b = random_fiber(rng, k, k)
+        assert hs.gen_dirac_adjoint(a)(b) == hs.gen_pairing(a, b)
 
 
 def test_gen_pairing_needs_matching_ranks():
@@ -290,6 +327,13 @@ def test_pairing_matrix_represents_gen_pairing():
         packed = complex(a.conj() @ p @ b)
         semantic = hs.gen_pairing(hs.unpack(a, k, k), hs.unpack(b, k, k))
         assert packed == pytest.approx(semantic, abs=1e-12)
+
+
+def test_pairing_matrix_refuses_weights_past_the_float_range():
+    # C(10000, 5000) ~ 1e3008: refused before the k + 1 binomials are converted
+    with pytest.raises(ValueError) as exc:
+        hs.pairing_matrix(10_000)
+    assert str(exc.value) == "the pairing weight C(10000, 5000) exceeds the float range"
 
 
 def test_gram_matrix_is_hermitian():

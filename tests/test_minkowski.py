@@ -154,6 +154,9 @@ def test_vector_arithmetic_respects_variance():
     y = mk.basis_vector(1)
     both = x + y
     np.testing.assert_allclose(both.components, [1, 1, 0, 0])
+    gap = x.lowered() - y.lowered()
+    np.testing.assert_array_equal(gap.components, [1, 1, 0, 0])
+    assert gap.covariant
     with pytest.raises(ValueError):
         x + y.lowered()
     with pytest.raises(ValueError):

@@ -52,6 +52,20 @@ def test_contract_rejects_equal_heights():
         sc.contract(psi, 0, chi, 0)
 
 
+@pytest.mark.parametrize("second, reason", [
+    (sc.DOTTED_LOW, "dotted mismatch"),
+    (sc.UNDOTTED_UP, "equal height"),
+], ids=["dotted", "height"])
+def test_contract_and_trace_pair_name_the_illegal_pair(second, reason):
+    # one legality rule serves both; each names its own verb
+    with pytest.raises(sc.IllegalContraction) as exc:
+        sc.trace_pair(sc.Spinor(np.eye(2), (sc.UNDOTTED_UP, second)), 0, 1)
+    assert str(exc.value) == f"cannot trace u+ against {second}: {reason}"
+    with pytest.raises(sc.IllegalContraction) as exc:
+        sc.contract(spinor1([1, 2], sc.UNDOTTED_UP), 0, spinor1([3, 4], second), 0)
+    assert str(exc.value) == f"cannot contract u+ against {second}: {reason}"
+
+
 def test_lowering_worked_examples():
     down = sc.raise_lower(spinor1([1, 0], sc.UNDOTTED_UP), 0)
     np.testing.assert_allclose(down.data, [0, 1])
@@ -187,8 +201,27 @@ def test_apply_sl2_rejects_non_unimodular_matrices():
 def test_apply_sl2_refuses_a_non_finite_matrix(bad):
     s2 = np.eye(2, dtype=complex)
     s2[1, 0] = bad
-    with pytest.raises(sc.NotUnimodular):
+    with pytest.raises(sc.NotUnimodular) as exc:
         sc.apply_sl2(spinor1([1, 0], sc.UNDOTTED_UP), s2)
+    assert str(exc.value) == "det = (nan+0j), expected 1"
+
+
+@pytest.mark.parametrize("scale", [3.0, 1.0 + 2e-9, np.nan])
+def test_apply_sl2_and_the_covering_map_share_one_unimodularity_test(scale):
+    s2 = np.diag([scale, 1.0])
+    with pytest.raises(cl.NotUnimodular) as covering:
+        cl.covering_lambda(s2)
+    with pytest.raises(sc.NotUnimodular) as action:
+        sc.apply_sl2(spinor1([1, 0], sc.UNDOTTED_UP), s2)
+    assert str(action.value) == str(covering.value)
+
+
+def test_apply_sl2_refuses_a_stack():
+    # the covering map takes stacks; the spinor action takes one matrix
+    stack = np.broadcast_to(np.eye(2), (3, 2, 2))
+    with pytest.raises(ValueError) as exc:
+        sc.apply_sl2(spinor1([1, 0], sc.UNDOTTED_UP), stack)
+    assert str(exc.value) == "expected shape (2, 2), got (3, 2, 2)"
 
 
 def test_frame_invariance_check_keeps_a_nan_gamma(monkeypatch):
@@ -243,6 +276,12 @@ def test_sigma_roundtrip(comps):
     np.testing.assert_allclose(back.components, x.components, atol=1e-12)
 
 
+def test_sigma_inv_requires_the_sigma_map_tags():
+    with pytest.raises(ValueError) as exc:
+        sc.sigma_inv(sc.Spinor(np.eye(2), (sc.UNDOTTED_UP, sc.UNDOTTED_LOW)))
+    assert str(exc.value) == "sigma_inv expects tags (u+, d+), got ('u+', 'u-')"
+
+
 @settings(max_examples=50)
 @given(st.tuples(finite, finite, finite, finite), st.tuples(finite, finite, finite, finite))
 def test_metric_emerges_from_double_epsilon_trace(a, b):
@@ -290,6 +329,16 @@ def test_clebsch_high_part_is_fully_symmetric():
     high, _ = sc.clebsch_split(s)
     sym = sc.symmetrize(high, (0, 1, 2))
     np.testing.assert_allclose(sym.data, high.data, atol=1e-13)
+
+
+@pytest.mark.parametrize("tags, text", [
+    ((sc.DOTTED_UP, sc.DOTTED_LOW), "input must have at least one undotted-upper axis"),
+    ((sc.DOTTED_LOW, sc.UNDOTTED_UP), "undotted-upper axes must come first"),
+], ids=["no-undotted", "undotted-late"])
+def test_clebsch_split_refuses_a_block_it_cannot_split(tags, text):
+    with pytest.raises(ValueError) as exc:
+        sc.clebsch_split(sc.Spinor(np.eye(2), tags))
+    assert str(exc.value) == text
 
 
 def test_clebsch_split_of_rank_one_has_no_trace_part():

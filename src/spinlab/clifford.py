@@ -34,15 +34,9 @@ PAULI = np.array(
 LEVI_CIVITA = np.fromfunction(lambda i, j, k: (i - j) * (j - k) * (k - i) / 2, (3, 3, 3))
 LEVI_CIVITA.flags.writeable = False
 
-_INTERTWINER_TRIES = 8
-
 
 class NotUnimodular(ValueError):
     """Raised when a 2x2 matrix fed to the covering map has det != 1."""
-
-
-class SingularIntertwiner(RuntimeError):
-    """Raised when no invertible intertwiner candidate is found."""
 
 
 class InvariantViolation(RuntimeError):
@@ -78,62 +72,33 @@ def dirac_collection_check(gammas: np.ndarray) -> float:
     return float(np.max(np.abs(prod + prod.transpose(1, 0, 2, 3) - target)))
 
 
-def clifford_basis_monomials(gammas: np.ndarray) -> np.ndarray:
-    """The 16 ordered products gamma_{a1} ... gamma_{ar}, a1 < ... < ar.
+def pauli_intertwiner(gammas_from: np.ndarray, gammas_to: np.ndarray) -> np.ndarray:
+    """Invertible S with gammas_to[a] = S @ gammas_from[a] @ inv(S), unique up to scale.
 
-    Subsets of {0, 1, 2, 3} are enumerated by bitmask; the empty product is
-    the identity. For an irreducible collection these span the full matrix
-    algebra, which is what makes the averaging construction in
-    :func:`pauli_intertwiner` work.
+    S solves t_a S - S g_a = 0 for a = 0..3, in row-major vec the 4 d^2 x d^2
+    system [kron(t_a, I) - kron(I, g_a^T)] vec(S) = 0. By Schur's lemma its null
+    space is one line when the collections are irreducible and conjugate, so S is
+    the last right singular vector of one SVD (unit Frobenius norm). ValueError
+    unless both inputs are finite (4, d, d) stacks of one shape, when the smallest
+    singular value exceeds 1e-8 of the largest (the inputs are not conjugate), and
+    when the second smallest does not (they are not irreducible: S is not unique).
     """
-    gammas = np.asarray(gammas, dtype=complex)
-    dim = gammas.shape[1]
-    out = np.empty((16, dim, dim), dtype=complex)
-    for mask in range(16):
-        prod = np.eye(dim, dtype=complex)
-        for a in range(4):
-            if mask & (1 << a):
-                prod = prod @ gammas[a]
-        out[mask] = prod
-    return out
-
-
-def pauli_intertwiner(
-    gammas_from: np.ndarray,
-    gammas_to: np.ndarray,
-    seed: int = 0,
-) -> np.ndarray:
-    """Invertible S with gammas_to[a] = S @ gammas_from[a] @ inv(S).
-
-    Averages a random matrix F over the 16 basis monomials,
-    S = sum_A m'_A F inv(m_A); the sum commutes with the two actions by
-    construction, so any invertible candidate intertwines. Singular
-    candidates are retried with fresh F up to 8 times. The seed is explicit
-    so concurrent callers stay deterministic.
-    """
-    gammas_to = np.asarray(gammas_to, dtype=complex)
-    mono_from = clifford_basis_monomials(gammas_from)
-    mono_to = clifford_basis_monomials(gammas_to)
-    inv_from = np.array([np.linalg.inv(m) for m in mono_from])
-    rng = np.random.default_rng(seed)
-    dim = mono_from.shape[1]
-    for _ in range(_INTERTWINER_TRIES):
-        f = rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))
-        cand = np.einsum("aij,jk,akl->il", mono_to, f, inv_from)
-        sv = np.linalg.svd(cand, compute_uv=False)
-        if sv[-1] > 1e-10 * sv[0]:
-            # the averaging argument assumes genuine Clifford collections on
-            # both sides; verify rather than hand back an arbitrary matrix
-            conjugated = np.einsum("ij,ajk,kl->ail", cand, gammas_from, np.linalg.inv(cand))
-            gap = float(np.max(np.abs(conjugated - gammas_to)))
-            scale = max(float(np.max(np.abs(gammas_to))), 1.0)
-            if gap > 1e-8 * scale:
-                raise ValueError(
-                    "candidate does not intertwine; the inputs are not "
-                    "conjugate gamma collections"
-                )
-            return cand
-    raise SingularIntertwiner(f"no invertible candidate after {_INTERTWINER_TRIES} tries")
+    g = np.asarray(gammas_from, dtype=complex)
+    t = np.asarray(gammas_to, dtype=complex)
+    if g.ndim != 3 or g.shape[0] != 4 or not 0 < g.shape[1] == g.shape[2] or t.shape != g.shape:
+        raise ValueError(f"expected two (4, d, d) stacks of one shape, got {g.shape}, {t.shape}")
+    if not (np.all(np.isfinite(g)) and np.all(np.isfinite(t))):
+        raise ValueError("pauli_intertwiner requires finite gamma matrices")
+    dim = g.shape[1]
+    eye = np.eye(dim)
+    system = np.concatenate([np.kron(ta, eye) - np.kron(eye, ga.T) for ga, ta in zip(g, t)])
+    _, sv, vh = np.linalg.svd(system, full_matrices=False)
+    null = int(np.count_nonzero(sv <= 1e-8 * sv[0]))
+    if null == 0:
+        raise ValueError("the collections are not conjugate (no intertwiner)")
+    if null > 1:
+        raise ValueError("the collections are not irreducible (the intertwiner is not unique)")
+    return vh[-1].conj().reshape(dim, dim)
 
 
 def _build_spin_generators() -> tuple[np.ndarray, np.ndarray]:

@@ -168,3 +168,12 @@ def test_a_covering_batch_that_raises_leaves_the_later_rows_inputs_alone(monkeyp
     assert raised.pop("covering-map-batch") == ("error", None)
     completed.pop("covering-map-batch")
     assert raised == completed
+
+
+@pytest.mark.parametrize("seed", [107, 159])
+def test_the_planted_intertwiner_row_passes_with_a_tenfold_margin(seed):
+    # these seeds draw the planted conjugations that come closest to the 1e-10 bound
+    # when S is built by a cancelling sum; the null vector keeps them tenfold inside it
+    row = _row(checks.SUITES["algebra"](seed, timings=False), "intertwiner-planted")
+    assert row["status"] == "pass" and row["tolerance"] == 1e-10
+    assert row["residual"] <= 1e-11

@@ -330,27 +330,33 @@ def test_intertwiner_conjugates_weyl_into_dirac():
 def test_intertwiner_recovers_a_planted_conjugation_up_to_scalar():
     rng = np.random.default_rng(11)
     gammas = cl.weyl_gammas()
-    for trial in range(5):
+    for _ in range(5):
         while True:
             planted = rng.normal(size=(4, 4)) + 1j * rng.normal(size=(4, 4))
             if np.linalg.cond(planted) < 50.0:
                 break
         target = np.array([planted @ g @ np.linalg.inv(planted) for g in gammas])
-        found = cl.pauli_intertwiner(gammas, target, seed=trial)
+        found = cl.pauli_intertwiner(gammas, target)
         ratio = np.linalg.inv(planted) @ found
         scalar = np.trace(ratio) / 4.0
         np.testing.assert_allclose(ratio, scalar * np.eye(4), atol=1e-10 * abs(scalar))
 
 
-def test_intertwiner_rejects_non_conjugate_collections():
-    gammas = cl.weyl_gammas()
-    junk = np.zeros_like(gammas)
-    with pytest.raises(ValueError):
-        cl.pauli_intertwiner(gammas, junk)
+_WEYL = cl.weyl_gammas()
+_DIAGONAL = np.array([np.diag([1.0, 2.0, 3.0, 4.0]) * (a + 1) for a in range(4)])
 
 
-def test_clifford_basis_has_sixteen_monomials():
-    basis = cl.clifford_basis_monomials(cl.weyl_gammas())
-    assert basis.shape == (16, 4, 4)
-    flat = basis.reshape(16, 16)
-    assert np.linalg.matrix_rank(flat) == 16
+@pytest.mark.parametrize(
+    "gammas_from, gammas_to, match",
+    [
+        (_WEYL, _WEYL[:3], r"\(4, d, d\) stacks of one shape, got \(4, 4, 4\), \(3, 4, 4\)"),
+        (_WEYL[:, :2, :2], _WEYL, r"\(4, d, d\) stacks of one shape, got \(4, 2, 2\), \(4, 4, 4\)"),
+        (_WEYL, np.where(np.eye(4) == 1, np.nan, _WEYL), "finite"),
+        (_WEYL, np.zeros_like(_WEYL), "not conjugate"),
+        (_DIAGONAL, _DIAGONAL, "not irreducible"),
+    ],
+    ids=["three-gammas", "mismatched-shapes", "nan", "zero-target", "commuting-diagonal"],
+)
+def test_intertwiner_refuses_bad_input_with_a_value_error(gammas_from, gammas_to, match):
+    with pytest.raises(ValueError, match=match):
+        cl.pauli_intertwiner(gammas_from, gammas_to)

@@ -128,7 +128,7 @@ def cmd_evolve(args) -> int:
 
     def levels():  # the run's levels; the last one stays in ``final``
         nonlocal final
-        for final in ev._leapfrog(initial, cfg):
+        for final in ev.leapfrog(initial, cfg):
             yield final
 
     try:
@@ -153,7 +153,7 @@ def cmd_evolve(args) -> int:
                 final, drift = ev.final_level(initial, cfg), None
                 if not np.all(np.isfinite(final)):
                     # non-finite values never leave a leapfrog run, so rerun to find the first
-                    levels_seen = enumerate(ev._leapfrog(initial, cfg))
+                    levels_seen = enumerate(ev.leapfrog(initial, cfg))
                     first = next((n for n, level in levels_seen if not np.all(np.isfinite(level))),
                                  cfg.steps)
                     raise OverflowError(f"level {first} of the run is not finite")

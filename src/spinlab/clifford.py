@@ -297,8 +297,9 @@ def covering_lambda(s2: np.ndarray) -> np.ndarray:
     Kronecker form (1/2) conj(P) (S kron conj(S)) P^T, row a of P being s_a read
     row-major; S and -S give the same matrix. Raises NotUnimodular when |det S - 1|
     exceeds DEFAULT_TOL (NaN and inf fail closed), InvariantViolation when the
-    coefficients come out complex or a result fails the restricted-group test (each
-    naming a stack's first failing index), and ValueError for a shape not ending in (2, 2).
+    coefficients come out complex or a result fails the restricted-group test, whose
+    metric gap is bounded by DEFAULT_TOL max(1, max|lam|^2) per matrix (each naming a
+    stack's first failing index), and ValueError for a shape not ending in (2, 2).
     """
     s2 = np.asarray(s2, dtype=complex)
     if s2.shape[-2:] != (2, 2):
@@ -311,5 +312,8 @@ def covering_lambda(s2: np.ndarray) -> np.ndarray:
     imag = np.max(np.abs(coeff.imag), axis=(-2, -1))
     _refuse(imag < 1e-10, InvariantViolation, "complex Pauli coefficients (imag {:.3e})", imag)
     lam = coeff.real
-    _refuse(_restricted(lam), InvariantViolation, "covering output left the restricted group")
+    # lam^T eta lam rounds at about eps max|lam|^2, and max|lam| ~ |S|^2 is unbounded
+    scale = np.maximum(1.0, np.max(np.abs(lam), axis=(-2, -1)) ** 2)
+    _refuse(_restricted(lam, scale), InvariantViolation,
+            "covering output left the restricted group")
     return lam

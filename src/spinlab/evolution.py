@@ -38,13 +38,14 @@ Gamma0 and Gamma3 gather the same columns, so the two derivatives, each
 scaled by a weight indexed by source column, are summed and gathered once
 per level; no level is divided. Both operators cost N F work per level
 instead of the N F^2 of a dense product. X^0 and X^3 gather the same
-columns too, so the divergence fold gathers once for both. One generator,
-``_leapfrog``, is the only time-stepping loop; it holds two levels.
-``evolve`` stores what it yields; every other consumer takes each level as
-it arrives. The slice-product reductions are folds over levels, fed a
-stored field's ``data`` or ``_leapfrog`` itself. The causality audit
-reduces |u| over at most two contiguous row slices per level, the rows
-outside the cone.
+columns too, so the divergence fold gathers once for both. One public
+generator, ``leapfrog``, is the only time-stepping loop; it holds two
+levels and overwrites each yielded level two steps on. The folds
+``conservation_fold`` and ``divergence_fold`` take its levels as they
+arrive; ``evolve`` stores them, and ``conservation_report`` and
+``divergence_check`` fold a stored field, for the benchmark's stored-field
+workload. The causality audit reduces |u| over at most two contiguous row
+slices per level, the rows outside the cone.
 
 The retarded Green operator is that of the cylinder R x S^1 the evolver
 runs on: it convolves the source with the periodic kernel
@@ -73,6 +74,7 @@ form for large arguments, and the transforms are numpy.fft.
 from __future__ import annotations
 
 import math
+import numbers
 from collections import deque
 from collections.abc import Iterable, Iterator
 from dataclasses import asdict, dataclass
@@ -85,7 +87,6 @@ from .higher_spin import (
     fiber_dim,
     pairing_matrix,
     symbol_matrix,
-    unpack,
 )
 from .minkowski import LorentzVector, basis_vector
 
@@ -121,11 +122,15 @@ class EvolutionConfig:
     def __post_init__(self) -> None:
         if not all(math.isfinite(v) for v in (self.mass, self.extent, self.dt)):
             raise ValueError("mass, extent, dt must be finite")
+        for name in ("points", "steps"):
+            value = getattr(self, name)
+            if not isinstance(value, numbers.Integral) or isinstance(value, bool):
+                raise ValueError(f"{name} must be an integer, got {value!r}")
         if self.points < 8:
             raise ValueError("need at least 8 grid points")
         if self.extent <= 0 or self.dt <= 0 or self.steps < 1:
             raise ValueError("extent, dt, steps must be positive")
-        fiber_dim(self.k, self.l)  # raises ValueError on a negative twist rank
+        fiber_dim(self.k, self.l)  # raises ValueError on a negative or non-integral twist rank
         if self.dt > self.dz * (1 + 1e-12):
             raise CFLViolation(f"dt = {self.dt} exceeds dz = {self.dz}")
 
@@ -149,7 +154,8 @@ class GridField:
     """A fiber-valued field stored at every time level of a run.
 
     ``data`` has shape (steps + 1, points, fiber) in packed fiber
-    coordinates; :meth:`at` unpacks a single grid value.
+    coordinates. It is the Green operator's source and result, and what
+    ``evolve`` stores; reductions take levels from ``leapfrog`` instead.
     """
 
     config: EvolutionConfig
@@ -161,9 +167,6 @@ class GridField:
         if data.shape != expect:
             raise ValueError(f"data shape {data.shape}, expected {expect}")
         object.__setattr__(self, "data", data)
-
-    def at(self, t_index: int, j: int):
-        return unpack(self.data[t_index, j], self.config.k, self.config.l)
 
 
 def _gather(*mats: np.ndarray) -> tuple[np.ndarray, tuple[np.ndarray, ...]]:
@@ -273,17 +276,19 @@ def _coerce_initial(phi0, cfg: EvolutionConfig) -> np.ndarray:
     return arr
 
 
-def _leapfrog(phi0, cfg: EvolutionConfig) -> Iterator[np.ndarray]:
+def leapfrog(phi0, cfg: EvolutionConfig) -> Iterator[np.ndarray]:
     """Yield the levels u^0 .. u^steps from packed initial data, holding two.
 
     L = A D_z + B comes from ``_first_order``. The first step is the
     Taylor half-step u^1 = u^0 + dt L u^0 + (dt^2/2)(D2 - m^2) u^0 with D2
     the one-cell second difference; it matches L^2 through the operator
     identities in the module docstring, so no extra reach and no
-    first-order startup error is introduced. Later levels are updated in place: a yielded
-    array is overwritten two steps on, so a caller that keeps a level
-    copies it (the last level is never overwritten). Raises ValueError on
-    misshapen initial data and CFLViolation, both before the first level.
+    first-order startup error is introduced. Later levels are updated in
+    place. The contract: the array yielded as u^n is overwritten with
+    u^(n+2), so u^n stays valid while u^(n+1) is yielded and a caller that
+    keeps a level longer copies it; the last level is never overwritten.
+    Raises ValueError on misshapen initial data and CFLViolation, both
+    before the first level.
     """
     u0 = _coerce_initial(phi0, cfg)
     dz, dt = cfg.dz, cfg.dt
@@ -307,18 +312,18 @@ def _leapfrog(phi0, cfg: EvolutionConfig) -> Iterator[np.ndarray]:
 def evolve(phi0, cfg: EvolutionConfig) -> GridField:
     """Run the leapfrog scheme from packed (points, fiber) initial data.
 
-    All time levels are stored; see ``_leapfrog`` for the scheme and its
+    All time levels are stored; see ``leapfrog`` for the scheme and its
     stability bound.
     """
     out = np.empty((cfg.steps + 1, cfg.points, cfg.fiber), dtype=complex)
-    for n, u in enumerate(_leapfrog(phi0, cfg)):
+    for n, u in enumerate(leapfrog(phi0, cfg)):
         out[n] = u
     return GridField(cfg, out)
 
 
 def final_level(phi0, cfg: EvolutionConfig) -> np.ndarray:
     """The last level u^steps of a run, stepped with two levels held."""
-    return deque(_leapfrog(phi0, cfg), maxlen=1)[0]
+    return deque(leapfrog(phi0, cfg), maxlen=1)[0]
 
 
 @dataclass(frozen=True)
@@ -448,11 +453,6 @@ def divergence_fold(
     return float(worst)
 
 
-def slice_product(fa: GridField, fb: GridField, t_index: int) -> complex:
-    """The slice product at one stored level: ``conservation_fold`` over it alone."""
-    return conservation_fold(fa.config, [fa.data[t_index]], [fb.data[t_index]])["initial"]
-
-
 def conservation_report(fa: GridField, fb: GridField | None = None) -> dict:
     """``conservation_fold`` over the stored levels of one field or two."""
     return conservation_fold(fa.config, fa.data, None if fb is None else fb.data)
@@ -504,9 +504,9 @@ def causal_support_check(phi0, cfg: EvolutionConfig) -> dict:
     # np.maximum, unlike max(), keeps a NaN level visible in the result
     peak = exact_outside = cone_leak = 0.0
     # one |u| buffer for every level: a level-sized temporary per step makes
-    # glibc trim and refault its heap (see _leapfrog)
+    # glibc trim and refault its heap (see _first_order)
     mag = np.empty(u0.shape)
-    for n, u in enumerate(_leapfrog(u0, cfg)):
+    for n, u in enumerate(leapfrog(u0, cfg)):
         np.abs(u, out=mag)
         peak = np.maximum(peak, np.max(mag))
         exact_outside = np.maximum(exact_outside, _max_outside(mag, ia - n, ib + n))

@@ -152,7 +152,7 @@ def fiber_dim(k: int, l: int) -> int:
     """Packed dimension: 2 sectors x 2 chiral x (k+1)(l+1) twist slots.
 
     Every fiber operator sizes itself through this, so sym_dimension refuses
-    a negative twist rank with ValueError.
+    a negative or non-integral twist rank with ValueError.
     """
     return 4 * sym_dimension(k, l)
 

@@ -120,12 +120,15 @@ def classify_causal(x: LorentzVector) -> tuple[str, str]:
     return cls, orientation
 
 
-def _restricted(lam: np.ndarray) -> np.ndarray:
+def _restricted(lam: np.ndarray, scale: float | np.ndarray = 1.0) -> np.ndarray:
     """Per-matrix restricted-group mask of a real (..., 4, 4) stack: metric gap at most
-    DEFAULT_TOL, det > 0 and lam[0, 0] >= 1 - DEFAULT_TOL (the two positivity tests pick the
-    proper orthochronous component). A NaN fails every comparison."""
+    DEFAULT_TOL * scale, det > 0 and lam[0, 0] >= 1 - DEFAULT_TOL (the two positivity tests
+    pick the proper orthochronous component). ``scale`` (a number, or one per matrix) widens
+    the metric gap alone: the round-off of lam^T eta lam grows like eps max|lam|^2. A NaN
+    fails every comparison."""
     gap = np.max(np.abs(np.swapaxes(lam, -1, -2) @ ETA @ lam - ETA), axis=(-2, -1))
-    return (gap <= DEFAULT_TOL) & (np.linalg.det(lam) > 0) & (lam[..., 0, 0] >= 1.0 - DEFAULT_TOL)
+    metric = gap <= DEFAULT_TOL * scale
+    return metric & (np.linalg.det(lam) > 0) & (lam[..., 0, 0] >= 1.0 - DEFAULT_TOL)
 
 
 def is_restricted_lorentz(lam: np.ndarray) -> bool:

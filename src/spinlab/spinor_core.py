@@ -16,6 +16,7 @@ convention-dependent numbers.
 
 from __future__ import annotations
 
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -190,7 +191,12 @@ def symmetrize(s: Spinor, axes: tuple[int, ...] | None = None) -> Spinor:
 
 
 def sym_dimension(k: int, l: int) -> int:
-    """Dimension of the symmetric (k, l) twist space: (k+1)(l+1); the one rank check."""
+    """Dimension of the symmetric (k, l) twist space: (k+1)(l+1); the one rank check.
+
+    ValueError unless both ranks are nonnegative Python or numpy integers (a bool is not).
+    """
+    if not all(isinstance(r, numbers.Integral) and not isinstance(r, bool) for r in (k, l)):
+        raise ValueError(f"twist ranks must be integers, got k = {k!r}, l = {l!r}")
     if k < 0 or l < 0:
         raise ValueError(f"twist ranks must be nonnegative, got k = {k}, l = {l}")
     return (k + 1) * (l + 1)

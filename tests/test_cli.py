@@ -13,6 +13,7 @@ from hypothesis import strategies as st
 
 import spinlab
 from spinlab import checks, cli
+from spinlab import clifford as cl
 from spinlab import evolution as ev
 
 
@@ -130,7 +131,21 @@ def test_verify_reports_a_non_finite_row_as_error(monkeypatch, capsys):
     assert "suite symbols: 8/9 passed" in out
 
 
-def test_verify_algebra_seed_ten_records_the_covering_batch_error(tmp_path, capsys):
+def test_verify_algebra_seed_ten_records_the_covering_batch_error(tmp_path, capsys, monkeypatch):
+    # seed 10's batch passes since the covering map's metric gate scales with max|lam|^2
+    assert cli.run(["verify", "algebra", "--seed", "10", "--no-timings"]) == 0
+    assert "[PASS] algebra/covering-map-batch" in capsys.readouterr().out
+    # a batch member whose image genuinely leaves the group is recorded as an error row:
+    # S = sqrt(1 + 9e-10) I passes the det test, and its image misses eta by 1.8e-9
+    real = cl.covering_lambda
+
+    def plant_member_646(s2):
+        if np.ndim(s2) == 3:
+            s2 = np.array(s2)
+            s2[646] = np.sqrt(1 + 9e-10) * np.eye(2)
+        return real(s2)
+
+    monkeypatch.setattr(cl, "covering_lambda", plant_member_646)
     path = tmp_path / "algebra.json"
     assert cli.run(["verify", "algebra", "--seed", "10", "--no-timings",
                     "--json", str(path)]) == 1

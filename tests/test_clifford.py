@@ -16,6 +16,7 @@ from spinlab import clifford as cl
 from spinlab import evolution as ev
 from spinlab import higher_spin as hs
 from spinlab import minkowski as mk
+from spinlab import spinor_core as sc
 
 small = st.floats(-1.5, 1.5, allow_nan=False, allow_infinity=False)
 param6 = st.tuples(small, small, small, small, small, small)
@@ -225,20 +226,41 @@ def test_commutator_table_keeps_a_nan_generator(monkeypatch):
     assert np.isnan(report["max"])
 
 
-# The product prev @ s2 that seed 10's covering-map-batch feeds the covering
-# map: its image, with entries near 6e3, misses eta by more than 1e-9.
-SEED10_PRODUCT = np.array([
-    [2.7539372996205023 + 5.3916637385345224e-02j, 12.72615524031299 + 9.4650893408601688e-01j],
-    [0.7291897135676436 - 1.6381734234997996e+01j, 7.882849758728357 - 7.5604962096375800e+01j],
+# The neighbouring draws 646 and 647 of seed 10's covering-map-batch. Their
+# product (|S|_2 = 78.9) has an image with entries near 3e3 that misses eta by
+# 3.9e-9 from round-off alone, about eps max|lam|^2.
+SEED10_FACTORS = np.array([
+    [[0.8842709537188844 + 0.23629553722309335j, 2.4801266289232737 - 5.479204539041369j],
+     [1.4964441434299134 - 5.381399585398526j, -32.226589696520406 - 15.754081451993308j]],
+    [[0.04978944378737407 - 0.4991469901728117j, -0.5046186070699863 - 0.29001533692131004j],
+     [0.10447166170138238 + 0.4257663256966173j, 0.6981669462553652 + 2.0755390625658237j]],
 ])
+SEED10_PRODUCT = SEED10_FACTORS[0] @ SEED10_FACTORS[1]
+# Unimodular within the det test's 1e-9, so the covering map takes it, but its
+# image (1 + 9e-10) I misses eta by 1.8e-9 with max|lam|^2 about 1: an output
+# outside the restricted group that no round-off allowance covers.
+OFF_GROUP = np.sqrt(1 + 9e-10) * np.eye(2, dtype=complex)
 
 
 def test_covering_raises_when_its_output_leaves_the_restricted_group():
     with pytest.raises(cl.InvariantViolation, match="restricted group"):
-        cl.covering_lambda(SEED10_PRODUCT)
-    boost = np.diag([1e4, 1e-4]).astype(complex)
-    with pytest.raises(cl.InvariantViolation, match="restricted group"):
-        cl.covering_lambda(boost)
+        cl.covering_lambda(OFF_GROUP)
+
+
+def test_a_large_norm_product_passes_the_covering_rows_gates():
+    # the metric gap is gated at 1e-9 max(1, max|lam|^2): an absolute 1e-9 refused this
+    lam = cl.covering_lambda(SEED10_PRODUCT)
+    assert np.linalg.norm(SEED10_PRODUCT, 2) > 70
+    gap = np.max(np.abs(lam.T @ mk.ETA @ lam - mk.ETA))
+    assert 1e-9 < gap <= 1e-9 * np.max(np.abs(lam)) ** 2
+    # the covering-map-batch row's own gates, each at its 1e-9
+    factors = cl.covering_lambda(SEED10_FACTORS)
+    assert np.max(np.abs(lam - factors[0] @ factors[1])) <= 1e-9
+    assert np.max(np.abs(cl.covering_lambda(-SEED10_PRODUCT) - lam)) <= 1e-9
+    for x in np.random.default_rng(30).normal(size=(5, 4)):
+        lhs = sc.sigma_map(mk.LorentzVector(lam @ x))
+        rhs = sc.apply_sl2(sc.sigma_map(mk.LorentzVector(x)), SEED10_PRODUCT)
+        assert np.max(np.abs(lhs.data - rhs.data)) <= 1e-9
 
 
 def _random_sl2_stack(rng, n):
@@ -269,10 +291,10 @@ def test_a_covering_stack_equals_the_per_matrix_calls_and_the_trace_pairing():
 @pytest.mark.parametrize("j", [0, 5, 9])
 def test_a_covering_stack_names_the_first_member_that_leaves_the_group(j):
     stack = _random_sl2_stack(np.random.default_rng(29), 10)
-    stack[j] = SEED10_PRODUCT
+    stack[j] = OFF_GROUP
     with pytest.raises(cl.InvariantViolation, match=f"restricted group at index {j}$"):
         cl.covering_lambda(stack)
-    stack[9] = SEED10_PRODUCT
+    stack[9] = OFF_GROUP
     with pytest.raises(cl.InvariantViolation, match=f"restricted group at index {j}$"):
         cl.covering_lambda(stack)
 
@@ -297,8 +319,8 @@ def test_covering_check_survives_optimized_mode():
     code = (
         "import numpy as np\n"
         "from spinlab import clifford as cl\n"
-        "boost = np.diag([1e4, 1e-4]).astype(complex)\n"
-        "for s2 in (boost, np.array([np.eye(2), np.eye(2), boost])):\n"
+        "off = np.sqrt(1 + 9e-10) * np.eye(2, dtype=complex)\n"
+        "for s2 in (off, np.array([np.eye(2), np.eye(2), off])):\n"
         "    try:\n"
         "        cl.covering_lambda(s2)\n"
         "    except cl.InvariantViolation as exc:\n"

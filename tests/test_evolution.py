@@ -42,6 +42,25 @@ def test_config_validates_grid_parameters():
         small_config(k=-1)
 
 
+@pytest.mark.parametrize(
+    "field, value, message",
+    [
+        ("k", 1.5, "twist ranks must be integers"),
+        ("points", 16.5, "points must be an integer"),
+        ("steps", 4.5, "steps must be an integer"),
+        ("points", True, "points must be an integer"),
+    ],
+)
+def test_config_refuses_a_non_integral_size(field, value, message):
+    with pytest.raises(ValueError, match=message):
+        small_config(**{field: value})
+
+
+def test_config_takes_numpy_integer_sizes():
+    cfg = small_config(k=np.int64(1), l=np.int64(1), points=np.int64(16), steps=np.int32(4))
+    assert cfg.fiber == 16 and cfg.zgrid().shape == (16,)
+
+
 def test_config_rejects_non_finite_parameters():
     for field in ("mass", "extent", "dt"):
         for bad in (np.nan, np.inf):
@@ -55,6 +74,8 @@ def test_stepping_enforces_the_leapfrog_stability_bound():
     cfg = small_config(mass=2.0, dt=0.0625)
     u0 = np.zeros((cfg.points, 4), dtype=complex)
     u0[cfg.points // 2, 0] = 1.0
+    with pytest.raises(ev.CFLViolation):
+        next(ev.leapfrog(u0, cfg))
     with pytest.raises(ev.CFLViolation):
         ev.evolve(u0, cfg)
     with pytest.raises(ev.CFLViolation):
@@ -109,9 +130,9 @@ def test_evolver_tracks_an_exact_plane_wave():
     cfg = small_config(points=512, dt=8.0 / 512 / 2, steps=128)
     wave = ev.plane_wave(2 * np.pi * 2 / cfg.extent, cfg.mass)
     z = cfg.zgrid()
-    field = ev.evolve(wave.sample(0.0, z), cfg)
+    final = ev.final_level(wave.sample(0.0, z), cfg)
     exact = wave.sample(cfg.steps * cfg.dt, z)
-    err = np.sqrt(cfg.dz * np.sum(np.abs(field.data[-1] - exact) ** 2))
+    err = np.sqrt(cfg.dz * np.sum(np.abs(final - exact) ** 2))
     assert err < 5e-4
 
 
@@ -122,9 +143,9 @@ def test_evolver_error_shrinks_at_second_order():
         cfg = small_config(points=n_pts, dt=0.5 * dz, steps=int(round(1.0 / (0.5 * dz))))
         wave = ev.plane_wave(2 * np.pi * 2 / cfg.extent, cfg.mass)
         z = cfg.zgrid()
-        field = ev.evolve(wave.sample(0.0, z), cfg)
+        final = ev.final_level(wave.sample(0.0, z), cfg)
         exact = wave.sample(cfg.steps * cfg.dt, z)
-        errors.append(np.sqrt(cfg.dz * np.sum(np.abs(field.data[-1] - exact) ** 2)))
+        errors.append(np.sqrt(cfg.dz * np.sum(np.abs(final - exact) ** 2)))
     order = np.log2(errors[0] / errors[1])
     assert order > 1.8
 
@@ -142,8 +163,7 @@ def test_slice_product_is_conserved_for_a_wave_packet():
     wave = ev.plane_wave(2 * np.pi * 4 / cfg.extent, cfg.mass)
     z = cfg.zgrid()
     u0 = (bump((z - 8.0) / 3.0) * wave.phase(0.0, z))[:, None] * wave.u[None, :]
-    field = ev.evolve(u0, cfg)
-    report = ev.conservation_report(field)
+    report = ev.conservation_fold(cfg, ev.leapfrog(u0, cfg))
     assert report["drift"] < 1e-4
     assert report["initial"].real > 0
 
@@ -153,9 +173,9 @@ def test_conservation_report_survives_orthogonal_initial_data():
     z = cfg.zgrid()
     wave_a = ev.plane_wave(2 * np.pi * 2 / cfg.extent, cfg.mass, branch="+")
     wave_b = ev.plane_wave(2 * np.pi * 5 / cfg.extent, cfg.mass, branch="+")
-    fa = ev.evolve(wave_a.sample(0.0, z), cfg)
-    fb = ev.evolve(wave_b.sample(0.0, z), cfg)
-    report = ev.conservation_report(fa, fb)
+    levels_a = ev.leapfrog(wave_a.sample(0.0, z), cfg)
+    levels_b = ev.leapfrog(wave_b.sample(0.0, z), cfg)
+    report = ev.conservation_fold(cfg, levels_a, levels_b)
     assert np.isfinite(report["drift"])
     assert abs(report["initial"]) < 1e-10
 
@@ -167,30 +187,30 @@ def test_pair_current_has_small_discrete_divergence():
     z = cfg.zgrid()
     wave_a = ev.plane_wave(2 * np.pi * 3 / cfg.extent, cfg.mass, branch="+")
     wave_b = ev.plane_wave(2 * np.pi * 5 / cfg.extent, cfg.mass, branch="-")
-    fa = ev.evolve(wave_a.sample(0.0, z), cfg)
-    fb = ev.evolve(wave_b.sample(0.0, z), cfg)
-    assert ev.divergence_check(fa, fb) < 1e-2
+    levels_a = ev.leapfrog(wave_a.sample(0.0, z), cfg)
+    levels_b = ev.leapfrog(wave_b.sample(0.0, z), cfg)
+    assert ev.divergence_fold(cfg, levels_a, levels_b) < 1e-2
 
 
 def test_slice_product_matches_the_fiber_form():
     rng = np.random.default_rng(12)
     cfg = small_config(k=1, l=1, points=16, extent=4.0, dt=0.1, steps=1)
-    shape = (cfg.steps + 1, cfg.points, cfg.fiber)
-    fa = ev.GridField(cfg, rng.normal(size=shape) + 1j * rng.normal(size=shape))
-    fb = ev.GridField(cfg, rng.normal(size=shape) + 1j * rng.normal(size=shape))
-    packed = ev.slice_product(fa, fb, 1)
+    shape = (cfg.points, cfg.fiber)
+    a = rng.normal(size=shape) + 1j * rng.normal(size=shape)
+    b = rng.normal(size=shape) + 1j * rng.normal(size=shape)
+    packed = ev.conservation_fold(cfg, [a], [b])["initial"]
     e0 = mk.basis_vector(0, covariant=True)
     semantic = sum(
-        hs.xi_form(fa.at(1, j), fb.at(1, j), e0) for j in range(cfg.points)
+        hs.xi_form(hs.unpack(a_j, 1, 1), hs.unpack(b_j, 1, 1), e0) for a_j, b_j in zip(a, b)
     ) * cfg.dz
     assert packed == pytest.approx(semantic, abs=1e-11)
 
 
 def test_slice_product_needs_matching_ranks():
     cfg = small_config(k=1, l=0, points=16, extent=4.0, dt=0.1, steps=1)
-    field = ev.GridField(cfg, np.zeros((2, 16, cfg.fiber), dtype=complex))
+    level = np.zeros((16, cfg.fiber), dtype=complex)
     with pytest.raises(ev.KNotEqualL):
-        ev.slice_product(field, field, 0)
+        ev.conservation_fold(cfg, [level], [level])
 
 
 def test_rank_mismatch_is_one_exception_class():
@@ -800,16 +820,19 @@ def _dense_leapfrog(u0, cfg):
     return out
 
 
-def _dense_currents(fa, fb, direction):
+def _dense_currents(cfg, a, b, direction):
     e_cov = mk.basis_vector(direction, covariant=True)
-    cfg = fa.config
     x = hs.pairing_matrix(cfg.k) @ hs.symbol_matrix(cfg.k, cfg.l, e_cov)
-    return np.sum(np.conj(fa.data) * (fb.data @ x.T), axis=2)
+    return np.sum(np.conj(a) * (b @ x.T), axis=2)
+
+
+def _random_levels(rng, cfg):
+    shape = (cfg.steps + 1, cfg.points, cfg.fiber)
+    return rng.normal(size=shape) + 1j * rng.normal(size=shape)
 
 
 def _random_field(rng, cfg):
-    shape = (cfg.steps + 1, cfg.points, cfg.fiber)
-    return ev.GridField(cfg, rng.normal(size=shape) + 1j * rng.normal(size=shape))
+    return ev.GridField(cfg, _random_levels(rng, cfg))
 
 
 def test_evolve_is_bitwise_equal_to_the_dense_reference():
@@ -828,22 +851,23 @@ def test_evolve_is_bitwise_equal_to_the_dense_reference():
 def test_fold_reductions_match_dense_full_array_references():
     rng = np.random.default_rng(22)
     cfg = small_config(k=1, l=1, points=16, extent=4.0, dt=0.1, steps=10)
-    fa, fb = _random_field(rng, cfg), _random_field(rng, cfg)
-    cur0 = _dense_currents(fa, fb, 0)
-    cur3 = _dense_currents(fa, fb, 3)
+    a, b = _random_levels(rng, cfg), _random_levels(rng, cfg)
+    cur0 = _dense_currents(cfg, a, b, 0)
+    cur3 = _dense_currents(cfg, a, b, 3)
 
     values = np.sum(cur0, axis=1) * cfg.dz
-    report = ev.conservation_report(fa, fb)
+    report = ev.conservation_fold(cfg, a, b)
     scale = np.max(np.abs(values))
     assert np.max(np.abs(report["values"] - values)) <= 1e-13 * scale
     assert report["initial"] == pytest.approx(values[0], rel=1e-13)
     for t_index in (0, 7, 10):
-        assert ev.slice_product(fa, fb, t_index) == pytest.approx(values[t_index], rel=1e-13)
+        one_level = ev.conservation_fold(cfg, a[t_index : t_index + 1], b[t_index : t_index + 1])
+        assert one_level["initial"] == pytest.approx(values[t_index], rel=1e-13)
 
     dt_cur = (cur0[2:] - cur0[:-2]) / (2.0 * cfg.dt)
     dz_cur = (np.roll(cur3, -1, axis=1) - np.roll(cur3, 1, axis=1))[1:-1] / (2.0 * cfg.dz)
     expected = float(np.max(np.abs(dt_cur + dz_cur)))
-    assert ev.divergence_check(fa, fb) == pytest.approx(expected, rel=1e-13)
+    assert ev.divergence_fold(cfg, a, b) == pytest.approx(expected, rel=1e-13)
 
 
 def test_streamed_and_stored_reductions_are_bitwise_equal():
@@ -854,18 +878,74 @@ def test_streamed_and_stored_reductions_are_bitwise_equal():
         u_a = rng.normal(size=shape) + 1j * rng.normal(size=shape)
         u_b = rng.normal(size=shape) + 1j * rng.normal(size=shape)
         fa, fb = ev.evolve(u_a, cfg), ev.evolve(u_b, cfg)
-        a, b = ev._leapfrog(u_a, cfg), ev._leapfrog(u_b, cfg)
+        a, b = ev.leapfrog(u_a, cfg), ev.leapfrog(u_b, cfg)
         pairs = [
-            (ev.conservation_report(fa), ev.conservation_fold(cfg, ev._leapfrog(u_a, cfg))),
+            (ev.conservation_report(fa), ev.conservation_fold(cfg, ev.leapfrog(u_a, cfg))),
             (ev.conservation_report(fa, fb), ev.conservation_fold(cfg, a, b)),
         ]
         for stored, streamed in pairs:
             assert np.array_equal(stored["values"], streamed["values"])
             assert stored["drift"] == streamed["drift"]
             assert stored["denominator"] == streamed["denominator"]
-        a, b = ev._leapfrog(u_a, cfg), ev._leapfrog(u_b, cfg)
+        a, b = ev.leapfrog(u_a, cfg), ev.leapfrog(u_b, cfg)
         assert ev.divergence_check(fa, fb) == ev.divergence_fold(cfg, a, b)
         assert np.array_equal(ev.final_level(u_a, cfg), fa.data[-1])
+
+
+def test_leapfrog_overwrites_a_level_two_steps_on_and_never_the_last():
+    rng = np.random.default_rng(27)
+    cfg = small_config(k=1, l=1, points=16, extent=4.0, dt=0.125, steps=7)
+    u0 = rng.normal(size=(cfg.points, cfg.fiber)) + 1j * rng.normal(size=(cfg.points, cfg.fiber))
+    given = u0.copy()
+    reference = _dense_leapfrog(u0, cfg)
+    held = []
+    for n, level in enumerate(ev.leapfrog(u0, cfg)):
+        assert np.array_equal(level, reference[n])
+        if held:  # u^(n-1) stays valid while u^n is yielded
+            assert np.array_equal(held[-1], reference[n - 1])
+        held.append(level)
+    # after the run, the array yielded as u^n holds the last level of its parity
+    for n, level in enumerate(held):
+        assert np.array_equal(level, reference[cfg.steps - (cfg.steps - n) % 2])
+    assert np.array_equal(u0, given)
+
+
+@pytest.mark.parametrize("k", [0, 1, 2])
+def test_leapfrog_conserves_the_two_level_pair_form_exactly(k):
+    # Discrete Theorem 2. With X = P Gamma0 Hermitian and X L anti-Hermitian, the
+    # update u^(n+1) = u^(n-1) + 2 dt L u^n keeps the dz-weighted pair form
+    # Q^n = Re<u_a^(n+1), X u_b^n> + Re<u_b^(n+1), X u_a^n> equal to Q^(n-1) with no
+    # truncation error. Round-off bound, fixed before any run: each step rounds every
+    # level entry, which moves Q by at most about points * eps times S, the sum of the
+    # form's absolute terms at the initial level; over `steps` steps
+    # |Q^n - Q^0| <= steps * points * eps * S. The one-level form
+    # q^n = Re<u_a^n, X u_b^n> + Re<u_b^n, X u_a^n> drifts at second order, far above.
+    n_pts, extent = 256, 32.0
+    dz = extent / n_pts
+    cfg = ev.EvolutionConfig(
+        mass=1.0, k=k, l=k, extent=extent, points=n_pts, dt=0.5 * dz, steps=256
+    )
+    x0 = hs.pairing_matrix(k) @ hs.symbol_matrix(k, k, mk.basis_vector(0, covariant=True))
+
+    def form(a, b):
+        return float(np.sum(np.conj(a) * (b @ x0.T)).real) * cfg.dz
+
+    def size(a, b):
+        return float(np.sum(np.abs(a) * (np.abs(b) @ np.abs(x0).T))) * cfg.dz
+
+    u_a, u_b = (
+        checks.packet_initial(cfg, ev.plane_wave(2 * np.pi * mode / extent, 1.0, k, k).u, 4.0, mode)
+        for mode in (3, -5)
+    )
+    two, one, prev = [], [], None
+    for a, b in zip(ev.leapfrog(u_a, cfg), ev.leapfrog(u_b, cfg)):
+        if prev is not None:  # u^n is still valid while u^(n+1) is yielded
+            two.append(form(a, prev[1]) + form(b, prev[0]))
+        one.append(form(a, b) + form(b, a))
+        prev = a, b
+    bound = cfg.steps * cfg.points * np.finfo(float).eps * (size(u_a, u_b) + size(u_b, u_a))
+    assert max(abs(q - two[0]) for q in two) <= bound
+    assert max(abs(q - one[0]) for q in one) > bound
 
 
 def test_divergence_fold_needs_three_levels():
@@ -879,9 +959,9 @@ def test_divergence_fold_needs_three_levels():
 def test_divergence_fold_keeps_a_non_finite_level_visible():
     rng = np.random.default_rng(24)
     cfg = small_config(points=16, extent=4.0, dt=0.1, steps=6)
-    fa, fb = _random_field(rng, cfg), _random_field(rng, cfg)
-    fa.data[3, 5, 0] = np.nan
-    assert np.isnan(ev.divergence_check(fa, fb))
+    a, b = _random_levels(rng, cfg), _random_levels(rng, cfg)
+    a[3, 5, 0] = np.nan
+    assert np.isnan(ev.divergence_fold(cfg, a, b))
 
 
 def test_conservation_check_streams_levels_instead_of_storing_the_field():
@@ -961,7 +1041,7 @@ def test_fast_paths_refuse_operators_without_their_structure(monkeypatch):
     monkeypatch.setattr(ev, "_symbol", lambda c, a: symbol(c, a) @ shift if a == 3 else symbol(c, a))
     u0 = np.ones((cfg.points, cfg.fiber), dtype=complex)
     with pytest.raises(hs.InvariantViolation, match="diagonal"):
-        next(ev._leapfrog(u0, cfg))
+        next(ev.leapfrog(u0, cfg))
     with pytest.raises(hs.InvariantViolation, match="columns"):
         ev.divergence_fold(cfg, [u0] * 3, [u0] * 3)
     with pytest.raises(hs.InvariantViolation, match="columns"):
@@ -1025,7 +1105,7 @@ def test_causal_audit_reports_a_value_planted_outside_both_cones(monkeypatch, pl
                 level[50, 3] = planted  # 17 cells past the support: outside both cones
             yield level
 
-    monkeypatch.setattr(ev, "_leapfrog", planted_levels)
+    monkeypatch.setattr(ev, "leapfrog", planted_levels)
     report = ev.causal_support_check(u0, cfg)
     if np.isnan(planted):
         assert np.isnan(report["exact_outside"]) and np.isnan(report["cone_leak"])

@@ -94,6 +94,11 @@ def test_fiber_vectors_enforce_twist_symmetry():
         hs.HigherSpinVector(2, 0, phi1, phi2)
 
 
+def test_fiber_dim_refuses_a_fractional_rank():
+    with pytest.raises(ValueError, match="twist ranks must be integers"):
+        hs.fiber_dim(1.5, 0)
+
+
 def test_twist_typed_objects_refuse_a_negative_rank_with_one_text():
     # sym_dimension owns the rule; fiber_dim and the fiber vectors go through it
     phi = hs.unpack(np.ones(4), 0, 0)

@@ -140,6 +140,16 @@ def test_restricted_mask_over_a_stack_matches_the_predicate_per_matrix():
     assert mk._restricted(stack.reshape(2, 4, 4, 4)).tolist() == [mask[:4].tolist(), mask[4:].tolist()]
 
 
+def test_restricted_scale_widens_the_metric_gap_alone():
+    near = (1 + 1e-6) * np.eye(4)  # misses eta by 2e-6
+    parity = np.diag([1.0, -1.0, -1.0, -1.0])
+    stack = np.array([near, parity, -np.eye(4)])
+    assert mk._restricted(stack).tolist() == [False, False, False]
+    assert mk._restricted(stack, 1e4).tolist() == [True, False, False]
+    assert mk._restricted(stack, np.array([1.0, 1e4, 1e4])).tolist() == [False] * 3
+    assert not mk.is_restricted_lorentz(near)  # the public predicate keeps scale 1
+
+
 @pytest.mark.parametrize("bad", [np.nan, np.inf])
 @pytest.mark.parametrize("slot", [(1, 2), (0, 0), (3, 3)])
 def test_restricted_lorentz_rejects_non_finite_entries(bad, slot):

@@ -163,6 +163,12 @@ def test_symmetrize_rejects_mixed_tags():
         sc.symmetrize(s)
 
 
+@pytest.mark.parametrize("k, l", [(1.5, 0), (0, 2.5), (True, 0), (0, False), (2.0, 1), ("1", 0)])
+def test_sym_dimension_refuses_a_rank_that_is_not_an_integer(k, l):
+    with pytest.raises(ValueError, match="twist ranks must be integers"):
+        sc.sym_dimension(k, l)
+
+
 def test_sym_dimension_matches_enumeration():
     # the report's sym-dimension-enumeration row reads each rank as
     # round(trace P) of checks.sym_projector, which holds because P^2 = P;

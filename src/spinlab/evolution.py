@@ -120,12 +120,16 @@ class EvolutionConfig:
     steps: int
 
     def __post_init__(self) -> None:
+        for name, kind, what in (("mass", numbers.Real, "a real number"),
+                                 ("extent", numbers.Real, "a real number"),
+                                 ("dt", numbers.Real, "a real number"),
+                                 ("points", numbers.Integral, "an integer"),
+                                 ("steps", numbers.Integral, "an integer")):
+            value = getattr(self, name)
+            if not isinstance(value, kind) or isinstance(value, bool):
+                raise ValueError(f"{name} must be {what}, got {value!r}")
         if not all(math.isfinite(v) for v in (self.mass, self.extent, self.dt)):
             raise ValueError("mass, extent, dt must be finite")
-        for name in ("points", "steps"):
-            value = getattr(self, name)
-            if not isinstance(value, numbers.Integral) or isinstance(value, bool):
-                raise ValueError(f"{name} must be an integer, got {value!r}")
         if self.points < 8:
             raise ValueError("need at least 8 grid points")
         if self.extent <= 0 or self.dt <= 0 or self.steps < 1:
@@ -273,6 +277,8 @@ def _coerce_initial(phi0, cfg: EvolutionConfig) -> np.ndarray:
     arr = np.asarray(phi0, dtype=complex)
     if arr.shape != (cfg.points, cfg.fiber):
         raise ValueError(f"initial data shape {arr.shape}, expected {(cfg.points, cfg.fiber)}")
+    if not np.isfinite(arr).all():
+        raise ValueError("initial data holds a non-finite value")
     return arr
 
 
@@ -287,8 +293,9 @@ def leapfrog(phi0, cfg: EvolutionConfig) -> Iterator[np.ndarray]:
     place. The contract: the array yielded as u^n is overwritten with
     u^(n+2), so u^n stays valid while u^(n+1) is yielded and a caller that
     keeps a level longer copies it; the last level is never overwritten.
-    Raises ValueError on misshapen initial data and CFLViolation, both
-    before the first level.
+    Raises ValueError on misshapen or non-finite initial data and CFLViolation
+    before the first level, and OverflowError("level n of the run is not
+    finite"), never a numpy warning, in place of a level n that overflows.
     """
     u0 = _coerce_initial(phi0, cfg)
     dz, dt = cfg.dz, cfg.dt
@@ -299,13 +306,18 @@ def leapfrog(phi0, cfg: EvolutionConfig) -> Iterator[np.ndarray]:
     rhs = _first_order(cfg)
     prev = u0.copy()
     yield prev
-    lap = (np.roll(prev, -1, axis=0) - 2.0 * prev + np.roll(prev, 1, axis=0)) / dz**2
-    cur = prev + dt * rhs(prev) + 0.5 * dt**2 * (lap - cfg.mass**2 * prev)
-    yield cur
-    for _ in range(2, cfg.steps + 1):
-        step = rhs(cur)
-        prev += np.multiply(step, 2.0 * dt, out=step)
-        prev, cur = cur, prev
+    for n in range(1, cfg.steps + 1):
+        try:  # no yield inside: the caller's code runs under its own flags
+            with np.errstate(over="raise", invalid="raise"):
+                if n == 1:
+                    lap = np.roll(prev, -1, axis=0) - 2.0 * prev + np.roll(prev, 1, axis=0)
+                    cur = prev + dt * rhs(prev) + 0.5 * dt**2 * (lap / dz**2 - cfg.mass**2 * prev)
+                else:
+                    step = rhs(cur)
+                    prev += np.multiply(step, 2.0 * dt, out=step)
+                    prev, cur = cur, prev
+        except FloatingPointError:
+            raise OverflowError(f"level {n} of the run is not finite") from None
         yield cur
 
 
@@ -353,7 +365,10 @@ def plane_wave(
     The profile is the on-shell projection (s(P) + m) of a chiral seed,
     normalized; seeds annihilated by the projector are retried over all
     four sector/chirality slots before giving up with ZeroProjection.
+    A non-finite p or mass raises ValueError before the symbol is built.
     """
+    if not (math.isfinite(p) and math.isfinite(mass)):
+        raise ValueError(f"p and mass must be finite, got p = {p}, mass = {mass}")
     if branch not in ("+", "-"):
         raise ValueError("branch must be '+' or '-'")
     dim = fiber_dim(k, l)  # refuses a negative rank before pol is read against it
@@ -398,17 +413,27 @@ def conservation_fold(
     (without ``levels_b`` the run pairs with itself). The drift denominator
     is the initial value when it is solidly nonzero, otherwise a positive
     scale from the initial level norms, so orthogonal data does not divide by 0.
+    Raises ValueError on empty or unequal streams, and OverflowError("the slice
+    product at level n is not finite") at the first such n; it never warns.
     """
     cols, (w0,) = _currents(cfg, 0)
-    pairs = ((u, u) for u in levels_a) if levels_b is None else zip(levels_a, levels_b)
+    if levels_b is None:
+        pairs = ((u, u) for u in levels_a)
+    else:
+        pairs = zip(levels_a, levels_b, strict=True)
     scratch = np.empty((2, cfg.points, cfg.fiber), dtype=complex)
     values = []
-    for a, b in pairs:
-        if not values:
-            scale = cfg.dz * float(np.linalg.norm(a) * np.linalg.norm(b))
-        prod = np.conjugate(a, out=scratch[0])
-        prod *= np.take(b, cols, axis=1, out=scratch[1], mode="clip")
-        values.append(np.sum(prod @ w0) * cfg.dz)
+    for n, (a, b) in enumerate(pairs):
+        with np.errstate(over="ignore", invalid="ignore"):
+            if n == 0:
+                scale = cfg.dz * float(np.linalg.norm(a) * np.linalg.norm(b))
+            prod = np.conjugate(a, out=scratch[0])
+            prod *= np.take(b, cols, axis=1, out=scratch[1], mode="clip")
+            values.append(np.sum(prod @ w0) * cfg.dz)
+        if not np.isfinite(values[-1]):
+            raise OverflowError(f"the slice product at level {n} is not finite")
+    if not values:
+        raise ValueError("the level stream is empty")
     values = np.array(values)
     denom = max(abs(values[0]), 1e-9 * scale, 1e-300)
     drift = float(np.max(np.abs(values - values[0])) / denom)
@@ -426,11 +451,10 @@ def divergence_fold(
     and the residual converges to zero at second order. X^0 and X^3 gather
     the same fiber columns, so one gather of B's level and one
     (2, fiber) x (fiber, points) product give both densities; the fold keeps
-    those of the last three levels. Raises InvariantViolation unless the
-    two currents gather the same columns, each column once.
+    those of the last three levels. Raises ValueError when the streams are
+    of unequal lengths or hold fewer than three levels, and InvariantViolation
+    unless the two currents gather the same columns, each column once.
     """
-    if cfg.steps < 2:
-        raise ValueError("need at least 3 time levels for a centered residual")
     cols, (w0, w3) = _currents(cfg, 0, 3)
     # one product gives both densities, pre-scaled: X^0 / (2 dt) and X^3 / (2 dz)
     weights = np.stack([w0 / (2.0 * cfg.dt), w3 / (2.0 * cfg.dz)])
@@ -440,8 +464,8 @@ def divergence_fold(
     gap, dz_cur = np.empty(cfg.points, dtype=complex), np.empty(cfg.points, dtype=complex)
     mag = np.empty(cfg.points)
     # np.maximum, unlike max(), keeps a NaN residual visible in the result
-    worst = 0.0
-    for n, (a, b) in enumerate(zip(levels_a, levels_b)):
+    worst, n = 0.0, -1
+    for n, (a, b) in enumerate(zip(levels_a, levels_b, strict=True)):
         before, here, ahead = dens[(n - 2) % 3], dens[(n - 1) % 3], dens[n % 3]
         prod = np.conjugate(a, out=scratch[0])
         prod *= np.take(b, cols, axis=1, out=scratch[1], mode="clip")
@@ -450,6 +474,8 @@ def divergence_fold(
             np.subtract(ahead[0], before[0], out=gap)
             gap += _periodic_difference(here[1], dz_cur)
             worst = np.maximum(worst, np.max(np.abs(gap, out=mag)))
+    if n < 2:
+        raise ValueError("need at least 3 time levels for a centered residual")
     return float(worst)
 
 

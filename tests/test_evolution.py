@@ -4,6 +4,7 @@ import os
 import subprocess
 import sys
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -56,9 +57,22 @@ def test_config_refuses_a_non_integral_size(field, value, message):
         small_config(**{field: value})
 
 
+@pytest.mark.parametrize(
+    "field, value",
+    [("mass", "1"), ("mass", 1j), ("mass", True), ("extent", None), ("dt", False)],
+    ids=["mass-str", "mass-complex", "mass-bool", "extent-none", "dt-bool"],
+)
+def test_config_refuses_a_parameter_that_is_not_a_real_number(field, value):
+    with pytest.raises(ValueError, match=f"^{field} must be a real number, got "):
+        small_config(**{field: value})
+
+
 def test_config_takes_numpy_integer_sizes():
     cfg = small_config(k=np.int64(1), l=np.int64(1), points=np.int64(16), steps=np.int32(4))
     assert cfg.fiber == 16 and cfg.zgrid().shape == (16,)
+    # numpy scalars are real numbers too
+    cfg = small_config(mass=np.float32(1.0), extent=np.int64(8), dt=np.float64(0.03125))
+    assert cfg.dz == 0.0625
 
 
 def test_config_rejects_non_finite_parameters():
@@ -117,6 +131,12 @@ def test_plane_wave_validates_arguments():
         ev.plane_wave(1.0, 1.0, branch="x")
     with pytest.raises(ValueError):
         ev.plane_wave(1.0, 1.0, pol=7)
+
+
+@pytest.mark.parametrize("p, mass", [(np.nan, 1.0), (1.0, np.inf), (-np.inf, 0.0), (1.0, np.nan)])
+def test_plane_wave_refuses_a_non_finite_momentum_or_mass(p, mass):
+    with pytest.raises(ValueError, match="^p and mass must be finite"):
+        ev.plane_wave(p, mass)
 
 
 def test_plane_wave_names_a_negative_rank():
@@ -948,12 +968,103 @@ def test_leapfrog_conserves_the_two_level_pair_form_exactly(k):
     assert max(abs(q - one[0]) for q in one) > bound
 
 
+@pytest.mark.parametrize("bad", [np.nan, np.inf, complex(0.0, -np.inf)],
+                         ids=["nan", "inf", "-inf-j"])
+@pytest.mark.parametrize("run", [lambda u0, cfg: next(ev.leapfrog(u0, cfg)), ev.final_level,
+                                 ev.causal_support_check],
+                         ids=["leapfrog", "final_level", "causal_support_check"])
+def test_stepping_refuses_non_finite_initial_data(run, bad):
+    cfg = small_config(points=64, extent=8.0, dt=0.0625, steps=4)
+    u0 = np.zeros((cfg.points, cfg.fiber), dtype=complex)
+    u0[30:34, 0] = 1.0
+    u0[31, 2] = bad
+    with pytest.raises(ValueError, match="^initial data holds a non-finite value$"):
+        run(u0, cfg)
+
+
+def _huge_level(k, l):
+    # finite values whose products overflow: |u|^2 at once, the leapfrog's first
+    # step; zero at the seam, so the causality audit takes them too
+    cfg = small_config(k=k, l=l, points=64, extent=16.0, dt=0.125, steps=8)
+    level = np.zeros((cfg.points, cfg.fiber), dtype=complex)
+    level[1:-1] = 1e308
+    return cfg, level
+
+
+@pytest.mark.parametrize("run", [lambda u0, cfg: list(ev.leapfrog(u0, cfg)), ev.final_level,
+                                 ev.evolve, ev.causal_support_check],
+                         ids=["leapfrog", "final_level", "evolve", "causal_support_check"])
+def test_a_run_that_overflows_names_its_first_level_and_never_warns(run):
+    cfg, level = _huge_level(1, 0)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(OverflowError, match="^level 1 of the run is not finite$"):
+            run(level, cfg)
+
+
+def test_leapfrog_yields_every_level_before_the_one_that_overflows():
+    cfg, level = _huge_level(1, 0)
+    levels = ev.leapfrog(level, cfg)
+    assert np.array_equal(next(levels), level)
+    with pytest.raises(OverflowError, match="^level 1 of the run is not finite$"):
+        next(levels)
+
+
+def test_leapfrog_leaves_the_callers_float_flags_alone():
+    cfg = small_config(steps=4)
+    u0 = np.zeros((cfg.points, cfg.fiber), dtype=complex)
+    for _ in ev.leapfrog(u0, cfg):
+        # the step's raising flags are not in force while the caller runs
+        assert np.geterr()["over"] == "warn"
+
+
+def test_conservation_fold_names_the_first_slice_product_that_overflows():
+    cfg, level = _huge_level(1, 1)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(OverflowError, match="^the slice product at level 0 is not finite$"):
+            ev.conservation_fold(cfg, ev.leapfrog(level, cfg))
+        # a raw stream: the first two levels are finite, the third overflows
+        u0 = np.ones((cfg.points, cfg.fiber), dtype=complex)
+        with pytest.raises(OverflowError, match="^the slice product at level 2 is not finite$"):
+            ev.conservation_fold(cfg, [u0, u0, level, u0])
+
+
+def test_conservation_fold_refuses_an_empty_stream():
+    cfg = small_config(k=1, l=1)
+    with pytest.raises(ValueError, match="^the level stream is empty$"):
+        ev.conservation_fold(cfg, [])
+    with pytest.raises(ValueError, match="^the level stream is empty$"):
+        ev.conservation_fold(cfg, [], [])
+
+
+@pytest.mark.parametrize("fold", [ev.conservation_fold, ev.divergence_fold],
+                         ids=["conservation", "divergence"])
+@pytest.mark.parametrize("short", ["a", "b"])
+def test_the_folds_refuse_streams_of_unequal_lengths(fold, short):
+    rng = np.random.default_rng(25)
+    cfg = small_config(k=1, l=1, points=16, extent=4.0, dt=0.1, steps=6)
+    a, b = _random_levels(rng, cfg), _random_levels(rng, cfg)
+    if short == "a":
+        a = a[:-1]
+    else:
+        b = b[:-1]
+    with pytest.raises(ValueError, match="zip"):
+        fold(cfg, a, b)
+
+
 def test_divergence_fold_needs_three_levels():
-    cfg = small_config(points=16, extent=4.0, dt=0.1, steps=1)
-    u0 = np.ones((cfg.points, cfg.fiber), dtype=complex)
-    with pytest.raises(ValueError) as exc:
-        ev.divergence_fold(cfg, [u0] * 2, [u0] * 2)
-    assert str(exc.value) == "need at least 3 time levels for a centered residual"
+    # the levels it gets count, not the config's steps: a "below" row must not
+    # pass on a stream cut short
+    rng = np.random.default_rng(26)
+    for steps in (1, 8):
+        cfg = small_config(points=16, extent=4.0, dt=0.1, steps=steps)
+        a, b = _random_levels(rng, cfg), _random_levels(rng, cfg)
+        for count in range(3):
+            with pytest.raises(ValueError) as exc:
+                ev.divergence_fold(cfg, a[:count], b[:count])
+            assert str(exc.value) == "need at least 3 time levels for a centered residual"
+    assert ev.divergence_fold(cfg, a[:3], b[:3]) > 0.0
 
 
 def test_divergence_fold_keeps_a_non_finite_level_visible():

@@ -45,7 +45,9 @@ levels and overwrites each yielded level two steps on. The folds
 arrive; ``evolve`` stores them, and ``conservation_report`` and
 ``divergence_check`` fold a stored field, for the benchmark's stored-field
 workload. The causality audit reduces |u| over at most two contiguous row
-slices per level, the rows outside the cone.
+slices per level, the rows outside the cone. ``_float_range`` is the one
+owner of arithmetic that leaves the float range: each level of the stream,
+the folds and the Green operator runs under it and stops with OverflowError.
 
 The retarded Green operator is that of the cylinder R x S^1 the evolver
 runs on: it convolves the source with the periodic kernel
@@ -77,6 +79,7 @@ import math
 import numbers
 from collections import deque
 from collections.abc import Iterable, Iterator
+from contextlib import contextmanager
 from dataclasses import asdict, dataclass
 
 import numpy as np
@@ -173,6 +176,25 @@ class GridField:
         object.__setattr__(self, "data", data)
 
 
+@contextmanager
+def _float_range(message: str) -> Iterator[None]:
+    """Run the block under raising numpy flags, as OverflowError(message); never around a yield."""
+    try:
+        with np.errstate(over="raise", invalid="raise"):
+            yield
+    except FloatingPointError:
+        raise OverflowError(message) from None
+
+
+def _max_abs(x: np.ndarray, out: np.ndarray | None = None) -> float:
+    """max |x| in a ``_float_range`` block, NaN kept: np.abs of a complex whose modulus
+    passes the largest float gives inf without numpy's overflow flag, so that inf raises."""
+    peak = np.max(np.abs(x, out=out))
+    if np.isinf(peak):
+        raise FloatingPointError("overflow encountered in absolute")
+    return peak
+
+
 def _gather(*mats: np.ndarray) -> tuple[np.ndarray, tuple[np.ndarray, ...]]:
     """(cols, weights) with u[..., cols] * w == u @ mat.T for each mat and its w.
 
@@ -248,7 +270,7 @@ def _dirac_levels(cfg: EvolutionConfig, u: np.ndarray, sigma: float) -> Iterator
     one reused buffer. Level t of u is copied before it is yielded and u is
     never written, so a caller may overwrite u[t] with the level it gets.
     Raises InvariantViolation unless Gamma0 and Gamma3 gather the same
-    columns, each column once.
+    columns, each column once, and OverflowError in place of a level that overflows.
     """
     cols, (w0, w3) = _gather(_symbol(cfg, 0), _symbol(cfg, 3))
     # level-shaped weights (see _first_order) indexed by source column:
@@ -259,16 +281,18 @@ def _dirac_levels(cfg: EvolutionConfig, u: np.ndarray, sigma: float) -> Iterator
     t_scale[:, cols] = w0 * (1.0 / (2.0 * cfg.dt))
     z_scale[:, cols] = w3 * (1.0 / (2.0 * cfg.dz))
     mass = sigma * 1j * cfg.mass
+    sign = "+" if sigma > 0 else "-"
     for t in range(cfg.steps + 1):
-        np.copyto(cur, u[t])
-        # u[t + 1] is not overwritten yet; at t = 0 the copy of u[t] stands in for u[t - 1]
-        np.subtract(u[min(t + 1, cfg.steps)], prev if t > 0 else cur, out=d_t)
-        if t in (0, cfg.steps):
-            d_t *= 2.0  # a one-sided difference spans dt, not 2 dt
-        d_t *= t_scale
-        d_t += np.multiply(_periodic_difference(cur, d_z), z_scale, out=d_z)
-        np.take(d_t, cols, axis=1, out=level, mode="clip")
-        level += np.multiply(cur, mass, out=d_z)
+        with _float_range(f"(D {sign} i m) u overflows at level {t}"):
+            np.copyto(cur, u[t])
+            # u[t + 1] is not overwritten yet; at t = 0 the copy of u[t] stands in for u[t - 1]
+            np.subtract(u[min(t + 1, cfg.steps)], prev if t > 0 else cur, out=d_t)
+            if t in (0, cfg.steps):
+                d_t *= 2.0  # a one-sided difference spans dt, not 2 dt
+            d_t *= t_scale
+            d_t += np.multiply(_periodic_difference(cur, d_z), z_scale, out=d_z)
+            np.take(d_t, cols, axis=1, out=level, mode="clip")
+            level += np.multiply(cur, mass, out=d_z)
         yield level
         prev, cur = cur, prev
 
@@ -307,17 +331,14 @@ def leapfrog(phi0, cfg: EvolutionConfig) -> Iterator[np.ndarray]:
     prev = u0.copy()
     yield prev
     for n in range(1, cfg.steps + 1):
-        try:  # no yield inside: the caller's code runs under its own flags
-            with np.errstate(over="raise", invalid="raise"):
-                if n == 1:
-                    lap = np.roll(prev, -1, axis=0) - 2.0 * prev + np.roll(prev, 1, axis=0)
-                    cur = prev + dt * rhs(prev) + 0.5 * dt**2 * (lap / dz**2 - cfg.mass**2 * prev)
-                else:
-                    step = rhs(cur)
-                    prev += np.multiply(step, 2.0 * dt, out=step)
-                    prev, cur = cur, prev
-        except FloatingPointError:
-            raise OverflowError(f"level {n} of the run is not finite") from None
+        with _float_range(f"level {n} of the run is not finite"):
+            if n == 1:
+                lap = np.roll(prev, -1, axis=0) - 2.0 * prev + np.roll(prev, 1, axis=0)
+                cur = prev + dt * rhs(prev) + 0.5 * dt**2 * (lap / dz**2 - cfg.mass**2 * prev)
+            else:
+                step = rhs(cur)
+                prev += np.multiply(step, 2.0 * dt, out=step)
+                prev, cur = cur, prev
         yield cur
 
 
@@ -365,7 +386,8 @@ def plane_wave(
     The profile is the on-shell projection (s(P) + m) of a chiral seed,
     normalized; seeds annihilated by the projector are retried over all
     four sector/chirality slots before giving up with ZeroProjection.
-    A non-finite p or mass raises ValueError before the symbol is built.
+    A non-finite p or mass raises ValueError, and an omega = sqrt(p^2 + m^2)
+    past the float range OverflowError, before the symbol is built.
     """
     if not (math.isfinite(p) and math.isfinite(mass)):
         raise ValueError(f"p and mass must be finite, got p = {p}, mass = {mass}")
@@ -375,7 +397,9 @@ def plane_wave(
     twist_slots = dim // 4
     if not 0 <= pol < twist_slots:
         raise ValueError(f"pol must be in 0..{twist_slots - 1}")
-    omega = float(np.sqrt(p * p + mass * mass))
+    omega = float(np.sqrt(p * p + mass * mass))  # a Python float overflows to inf silently
+    if not math.isfinite(omega):
+        raise OverflowError(f"omega = sqrt(p^2 + m^2) overflows at p = {p}, mass = {mass}")
     sign = +1.0 if branch == "+" else -1.0
     p_cov = LorentzVector(np.array([sign * omega, 0.0, 0.0, -p]), covariant=True)
     s_p = symbol_matrix(k, l, p_cov)
@@ -414,7 +438,7 @@ def conservation_fold(
     is the initial value when it is solidly nonzero, otherwise a positive
     scale from the initial level norms, so orthogonal data does not divide by 0.
     Raises ValueError on empty or unequal streams, and OverflowError("the slice
-    product at level n is not finite") at the first such n; it never warns.
+    product at level n is not finite") at the first such n, or when the drift overflows.
     """
     cols, (w0,) = _currents(cfg, 0)
     if levels_b is None:
@@ -424,7 +448,7 @@ def conservation_fold(
     scratch = np.empty((2, cfg.points, cfg.fiber), dtype=complex)
     values = []
     for n, (a, b) in enumerate(pairs):
-        with np.errstate(over="ignore", invalid="ignore"):
+        with _float_range(f"the slice product at level {n} is not finite"):
             if n == 0:
                 scale = cfg.dz * float(np.linalg.norm(a) * np.linalg.norm(b))
             prod = np.conjugate(a, out=scratch[0])
@@ -436,7 +460,8 @@ def conservation_fold(
         raise ValueError("the level stream is empty")
     values = np.array(values)
     denom = max(abs(values[0]), 1e-9 * scale, 1e-300)
-    drift = float(np.max(np.abs(values - values[0])) / denom)
+    with _float_range("the slice-product drift is not finite"):
+        drift = float(_max_abs(values - values[0]) / denom)
     return {"values": values, "initial": complex(values[0]), "drift": drift, "denominator": denom}
 
 
@@ -452,8 +477,9 @@ def divergence_fold(
     the same fiber columns, so one gather of B's level and one
     (2, fiber) x (fiber, points) product give both densities; the fold keeps
     those of the last three levels. Raises ValueError when the streams are
-    of unequal lengths or hold fewer than three levels, and InvariantViolation
-    unless the two currents gather the same columns, each column once.
+    of unequal lengths or hold fewer than three levels, InvariantViolation
+    unless the two currents gather the same columns, each column once, and
+    OverflowError("the pair current at level n is not finite").
     """
     cols, (w0, w3) = _currents(cfg, 0, 3)
     # one product gives both densities, pre-scaled: X^0 / (2 dt) and X^3 / (2 dz)
@@ -467,13 +493,14 @@ def divergence_fold(
     worst, n = 0.0, -1
     for n, (a, b) in enumerate(zip(levels_a, levels_b, strict=True)):
         before, here, ahead = dens[(n - 2) % 3], dens[(n - 1) % 3], dens[n % 3]
-        prod = np.conjugate(a, out=scratch[0])
-        prod *= np.take(b, cols, axis=1, out=scratch[1], mode="clip")
-        np.matmul(weights, prod.T, out=ahead)
-        if n >= 2:
-            np.subtract(ahead[0], before[0], out=gap)
-            gap += _periodic_difference(here[1], dz_cur)
-            worst = np.maximum(worst, np.max(np.abs(gap, out=mag)))
+        with _float_range(f"the pair current at level {n} is not finite"):
+            prod = np.conjugate(a, out=scratch[0])
+            prod *= np.take(b, cols, axis=1, out=scratch[1], mode="clip")
+            np.matmul(weights, prod.T, out=ahead)
+            if n >= 2:
+                np.subtract(ahead[0], before[0], out=gap)
+                gap += _periodic_difference(here[1], dz_cur)
+                worst = np.maximum(worst, _max_abs(gap, mag))
     if n < 2:
         raise ValueError("need at least 3 time levels for a centered residual")
     return float(worst)
@@ -807,11 +834,12 @@ def retarded_green_apply(source: GridField, cfg: EvolutionConfig) -> GridField:
     Any twist (k, l) works: E is scalar and Gamma(e^a) = kron(G(e^a), I)
     acts on the chiral axes only, so u is convolved per fiber component.
     ValueError when ``cfg`` is not ``source.config`` or not aligned, and
-    when the source holds a NaN or infinite value.
+    when the source holds a NaN or infinite value; OverflowError on overflow.
     """
     if source.config != cfg:
         raise ValueError(f"source was built for {source.config}, not {cfg}")
-    u = _retarded_convolution(source.data, cfg)
+    with _float_range("the convolution E * f leaves the float range"):
+        u = _retarded_convolution(source.data, cfg)
     for t, level in enumerate(_dirac_levels(cfg, u, -1.0)):
         u[t] = level
     return GridField(cfg, u)
@@ -897,17 +925,13 @@ def green_residual(result: GridField, source: GridField) -> float:
     2 .. steps - 2, so it drops two levels at each end of the time axis,
     where the one-sided derivatives inside the Green application
     contaminate the comparison, and max |f| over every level for the
-    scale; a NaN in the source keeps the result NaN. The one whole-field
-    temporary is the boolean mask of a single finiteness pass over
-    ``result`` (1/16 of the field); only when it fails are the levels
-    scanned. Raises ValueError when the two
-    fields were built for different configs and, naming its first
-    non-finite level, when ``result`` holds a NaN or inf, which the
-    differences would meet as inf - inf or inf * 0. A finite result can
-    still leave the float range here, as G f carries m u and the fold
-    multiplies it by m again: OverflowError names the first level where
-    (D + i m) u, or its gap to a finite f, is not finite. numpy's overflow
-    warnings are silenced inside the fold alone, which checks every level.
+    scale. The one whole-field temporary is the boolean mask of a single
+    finiteness pass over ``result`` (1/16 of the field); only when it fails
+    are the levels scanned. Raises ValueError when the two fields were
+    built for different configs and, naming the level, when ``result`` or
+    ``source`` holds a NaN or inf. A finite result can still leave the
+    float range, as G f carries m u and the fold multiplies it by m again:
+    OverflowError names the level where (D + i m) u, or its gap to f, does.
     """
     cfg = result.config
     if source.config != cfg:
@@ -919,20 +943,15 @@ def green_residual(result: GridField, source: GridField) -> float:
         bad = next(t for t, level in enumerate(result.data) if not np.isfinite(level).all())
         raise ValueError(f"result level {bad} holds a non-finite value")
     mag = np.empty((cfg.points, cfg.fiber))
-    # np.maximum, unlike max(), keeps a NaN residual or source visible in the result
     worst = scale = 0.0
-    with np.errstate(over="ignore", invalid="ignore"):
-        for t, level in enumerate(_dirac_levels(cfg, result.data, 1.0)):
-            peak = np.max(np.abs(source.data[t], out=mag))
-            scale = np.maximum(scale, peak)
-            interior = 2 <= t <= cfg.steps - 2
-            if interior:
+    for t, level in enumerate(_dirac_levels(cfg, result.data, 1.0)):
+        peak = np.max(np.abs(source.data[t], out=mag))
+        if not np.isfinite(peak):
+            raise ValueError(f"source level {t} holds a non-finite value")
+        scale = max(scale, peak)
+        if 2 <= t <= cfg.steps - 2:
+            with _float_range(f"(D + i m) u - f overflows at level {t}"):
                 level -= source.data[t]
-            gap = np.max(np.abs(level, out=mag))
-            # a non-finite f keeps the result NaN, as above; with f finite, a
-            # non-finite gap is an overflow of (D + i m) u or of its gap to f
-            if not np.isfinite(gap) and np.isfinite(peak):
-                raise OverflowError(f"(D + i m) of the result overflows at level {t}")
-            if interior:
-                worst = np.maximum(worst, gap)
-    return float(worst / max(float(scale), 1e-300))
+                worst = max(worst, _max_abs(level, mag))
+    with _float_range("the relative residual leaves the float range"):
+        return float(worst / max(float(scale), 1e-300))

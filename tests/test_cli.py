@@ -272,6 +272,19 @@ def test_evolve_refuses_a_run_that_overflows_and_names_its_first_level(
     assert not out_path.exists()
 
 
+def test_evolve_refuses_a_packet_momentum_past_the_float_range(tmp_path, capsys):
+    # the packet's momentum 2 pi 4 / extent is 2.5e301, so omega^2 = p^2 + m^2
+    # leaves the float range before any symbol is built: a usage error, not a
+    # ZeroProjection traceback from an infinite symbol
+    cfg_path = tmp_path / "tiny.json"
+    cfg_path.write_text(json.dumps({"mass": 1, "k": 0, "l": 0, "extent": 1e-300,
+                                    "points": 8, "dt": 1e-302, "steps": 2}))
+    out_path = tmp_path / "out.json"
+    assert cli.run(["evolve", "--config", str(cfg_path), "--out", str(out_path)]) == 2
+    assert capsys.readouterr().err.startswith("error: omega = sqrt(p^2 + m^2) overflows at p = ")
+    assert not out_path.exists()
+
+
 def test_restarted_snapshots_carry_the_elapsed_time(tmp_path):
     cfg = ev.EvolutionConfig(mass=1.0, k=0, l=0, extent=16.0, points=128,
                              dt=0.0625, steps=32)

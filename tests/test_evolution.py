@@ -1030,6 +1030,77 @@ def test_conservation_fold_names_the_first_slice_product_that_overflows():
             ev.conservation_fold(cfg, [u0, u0, level, u0])
 
 
+def _apply_to_pulse(mass, amplitude):
+    """G f for a pulse f of finite amplitude on the aligned grid, k = 0, 64 points."""
+    cfg = small_config(mass=mass, points=64, extent=64.0, dt=1.0, steps=32)
+    data = np.zeros((cfg.steps + 1, cfg.points, cfg.fiber), dtype=complex)
+    data[3:6, 30:34, 0] = amplitude
+    return ev.retarded_green_apply(ev.GridField(cfg, data), cfg)
+
+
+def _residual_pair(mass, result_value, source_value):
+    cfg = small_config(mass=mass, points=16, extent=16.0, dt=1.0, steps=8)
+    shape = (cfg.steps + 1, cfg.points, cfg.fiber)
+    return (ev.GridField(cfg, np.full(shape, result_value, dtype=complex)),
+            ev.GridField(cfg, np.full(shape, source_value, dtype=complex)))
+
+
+def _fold_constant_levels(fold, k, *values):
+    """``fold`` of a stream paired with itself, one constant level per value, at k = l."""
+    cfg = small_config(k=k, l=k, points=64, extent=16.0, dt=0.125, steps=8)
+    levels = [np.full((cfg.points, cfg.fiber), v, dtype=complex) for v in values]
+    return fold(cfg, levels, levels)
+
+
+@pytest.mark.parametrize("call, text", [
+    # E * f sums f dt dz over the cone: 1e307 leaves the float range in the transforms
+    (lambda: _apply_to_pulse(0.0, 1e307), "the convolution E * f leaves the float range"),
+    # E * f stays finite, but (D - i m) u carries m u
+    (lambda: _apply_to_pulse(1e30, 1e290), "(D - i m) u overflows at level 3"),
+    # every component of (D + i m) u - f is finite, its modulus is not
+    (lambda: ev.green_residual(*_residual_pair(1.3e8, complex(1e300, 1e300), 1.0)),
+     "(D + i m) u - f overflows at level 2"),
+    # a zero source leaves the 1e-300 floor under a gap of about 1e10
+    (lambda: ev.green_residual(*_residual_pair(1.0, 1e10, 0.0)),
+     "the relative residual leaves the float range"),
+    # the initial slice product is 0, so the drift divides by the 1e-300 floor
+    (lambda: _fold_constant_levels(ev.conservation_fold, 1, 0.0, 1e10),
+     "the slice-product drift is not finite"),
+    (lambda: _fold_constant_levels(ev.divergence_fold, 0, 1e200, 1e200, 1e200),
+     "the pair current at level 0 is not finite"),
+    # p * p overflows a Python float to inf without a warning
+    (lambda: ev.plane_wave(1e200, 1.0),
+     "omega = sqrt(p^2 + m^2) overflows at p = 1e+200, mass = 1.0"),
+], ids=["apply-convolution", "apply-dirac", "residual-gap", "residual-ratio", "conservation-drift",
+        "divergence", "plane-wave"])
+def test_arithmetic_that_leaves_the_float_range_raises_and_never_warns(call, text):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(OverflowError) as exc:
+            call()
+    assert str(exc.value) == text
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf], ids=["nan", "inf"])
+def test_green_residual_refuses_a_non_finite_source_level(bad):
+    cfg, source = _green_pulse_256()
+    result = ev.retarded_green_apply(source, cfg)
+    source.data[40, 7, 2] = bad
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError, match="^source level 40 holds a non-finite value$"):
+            ev.green_residual(result, source)
+
+
+def test_dirac_levels_leave_the_callers_float_flags_alone():
+    cfg = small_config(steps=4)
+    u = np.zeros((cfg.steps + 1, cfg.points, cfg.fiber), dtype=complex)
+    for sigma in (1.0, -1.0):
+        for _ in ev._dirac_levels(cfg, u, sigma):
+            # the level's raising flags are not in force while the caller runs
+            assert np.geterr()["over"] == "warn"
+
+
 def test_conservation_fold_refuses_an_empty_stream():
     cfg = small_config(k=1, l=1)
     with pytest.raises(ValueError, match="^the level stream is empty$"):

@@ -99,7 +99,7 @@ class CFLViolation(ValueError):
 
 
 class ZeroProjection(RuntimeError):
-    """Raised when every seed is annihilated by the on-shell projector."""
+    """Raised for p = m = 0, where s(P) + m vanishes and no plane-wave profile exists."""
 
 
 @dataclass(frozen=True)
@@ -381,13 +381,15 @@ def plane_wave(
 ) -> PlaneWave:
     """Exact solution of the evolved equation with momentum p.
 
-    ``branch`` picks the frequency sign in exp(-i (s omega t - p z)),
+    ``branch`` picks the frequency sign s in exp(-i (s omega t - p z)),
     ``pol`` picks the twist slot (0 .. (k+1)(l+1)-1) the wave rides on.
-    The profile is the on-shell projection (s(P) + m) of a chiral seed,
-    normalized; seeds annihilated by the projector are retried over all
-    four sector/chirality slots before giving up with ZeroProjection.
-    A non-finite p or mass raises ValueError, and an omega = sqrt(p^2 + m^2)
-    past the float range OverflowError, before the symbol is built.
+    Per slot, s(P) + m maps line 0 to m e0 + b e2 and line 1 to m e1 + a e3,
+    b = s omega - p, a = s omega + p, a b = m^2. The profile is (m, b) / hypot
+    on lines 0 and 2, b = m^2 / a where s omega - p would cancel (s p > 0), or
+    e3 sign(a) at m = b = 0; p = m = 0 raises ZeroProjection. The symbol matrix,
+    rounding at about 2 eps omega, checks it independently to 1e-12 max(1, omega).
+    A non-finite p or mass raises ValueError, and an omega past the float
+    range OverflowError, before the symbol is built.
     """
     if not (math.isfinite(p) and math.isfinite(mass)):
         raise ValueError(f"p and mass must be finite, got p = {p}, mass = {mass}")
@@ -397,25 +399,25 @@ def plane_wave(
     twist_slots = dim // 4
     if not 0 <= pol < twist_slots:
         raise ValueError(f"pol must be in 0..{twist_slots - 1}")
+    if p == 0 and mass == 0:
+        raise ZeroProjection("p = m = 0: s(P) + m is zero, so no profile is on shell")
     omega = float(np.sqrt(p * p + mass * mass))  # a Python float overflows to inf silently
     if not math.isfinite(omega):
         raise OverflowError(f"omega = sqrt(p^2 + m^2) overflows at p = {p}, mass = {mass}")
     sign = +1.0 if branch == "+" else -1.0
+    a = sign * omega + p
+    b = mass * mass / a if sign * p > 0 else sign * omega - p
+    u = np.zeros(dim, dtype=complex)
+    if mass == 0 and b == 0:
+        u[3 * twist_slots + pol] = a / abs(a)
+    else:
+        u[[pol, 2 * twist_slots + pol]] = np.array([mass, b]) / math.hypot(mass, b)
     p_cov = LorentzVector(np.array([sign * omega, 0.0, 0.0, -p]), covariant=True)
     s_p = symbol_matrix(k, l, p_cov)
-    projector = s_p + mass * np.eye(dim)
-    for slot in range(4):
-        seed = np.zeros(dim, dtype=complex)
-        seed[slot * twist_slots + pol] = 1.0
-        u = projector @ seed
-        norm = float(np.linalg.norm(u))
-        if norm > 1e-8:
-            u = u / norm
-            residual = float(np.linalg.norm(s_p @ u - mass * u))
-            if not residual < 1e-12:
-                raise InvariantViolation(f"plane wave off shell: residual {residual:.3e}")
-            return PlaneWave(u, omega, p, sign)
-    raise ZeroProjection("all chiral seeds were annihilated by the projector")
+    residual = float(np.linalg.norm(s_p @ u - mass * u))
+    if not residual <= 1e-12 * max(1.0, omega):
+        raise InvariantViolation(f"plane wave off shell: residual {residual:.3e}")
+    return PlaneWave(u, omega, p, sign)
 
 
 def _currents(cfg: EvolutionConfig, *directions: int):
@@ -673,7 +675,7 @@ def retarded_kernel(cfg: EvolutionConfig) -> np.ndarray:
     n_t, n_pts = cfg.steps + 1, cfg.points
     # the largest argument, m dz sqrt(steps^2), in the order numpy forms them all below;
     # a Python float overflows to inf without a warning
-    top = cfg.mass * cfg.dz * cfg.steps
+    top = abs(cfg.mass) * cfg.dz * cfg.steps  # J0 is even; a negative top would take one node
     if not math.isfinite(top):
         raise ValueError(f"the kernel's largest argument m dz steps overflows at mass {cfg.mass}")
     kernel = np.zeros((n_t, n_pts))
@@ -750,7 +752,9 @@ def _source_support(f: np.ndarray) -> tuple[int, np.ndarray]:
     from which the component maxima are read, so it holds no field-sized
     temporary. It also refuses a NaN or infinite entry with ValueError
     naming its first level, which the transforms would otherwise spread
-    over a whole output component.
+    over a whole output component. A finite entry whose modulus passes the
+    float range (numpy's complex abs gives inf there without a flag) raises
+    FloatingPointError instead, for the caller's ``_float_range``.
     """
     amp, columns = np.empty(f.shape[1:]), np.zeros(f.shape[1:])
     levels = np.empty(len(f))
@@ -761,6 +765,8 @@ def _source_support(f: np.ndarray) -> tuple[int, np.ndarray]:
         np.maximum(columns, amp, out=columns)
     bad = np.flatnonzero(~np.isfinite(levels))
     if bad.size:
+        if np.isfinite(f[bad[0]]).all():
+            raise FloatingPointError("overflow encountered in absolute")
         raise ValueError(f"source level {bad[0]} holds a non-finite value")
     components = np.flatnonzero(columns.max(axis=0))
     if components.size == 0:
@@ -931,7 +937,8 @@ def green_residual(result: GridField, source: GridField) -> float:
     built for different configs and, naming the level, when ``result`` or
     ``source`` holds a NaN or inf. A finite result can still leave the
     float range, as G f carries m u and the fold multiplies it by m again:
-    OverflowError names the level where (D + i m) u, or its gap to f, does.
+    OverflowError names the level where (D + i m) u, or its gap to f, or
+    the scale |f| of a finite source, does.
     """
     cfg = result.config
     if source.config != cfg:
@@ -947,6 +954,8 @@ def green_residual(result: GridField, source: GridField) -> float:
     for t, level in enumerate(_dirac_levels(cfg, result.data, 1.0)):
         peak = np.max(np.abs(source.data[t], out=mag))
         if not np.isfinite(peak):
+            if np.isfinite(source.data[t]).all():  # so the scale can never divide worst to 0
+                raise OverflowError(f"|f| at source level {t} leaves the float range")
             raise ValueError(f"source level {t} holds a non-finite value")
         scale = max(scale, peak)
         if 2 <= t <= cfg.steps - 2:

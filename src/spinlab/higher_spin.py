@@ -51,7 +51,6 @@ from .spinor_core import (
     Spinor,
     raise_lower,
     sym_dimension,
-    symmetrize,
 )
 
 
@@ -104,13 +103,6 @@ def _phi2_tags(k: int, l: int) -> tuple[str, ...]:
     return (DOTTED_LOW,) + (UNDOTTED_UP,) * k + (DOTTED_LOW,) * l
 
 
-def _symmetry_residual(block: Spinor, k: int, l: int) -> float:
-    """Max |Sym(block) - block| over the twist groups of two or more axes."""
-    groups = [axes for axes in (range(1, k + 1), range(k + 1, k + 1 + l)) if len(axes) >= 2]
-    gaps = [np.max(np.abs(symmetrize(block, tuple(axes)).data - block.data)) for axes in groups]
-    return float(np.max(gaps, initial=0.0))
-
-
 @dataclass(frozen=True)
 class HigherSpinVector:
     """One fiber element of twist type (k, l)."""
@@ -128,11 +120,14 @@ class HigherSpinVector:
         if self.phi2.tags != _phi2_tags(k, l):
             raise ValueError(f"phi2 tags {self.phi2.tags} do not match type ({k},{l})")
         # np.max keeps a NaN entry in the scale, so a NaN or inf block is refused
-        # here at every (k, l), before symmetrize meets it (inf - inf warns)
+        # here at every (k, l), before the orbit gaps meet it (inf - inf warns)
         scale = np.max([np.max(np.abs(self.phi1.data)), np.max(np.abs(self.phi2.data)), 1e-30])
         if not np.isfinite(scale):
             raise ValueError(f"a block is not finite (scale {scale})")
-        worst = np.max([_symmetry_residual(self.phi1, k, l), _symmetry_residual(self.phi2, k, l)])
+        # symmetric within each twist group is constant on each slot's orbit
+        slots, first = _orbits(k, l)
+        blocks = (self.phi1.data, self.phi2.data)
+        worst = max(np.max(np.abs(b - b.ravel()[first][slots])) for b in blocks)
         if not worst <= 1e-10 * scale:
             raise ValueError("twist axes are not symmetric "
                              f"(residual {worst:.3e}, scale {scale:.3e})")
@@ -157,24 +152,24 @@ def fiber_dim(k: int, l: int) -> int:
     return 4 * sym_dimension(k, l)
 
 
-def _slots(k: int, l: int) -> np.ndarray:
-    """Packed slot of every index of one sector block, shape (2,) * (1 + k + l).
+def _orbits(k: int, l: int) -> tuple[np.ndarray, np.ndarray]:
+    """(slots, first): the packed slot of every index of one sector block, shape
+    (2,) * (1 + k + l), and each slot's first row-major index.
 
     Index (c, undotted..., dotted...) lies in slot
     (c (k+1) + ones among the undotted axes) (l+1) + ones among the dotted
-    axes, the position of its permutation orbit within the sector.
+    axes, the position of its permutation orbit within the sector. A slot's
+    first row-major index is its sorted representative: zeros before ones
+    is the smallest index of each orbit.
     """
     idx = np.indices((2,) * (1 + k + l))
-    return (idx[0] * (k + 1) + idx[1:k + 1].sum(axis=0)) * (l + 1) + idx[k + 1:].sum(axis=0)
+    slots = (idx[0] * (k + 1) + idx[1:k + 1].sum(axis=0)) * (l + 1) + idx[k + 1:].sum(axis=0)
+    return slots, np.unique(slots, return_index=True)[1]
 
 
 def pack(phi: HigherSpinVector) -> np.ndarray:
-    """Packed coordinates of a fiber element (reads sorted representatives).
-
-    A slot's first row-major index is its sorted representative: zeros
-    before ones is the smallest index of each orbit.
-    """
-    _, first = np.unique(_slots(phi.k, phi.l), return_index=True)
+    """Packed coordinates of a fiber element (reads sorted representatives)."""
+    first = _orbits(phi.k, phi.l)[1]
     return np.concatenate([phi.phi1.data.ravel()[first], phi.phi2.data.ravel()[first]])
 
 
@@ -183,7 +178,7 @@ def unpack(vec: np.ndarray, k: int, l: int) -> HigherSpinVector:
     vec = np.asarray(vec, dtype=complex)
     if vec.shape != (fiber_dim(k, l),):
         raise ValueError(f"expected {fiber_dim(k, l)} coordinates, got {vec.shape}")
-    slots, half = _slots(k, l), fiber_dim(k, l) // 2
+    slots, half = _orbits(k, l)[0], fiber_dim(k, l) // 2
     return HigherSpinVector(
         k,
         l,

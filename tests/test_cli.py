@@ -285,6 +285,35 @@ def test_evolve_refuses_a_packet_momentum_past_the_float_range(tmp_path, capsys)
     assert not out_path.exists()
 
 
+def _cli_subprocess(*args):
+    env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(spinlab.__file__)),
+               PYTHONWARNINGS="error::RuntimeWarning")
+    return subprocess.run([sys.executable, "-m", "spinlab.cli", *args],
+                          env=env, capture_output=True, text=True, timeout=60)
+
+
+def test_evolve_runs_a_packet_whose_momentum_cancels_omega_minus_p(tmp_path):
+    # the packet's momentum 2 pi 4 / extent is 1.26e4, where s omega - p
+    # cancels; the profile's on-shell gate scales with omega
+    cfg_path = tmp_path / "fast.json"
+    cfg_path.write_text(json.dumps({"mass": 1, "k": 0, "l": 0, "extent": 0.002,
+                                    "points": 8, "dt": 0.0002, "steps": 2}))
+    out_path = tmp_path / "out.json"
+    run = _cli_subprocess("evolve", "--config", str(cfg_path), "--out", str(out_path))
+    assert run.returncode == 0 and run.stderr == ""
+    assert run.stdout.startswith("evolved 2 steps; slice-product drift ")
+    cfg, time, data = ev.snapshot_from_json(json.loads(out_path.read_text()))
+    assert cfg.steps == 2 and time == pytest.approx(0.0004) and data.shape == (8, 4)
+
+
+def test_green_runs_a_negative_mass(tmp_path):
+    out_path = tmp_path / "green.json"
+    run = _cli_subprocess("green", "--m", "-1", "--points", "512", "--out", str(out_path))
+    assert run.returncode == 0 and run.stderr == ""
+    assert run.stdout.startswith("green demo: mass=-1.0 points=512 residual=")
+    assert out_path.exists()
+
+
 def test_restarted_snapshots_carry_the_elapsed_time(tmp_path):
     cfg = ev.EvolutionConfig(mass=1.0, k=0, l=0, extent=16.0, points=128,
                              dt=0.0625, steps=32)

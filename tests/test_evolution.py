@@ -139,6 +139,66 @@ def test_plane_wave_refuses_a_non_finite_momentum_or_mass(p, mass):
         ev.plane_wave(p, mass)
 
 
+def _seeded_profile(p, mass, k, l, branch, pol):
+    """The profile by enumeration: (s(P) + m) of each chiral seed in turn, kept
+    once its norm passes 1e-8, normalized. The closed form must agree with it."""
+    sign = 1.0 if branch == "+" else -1.0
+    omega = float(np.sqrt(p * p + mass * mass))
+    p_cov = mk.LorentzVector(np.array([sign * omega, 0.0, 0.0, -p]), covariant=True)
+    dim = hs.fiber_dim(k, l)
+    projector = hs.symbol_matrix(k, l, p_cov) + mass * np.eye(dim)
+    for line in range(4):
+        seed = np.zeros(dim, dtype=complex)
+        seed[line * (dim // 4) + pol] = 1.0
+        u = projector @ seed
+        if np.linalg.norm(u) > 1e-8:
+            return u / np.linalg.norm(u)
+    raise AssertionError("every seed was annihilated")
+
+
+@pytest.mark.parametrize("k, l", [(k, l) for k in range(3) for l in range(3)])
+def test_plane_wave_profile_is_the_seeded_projection(k, l):
+    momenta = (-7.3, -2.5, -1.0, -0.3, 0.0, 0.3, 1.3, 2.0, 4.7, 9.0)
+    for p in momenta:
+        for mass in (0.0, 0.3, 1.0, 2.5):
+            if p == 0.0 and mass == 0.0:
+                continue
+            for branch in ("+", "-"):
+                for pol in range((k + 1) * (l + 1)):
+                    wave = ev.plane_wave(p, mass, k, l, branch, pol)
+                    expect = _seeded_profile(p, mass, k, l, branch, pol)
+                    assert np.max(np.abs(wave.u - expect)) <= 1e-14, (p, mass, branch, pol)
+
+
+@pytest.mark.parametrize("k, l", [(0, 0), (1, 1), (2, 1)])
+@pytest.mark.parametrize("mass", [0.0, 1.0, 2.5])
+def test_plane_wave_stays_on_shell_at_large_momenta(k, l, mass):
+    # the symbol's entries are +-(s omega +- p) and round at about 2 eps omega,
+    # while s omega - p cancels; an absolute 1e-12 refused p = 1e4 at m = 1
+    for p in (1e2, -1e2, 1e4, -1e4, 1e6, -1e6, 1e8, -1e8):
+        for branch in ("+", "-"):
+            wave = ev.plane_wave(p, mass, k, l, branch)
+            p_cov = mk.LorentzVector(
+                np.array([wave.sign * wave.omega, 0.0, 0.0, -p]), covariant=True
+            )
+            mat = hs.symbol_matrix(k, l, p_cov)
+            assert np.linalg.norm(wave.u) == pytest.approx(1.0, abs=1e-15)
+            assert np.linalg.norm(mat @ wave.u - mass * wave.u) <= 1e-12 * max(1.0, wave.omega)
+
+
+def test_zero_projection_is_raised_at_p_equal_m_equal_zero_only():
+    for k, l in ((0, 0), (1, 0), (2, 2)):
+        for branch in ("+", "-"):
+            with pytest.raises(ev.ZeroProjection):
+                ev.plane_wave(0.0, 0.0, k, l, branch)
+            with pytest.raises(ev.ZeroProjection):
+                ev.plane_wave(-0.0, -0.0, k, l, branch)
+            for p, mass in ((0.0, 1.0), (0.0, -0.5), (1.0, 0.0), (-1.0, 0.0),
+                            (1e-300, 0.0), (-1e-300, 0.0), (0.0, 1e-300)):
+                wave = ev.plane_wave(p, mass, k, l, branch)
+                assert np.linalg.norm(wave.u) == pytest.approx(1.0, abs=1e-15)
+
+
 def test_plane_wave_names_a_negative_rank():
     # the rank is refused before pol is read against a slot count it makes meaningless
     with pytest.raises(ValueError) as exc:
@@ -764,6 +824,26 @@ def test_retarded_kernel_is_the_image_sum_of_the_cone(mass, steps):
         assert kernel[40, 3] == pytest.approx(2.5)  # offsets -29, -13, 3, 19, 35 inside
 
 
+@pytest.mark.parametrize("mass, points, steps", [(1.0, 64, 32), (2.5, 256, 128), (1.0, 16, 1000)],
+                         ids=["64-points", "256-points", "1000-steps"])
+def test_retarded_kernel_is_even_in_the_mass(mass, points, steps):
+    # J0 is even, and its node count must come from |m|: a negative largest
+    # argument took one node, and J0(5) read -0.923
+    def kernel(m):
+        return ev.retarded_kernel(small_config(mass=m, points=points, extent=points / 4,
+                                               dt=0.25, steps=steps))
+    assert np.array_equal(kernel(-mass), kernel(mass))
+
+
+def test_green_pulse_with_a_negative_mass_meets_the_rows_bounds():
+    # the bounds of the green-residual, green-monotone and green-support rows
+    runs = {n: checks.green_pulse(-1.0, n) for n in (128, 256, 512)}
+    residuals = {n: residual for n, (_, residual, _) in runs.items()}
+    assert residuals[512] <= checks.GREEN_RESIDUAL_TOL
+    assert residuals[256] / residuals[128] <= 0.99 and residuals[512] / residuals[256] <= 0.99
+    assert max(leak for _, _, leak in runs.values()) <= checks.GREEN_SUPPORT_TOL
+
+
 def test_green_residual_is_the_same_on_either_side_of_the_seam():
     # the built-in pulse at z = 8, 4 and 1 (half-width 2, so z = 1 straddles
     # the seam): a periodic operator sees one problem shifted by whole cells
@@ -1090,6 +1170,39 @@ def test_green_residual_refuses_a_non_finite_source_level(bad):
         warnings.simplefilter("error")
         with pytest.raises(ValueError, match="^source level 40 holds a non-finite value$"):
             ev.green_residual(result, source)
+
+
+# numpy's complex abs gives inf, with no overflow flag, for a finite entry past the range
+@pytest.mark.parametrize("bad, error, text", [
+    (complex(1.7e308, 1.7e308), OverflowError, "the convolution E * f leaves the float range"),
+    (complex(np.nan, 0.0), ValueError, "source level 40 holds a non-finite value"),
+], ids=["finite", "nan"])
+def test_green_apply_tells_a_modulus_past_the_float_range_from_a_non_finite_source(
+        bad, error, text):
+    cfg, source = _green_pulse_256()
+    source.data[40, 7, 2] = bad
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(error) as exc:
+            ev.retarded_green_apply(source, cfg)
+    assert type(exc.value) is error and str(exc.value) == text
+
+
+@pytest.mark.parametrize("bad, error, text", [
+    (complex(1.7e308, 1.7e308), OverflowError, "|f| at source level 40 leaves the float range"),
+    (complex(0.0, -np.inf), ValueError, "source level 40 holds a non-finite value"),
+], ids=["finite", "inf"])
+def test_green_residual_tells_a_modulus_past_the_float_range_from_a_non_finite_source(
+        bad, error, text):
+    # an inf scale would divide the residual to 0, a silent pass
+    cfg, source = _green_pulse_256()
+    result = ev.retarded_green_apply(source, cfg)
+    source.data[40, 7, 2] = bad
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(error) as exc:
+            ev.green_residual(result, source)
+    assert type(exc.value) is error and str(exc.value) == text
 
 
 def test_dirac_levels_leave_the_callers_float_flags_alone():

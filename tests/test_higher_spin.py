@@ -1,6 +1,7 @@
 """Twisted fibers: packing, symbols, pairings, and Gram signatures."""
 
 import itertools
+import math
 
 import numpy as np
 import pytest
@@ -92,6 +93,28 @@ def test_fiber_vectors_enforce_twist_symmetry():
     phi2 = sc.Spinor(np.zeros((2, 2, 2), dtype=complex), (sc.DOTTED_LOW, sc.UNDOTTED_UP, sc.UNDOTTED_UP))
     with pytest.raises(ValueError):
         hs.HigherSpinVector(2, 0, phi1, phi2)
+
+
+@pytest.mark.parametrize("k, l", list(itertools.product(range(3), repeat=2)))
+def test_twist_symmetry_is_constancy_on_each_slot_orbit(k, l):
+    # the symmetrizer is the reference: its images pass, and moving one entry
+    # breaks symmetry exactly when its orbit under the twist groups has more members
+    rng = np.random.default_rng(10 * k + l)
+    tags = (sc.UNDOTTED_UP,) * (1 + k) + (sc.DOTTED_LOW,) * l
+    raw = sc.Spinor(rng.normal(size=(2,) * (1 + k + l)) + 0j, tags)
+    sym = sc.symmetrize(sc.symmetrize(raw, tuple(range(1, k + 1))),
+                        tuple(range(k + 1, k + 1 + l)))
+    phi2 = hs.unpack(np.zeros(hs.fiber_dim(k, l)), k, l).phi2
+    hs.HigherSpinVector(k, l, sym, phi2)
+    for index in itertools.product(range(2), repeat=1 + k + l):
+        moved = sym.data.copy()
+        moved[index] += 1e-6
+        orbit = math.comb(k, sum(index[1:k + 1])) * math.comb(l, sum(index[k + 1:]))
+        if orbit == 1:
+            hs.HigherSpinVector(k, l, sc.Spinor(moved, tags), phi2)
+        else:
+            with pytest.raises(ValueError, match="^twist axes are not symmetric"):
+                hs.HigherSpinVector(k, l, sc.Spinor(moved, tags), phi2)
 
 
 def test_fiber_dim_refuses_a_fractional_rank():

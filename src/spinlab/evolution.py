@@ -195,6 +195,18 @@ def _max_abs(x: np.ndarray, out: np.ndarray | None = None) -> float:
     return peak
 
 
+def _level_peak(level: np.ndarray, t: int, out: np.ndarray | None = None) -> float:
+    """max |level| of source level t: ValueError naming t for a NaN or inf entry, and,
+    for a finite entry whose modulus passes the largest float (see ``_max_abs``),
+    FloatingPointError for the caller's ``_float_range``. Only a failed peak is rescanned."""
+    peak = np.max(np.abs(level, out=out))
+    if not np.isfinite(peak):
+        if not np.isfinite(level).all():
+            raise ValueError(f"source level {t} holds a non-finite value")
+        raise FloatingPointError("overflow encountered in absolute")
+    return peak
+
+
 def _gather(*mats: np.ndarray) -> tuple[np.ndarray, tuple[np.ndarray, ...]]:
     """(cols, weights) with u[..., cols] * w == u @ mat.T for each mat and its w.
 
@@ -750,24 +762,17 @@ def _source_support(f: np.ndarray) -> tuple[int, np.ndarray]:
     scan takes |f| one level at a time into one level-sized buffer, keeps
     each level's max and folds the level into a running max over levels,
     from which the component maxima are read, so it holds no field-sized
-    temporary. It also refuses a NaN or infinite entry with ValueError
-    naming its first level, which the transforms would otherwise spread
-    over a whole output component. A finite entry whose modulus passes the
-    float range (numpy's complex abs gives inf there without a flag) raises
-    FloatingPointError instead, for the caller's ``_float_range``.
+    temporary. Each level's peak comes from ``_level_peak``, so a NaN or
+    infinite entry, which the transforms would otherwise spread over a
+    whole output component, is refused with ValueError naming its first
+    level, and a finite entry whose modulus passes the float range raises
+    FloatingPointError.
     """
     amp, columns = np.empty(f.shape[1:]), np.zeros(f.shape[1:])
     levels = np.empty(len(f))
     for t, level in enumerate(f):
-        np.abs(level, out=amp)
-        # max and np.maximum both keep a NaN
-        levels[t] = np.max(amp)
+        levels[t] = _level_peak(level, t, amp)
         np.maximum(columns, amp, out=columns)
-    bad = np.flatnonzero(~np.isfinite(levels))
-    if bad.size:
-        if np.isfinite(f[bad[0]]).all():
-            raise FloatingPointError("overflow encountered in absolute")
-        raise ValueError(f"source level {bad[0]} holds a non-finite value")
     components = np.flatnonzero(columns.max(axis=0))
     if components.size == 0:
         return -1, components
@@ -796,31 +801,34 @@ def _retarded_convolution(f: np.ndarray, cfg: EvolutionConfig) -> np.ndarray:
     the inverse t-transform run in place, and the inverse z-transform of
     the n_t kept levels is written straight into the part of u. So the call
     holds u, one spectrum the size of one fiber component and the kernel's
-    quarter. ValueError on a non-finite source (see ``_source_support``).
+    quarter. ValueError on a non-finite source (see ``_source_support``),
+    OverflowError when the source's modulus or the convolution leaves the
+    float range.
     """
-    n_t, n_pts = cfg.steps + 1, cfg.points
-    kernel = retarded_kernel(cfg)  # refuses a non-aligned grid, a zero source too
-    t1, components = _source_support(f)
-    u = np.zeros(f.shape, dtype=complex)
-    if components.size == 0:
+    with _float_range("the convolution E * f leaves the float range"):
+        n_t, n_pts = cfg.steps + 1, cfg.points
+        kernel = retarded_kernel(cfg)  # refuses a non-aligned grid, a zero source too
+        t1, components = _source_support(f)
+        u = np.zeros(f.shape, dtype=complex)
+        if components.size == 0:
+            return u
+        n_fft = _smooth_length(n_t + t1)
+        kernel_hat = _kernel_spectrum(kernel, n_fft)
+        del kernel
+        kernel_hat *= cfg.dt * cfg.dz
+        spec = np.empty((n_fft, n_pts // 2 + 1), dtype=complex)
+        for c in components:
+            for part, dest in ((f.real, u.real), (f.imag, u.imag)):
+                source = part[: t1 + 1, :, c]
+                if not np.any(source):
+                    continue
+                np.fft.rfft(source, axis=1, out=spec[: t1 + 1])
+                spec[t1 + 1 :] = 0.0
+                np.fft.fft(spec, axis=0, out=spec)
+                _times_kernel_spectrum(spec, kernel_hat)
+                np.fft.ifft(spec, axis=0, out=spec)
+                np.fft.irfft(spec[:n_t], n=n_pts, axis=1, out=dest[..., c])
         return u
-    n_fft = _smooth_length(n_t + t1)
-    kernel_hat = _kernel_spectrum(kernel, n_fft)
-    del kernel
-    kernel_hat *= cfg.dt * cfg.dz
-    spec = np.empty((n_fft, n_pts // 2 + 1), dtype=complex)
-    for c in components:
-        for part, dest in ((f.real, u.real), (f.imag, u.imag)):
-            source = part[: t1 + 1, :, c]
-            if not np.any(source):
-                continue
-            np.fft.rfft(source, axis=1, out=spec[: t1 + 1])
-            spec[t1 + 1 :] = 0.0
-            np.fft.fft(spec, axis=0, out=spec)
-            _times_kernel_spectrum(spec, kernel_hat)
-            np.fft.ifft(spec, axis=0, out=spec)
-            np.fft.irfft(spec[:n_t], n=n_pts, axis=1, out=dest[..., c])
-    return u
 
 
 def retarded_green_apply(source: GridField, cfg: EvolutionConfig) -> GridField:
@@ -844,8 +852,7 @@ def retarded_green_apply(source: GridField, cfg: EvolutionConfig) -> GridField:
     """
     if source.config != cfg:
         raise ValueError(f"source was built for {source.config}, not {cfg}")
-    with _float_range("the convolution E * f leaves the float range"):
-        u = _retarded_convolution(source.data, cfg)
+    u = _retarded_convolution(source.data, cfg)
     for t, level in enumerate(_dirac_levels(cfg, u, -1.0)):
         u[t] = level
     return GridField(cfg, u)
@@ -952,12 +959,9 @@ def green_residual(result: GridField, source: GridField) -> float:
     mag = np.empty((cfg.points, cfg.fiber))
     worst = scale = 0.0
     for t, level in enumerate(_dirac_levels(cfg, result.data, 1.0)):
-        peak = np.max(np.abs(source.data[t], out=mag))
-        if not np.isfinite(peak):
-            if np.isfinite(source.data[t]).all():  # so the scale can never divide worst to 0
-                raise OverflowError(f"|f| at source level {t} leaves the float range")
-            raise ValueError(f"source level {t} holds a non-finite value")
-        scale = max(scale, peak)
+        # an inf scale would divide worst to 0
+        with _float_range(f"|f| at source level {t} leaves the float range"):
+            scale = max(scale, _level_peak(source.data[t], t, mag))
         if 2 <= t <= cfg.steps - 2:
             with _float_range(f"(D + i m) u - f overflows at level {t}"):
                 level -= source.data[t]

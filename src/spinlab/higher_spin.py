@@ -51,6 +51,7 @@ from .spinor_core import (
     Spinor,
     raise_lower,
     sym_dimension,
+    symmetrize,  # unused; perfbench's tracer test checks this binding (ROADMAP item 8)
 )
 
 

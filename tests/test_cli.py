@@ -285,11 +285,12 @@ def test_evolve_refuses_a_packet_momentum_past_the_float_range(tmp_path, capsys)
     assert not out_path.exists()
 
 
-def _cli_subprocess(*args):
+def _cli_subprocess(*args, preexec_fn=None):
+    # a fresh interpreter under the CI warning filter, with a timeout so a hang fails
     env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(spinlab.__file__)),
-               PYTHONWARNINGS="error::RuntimeWarning")
-    return subprocess.run([sys.executable, "-m", "spinlab.cli", *args],
-                          env=env, capture_output=True, text=True, timeout=60)
+               PYTHONWARNINGS="error::RuntimeWarning", OPENBLAS_NUM_THREADS="1")
+    return subprocess.run([sys.executable, "-m", "spinlab.cli", *args], env=env,
+                          capture_output=True, text=True, timeout=60, preexec_fn=preexec_fn)
 
 
 def test_evolve_runs_a_packet_whose_momentum_cancels_omega_minus_p(tmp_path):
@@ -354,13 +355,7 @@ def test_green_refuses_an_overflowing_mass_and_writes_nothing(tmp_path):
     # m dz sqrt(q) overflows at mass 1e308: a usage error before any overflow
     # warning, not a hang in J0's node count, so the run has a timeout
     out = tmp_path / "huge-mass.json"
-    env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(spinlab.__file__)),
-               PYTHONWARNINGS="error::RuntimeWarning")
-    run = subprocess.run(
-        [sys.executable, "-m", "spinlab.cli", "green", "--m", "1e308", "--points", "64",
-         "--out", str(out)],
-        env=env, capture_output=True, text=True, timeout=60,
-    )
+    run = _cli_subprocess("green", "--m", "1e308", "--points", "64", "--out", str(out))
     assert run.returncode == 2
     assert run.stderr.startswith("error:") and "Traceback" not in run.stderr
     assert not out.exists()
@@ -371,13 +366,7 @@ def test_green_refuses_a_mass_whose_residual_overflows_and_writes_nothing(tmp_pa
     # multiplies G f, which carries m u, by m again: exit 2 naming the level,
     # not a traceback from numpy's overflow warning under the CI filter
     out = tmp_path / "huge-residual.json"
-    env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(spinlab.__file__)),
-               PYTHONWARNINGS="error::RuntimeWarning")
-    run = subprocess.run(
-        [sys.executable, "-m", "spinlab.cli", "green", "--m", "1e300", "--points", "64",
-         "--out", str(out)],
-        env=env, capture_output=True, text=True, timeout=60,
-    )
+    run = _cli_subprocess("green", "--m", "1e300", "--points", "64", "--out", str(out))
     assert run.returncode == 2
     assert run.stderr.startswith("error:") and "overflows at level" in run.stderr
     assert "Traceback" not in run.stderr
@@ -409,11 +398,7 @@ def test_a_size_too_large_to_allocate_exits_two_and_writes_nothing(tmp_path, com
         "evolve": (["evolve", "--config", str(config), "--out", str(out)],
                    "Unable to allocate"),
     }[command]
-    env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(spinlab.__file__)),
-               PYTHONWARNINGS="error::RuntimeWarning", OPENBLAS_NUM_THREADS="1")
-    run = subprocess.run([sys.executable, "-m", "spinlab.cli", *argv], env=env,
-                         capture_output=True, text=True, timeout=60,
-                         preexec_fn=_cap_address_space)
+    run = _cli_subprocess(*argv, preexec_fn=_cap_address_space)
     assert run.returncode == 2
     assert run.stderr.startswith("error:") and "Traceback" not in run.stderr
     assert named in run.stderr

@@ -635,8 +635,11 @@ def green_pulse(mass: float, n_pts: int) -> tuple[ev.GridField, float, float]:
     The source is allocated first, so an impossible size fails before any
     other grid-sized work. The pulse is the outer product of a t-bump and a
     z-bump written straight into it, and |G f| is reduced one level at a
-    time: no grid-sized array other than the source and G f is held.
+    time: no grid-sized array other than the source and G f is held. Raises
+    ValueError on a point count below one.
     """
+    if n_pts < 1:
+        raise ValueError(f"the pulse needs at least one point, got {n_pts}")
     extent = 16.0
     dz = extent / n_pts
     cfg = ev.EvolutionConfig(

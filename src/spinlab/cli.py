@@ -6,8 +6,11 @@ Green operator on field files (``evolve``, ``green``), and write the full
 machine-readable report (``report``). The suites themselves, the report
 document and its schema live in :mod:`spinlab.checks`; this module only
 selects suites, prints their rows and writes files. Exit status is 0 only
-when all selected checks pass, 1 when a check fails or errors, 2 on usage
-errors and on sizes too large to allocate.
+when all selected checks pass and 1 when a check fails or errors. A command
+refuses its input by raising a typed error (a ``ValueError``, ``KeyError``,
+``OverflowError`` or, for a size too large to allocate, ``MemoryError``);
+:func:`run` alone turns it into ``error: <message>`` and exit 2. Every file is
+written last, so a refused run writes none.
 
 All randomness flows from one 64-bit seed (``--seed``, default 0), so reports
 are reproducible; with ``--no-timings`` the JSON output is byte-identical
@@ -47,23 +50,20 @@ def print_suite(report: dict, seed: int) -> None:
     )
 
 
-def _write_json(path: str, payload: dict) -> bool:
-    """Write the payload; on failure print ``error: cannot write …`` and return False.
+def _write_json(path: str, payload: dict) -> None:
+    """Write the payload; raise ValueError ``cannot write …`` on failure.
 
     A payload that holds a NaN or infinity fails before the file is opened.
     """
     try:
         text = checks.stable_json(payload)
     except ValueError:
-        print(f"error: cannot write {path}: it holds a NaN or infinity", file=sys.stderr)
-        return False
+        raise ValueError(f"cannot write {path}: it holds a NaN or infinity") from None
     try:
         with open(path, "w", encoding="utf-8") as handle:
             handle.write(text)
     except OSError as exc:
-        print(f"error: cannot write {path}: {exc.strerror or exc}", file=sys.stderr)
-        return False
-    return True
+        raise ValueError(f"cannot write {path}: {exc.strerror or exc}") from None
 
 
 def _run_suites(args, select: dict[str, dict] | None = None) -> dict:
@@ -82,17 +82,12 @@ def cmd_verify(args) -> int:
     selection = {}
     if args.target == "symbols" and (args.k is not None or args.l is not None):
         if args.k is None or args.l is None:
-            print("error: provide both --k and --l or neither", file=sys.stderr)
-            return 2
-        try:
-            hs.fiber_dim(args.k, args.l)
-        except ValueError as exc:
-            print(f"error: {exc}", file=sys.stderr)
-            return 2
+            raise ValueError("provide both --k and --l or neither")
+        hs.fiber_dim(args.k, args.l)  # refuses a negative rank
         selection = {"pairs": [(args.k, args.l)]}
     report = _run_suites(args, {args.target: selection})
-    if args.json and not _write_json(args.json, report):
-        return 2
+    if args.json:
+        _write_json(args.json, report)
     return _exit_status(report)
 
 
@@ -103,16 +98,10 @@ def cmd_signature(args) -> int:
             comps = [float(part) for part in args.xi.split(",")]
             xi = mk.LorentzVector(np.array(comps), covariant=True)
         except ValueError:
-            print("error: --xi expects four comma-separated numbers", file=sys.stderr)
-            return 2
+            raise ValueError("--xi expects four comma-separated numbers") from None
         if not np.all(np.isfinite(xi.components)):
-            print(f"error: --xi components must be finite, got {args.xi}", file=sys.stderr)
-            return 2
-    try:  # a past or spacelike xi, a negative k, or pairing weights past the float range
-        triple = hs.gram_signature(args.k, xi)
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+            raise ValueError(f"--xi components must be finite, got {args.xi}")
+    triple = hs.gram_signature(args.k, xi)
     print(f"({triple[0]}, {triple[1]}, {triple[2]})")
     return _exit_status(_run_suites(args, {"signature": {"ks": (args.k,)}}))
 
@@ -122,8 +111,7 @@ def cmd_evolve(args) -> int:
         with open(args.config, encoding="utf-8") as handle:
             obj = json.load(handle)
     except (OSError, ValueError) as exc:  # ValueError covers malformed JSON
-        print(f"error: cannot read config: {exc}", file=sys.stderr)
-        return 2
+        raise ValueError(f"cannot read config: {exc}") from None
     final = None
 
     def levels():  # the run's levels; the last one stays in ``final``
@@ -131,24 +119,19 @@ def cmd_evolve(args) -> int:
         for final in ev.leapfrog(initial, cfg):
             yield final
 
-    try:
-        t0 = 0.0
-        if isinstance(obj, dict) and "values" in obj:
-            cfg, t0, initial = ev.snapshot_from_json(obj)
-        else:
-            cfg = ev.config_from_json(obj.get("config", obj) if isinstance(obj, dict) else obj)
-            wave = ev.plane_wave(2 * np.pi * 4 / cfg.extent, cfg.mass, cfg.k, cfg.l)
-            initial = checks.packet_initial(cfg, wave.u, cfg.extent / 8, 4)
-        if cfg.k == cfg.l:
-            drift = ev.conservation_fold(cfg, levels())["drift"]
-        else:
-            final, drift = ev.final_level(initial, cfg), None
-    except (ValueError, KeyError, OverflowError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+    t0 = 0.0
+    if isinstance(obj, dict) and "values" in obj:
+        cfg, t0, initial = ev.snapshot_from_json(obj)
+    else:
+        cfg = ev.config_from_json(obj.get("config", obj) if isinstance(obj, dict) else obj)
+        wave = ev.plane_wave(2 * np.pi * 4 / cfg.extent, cfg.mass, cfg.k, cfg.l)
+        initial = checks.packet_initial(cfg, wave.u, cfg.extent / 8, 4)
+    if cfg.k == cfg.l:
+        drift = ev.conservation_fold(cfg, levels())["drift"]
+    else:
+        final, drift = ev.final_level(initial, cfg), None
     # a restart continues the clock of its snapshot
-    if not _write_json(args.out, ev.snapshot_to_json(cfg, final, cfg.steps * cfg.dt + t0)):
-        return 2
+    _write_json(args.out, ev.snapshot_to_json(cfg, final, cfg.steps * cfg.dt + t0))
     if drift is None:
         print(f"evolved {cfg.steps} steps")
     else:
@@ -157,18 +140,10 @@ def cmd_evolve(args) -> int:
 
 
 def cmd_green(args) -> int:
-    n_pts = args.points
-    try:
-        if n_pts < 1:
-            raise ValueError(f"--points must be positive, got {n_pts}")
-        result, residual, leak = checks.green_pulse(args.m, n_pts)
-    except (ValueError, OverflowError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+    result, residual, leak = checks.green_pulse(args.m, args.points)
     cfg = result.config
-    if not _write_json(args.out, ev.snapshot_to_json(cfg, result.data[-1], cfg.steps * cfg.dt)):
-        return 2
-    print(f"green demo: mass={args.m} points={n_pts} residual={residual:.3e} "
+    _write_json(args.out, ev.snapshot_to_json(cfg, result.data[-1], cfg.steps * cfg.dt))
+    print(f"green demo: mass={args.m} points={args.points} residual={residual:.3e} "
           f"support-leak={leak:.3e}")
     return 0 if residual <= checks.GREEN_RESIDUAL_TOL and leak <= checks.GREEN_SUPPORT_TOL else 1
 
@@ -178,8 +153,7 @@ def cmd_report(args) -> int:
     print(f"flags: {[flag['id'] for flag in report['flags']]}")
     summary = report["summary"]
     print(f"total: {summary['passed']}/{summary['total']} passed -> {summary['status']}")
-    if not _write_json(args.json, report):
-        return 2
+    _write_json(args.json, report)
     return _exit_status(report)
 
 
@@ -232,13 +206,16 @@ def run(argv=None) -> int:
         args = parser.parse_args(argv)
     except SystemExit as exc:
         return 2 if exc.code not in (0, None) else 0
-    if getattr(args, "seed", 0) < 0:  # numpy's generators take none
-        print(f"error: the seed must be nonnegative, got {args.seed}", file=sys.stderr)
-        return 2
     try:
+        if getattr(args, "seed", 0) < 0:  # numpy's generators take none
+            raise ValueError(f"the seed must be nonnegative, got {args.seed}")
         return args.func(args)
-    except MemoryError as exc:  # a size numpy cannot allocate; every file is written last
-        print(f"error: {str(exc) or 'out of memory'}", file=sys.stderr)
+    except (ValueError, KeyError, OverflowError, MemoryError) as exc:
+        # a typed refusal, or a size numpy cannot allocate; every file is written last
+        message = str(exc)
+        if not message and isinstance(exc, MemoryError):
+            message = "out of memory"
+        print(f"error: {message}", file=sys.stderr)
         return 2
 
 

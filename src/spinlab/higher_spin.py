@@ -362,6 +362,21 @@ def gram_matrix(k: int, xi: LorentzVector) -> np.ndarray:
     return 0.5 * (mat + mat.conj().T)
 
 
+def _ray(xi: LorentzVector) -> LorentzVector:
+    """xi scaled by an exact power of two so that its largest part lies in [1, 2).
+
+    Nothing is divided, so no component overflows or flushes to zero. The zero
+    vector and a non-finite xi come back as they are, for the causal check.
+    """
+    comp = xi.components
+    peak = max(np.max(np.abs(comp.real)), np.max(np.abs(comp.imag)))
+    if peak == 0 or not np.isfinite(peak):
+        return xi
+    shift = 1 - int(np.frexp(peak)[1])
+    return LorentzVector(np.ldexp(comp.real, shift) + 1j * np.ldexp(comp.imag, shift),
+                         xi.covariant)
+
+
 def gram_signature(
     k: int,
     xi: LorentzVector | None = None,
@@ -369,13 +384,13 @@ def gram_signature(
 ) -> tuple[int, int, int]:
     """Signature (n_plus, n_minus, n_zero) of the xi-form on type (k, k).
 
-    ``xi`` defaults to the covariant time direction. The public contract
-    wants timelike future-pointing xi; ``require_future=False`` lets tests
-    evaluate past-pointing directions deliberately. Eigenvalues within
-    1e-10 times the spectral radius count as zero.
+    ``xi`` defaults to the covariant time direction. The form is linear in
+    xi, so only its ray counts, and xi is rescaled before it is classified.
+    The public contract wants timelike future-pointing xi; ``require_future=False``
+    lets tests evaluate past-pointing directions deliberately. Eigenvalues
+    within 1e-10 times the spectral radius count as zero.
     """
-    if xi is None:
-        xi = basis_vector(0, covariant=True)
+    xi = basis_vector(0, covariant=True) if xi is None else _ray(xi)
     if require_future:
         xi = _require_timelike_future(xi)
     eig = np.linalg.eigvalsh(gram_matrix(k, xi))

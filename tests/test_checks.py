@@ -81,6 +81,12 @@ def test_a_later_nan_pairing_makes_an_error_row_at_rank_one(monkeypatch):
     _assert_only_error(suite, "pairing-hermitian-k1")
 
 
+@pytest.mark.parametrize("n_pts", [0, -3])
+def test_green_pulse_refuses_a_point_count_below_one(n_pts):
+    with pytest.raises(ValueError, match=f"at least one point, got {n_pts}"):
+        checks.green_pulse(1.0, n_pts)
+
+
 def test_a_later_nan_green_ratio_makes_an_error_row(monkeypatch):
     residuals = {128: 4e-2, 256: 1e-2, 512: np.nan}
     monkeypatch.setattr(checks, "green_pulse", lambda mass, n_pts: (None, residuals[n_pts], 0.0))

@@ -293,6 +293,13 @@ def _cli_subprocess(*args, preexec_fn=None):
                           capture_output=True, text=True, timeout=60, preexec_fn=preexec_fn)
 
 
+def test_signature_reads_a_huge_direction_as_its_ray():
+    # 1e308 e0 overflows the symbol's products unless xi is rescaled first
+    run = _cli_subprocess("signature", "--k", "2", "--xi", "1e308,0,0,0")
+    assert run.returncode == 0 and "Traceback" not in run.stderr
+    assert run.stdout.splitlines()[0] == "(24, 12, 0)"
+
+
 def test_evolve_runs_a_packet_whose_momentum_cancels_omega_minus_p(tmp_path):
     # the packet's momentum 2 pi 4 / extent is 1.26e4, where s omega - p
     # cancels; the profile's on-shell gate scales with omega
@@ -500,10 +507,25 @@ def test_a_negative_seed_is_a_usage_error(monkeypatch, tmp_path, capsys, argv):
     assert not (tmp_path / "bad.json").exists()
 
 
-def test_a_payload_holding_a_nan_is_not_written(tmp_path, capsys):
+def test_a_payload_holding_a_nan_is_not_written(tmp_path):
     out = tmp_path / "nan.json"
-    assert not cli._write_json(str(out), {"values": [1.0, float("nan")]})
-    assert capsys.readouterr().err == f"error: cannot write {out}: it holds a NaN or infinity\n"
+    message = f"cannot write {out}: it holds a NaN or infinity"
+    with pytest.raises(ValueError) as raised:
+        cli._write_json(str(out), {"values": [1.0, float("nan")]})
+    assert str(raised.value) == message
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("exc, err", [(MemoryError(), "error: out of memory\n"),
+                                      (ValueError(), "error: \n")], ids=["memory", "value"])
+def test_only_an_empty_memory_error_reads_out_of_memory(monkeypatch, tmp_path, capsys, exc, err):
+    def refuse(mass, n_pts):
+        raise exc
+
+    monkeypatch.setattr(checks, "green_pulse", refuse)
+    out = tmp_path / "green.json"
+    assert cli.run(["green", "--m", "1", "--out", str(out)]) == 2
+    assert capsys.readouterr().err == err
     assert not out.exists()
 
 

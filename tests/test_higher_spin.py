@@ -2,6 +2,7 @@
 
 import itertools
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -282,6 +283,19 @@ def test_gram_signature_rejects_non_future_directions():
         hs.gram_signature(0, mk.basis_vector(1, covariant=True))
     with pytest.raises(hs.NotTimelikeFuture):
         hs.gram_signature(0, -1.0 * E0_COV)
+    with pytest.raises(hs.NotTimelikeFuture):  # the zero vector has no ray to rescale
+        hs.gram_signature(0, 0.0 * E0_COV)
+
+
+@pytest.mark.parametrize("scale", [1e308, 1e-320, 1e-5])
+def test_gram_signature_reads_xi_as_a_ray(scale):
+    # the form is linear in xi: a huge or tiny time direction is read like e0,
+    # with no overflow in the symbol and no null verdict from the causal check
+    xi = mk.LorentzVector(np.array([scale, 0.0, 0.0, 0.0]), covariant=True)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for k in (0, 1, 2):
+            assert hs.gram_signature(k, xi) == hs.gram_signature(k)
 
 
 def test_gram_signature_flips_at_the_past_direction():

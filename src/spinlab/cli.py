@@ -10,7 +10,8 @@ when all selected checks pass and 1 when a check fails or errors. A command
 refuses its input by raising a typed error (a ``ValueError``, ``KeyError``,
 ``OverflowError`` or, for a size too large to allocate, ``MemoryError``);
 :func:`run` alone turns it into ``error: <message>`` and exit 2. Every file is
-written last, so a refused run writes none.
+written last, so a refused run writes none. When the reader of stdout closes it
+early, :func:`main` exits 1 quietly, and a file not yet written is not written.
 
 All randomness flows from one 64-bit seed (``--seed``, default 0), so reports
 are reproducible; with ``--no-timings`` the JSON output is byte-identical
@@ -21,6 +22,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 
 import numpy as np
@@ -124,7 +126,11 @@ def cmd_evolve(args) -> int:
         cfg, t0, initial = ev.snapshot_from_json(obj)
     else:
         cfg = ev.config_from_json(obj.get("config", obj) if isinstance(obj, dict) else obj)
-        wave = ev.plane_wave(2 * np.pi * 4 / cfg.extent, cfg.mass, cfg.k, cfg.l)
+        momentum = 2 * np.pi * 4 / cfg.extent
+        if not np.isfinite(momentum):
+            raise ValueError(
+                f"extent = {cfg.extent} makes the packet momentum 2 pi 4 / extent infinite")
+        wave = ev.plane_wave(momentum, cfg.mass, cfg.k, cfg.l)
         initial = checks.packet_initial(cfg, wave.u, cfg.extent / 8, 4)
     if cfg.k == cfg.l:
         drift = ev.conservation_fold(cfg, levels())["drift"]
@@ -220,7 +226,14 @@ def run(argv=None) -> int:
 
 
 def main() -> None:
-    sys.exit(run())
+    try:
+        status = run()
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # the reader closed stdout: point it at devnull so the interpreter's last flush stays quiet
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        status = 1
+    sys.exit(status)
 
 
 if __name__ == "__main__":

@@ -16,14 +16,16 @@ Leapfrog is stable only while dt sqrt(dz^-2 + m^2) < 1, and the stepping
 core refuses to start otherwise.
 
 Every fiber operator the evolver, the slice products and the Green
-operator use (A, Gamma0 and hence B, and the currents X^a = P Gamma(e^a))
-is a generalized permutation matrix: one nonzero per row, because
-Gamma(e^a) = kron(G(e^a), I) and P = kron(P_0, W_k) are; ``_gather``
-reads such matrices as one column map and a weight per matrix. A is moreover
-diagonal with entries +-1 in the packed chiral basis, so the system is
-already in characteristic form: each packed component moves left or right
-at unit speed. One helper, ``_first_order``, builds the leapfrog's
-first-order operator
+operator use (Gamma0, Gamma3, A, B and the currents X^a = P Gamma(e^a)) is a
+generalized permutation matrix: one nonzero per row, because
+Gamma(e^a) = kron(G(e^a), I) and P = kron(P_0, W_k) are; ``_gather`` reads
+such matrices as one column map and a weight per matrix. Gamma0 and Gamma3
+are gathered once, by ``_dirac_gather``, and share one map; A, B and X^a are
+composed from that map and the pairing's, and no fiber matrix is multiplied
+by another. The shared map is an involution, so A is diagonal with entries
++-1 in the packed chiral basis and the system is already in characteristic
+form: each packed component moves left or right at unit speed. One helper,
+``_first_order``, builds the leapfrog's first-order operator
 
     L u = A D_z u + B u
 
@@ -34,13 +36,12 @@ operator level by level through ``_dirac_levels``,
 
     (D + sigma i m) u = Gamma0 d_t u + Gamma3 D_z u + sigma i m u.
 
-Gamma0 and Gamma3 gather the same columns, so the two derivatives, each
-scaled by a weight indexed by source column, are summed and gathered once
-per level; no level is divided. Both operators cost N F work per level
-instead of the N F^2 of a dense product. X^0 and X^3 gather the same
-columns too, so the divergence fold gathers once for both. One public
-generator, ``leapfrog``, is the only time-stepping loop; it holds two
-levels and overwrites each yielded level two steps on. The folds
+The two derivatives, each scaled by a weight indexed by source column, are
+summed and gathered once per level; no level is divided. Both operators cost
+N F work per level instead of the N F^2 of a dense product. X^0 and X^3
+share their columns by construction, so the divergence fold gathers once for
+both. One public generator, ``leapfrog``, is the only time-stepping loop; it
+holds two levels and overwrites each yielded level two steps on. The folds
 ``conservation_fold`` and ``divergence_fold`` take its levels as they
 arrive; ``evolve`` stores them, and ``conservation_report`` and
 ``divergence_check`` fold a stored field, for the benchmark's stored-field
@@ -228,8 +229,11 @@ def _gather(*mats: np.ndarray) -> tuple[np.ndarray, tuple[np.ndarray, ...]]:
     return cols[0], tuple(np.take_along_axis(stack, cols[..., None], axis=-1)[..., 0])
 
 
-def _symbol(cfg: EvolutionConfig, direction: int) -> np.ndarray:
-    return symbol_matrix(cfg.k, cfg.l, basis_vector(direction, covariant=True))
+def _dirac_gather(cfg: EvolutionConfig) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(cols, w0, w3): ``_gather`` of Gamma0 and Gamma3, the evolver's only fiber symbols."""
+    e0, e3 = (basis_vector(a, covariant=True) for a in (0, 3))
+    cols, (w0, w3) = _gather(symbol_matrix(cfg.k, cfg.l, e0), symbol_matrix(cfg.k, cfg.l, e3))
+    return cols, w0, w3
 
 
 def _periodic_difference(u: np.ndarray, out: np.ndarray) -> np.ndarray:
@@ -244,14 +248,14 @@ def _first_order(cfg: EvolutionConfig):
     """L u = A D_z u + B u on one (points, fiber) level, the leapfrog's right-hand side.
 
     L writes into one buffer it owns, so its result is overwritten by the
-    next call. Raises InvariantViolation unless A = -Gamma0 Gamma3 is
-    diagonal in the packed basis.
+    next call. Gamma0 and Gamma3 share one map, so row i of A = -Gamma0 Gamma3
+    holds -w0[i] w3[cols[i]] in column cols[cols[i]]: InvariantViolation unless
+    the map is an involution, that is unless A is diagonal in the packed basis.
     """
-    g0 = _symbol(cfg, 0)
-    a_cols, (a_w,) = _gather(-g0 @ _symbol(cfg, 3))
-    if not np.array_equal(a_cols, np.arange(cfg.fiber)):
+    cols, w0, w3 = _dirac_gather(cfg)
+    if not np.array_equal(cols[cols], np.arange(cfg.fiber)):
         raise InvariantViolation("A = -Gamma0 Gamma3 is not diagonal in the packed basis")
-    g0_cols, (g0_w,) = _gather(g0)
+    a_w = -w0 * w3[cols]
     # Calls write into preallocated levels (mode="clip" keeps take unbuffered):
     # level-sized temporaries every step make glibc trim and refault its heap.
     out, term = np.empty((2, cfg.points, cfg.fiber), dtype=complex)
@@ -259,12 +263,12 @@ def _first_order(cfg: EvolutionConfig):
     # points costs about three same-shape multiplies. a_w = +-1, so folding
     # 1/(2 dz) into it rounds exactly; folding dt in would not.
     a_scale = np.broadcast_to(a_w * (1.0 / (2.0 * cfg.dz)), out.shape).copy()
-    b_scale = np.broadcast_to(-1j * cfg.mass * g0_w, out.shape).copy()
+    b_scale = np.broadcast_to(-1j * cfg.mass * w0, out.shape).copy()
 
     def rhs(u):
         """L u into ``out``; A is diagonal, so A D_z is a scale."""
         np.multiply(_periodic_difference(u, out), a_scale, out=out)
-        np.multiply(np.take(u, g0_cols, axis=1, out=term, mode="clip"), b_scale, out=term)
+        np.multiply(np.take(u, cols, axis=1, out=term, mode="clip"), b_scale, out=term)
         return np.add(out, term, out=out)
 
     return rhs
@@ -284,7 +288,7 @@ def _dirac_levels(cfg: EvolutionConfig, u: np.ndarray, sigma: float) -> Iterator
     Raises InvariantViolation unless Gamma0 and Gamma3 gather the same
     columns, each column once, and OverflowError in place of a level that overflows.
     """
-    cols, (w0, w3) = _gather(_symbol(cfg, 0), _symbol(cfg, 3))
+    cols, w0, w3 = _dirac_gather(cfg)
     # level-shaped weights (see _first_order) indexed by source column:
     # x[:, cols] * w == (x * v)[:, cols] for v[cols] = w, as cols is a permutation
     prev, cur, d_t, d_z, level, t_scale, z_scale = np.empty(
@@ -432,12 +436,13 @@ def plane_wave(
     return PlaneWave(u, omega, p, sign)
 
 
-def _currents(cfg: EvolutionConfig, *directions: int):
-    """``_gather`` of the pair-current matrices X^a = P s(e^a), one per direction."""
+def _currents(cfg: EvolutionConfig) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(cols, x0, x3) of X^a = P Gamma^a: P's ``_gather`` composed with ``_dirac_gather``'s."""
     if cfg.k != cfg.l:
         raise KNotEqualL("slice products need k = l")
-    pairing = pairing_matrix(cfg.k)
-    return _gather(*(pairing @ _symbol(cfg, a) for a in directions))
+    p_cols, (p_w,) = _gather(pairing_matrix(cfg.k))
+    cols, w0, w3 = _dirac_gather(cfg)
+    return cols[p_cols], p_w * w0[p_cols], p_w * w3[p_cols]
 
 
 def conservation_fold(
@@ -454,7 +459,7 @@ def conservation_fold(
     Raises ValueError on empty or unequal streams, and OverflowError("the slice
     product at level n is not finite") at the first such n, or when the drift overflows.
     """
-    cols, (w0,) = _currents(cfg, 0)
+    cols, w0, _ = _currents(cfg)
     if levels_b is None:
         pairs = ((u, u) for u in levels_a)
     else:
@@ -492,10 +497,10 @@ def divergence_fold(
     (2, fiber) x (fiber, points) product give both densities; the fold keeps
     those of the last three levels. Raises ValueError when the streams are
     of unequal lengths or hold fewer than three levels, InvariantViolation
-    unless the two currents gather the same columns, each column once, and
+    unless Gamma0 and Gamma3 share one column map and P is monomial, and
     OverflowError("the pair current at level n is not finite").
     """
-    cols, (w0, w3) = _currents(cfg, 0, 3)
+    cols, w0, w3 = _currents(cfg)
     # one product gives both densities, pre-scaled: X^0 / (2 dt) and X^3 / (2 dz)
     weights = np.stack([w0 / (2.0 * cfg.dt), w3 / (2.0 * cfg.dz)])
     scratch = np.empty((2, cfg.points, cfg.fiber), dtype=complex)

@@ -133,16 +133,6 @@ class HigherSpinVector:
             raise ValueError("twist axes are not symmetric "
                              f"(residual {worst:.3e}, scale {scale:.3e})")
 
-    def __mul__(self, scalar: complex) -> "HigherSpinVector":
-        return HigherSpinVector(
-            self.k,
-            self.l,
-            Spinor(self.phi1.data * scalar, self.phi1.tags),
-            Spinor(self.phi2.data * scalar, self.phi2.tags),
-        )
-
-    __rmul__ = __mul__
-
 
 def fiber_dim(k: int, l: int) -> int:
     """Packed dimension: 2 sectors x 2 chiral x (k+1)(l+1) twist slots.

@@ -47,16 +47,6 @@ class LorentzVector:
             return self
         return LorentzVector(ETA_DIAG * self.components, covariant=True)
 
-    def __add__(self, other: "LorentzVector") -> "LorentzVector":
-        if self.covariant != other.covariant:
-            raise ValueError("cannot add vectors of different variance")
-        return LorentzVector(self.components + other.components, self.covariant)
-
-    def __sub__(self, other: "LorentzVector") -> "LorentzVector":
-        if self.covariant != other.covariant:
-            raise ValueError("cannot subtract vectors of different variance")
-        return LorentzVector(self.components - other.components, self.covariant)
-
     def __mul__(self, scalar: complex) -> "LorentzVector":
         return LorentzVector(self.components * scalar, self.covariant)
 

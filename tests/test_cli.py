@@ -285,12 +285,12 @@ def test_evolve_refuses_a_packet_momentum_past_the_float_range(tmp_path, capsys)
     assert not out_path.exists()
 
 
-def _cli_subprocess(*args, preexec_fn=None):
+def _cli_subprocess(*args, preexec_fn=None, stdout=subprocess.PIPE):
     # a fresh interpreter under the CI warning filter, with a timeout so a hang fails
     env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(spinlab.__file__)),
                PYTHONWARNINGS="error::RuntimeWarning", OPENBLAS_NUM_THREADS="1")
-    return subprocess.run([sys.executable, "-m", "spinlab.cli", *args], env=env,
-                          capture_output=True, text=True, timeout=60, preexec_fn=preexec_fn)
+    return subprocess.run([sys.executable, "-m", "spinlab.cli", *args], env=env, stdout=stdout,
+                          stderr=subprocess.PIPE, text=True, timeout=60, preexec_fn=preexec_fn)
 
 
 def test_signature_reads_a_huge_direction_as_its_ray():
@@ -298,6 +298,31 @@ def test_signature_reads_a_huge_direction_as_its_ray():
     run = _cli_subprocess("signature", "--k", "2", "--xi", "1e308,0,0,0")
     assert run.returncode == 0 and "Traceback" not in run.stderr
     assert run.stdout.splitlines()[0] == "(24, 12, 0)"
+
+
+def test_a_stdout_closed_by_its_reader_exits_1_without_a_traceback():
+    # the pipe's read end is closed before the child starts, so its first print fails
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    try:
+        run = _cli_subprocess("signature", "--k", "0", stdout=write_end)
+    finally:
+        os.close(write_end)
+    assert run.returncode == 1
+    assert "Traceback" not in run.stderr and "Exception ignored" not in run.stderr
+
+
+def test_evolve_names_an_extent_whose_packet_momentum_is_infinite(tmp_path):
+    # 2 pi 4 / 1e-310 leaves the float range: the refusal names the extent, not an inf p
+    cfg_path = tmp_path / "tiny.json"
+    cfg_path.write_text(json.dumps({"mass": 1, "k": 0, "l": 0, "extent": 1e-310,
+                                    "points": 8, "dt": 1e-311, "steps": 2}))
+    out_path = tmp_path / "out.json"
+    run = _cli_subprocess("evolve", "--config", str(cfg_path), "--out", str(out_path))
+    assert run.returncode == 2
+    assert run.stderr == ("error: extent = 1e-310 makes the packet momentum "
+                          "2 pi 4 / extent infinite\n")
+    assert not out_path.exists()
 
 
 def test_evolve_runs_a_packet_whose_momentum_cancels_omega_minus_p(tmp_path):

@@ -1318,28 +1318,64 @@ def test_causal_audit_streams_levels_instead_of_storing_the_field():
     assert peak < field_nbytes / 4
 
 
+def _dense(cols, w):
+    """The generalized permutation matrix with row i holding w[i] in column cols[i]."""
+    mat = np.zeros((cols.size, cols.size), dtype=complex)
+    mat[np.arange(cols.size), cols] = w
+    return mat
+
+
 def test_leapfrog_operator_is_diagonal_and_currents_share_columns():
+    # the composed maps against dense products of the matrices they are composed from
     for k in range(4):
         for l in range(4):
             cfg = small_config(k=k, l=l)
-            a = -ev._symbol(cfg, 0) @ ev._symbol(cfg, 3)
+            g0, g3 = (hs.symbol_matrix(k, l, mk.basis_vector(d, covariant=True)) for d in (0, 3))
+            a = -g0 @ g3
             assert np.array_equal(a, np.diag(np.diag(a)))
             assert set(np.diag(a).tolist()) <= {1.0, -1.0}
-        cols, _ = ev._currents(small_config(k=k, l=k), 0, 3)
-        assert np.array_equal(np.sort(cols), np.arange(cols.size))
+            cols, w0, w3 = ev._dirac_gather(cfg)
+            assert np.array_equal(cols[cols], np.arange(cfg.fiber))
+            assert np.array_equal(_dense(cols, w0), g0) and np.array_equal(_dense(cols, w3), g3)
+            assert np.array_equal(np.diag(-w0 * w3[cols]), a)
+            if k == l:
+                cols, x0, x3 = ev._currents(cfg)
+                assert np.array_equal(np.sort(cols), np.arange(cols.size))
+                pairing = hs.pairing_matrix(k)
+                assert np.array_equal(_dense(cols, x0), pairing @ g0)
+                assert np.array_equal(_dense(cols, x3), pairing @ g3)
 
 
 def test_fast_paths_refuse_operators_without_their_structure(monkeypatch):
     cfg = small_config(k=1, l=1, points=16, extent=4.0, dt=0.1, steps=4)
-    symbol = ev._symbol
-    shift = np.roll(np.eye(cfg.fiber), 1, axis=0)  # a cyclic column shift
-    monkeypatch.setattr(ev, "_symbol", lambda c, a: symbol(c, a) @ shift if a == 3 else symbol(c, a))
     u0 = np.ones((cfg.points, cfg.fiber), dtype=complex)
-    with pytest.raises(hs.InvariantViolation, match="diagonal"):
+    dirac_gather = ev._dirac_gather
+
+    def cycled(c):  # a map Gamma0 and Gamma3 share, cycled on three components: no involution
+        cols, w0, w3 = dirac_gather(c)
+        return cols[[1, 2, 0, *range(3, c.fiber)]], w0, w3
+
+    with monkeypatch.context() as patch:
+        patch.setattr(ev, "_dirac_gather", cycled)
+        with pytest.raises(hs.InvariantViolation, match="diagonal"):
+            next(ev.leapfrog(u0, cfg))
+    with monkeypatch.context() as patch:
+        patch.setattr(ev, "pairing_matrix", lambda k: np.ones((cfg.fiber, cfg.fiber)))
+        with pytest.raises(hs.InvariantViolation, match="row nonzero counts"):
+            ev.conservation_fold(cfg, [u0])
+    symbol = ev.symbol_matrix
+    shift = np.roll(np.eye(cfg.fiber), 1, axis=0)  # a cyclic column shift
+
+    def shifted(k, l, xi):  # Gamma3 alone gathers other columns than Gamma0
+        mat = symbol(k, l, xi)
+        return mat @ shift if xi.components[3] else mat
+
+    monkeypatch.setattr(ev, "symbol_matrix", shifted)
+    with pytest.raises(hs.InvariantViolation, match="same columns"):
         next(ev.leapfrog(u0, cfg))
-    with pytest.raises(hs.InvariantViolation, match="columns"):
+    with pytest.raises(hs.InvariantViolation, match="same columns"):
         ev.divergence_fold(cfg, [u0] * 3, [u0] * 3)
-    with pytest.raises(hs.InvariantViolation, match="columns"):
+    with pytest.raises(hs.InvariantViolation, match="same columns"):
         next(ev._dirac_levels(cfg, np.ones((cfg.steps + 1,) + u0.shape, dtype=complex), 1.0))
 
 

@@ -196,7 +196,7 @@ def test_symbol_matrix_is_linear_in_the_direction():
     rng = np.random.default_rng(3)
     a = mk.LorentzVector(rng.normal(size=4), covariant=True)
     b = mk.LorentzVector(rng.normal(size=4), covariant=True)
-    lhs = hs.symbol_matrix(1, 1, a + b)
+    lhs = hs.symbol_matrix(1, 1, mk.LorentzVector(a.components + b.components, covariant=True))
     rhs = hs.symbol_matrix(1, 1, a) + hs.symbol_matrix(1, 1, b)
     np.testing.assert_allclose(lhs, rhs, atol=1e-12)
 
@@ -224,7 +224,7 @@ def test_gen_pairing_is_hermitian_and_sesquilinear():
         b = random_fiber(rng, k, k)
         lhs = hs.gen_pairing(a, b)
         assert np.conj(lhs) == pytest.approx(hs.gen_pairing(b, a), abs=1e-12)
-        scaled = hs.gen_pairing(2j * a, b)
+        scaled = hs.gen_pairing(hs.unpack(2j * hs.pack(a), k, k), b)
         assert scaled == pytest.approx(-2j * lhs, abs=1e-12)
 
 

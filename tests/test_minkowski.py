@@ -159,20 +159,6 @@ def test_restricted_lorentz_rejects_non_finite_entries(bad, slot):
     assert not mk.is_restricted_lorentz(lam.astype(complex))
 
 
-def test_vector_arithmetic_respects_variance():
-    x = mk.basis_vector(0)
-    y = mk.basis_vector(1)
-    both = x + y
-    np.testing.assert_allclose(both.components, [1, 1, 0, 0])
-    gap = x.lowered() - y.lowered()
-    np.testing.assert_array_equal(gap.components, [1, 1, 0, 0])
-    assert gap.covariant
-    with pytest.raises(ValueError):
-        x + y.lowered()
-    with pytest.raises(ValueError):
-        x - y.lowered()
-
-
 def test_lorentz_vector_shape_is_validated():
     with pytest.raises(ValueError):
         mk.LorentzVector(np.zeros(3))

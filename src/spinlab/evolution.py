@@ -18,14 +18,14 @@ core refuses to start otherwise.
 Every fiber operator the evolver, the slice products and the Green
 operator use (Gamma0, Gamma3, A, B and the currents X^a = P Gamma(e^a)) is a
 generalized permutation matrix: one nonzero per row, because
-Gamma(e^a) = kron(G(e^a), I) and P = kron(P_0, W_k) are; ``_gather`` reads
-such matrices as one column map and a weight per matrix. Gamma0 and Gamma3
-are gathered once, by ``_dirac_gather``, and share one map; A, B and X^a are
-composed from that map and the pairing's, and no fiber matrix is multiplied
-by another. The shared map is an involution, so A is diagonal with entries
-+-1 in the packed chiral basis and the system is already in characteristic
-form: each packed component moves left or right at unit speed. One helper,
-``_first_order``, builds the leapfrog's first-order operator
+Gamma(e^a) = kron(G(e^a), I) and P = kron(P_0, W_k) are. ``higher_spin``
+owns that layout and hands them out as column maps: ``symbol_columns``
+gives Gamma0 and Gamma3 one shared map and a weight each, ``pairing_columns``
+gives P's, and A, B and X^a are composed from those maps; no dense fiber
+matrix is built. The shared map is an involution, so A is diagonal with
+entries +-1 in the packed chiral basis and the system is already in
+characteristic form: each packed component moves left or right at unit
+speed. One helper, ``_first_order``, builds the leapfrog's first-order operator
 
     L u = A D_z u + B u
 
@@ -89,10 +89,11 @@ from .clifford import InvariantViolation
 from .higher_spin import (
     KNotEqualL,
     fiber_dim,
-    pairing_matrix,
+    pairing_columns,
+    symbol_columns,
     symbol_matrix,
 )
-from .minkowski import LorentzVector, basis_vector
+from .minkowski import LorentzVector
 
 
 class CFLViolation(ValueError):
@@ -208,34 +209,6 @@ def _level_peak(level: np.ndarray, t: int, out: np.ndarray | None = None) -> flo
     return peak
 
 
-def _gather(*mats: np.ndarray) -> tuple[np.ndarray, tuple[np.ndarray, ...]]:
-    """(cols, weights) with u[..., cols] * w == u @ mat.T for each mat and its w.
-
-    Raises InvariantViolation when some row of a matrix does not have
-    exactly one nonzero entry, or when two or more matrices do not gather
-    the same columns, each column once.
-    """
-    stack = np.stack(mats)
-    counts = np.count_nonzero(stack, axis=-1)
-    if np.any(counts != 1):
-        raise InvariantViolation(
-            f"not a generalized permutation matrix: row nonzero counts {np.unique(counts).tolist()}"
-        )
-    cols = np.argmax(stack != 0, axis=-1)
-    if len(mats) > 1 and not (
-        np.all(cols == cols[0]) and np.array_equal(np.sort(cols[0]), np.arange(cols.shape[1]))
-    ):
-        raise InvariantViolation("the matrices do not gather the same columns, each column once")
-    return cols[0], tuple(np.take_along_axis(stack, cols[..., None], axis=-1)[..., 0])
-
-
-def _dirac_gather(cfg: EvolutionConfig) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """(cols, w0, w3): ``_gather`` of Gamma0 and Gamma3, the evolver's only fiber symbols."""
-    e0, e3 = (basis_vector(a, covariant=True) for a in (0, 3))
-    cols, (w0, w3) = _gather(symbol_matrix(cfg.k, cfg.l, e0), symbol_matrix(cfg.k, cfg.l, e3))
-    return cols, w0, w3
-
-
 def _periodic_difference(u: np.ndarray, out: np.ndarray) -> np.ndarray:
     """out = u[j + 1] - u[j - 1] along axis 0, periodic, with no temporary."""
     np.subtract(u[2:], u[:-2], out=out[1:-1])
@@ -252,7 +225,7 @@ def _first_order(cfg: EvolutionConfig):
     holds -w0[i] w3[cols[i]] in column cols[cols[i]]: InvariantViolation unless
     the map is an involution, that is unless A is diagonal in the packed basis.
     """
-    cols, w0, w3 = _dirac_gather(cfg)
+    cols, (w0, w3) = symbol_columns(cfg.k, cfg.l, 0, 3)
     if not np.array_equal(cols[cols], np.arange(cfg.fiber)):
         raise InvariantViolation("A = -Gamma0 Gamma3 is not diagonal in the packed basis")
     a_w = -w0 * w3[cols]
@@ -288,7 +261,7 @@ def _dirac_levels(cfg: EvolutionConfig, u: np.ndarray, sigma: float) -> Iterator
     Raises InvariantViolation unless Gamma0 and Gamma3 gather the same
     columns, each column once, and OverflowError in place of a level that overflows.
     """
-    cols, w0, w3 = _dirac_gather(cfg)
+    cols, (w0, w3) = symbol_columns(cfg.k, cfg.l, 0, 3)
     # level-shaped weights (see _first_order) indexed by source column:
     # x[:, cols] * w == (x * v)[:, cols] for v[cols] = w, as cols is a permutation
     prev, cur, d_t, d_z, level, t_scale, z_scale = np.empty(
@@ -402,8 +375,8 @@ def plane_wave(
     Per slot, s(P) + m maps line 0 to m e0 + b e2 and line 1 to m e1 + a e3,
     b = s omega - p, a = s omega + p, a b = m^2. The profile is (m, b) / hypot
     on lines 0 and 2, b = m^2 / a where s omega - p would cancel (s p > 0), or
-    e3 sign(a) at m = b = 0; p = m = 0 raises ZeroProjection. The symbol matrix,
-    rounding at about 2 eps omega, checks it independently to 1e-12 max(1, omega).
+    e3 sign(a) at m = b = 0; p = m = 0 raises ZeroProjection. The 4 x 4 symbol, applied
+    per twist slot and rounding at about 2 eps omega, checks it to 1e-12 max(1, omega).
     A non-finite p or mass raises ValueError, and an omega past the float
     range OverflowError, before the symbol is built.
     """
@@ -429,19 +402,19 @@ def plane_wave(
     else:
         u[[pol, 2 * twist_slots + pol]] = np.array([mass, b]) / math.hypot(mass, b)
     p_cov = LorentzVector(np.array([sign * omega, 0.0, 0.0, -p]), covariant=True)
-    s_p = symbol_matrix(k, l, p_cov)
-    residual = float(np.linalg.norm(s_p @ u - mass * u))
+    lines = u.reshape(4, twist_slots)
+    residual = float(np.linalg.norm(symbol_matrix(0, 0, p_cov) @ lines - mass * lines))
     if not residual <= 1e-12 * max(1.0, omega):
         raise InvariantViolation(f"plane wave off shell: residual {residual:.3e}")
     return PlaneWave(u, omega, p, sign)
 
 
 def _currents(cfg: EvolutionConfig) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """(cols, x0, x3) of X^a = P Gamma^a: P's ``_gather`` composed with ``_dirac_gather``'s."""
+    """(cols, x0, x3) of X^a = P Gamma^a: P's column map composed with that of Gamma0 and Gamma3."""
     if cfg.k != cfg.l:
         raise KNotEqualL("slice products need k = l")
-    p_cols, (p_w,) = _gather(pairing_matrix(cfg.k))
-    cols, w0, w3 = _dirac_gather(cfg)
+    p_cols, p_w = pairing_columns(cfg.k)
+    cols, (w0, w3) = symbol_columns(cfg.k, cfg.l, 0, 3)
     return cols[p_cols], p_w * w0[p_cols], p_w * w3[p_cols]
 
 
@@ -496,9 +469,8 @@ def divergence_fold(
     the same fiber columns, so one gather of B's level and one
     (2, fiber) x (fiber, points) product give both densities; the fold keeps
     those of the last three levels. Raises ValueError when the streams are
-    of unequal lengths or hold fewer than three levels, InvariantViolation
-    unless Gamma0 and Gamma3 share one column map and P is monomial, and
-    OverflowError("the pair current at level n is not finite").
+    of unequal lengths or hold fewer than three levels, InvariantViolation unless Gamma0
+    and Gamma3 share one column map, and OverflowError("the pair current at level n is not finite").
     """
     cols, w0, w3 = _currents(cfg)
     # one product gives both densities, pre-scaled: X^0 / (2 dt) and X^3 / (2 dz)

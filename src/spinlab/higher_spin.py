@@ -29,9 +29,11 @@ twist slots, symbol_matrix(k, l, xi) = kron(G(xi), I_{(k+1)(l+1)}) with G
 the k = l = 0 symbol, which is Clifford multiplication xi^a gamma_a in the
 chiral basis; the pairing is kron(P_0, W_k), where P_0 swaps the
 sectors and W_k[(a, b), (b, a)] = C(k, a) C(k, b) swaps the twist
-occupations, weighted by the orbit sizes. Both are built from these closed
-forms; the tensor-level apply_symbol and gen_pairing stay as the
-independent reference that the closed forms are checked against.
+occupations, weighted by the orbit sizes. P and the basis-axis symbols have
+one nonzero per row and are handed out as column maps, u[..., cols] * w ==
+u @ M.T: P is built from pairing_columns, and symbol_columns lifts G(e^a).
+The tensor-level apply_symbol and gen_pairing stay as the independent
+reference that the closed forms are checked against.
 """
 
 from __future__ import annotations
@@ -215,6 +217,28 @@ def symbol_matrix(k: int, l: int, xi: LorentzVector) -> np.ndarray:
     return np.kron(chiral, np.eye(fiber_dim(k, l) // 4))
 
 
+def symbol_columns(k: int, l: int, *axes: int) -> tuple[np.ndarray, tuple[np.ndarray, ...]]:
+    """(cols, weights), u[..., cols] * w == u @ symbol_matrix(k, l, e^a).T for each basis axis a.
+
+    The map of kron(G(e^a), I) is that of the chiral factor G(e^a) =
+    symbol_matrix(0, 0, e^a), lifted over the (k+1)(l+1) twist slots. Raises
+    InvariantViolation unless every factor has one nonzero per row and all
+    of them gather the same columns, each column once.
+    """
+    slots = fiber_dim(k, l) // 4
+    chiral = np.stack([symbol_matrix(0, 0, basis_vector(a, covariant=True)) for a in axes])
+    counts = np.count_nonzero(chiral, axis=-1)
+    if np.any(counts != 1):
+        raise InvariantViolation("not a generalized permutation matrix: row nonzero counts "
+                                 f"{np.unique(counts).tolist()}")
+    cols = np.argmax(chiral != 0, axis=-1)
+    if not (np.all(cols == cols[0]) and np.array_equal(np.sort(cols[0]), np.arange(4))):
+        raise InvariantViolation("the symbols do not gather the same columns, each column once")
+    weights = np.take_along_axis(chiral, cols[..., None], axis=-1)[..., 0]
+    lifted = (cols[0][:, None] * slots + np.arange(slots)).ravel()
+    return lifted, tuple(np.repeat(w, slots) for w in weights)
+
+
 def _unit_fibers(k: int, l: int) -> list[HigherSpinVector]:
     return [unpack(unit, k, l) for unit in np.eye(fiber_dim(k, l), dtype=complex)]
 
@@ -274,23 +298,26 @@ def gen_dirac_adjoint(phi: HigherSpinVector):
     return functional
 
 
-def pairing_matrix(k: int) -> np.ndarray:
-    """Gram matrix P of the generalized pairing in the packed basis.
+def pairing_columns(k: int) -> tuple[np.ndarray, np.ndarray]:
+    """(cols, w) of the pairing's Gram matrix P = kron(P_0, W_k): u[..., cols] * w == u @ P.T.
 
-    P = kron(P_0, W_k): P_0 pairs each sector with the other on the same
-    chiral slot, and W_k pairs twist occupation (a, b) with (b, a), weighted
-    by the orbit sizes C(k, a) C(k, b). Returns a fresh array on every call.
+    P_0 pairs each sector with the other on the same chiral slot (map [2, 3, 0, 1]), and
+    W_k pairs twist occupation (a, b) with (b, a), weighted by orbit sizes C(k, a) C(k, b).
     """
     slots, n = fiber_dim(k, k) // 4, k + 1
     # the largest weight, checked first: the k + 1 exact binomials take seconds at k ~ 10^4
     if math.comb(k, k // 2) > sys.float_info.max:
         raise ValueError(f"the pairing weight C({k}, {k // 2}) exceeds the float range")
     orbit = np.array([math.comb(k, a) for a in range(n)], dtype=float)
-    a, b = np.indices((n, n))
-    twist = np.zeros((n, n, n, n), dtype=complex)
-    twist[a, b, b, a] = np.outer(orbit, orbit)
-    sectors = np.kron([[0.0, 1.0], [1.0, 0.0]], np.eye(2))
-    return np.kron(sectors, twist.reshape(slots, slots))
+    swap = np.arange(slots).reshape(n, n).T.ravel()
+    cols = (np.array([2, 3, 0, 1])[:, None] * slots + swap).ravel()
+    return cols, np.tile(np.outer(orbit, orbit).ravel(), 4)
+
+
+def pairing_matrix(k: int) -> np.ndarray:
+    """Gram matrix P of the pairing in the packed basis: pairing_columns(k) scattered, fresh."""
+    cols, w = pairing_columns(k)
+    return w[:, None] * np.eye(cols.size, dtype=complex)[cols]
 
 
 def _pairing_matrix_reference(k: int) -> np.ndarray:
@@ -344,7 +371,8 @@ def _require_timelike_future(xi: LorentzVector) -> LorentzVector:
 
 def gram_matrix(k: int, xi: LorentzVector) -> np.ndarray:
     """Hermitian matrix of (., .)_xi on the packed basis of type (k, k)."""
-    mat = pairing_matrix(k) @ symbol_matrix(k, k, xi.lowered())
+    cols, w = pairing_columns(k)
+    mat = w[:, None] * symbol_matrix(k, k, xi.lowered())[cols]  # P s(xi), one row of s per row
     herm_gap = float(np.max(np.abs(mat - mat.conj().T)))
     scale = max(float(np.max(np.abs(mat))), 1e-30)
     if not herm_gap <= 1e-10 * scale:
@@ -397,12 +425,12 @@ def witness_pair(
 
     The candidates are extreme eigenvectors of the Gram matrix; each value
     is re-evaluated through the tensor-level xi_form, so the certificate
-    does not depend on the packed route. Raises NoNegativeDirection when
-    the form has no negative direction (as for k = 0 or 1-sided cases).
+    does not depend on the packed route. As in gram_signature, only the ray
+    of xi counts: xi is rescaled before it is classified, and both values q
+    are taken at the rescaled xi. Raises NoNegativeDirection when the form
+    has no negative direction (as for k = 0 or 1-sided cases).
     """
-    if xi is None:
-        xi = basis_vector(0, covariant=True)
-    xi = _require_timelike_future(xi)
+    xi = _require_timelike_future(basis_vector(0, covariant=True) if xi is None else _ray(xi))
     gram = gram_matrix(k, xi)
     eig, vec = np.linalg.eigh(gram)
     tol = 1e-10 * max(float(np.max(np.abs(eig))), 1e-30)

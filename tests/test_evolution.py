@@ -1271,35 +1271,6 @@ def test_conservation_check_streams_levels_instead_of_storing_the_field():
     assert peak < field_nbytes / 4
 
 
-def test_monomial_form_rejects_a_dense_matrix():
-    cols, (w,) = ev._gather(np.array([[0, 2j], [-1, 0]]))
-    assert cols.tolist() == [1, 0] and w.tolist() == [2j, -1]
-    with pytest.raises(hs.InvariantViolation, match="row nonzero counts"):
-        ev._gather(np.ones((4, 4)))
-    with pytest.raises(hs.InvariantViolation, match="row nonzero counts"):
-        ev._gather(np.diag([1.0, 0.0, 1.0]))
-    with pytest.raises(hs.InvariantViolation, match="row nonzero counts"):
-        ev._gather(np.eye(3), np.ones((3, 3)))
-    perm = np.array([[0, 2j, 0], [0, 0, -1], [3, 0, 0]])
-    cols, (w0, w1) = ev._gather(perm, 5 * perm)
-    assert cols.tolist() == [1, 2, 0]
-    assert w0.tolist() == [2j, -1, 3] and w1.tolist() == [10j, -5, 15]
-
-
-def test_gather_refuses_matrices_that_gather_different_columns():
-    with pytest.raises(hs.InvariantViolation, match="same columns"):
-        ev._gather(np.eye(3), np.roll(np.eye(3), 1, axis=1))
-
-
-def test_gather_refuses_shared_columns_that_are_not_a_permutation():
-    # every row reads column 0: one nonzero per row and the same columns, but no permutation
-    shared = np.zeros((3, 3))
-    shared[:, 0] = 1.0
-    assert ev._gather(shared)[0].tolist() == [0, 0, 0]
-    with pytest.raises(hs.InvariantViolation, match="each column once"):
-        ev._gather(shared, 2 * shared)
-
-
 def test_causal_audit_streams_levels_instead_of_storing_the_field():
     n_pts = 512
     dz = 25.6 / n_pts
@@ -1318,6 +1289,22 @@ def test_causal_audit_streams_levels_instead_of_storing_the_field():
     assert peak < field_nbytes / 4
 
 
+@pytest.mark.parametrize("name", ["conservation_fold", "divergence_fold", "plane_wave"])
+def test_fiber_operators_stay_off_dense_matrices_at_large_rank(name):
+    # k = l = 16 (fiber 1156), 8 points, 4 steps: one dense F x F complex matrix
+    # is F^2 16 bytes, while the column maps and the levels need O(F) per point
+    cfg = small_config(k=16, l=16, extent=8.0, points=8, dt=0.5, steps=4)
+    u0 = np.zeros((cfg.points, cfg.fiber), dtype=complex)
+    u0[3, ::7] = 1.0
+    calls = {
+        "conservation_fold": lambda: ev.conservation_fold(cfg, ev.leapfrog(u0, cfg)),
+        "divergence_fold": lambda: ev.divergence_fold(
+            cfg, ev.leapfrog(u0, cfg), ev.leapfrog(u0, cfg)),
+        "plane_wave": lambda: ev.plane_wave(1.3, 1.0, k=16, l=16, pol=5),
+    }
+    assert _traced_peak(calls[name]) < cfg.fiber**2 * 16 / 4
+
+
 def _dense(cols, w):
     """The generalized permutation matrix with row i holding w[i] in column cols[i]."""
     mat = np.zeros((cols.size, cols.size), dtype=complex)
@@ -1334,43 +1321,40 @@ def test_leapfrog_operator_is_diagonal_and_currents_share_columns():
             a = -g0 @ g3
             assert np.array_equal(a, np.diag(np.diag(a)))
             assert set(np.diag(a).tolist()) <= {1.0, -1.0}
-            cols, w0, w3 = ev._dirac_gather(cfg)
+            cols, (w0, w3) = hs.symbol_columns(k, l, 0, 3)
             assert np.array_equal(cols[cols], np.arange(cfg.fiber))
             assert np.array_equal(_dense(cols, w0), g0) and np.array_equal(_dense(cols, w3), g3)
             assert np.array_equal(np.diag(-w0 * w3[cols]), a)
             if k == l:
                 cols, x0, x3 = ev._currents(cfg)
                 assert np.array_equal(np.sort(cols), np.arange(cols.size))
-                pairing = hs.pairing_matrix(k)
-                assert np.array_equal(_dense(cols, x0), pairing @ g0)
-                assert np.array_equal(_dense(cols, x3), pairing @ g3)
+                # the closed form and the tensor engine's build of P, independently
+                for pairing in (hs.pairing_matrix(k), hs._pairing_matrix_reference(k)):
+                    assert np.array_equal(_dense(cols, x0), pairing @ g0)
+                    assert np.array_equal(_dense(cols, x3), pairing @ g3)
 
 
 def test_fast_paths_refuse_operators_without_their_structure(monkeypatch):
     cfg = small_config(k=1, l=1, points=16, extent=4.0, dt=0.1, steps=4)
     u0 = np.ones((cfg.points, cfg.fiber), dtype=complex)
-    dirac_gather = ev._dirac_gather
+    symbol_columns = ev.symbol_columns
 
-    def cycled(c):  # a map Gamma0 and Gamma3 share, cycled on three components: no involution
-        cols, w0, w3 = dirac_gather(c)
-        return cols[[1, 2, 0, *range(3, c.fiber)]], w0, w3
+    def cycled(k, l, *axes):  # a map Gamma0 and Gamma3 share, cycled on three components: no involution
+        cols, weights = symbol_columns(k, l, *axes)
+        return cols[[1, 2, 0, *range(3, cols.size)]], weights
 
     with monkeypatch.context() as patch:
-        patch.setattr(ev, "_dirac_gather", cycled)
+        patch.setattr(ev, "symbol_columns", cycled)
         with pytest.raises(hs.InvariantViolation, match="diagonal"):
             next(ev.leapfrog(u0, cfg))
-    with monkeypatch.context() as patch:
-        patch.setattr(ev, "pairing_matrix", lambda k: np.ones((cfg.fiber, cfg.fiber)))
-        with pytest.raises(hs.InvariantViolation, match="row nonzero counts"):
-            ev.conservation_fold(cfg, [u0])
-    symbol = ev.symbol_matrix
-    shift = np.roll(np.eye(cfg.fiber), 1, axis=0)  # a cyclic column shift
+    symbol = hs.symbol_matrix
+    shift = np.roll(np.eye(4), 1, axis=0)  # a cyclic column shift of the chiral factor
 
     def shifted(k, l, xi):  # Gamma3 alone gathers other columns than Gamma0
         mat = symbol(k, l, xi)
         return mat @ shift if xi.components[3] else mat
 
-    monkeypatch.setattr(ev, "symbol_matrix", shifted)
+    monkeypatch.setattr(hs, "symbol_matrix", shifted)
     with pytest.raises(hs.InvariantViolation, match="same columns"):
         next(ev.leapfrog(u0, cfg))
     with pytest.raises(hs.InvariantViolation, match="same columns"):

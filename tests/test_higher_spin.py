@@ -310,6 +310,17 @@ def test_witness_pair_certifies_both_signs_at_rank_two():
     assert hs.xi_form(minus, minus, E0_COV).real == pytest.approx(q_minus)
 
 
+@pytest.mark.parametrize("scale", [1e308, 1e-320, 1.0])
+def test_witness_pair_reads_xi_as_a_ray(scale):
+    # the product scale * e0 neither overflows nor is read as null
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        (_, q_plus), (_, q_minus) = hs.witness_pair(2, scale * E0_COV)
+    assert q_plus > 0 > q_minus
+    if scale == 1.0:
+        assert (q_plus, q_minus) == (hs.witness_pair(2)[0][1], hs.witness_pair(2)[1][1])
+
+
 def test_witness_pair_refuses_the_definite_rank():
     with pytest.raises(hs.NoNegativeDirection):
         hs.witness_pair(0)
@@ -371,11 +382,49 @@ def test_pairing_matrix_represents_gen_pairing():
         assert packed == pytest.approx(semantic, abs=1e-12)
 
 
+def test_column_maps_gather_what_the_fiber_operators_multiply():
+    # u[..., cols] * w == u @ M.T, at u = the identity
+    for k in range(4):
+        cols, w = hs.pairing_columns(k)
+        assert np.array_equal(np.eye(cols.size)[:, cols] * w, hs._pairing_matrix_reference(k).T)
+        for l in range(3):
+            for axes in ((0,), (1,), (2,), (3,), (0, 3), (1, 2)):
+                cols, weights = hs.symbol_columns(k, l, *axes)
+                for a, w in zip(axes, weights, strict=True):
+                    mat = hs.symbol_matrix(k, l, mk.basis_vector(a, covariant=True))
+                    assert np.array_equal(np.eye(cols.size)[:, cols] * w, mat.T)
+
+
+def test_symbol_columns_refuse_factors_without_one_shared_map(monkeypatch):
+    # sigma^1 swaps the two chiral components that sigma^0 keeps
+    with pytest.raises(hs.InvariantViolation, match="same columns"):
+        hs.symbol_columns(1, 1, 0, 1)
+    symbol = hs.symbol_matrix
+    shift = np.roll(np.eye(4), 1, axis=0)
+    with monkeypatch.context() as patch:  # Gamma3's chiral factor alone reads shifted columns
+        patch.setattr(hs, "symbol_matrix",
+                      lambda k, l, xi: symbol(k, l, xi) @ shift if xi.components[3] else symbol(k, l, xi))
+        with pytest.raises(hs.InvariantViolation, match="same columns"):
+            hs.symbol_columns(2, 1, 0, 3)
+    with monkeypatch.context() as patch:  # a chiral factor that is not monomial
+        patch.setattr(hs, "symbol_matrix", lambda k, l, xi: np.triu(np.ones((4, 4))))
+        with pytest.raises(hs.InvariantViolation, match=r"row nonzero counts \[1, 2, 3, 4\]"):
+            hs.symbol_columns(0, 0, 3)
+    with monkeypatch.context() as patch:  # one nonzero per row, every row reading column 0
+        patch.setattr(hs, "symbol_matrix", lambda k, l, xi: np.eye(4)[[0, 0, 0, 0]])
+        with pytest.raises(hs.InvariantViolation, match="each column once"):
+            hs.symbol_columns(0, 0, 0)
+
+
 def test_pairing_matrix_refuses_weights_past_the_float_range():
-    # C(10000, 5000) ~ 1e3008: refused before the k + 1 binomials are converted
-    with pytest.raises(ValueError) as exc:
-        hs.pairing_matrix(10_000)
-    assert str(exc.value) == "the pairing weight C(10000, 5000) exceeds the float range"
+    # C(10000, 5000) ~ 1e3008: refused before the k + 1 binomials are converted,
+    # and a negative rank is refused as a rank, before its weight is looked at
+    for build in (hs.pairing_columns, hs.pairing_matrix):
+        with pytest.raises(ValueError) as exc:
+            build(10_000)
+        assert str(exc.value) == "the pairing weight C(10000, 5000) exceeds the float range"
+        with pytest.raises(ValueError, match="twist ranks must be nonnegative"):
+            build(-1)
 
 
 def test_gram_matrix_is_hermitian():
@@ -407,7 +456,8 @@ def test_gram_signature_matches_the_analytic_count():
 
 
 def test_gram_matrix_raises_when_not_hermitian(monkeypatch):
-    monkeypatch.setattr(hs, "pairing_matrix", lambda k: np.triu(np.ones((4, 4))))
+    # P's map with one imaginary weight: P s(e0) = diag(w) at k = 0 is not Hermitian
+    monkeypatch.setattr(hs, "pairing_columns", lambda k: (np.array([2, 3, 0, 1]), np.array([1j, 1, 1, 1])))
     with pytest.raises(hs.InvariantViolation):
         hs.gram_matrix(0, E0_COV)
 

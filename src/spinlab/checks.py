@@ -281,9 +281,7 @@ def algebra_suite(suite: Suite, seed: int) -> None:
         yield np.swapaxes(lam, 1, 2) @ mk.ETA @ lam - mk.ETA
         yield cl.covering_lambda(-s2) - lam
         yield cl.covering_lambda(s2[:-1] @ s2[1:]) - lam[:-1] @ lam[1:]
-        for (s, x), lam_s in zip(draws, lam):
-            lhs = sc.sigma_map(mk.LorentzVector(lam_s @ x))
-            yield lhs.data - sc.apply_sl2(sc.sigma_map(mk.LorentzVector(x)), s).data
+        yield sc.covering_diagram_check(s2, np.array([x for _, x in draws]))
 
     suite.check("covering-map-batch", "Appendix 6", 1e-9, covering_batch)
 
@@ -361,18 +359,14 @@ def algebra_suite(suite: Suite, seed: int) -> None:
     suite.check("eta-from-epsilon", "Appendix 6", 1e-12, eta_from_epsilon)
 
     def covering_diagram():
-        for _ in range(100):
-            s2 = random_sl2(rng)
-            lam = cl.covering_lambda(s2)
-            x = mk.LorentzVector(rng.normal(size=4))
-            lhs = sc.sigma_map(mk.LorentzVector(lam @ x.components))
-            yield lhs.data - sc.apply_sl2(sc.sigma_map(x), s2).data
+        draws = [(random_sl2(rng), rng.normal(size=4)) for _ in range(100)]
+        return sc.covering_diagram_check(np.array([s for s, _ in draws]),
+                                         np.array([x for _, x in draws]))
 
     suite.check("covering-diagram", "Appendix 6", 1e-9, covering_diagram)
 
     def frame_invariance_batch():
-        for _ in range(100):
-            yield sc.frame_invariance_check(random_sl2(rng))["max"]
+        return sc.frame_invariance_check(np.array([random_sl2(rng) for _ in range(100)]))["max"]
 
     suite.check("frame-invariance-batch", "Appendix 8", 1e-9, frame_invariance_batch)
 

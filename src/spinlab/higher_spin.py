@@ -45,7 +45,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .clifford import PAULI, InvariantViolation, weyl_gammas
-from .minkowski import LorentzVector, basis_vector, classify_causal, metric_eval
+from .minkowski import LorentzVector, _ray, basis_vector, classify_causal, metric_eval
 from .spinor_core import (
     DOTTED_LOW,
     DOTTED_UP,
@@ -162,8 +162,14 @@ def _orbits(k: int, l: int) -> tuple[np.ndarray, np.ndarray]:
 
 def pack(phi: HigherSpinVector) -> np.ndarray:
     """Packed coordinates of a fiber element (reads sorted representatives)."""
-    first = _orbits(phi.k, phi.l)[1]
-    return np.concatenate([phi.phi1.data.ravel()[first], phi.phi2.data.ravel()[first]])
+    return _packed(phi.phi1.data, phi.phi2.data, phi.k, phi.l)
+
+
+def _packed(phi1: np.ndarray, phi2: np.ndarray, k: int, l: int) -> np.ndarray:
+    """Packed coordinates (..., F) of sector blocks with any leading stack."""
+    first, rank = _orbits(k, l)[1], 1 + k + l
+    return np.concatenate([b.reshape(b.shape[:b.ndim - rank] + (-1,))[..., first]
+                           for b in (phi1, phi2)], axis=-1)
 
 
 def unpack(vec: np.ndarray, k: int, l: int) -> HigherSpinVector:
@@ -171,13 +177,15 @@ def unpack(vec: np.ndarray, k: int, l: int) -> HigherSpinVector:
     vec = np.asarray(vec, dtype=complex)
     if vec.shape != (fiber_dim(k, l),):
         raise ValueError(f"expected {fiber_dim(k, l)} coordinates, got {vec.shape}")
+    phi1, phi2 = _sector_blocks(vec, k, l)
+    return HigherSpinVector(k, l, Spinor(phi1, _phi1_tags(k, l)), Spinor(phi2, _phi2_tags(k, l)))
+
+
+def _sector_blocks(vec: np.ndarray, k: int, l: int) -> tuple[np.ndarray, np.ndarray]:
+    """The two sector blocks of packed coordinates (..., F), each (...,) + (2,) * (1 + k + l):
+    every index takes its slot's coordinate."""
     slots, half = _orbits(k, l)[0], fiber_dim(k, l) // 2
-    return HigherSpinVector(
-        k,
-        l,
-        Spinor(vec[:half][slots], _phi1_tags(k, l)),
-        Spinor(vec[half:][slots], _phi2_tags(k, l)),
-    )
+    return vec[..., :half][..., slots], vec[..., half:][..., slots]
 
 
 def apply_symbol(xi: LorentzVector, phi: HigherSpinVector) -> HigherSpinVector:
@@ -190,19 +198,27 @@ def apply_symbol(xi: LorentzVector, phi: HigherSpinVector) -> HigherSpinVector:
     """
     if not xi.covariant:
         raise ValueError("apply_symbol expects a covariant direction; use .lowered()")
-    up = xi.raised().components
-    xi_up = Spinor(np.einsum("a,aij->ij", up, PAULI), (UNDOTTED_UP, DOTTED_UP))
-    xi_dn = raise_lower(raise_lower(xi_up, 0), 1)
-    # phi1' ^A = xi_up[A, X] (phi2)_X ; contraction over the chiral axes only
-    new1 = np.tensordot(xi_up.data, phi.phi2.data, axes=([1], [0]))
-    # phi2' _X = xi_dn[A, X] (phi1)^A
-    new2 = np.tensordot(xi_dn.data, phi.phi1.data, axes=([0], [0]))
+    new1, new2 = _symbol_blocks(xi, phi.phi1.data, phi.phi2.data, 0)
     return HigherSpinVector(
         phi.k,
         phi.l,
         Spinor(new1, phi.phi1.tags),
         Spinor(new2, phi.phi2.tags),
     )
+
+
+def _symbol_blocks(
+    xi: LorentzVector, phi1: np.ndarray, phi2: np.ndarray, stack: int
+) -> tuple[np.ndarray, np.ndarray]:
+    """apply_symbol's contractions on sector blocks whose first ``stack`` axes are a stack."""
+    up = xi.raised().components
+    xi_up = Spinor(np.einsum("a,aij->ij", up, PAULI), (UNDOTTED_UP, DOTTED_UP))
+    xi_dn = raise_lower(raise_lower(xi_up, 0), 1)
+    # phi1' ^A = xi_up[A, X] (phi2)_X ; contraction over the chiral axes only
+    new1 = np.tensordot(xi_up.data, phi2, axes=([1], [stack]))
+    # phi2' _X = xi_dn[A, X] (phi1)^A
+    new2 = np.tensordot(xi_dn.data, phi1, axes=([0], [stack]))
+    return np.moveaxis(new1, 0, stack), np.moveaxis(new2, 0, stack)
 
 
 def symbol_matrix(k: int, l: int, xi: LorentzVector) -> np.ndarray:
@@ -239,14 +255,16 @@ def symbol_columns(k: int, l: int, *axes: int) -> tuple[np.ndarray, tuple[np.nda
     return lifted, tuple(np.repeat(w, slots) for w in weights)
 
 
-def _unit_fibers(k: int, l: int) -> list[HigherSpinVector]:
-    return [unpack(unit, k, l) for unit in np.eye(fiber_dim(k, l), dtype=complex)]
+def _unit_blocks(k: int, l: int) -> tuple[np.ndarray, np.ndarray]:
+    """The sector blocks of the packed unit basis, stacked: (F,) + (2,) * (1 + k + l) each."""
+    return _sector_blocks(np.eye(fiber_dim(k, l), dtype=complex), k, l)
 
 
 def _symbol_matrix_reference(k: int, l: int, xi: LorentzVector) -> np.ndarray:
-    """symbol_matrix built column by column through the tensor engine."""
-    xi_low = xi.lowered()
-    return np.stack([pack(apply_symbol(xi_low, phi)) for phi in _unit_fibers(k, l)], axis=1)
+    """symbol_matrix through the tensor engine: apply_symbol's contractions on the
+    stacked unit basis, packed, as columns. Each entry is one product, so the
+    stack equals one basis element at a time, entry for entry."""
+    return _packed(*_symbol_blocks(xi.lowered(), *_unit_blocks(k, l), 1), k, l).T
 
 
 def dirac_adjoint(psi: DiracSpinor):
@@ -280,11 +298,21 @@ def gen_pairing(phi: HigherSpinVector, psi: HigherSpinVector) -> complex:
     """
     if phi.k != phi.l or psi.k != psi.l or phi.k != psi.k:
         raise KNotEqualL("generalized pairing needs matching twist ranks k = l")
-    k = phi.k
+    return complex(_pairing_blocks(phi.k, (phi.phi1.data, phi.phi2.data),
+                                   (psi.phi1.data, psi.phi2.data)))
+
+
+def _pairing_blocks(k: int, phi: tuple[np.ndarray, np.ndarray],
+                    psi: tuple[np.ndarray, np.ndarray]) -> np.ndarray:
+    """gen_pairing's contractions on sector blocks with leading stacks, one per argument:
+    the result has the stack of ``phi`` followed by that of ``psi``."""
+    rank = 2 * k + 1
+    n_a, n_b = phi[0].ndim - rank, psi[0].ndim - rank
     axes_a, axes_b = _pairing_axes(k)
-    term1 = np.tensordot(np.conj(phi.phi2.data), psi.phi1.data, axes=(axes_a, axes_b))
-    term2 = np.tensordot(np.conj(phi.phi1.data), psi.phi2.data, axes=(axes_a, axes_b))
-    return complex(term1 + term2)
+    axes = ([a + n_a for a in axes_a], [b + n_b for b in axes_b])
+    term1 = np.tensordot(np.conj(phi[1]), psi[0], axes=axes)
+    term2 = np.tensordot(np.conj(phi[0]), psi[1], axes=axes)
+    return term1 + term2
 
 
 def gen_dirac_adjoint(phi: HigherSpinVector):
@@ -321,9 +349,10 @@ def pairing_matrix(k: int) -> np.ndarray:
 
 
 def _pairing_matrix_reference(k: int) -> np.ndarray:
-    """pairing_matrix built entry by entry through gen_pairing."""
-    basis = _unit_fibers(k, k)
-    return np.array([[gen_pairing(phi, psi) for psi in basis] for phi in basis])
+    """pairing_matrix through the tensor engine: gen_pairing's contractions of the stacked
+    unit basis against itself. Each entry is an integer orbit count, so it is exact."""
+    basis = _unit_blocks(k, k)
+    return _pairing_blocks(k, basis, basis)
 
 
 def closed_form_residual(k: int, l: int, directions: list[LorentzVector]) -> float:
@@ -378,21 +407,6 @@ def gram_matrix(k: int, xi: LorentzVector) -> np.ndarray:
     if not herm_gap <= 1e-10 * scale:
         raise InvariantViolation(f"xi-form Gram not Hermitian (gap {herm_gap:.3e})")
     return 0.5 * (mat + mat.conj().T)
-
-
-def _ray(xi: LorentzVector) -> LorentzVector:
-    """xi scaled by an exact power of two so that its largest part lies in [1, 2).
-
-    Nothing is divided, so no component overflows or flushes to zero. The zero
-    vector and a non-finite xi come back as they are, for the causal check.
-    """
-    comp = xi.components
-    peak = max(np.max(np.abs(comp.real)), np.max(np.abs(comp.imag)))
-    if peak == 0 or not np.isfinite(peak):
-        return xi
-    shift = 1 - int(np.frexp(peak)[1])
-    return LorentzVector(np.ldexp(comp.real, shift) + 1j * np.ldexp(comp.imag, shift),
-                         xi.covariant)
 
 
 def gram_signature(

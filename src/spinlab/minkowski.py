@@ -7,6 +7,7 @@ points require real components and say so.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -71,6 +72,26 @@ def metric_eval(x: LorentzVector, y: LorentzVector) -> complex:
     return complex(np.dot(x.components, ETA_DIAG * y.components))
 
 
+def _ray(x: LorentzVector, top: int = 1) -> LorentzVector:
+    """x scaled by an exact power of two so that its largest part lies in [2^(top-1), 2^top).
+
+    Nothing is divided, so no component overflows, and only parts far below the
+    largest one flush toward zero. The zero vector and a non-finite x come back as
+    they are, for the caller's own check.
+    """
+    comp = x.components
+    peak = max(np.max(np.abs(comp.real)), np.max(np.abs(comp.imag)))
+    if peak == 0 or not np.isfinite(peak):
+        return x
+    shift = top - int(np.frexp(peak)[1])
+    return LorentzVector(np.ldexp(comp.real, shift) + 1j * np.ldexp(comp.imag, shift), x.covariant)
+
+
+# with every part below 2^510, the three same-signed terms of eta(x, x) sum to under
+# 3 * 2^1020, so the form cannot leave the float range
+_FORM_SAFE_EXPONENT = 510
+
+
 def _require_real(x: LorentzVector, what: str) -> np.ndarray:
     if not np.all(np.isfinite(x.components)):
         raise ValueError(f"{what} requires finite components")
@@ -90,10 +111,25 @@ def classify_causal(x: LorentzVector) -> tuple[str, str]:
     Spacelike vectors have no invariant time orientation and always report
     "none"; the zero vector is ("null", "none"). Raises ValueError on a
     complex, NaN or infinite component.
+
+    Where eta(x, x) could leave the float range, it is evaluated on x scaled by an
+    exact power of two and scaled back, so every x whose form fits gets exactly
+    the unscaled value; when the form does not fit, x is classified as its ray,
+    scaled to a largest part in [1, 2), with the orientation of x itself.
     """
     _require_real(x, "classify_causal")
     up = x.raised()
-    q = metric_eval(x, x).real
+    exponent = int(np.frexp(np.max(np.abs(x.components.real)))[1])
+    if exponent <= _FORM_SAFE_EXPONENT:
+        q = metric_eval(x, x).real
+    else:
+        # the same sums on x scaled by an exact power of two, then scaled back
+        scaled = _ray(x, top=_FORM_SAFE_EXPONENT)
+        try:
+            q = math.ldexp(metric_eval(scaled, scaled).real, 2 * (exponent - _FORM_SAFE_EXPONENT))
+        except OverflowError:  # eta(x, x) leaves the float range: only the ray of x counts
+            ray = _ray(x)
+            q = metric_eval(ray, ray).real
     if abs(q) <= DEFAULT_TOL:
         cls = "null"
     elif q > 0:

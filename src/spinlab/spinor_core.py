@@ -202,6 +202,31 @@ def sym_dimension(k: int, l: int) -> int:
     return (k + 1) * (l + 1)
 
 
+def _act(data: np.ndarray, tags: tuple[str, ...], s2: np.ndarray) -> np.ndarray:
+    """The tag-wise action of S on the trailing len(tags) axes of ``data``.
+
+    The leading axes of ``data`` are a stack that broadcasts with that of S,
+    a (..., 2, 2) array the caller has checked. Each tagged axis is contracted
+    with its matrix as two products and one sum per entry, the same arithmetic
+    for every member of a stack.
+    """
+    inv_t = np.swapaxes(np.linalg.inv(s2), -1, -2)
+    matrices = {
+        UNDOTTED_UP: s2,
+        DOTTED_UP: np.conj(s2),
+        UNDOTTED_LOW: inv_t,
+        DOTTED_LOW: np.conj(inv_t),
+    }
+    rank = len(tags)
+    for axis, tag in enumerate(tags, start=-rank):
+        mat = matrices[tag]
+        mat = mat.reshape(mat.shape[:-2] + (1,) * (rank - 1) + (2, 2))  # spans the other axes
+        moved = np.moveaxis(data, axis, -1)
+        moved = moved[..., :1] * mat[..., :, 0] + moved[..., 1:] * mat[..., :, 1]
+        data = np.moveaxis(moved, -1, axis)
+    return data
+
+
 def apply_sl2(s: Spinor, s2: np.ndarray) -> Spinor:
     """Act with a special linear matrix on every axis per its tag.
 
@@ -214,18 +239,15 @@ def apply_sl2(s: Spinor, s2: np.ndarray) -> Spinor:
     if s2.shape != (2, 2):
         raise ValueError(f"expected shape (2, 2), got {s2.shape}")
     _require_unimodular(s2)
-    inv_t = np.linalg.inv(s2).T
-    matrices = {
-        UNDOTTED_UP: s2,
-        DOTTED_UP: np.conj(s2),
-        UNDOTTED_LOW: inv_t,
-        DOTTED_LOW: np.conj(inv_t),
-    }
-    data = s.data
-    for axis, tag in enumerate(s.tags):
-        moved = np.tensordot(matrices[tag], data, axes=([1], [axis]))
-        data = np.moveaxis(moved, 0, axis)
-    return Spinor(data, s.tags)
+    return Spinor(_act(s.data, s.tags, s2), s.tags)
+
+
+def _solder(components: np.ndarray) -> np.ndarray:
+    """x^a sigma_a of contravariant components (..., 4), as (..., 2, 2); ValueError
+    on a NaN or infinite component."""
+    if not np.all(np.isfinite(components)):
+        raise ValueError("the soldering map needs finite components")
+    return np.einsum("...a,aij->...ij", components, PAULI) / SQRT2
 
 
 def sigma_map(x: LorentzVector) -> Spinor:
@@ -233,12 +255,29 @@ def sigma_map(x: LorentzVector) -> Spinor:
 
     sigma_a = s_a / sqrt(2) in terms of the Pauli matrices, which makes the
     map an isometry onto Hermitian matrices: eta(x, y) turns into the
-    epsilon pairing of the images. Requires a contravariant argument.
+    epsilon pairing of the images. Requires a contravariant argument with
+    finite components (ValueError otherwise).
     """
     if x.covariant:
         raise ValueError("sigma_map expects a contravariant vector; use .raised()")
-    mat = np.einsum("a,aij->ij", x.components, PAULI) / SQRT2
-    return Spinor(mat, (UNDOTTED_UP, DOTTED_UP))
+    return Spinor(_solder(x.components), (UNDOTTED_UP, DOTTED_UP))
+
+
+def covering_diagram_check(s2: np.ndarray, x: np.ndarray) -> float:
+    """max |sigma(lam x) - S . sigma(x)| over one pair or a stack of pairs.
+
+    ``s2`` is one S or a (..., 2, 2) stack, checked by :func:`covering_lambda`
+    (which gives lam), and ``x`` holds contravariant components (..., 4) whose
+    stack broadcasts with it. S acts on sigma(x) by the tag-wise spinor action.
+    Raises ValueError for a NaN or infinite component, of x or of lam x.
+    """
+    lam = covering_lambda(s2)
+    x = np.asarray(x)
+    if x.shape[-1:] != (4,):
+        raise ValueError(f"expected components of shape (..., 4), got {x.shape}")
+    moved = _solder(np.einsum("...ab,...b->...a", lam, x))
+    acted = _act(_solder(x), (UNDOTTED_UP, DOTTED_UP), np.asarray(s2, dtype=complex))
+    return float(np.max(np.abs(moved - acted)))
 
 
 def sigma_inv(s: Spinor) -> LorentzVector:
@@ -309,33 +348,36 @@ def clebsch_reconstruct(high: Spinor, low: Spinor | None) -> Spinor:
 def frame_invariance_check(s2: np.ndarray) -> dict:
     """Deviation of epsilon, sigma, and gamma from frame invariance under S.
 
-    Transforms every spinor index with the representation matrices from
+    Transforms every spinor index with the representation matrices of
     :func:`apply_sl2`, every vector index with the covering Lorentz matrix,
-    and reports how far each invariant object moved. All entries should be
-    at round-off for special linear S.
+    and reports how far each invariant object moved. ``s2`` is one S or a
+    (..., 2, 2) stack, checked by :func:`covering_lambda`; each entry is the
+    max over the stack, NaN kept. All entries should be at round-off for
+    special linear S.
     """
-    lam = covering_lambda(s2)
-    lam_inv = np.linalg.inv(lam)
+    s2 = np.asarray(s2, dtype=complex)
+    lam_inv = np.linalg.inv(covering_lambda(s2))
     report = {}
     for variant, name in (
         ("lower-undotted", "epsilon_lower"),
         ("upper-undotted", "epsilon_upper"),
     ):
         eps = epsilon(variant)
-        moved = apply_sl2(eps, s2)
-        report[name] = float(np.max(np.abs(moved.data - eps.data)))
+        report[name] = float(np.max(np.abs(_act(eps.data, eps.tags, s2) - eps.data)))
 
     # sigma_a has one covariant vector index: sigma'_a = inv(lam)^b_a S sigma_b S^dag
-    s2c = np.asarray(s2, dtype=complex)
+    s2_dag = np.conj(np.swapaxes(s2, -1, -2))
     sigma = PAULI / SQRT2
-    rotated = np.einsum("ba,bij->aij", lam_inv, s2c @ sigma @ s2c.conj().T)
+    moved = s2[..., None, :, :] @ sigma @ s2_dag[..., None, :, :]
+    rotated = np.einsum("...ba,...bij->...aij", lam_inv, moved)
     report["sigma"] = float(np.max(np.abs(rotated - sigma)))
 
     gammas = weyl_gammas()
-    s4 = np.zeros((4, 4), dtype=complex)
-    s4[:2, :2] = s2c
-    s4[2:, 2:] = np.linalg.inv(s2c.conj().T)
-    rotated_g = np.einsum("ba,bij->aij", lam_inv, s4 @ gammas @ np.linalg.inv(s4))
+    s4 = np.zeros(s2.shape[:-2] + (4, 4), dtype=complex)
+    s4[..., :2, :2] = s2
+    s4[..., 2:, 2:] = np.linalg.inv(s2_dag)
+    moved = s4[..., None, :, :] @ gammas @ np.linalg.inv(s4)[..., None, :, :]
+    rotated_g = np.einsum("...ba,...bij->...aij", lam_inv, moved)
     report["gamma"] = float(np.max(np.abs(rotated_g - gammas)))
 
     report["max"] = float(np.max(list(report.values())))

@@ -1,5 +1,6 @@
 """Twisted fibers: packing, symbols, pairings, and Gram signatures."""
 
+import functools
 import itertools
 import math
 import warnings
@@ -445,6 +446,50 @@ def test_closed_forms_match_the_tensor_engine_reference():
         for l in range(4):
             directions = [mk.LorentzVector(rng.normal(size=4), covariant=True) for _ in range(2)]
             assert hs.closed_form_residual(k, l, directions) <= 1e-12
+
+
+def _unit_fibers(k, l):
+    return [hs.unpack(unit, k, l) for unit in np.eye(hs.fiber_dim(k, l), dtype=complex)]
+
+
+def _symbol_matrix_by_basis(k, l, xi):
+    # one apply_symbol per basis element, packed as a column
+    return np.stack([hs.pack(hs.apply_symbol(xi.lowered(), phi)) for phi in _unit_fibers(k, l)], axis=1)
+
+
+def _pairing_matrix_by_basis(k):
+    # one gen_pairing per pair of basis elements
+    basis = _unit_fibers(k, k)
+    return np.array([[hs.gen_pairing(phi, psi) for psi in basis] for phi in basis])
+
+
+def test_stacked_references_equal_the_per_basis_loops():
+    rng = np.random.default_rng(13)
+    for k in range(4):
+        for l in range(4):
+            xi = mk.LorentzVector(rng.normal(size=4), covariant=True)
+            assert np.array_equal(hs._symbol_matrix_reference(k, l, xi), _symbol_matrix_by_basis(k, l, xi))
+        assert np.array_equal(hs._pairing_matrix_reference(k), _pairing_matrix_by_basis(k))
+
+
+def test_stacked_contractions_equal_the_single_element_engine():
+    rng = np.random.default_rng(14)
+    k, l = 2, 1
+    fibers = [random_fiber(rng, k, l) for _ in range(6)]
+    blocks = tuple(np.array([getattr(phi, name).data for phi in fibers]).reshape((2, 3) + (2,) * 4)
+                   for name in ("phi1", "phi2"))
+    xi = mk.LorentzVector(rng.normal(size=4), covariant=True)
+    # a stack may sum in another order than one element at a time
+    close = functools.partial(np.testing.assert_allclose, rtol=1e-13, atol=1e-13)
+    new1, new2 = hs._symbol_blocks(xi, *blocks, 2)
+    for i, phi in enumerate(fibers):
+        moved = hs.apply_symbol(xi, phi)
+        close(new1[divmod(i, 3)], moved.phi1.data)
+        close(new2[divmod(i, 3)], moved.phi2.data)
+    pairs = [random_fiber(rng, 2, 2) for _ in range(5)]
+    stacked = tuple(np.array([getattr(phi, name).data for phi in pairs]) for name in ("phi1", "phi2"))
+    gram = hs._pairing_blocks(2, stacked, stacked)
+    close(gram, [[hs.gen_pairing(a, b) for b in pairs] for a in pairs])
 
 
 def test_gram_signature_matches_the_analytic_count():

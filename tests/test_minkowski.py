@@ -1,5 +1,7 @@
 """Metric bookkeeping, causal classification, and Lorentz-matrix predicates."""
 
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import given
@@ -67,6 +69,51 @@ def test_classify_causal_rejects_non_finite_components(bad):
         mk.classify_causal(mk.LorentzVector(np.array([bad, 0.0, 0.0, 0.0])))
     with pytest.raises(ValueError, match="finite"):
         mk.classify_causal(mk.LorentzVector(np.array([2.0, 0.0, 0.0, bad]), covariant=True))
+
+
+@pytest.mark.parametrize("comps, expect", [
+    ([1e200, 2e200, 0.0, 0.0], ("spacelike", "none")),
+    ([1e200, 0.0, 0.0, 1e200], ("null", "future")),
+    ([-1e200, 0.0, 0.0, 1e200], ("null", "past")),
+    ([2e200, 1e200, 0.0, 0.0], ("timelike", "future")),
+    ([-1e308, 1e308, 1e308, 1e308], ("spacelike", "none")),
+    ([-1.7e308, 1e308, 0.0, 0.0], ("timelike", "past")),
+])
+@pytest.mark.parametrize("covariant", [False, True])
+def test_classify_causal_reads_a_form_past_the_float_range_off_the_ray(comps, expect, covariant):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert mk.classify_causal(mk.LorentzVector(comps, covariant=covariant)) == expect
+
+
+def _unscaled_classification(x):
+    # classify_causal's rule applied to eta(x, x) as computed without any scaling
+    with np.errstate(over="ignore", invalid="ignore"):
+        q = mk.metric_eval(x, x).real
+    t = x.raised().components[0].real
+    cls = "null" if abs(q) <= mk.DEFAULT_TOL else "timelike" if q > 0 else "spacelike"
+    if cls == "spacelike" or abs(t) <= mk.DEFAULT_TOL:
+        return q, (cls, "none")
+    return q, (cls, "future" if t > mk.DEFAULT_TOL else "past")
+
+
+def test_classify_causal_keeps_every_form_that_fits_the_float_range():
+    # near and past the scaling threshold 2^510, including nearly null vectors whose huge
+    # terms cancel, the class is that of the unscaled form wherever that form is finite
+    rng = np.random.default_rng(3)
+    checked = 0
+    for exponent in range(505, 514):
+        for _ in range(40):
+            comps = np.ldexp(rng.normal(size=4), exponent)
+            if rng.uniform() < 0.5:
+                comps[3] = np.copysign(comps[0], rng.normal())
+                comps[1:3] = rng.normal(size=2) * 10.0 ** rng.integers(-6, 2)
+            x = mk.LorentzVector(comps, covariant=bool(rng.integers(2)))
+            q, expect = _unscaled_classification(x)
+            if np.isfinite(q):
+                checked += 1
+                assert mk.classify_causal(x) == expect, comps
+    assert checked > 200
 
 
 def test_non_finite_directions_surface_as_value_errors_in_the_gram_form():

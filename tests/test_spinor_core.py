@@ -239,6 +239,107 @@ def test_frame_invariance_check_keeps_a_nan_gamma(monkeypatch):
     assert np.isnan(report["gamma"]) and np.isnan(report["max"])
 
 
+def _random_sl2_stack(rng, shape):
+    mat = rng.normal(size=shape + (2, 2)) + 1j * rng.normal(size=shape + (2, 2))
+    return mat / np.sqrt(np.linalg.det(mat))[..., None, None]
+
+
+@pytest.mark.parametrize("shape", [(), (5,), (2, 3)])
+def test_stacked_action_equals_a_loop_of_apply_sl2(shape):
+    rng = np.random.default_rng(7)
+    tags_all = (sc.UNDOTTED_UP, sc.UNDOTTED_LOW, sc.DOTTED_UP, sc.DOTTED_LOW)
+    for rank in range(4):
+        for tags in itertools.product(tags_all, repeat=rank):
+            s2 = _random_sl2_stack(rng, shape)
+            data = rng.normal(size=shape + (2,) * rank) + 1j * rng.normal(size=shape + (2,) * rank)
+            loop = [sc.apply_sl2(sc.Spinor(data[i], tags), s2[i]).data for i in np.ndindex(shape)]
+            want = np.array(loop).reshape(shape + (2,) * rank)
+            assert np.array_equal(sc._act(data, tags, s2), want), tags
+
+
+def test_stacked_action_broadcasts_one_matrix_over_a_stack_of_spinors():
+    rng = np.random.default_rng(8)
+    s2 = _random_sl2_stack(rng, ())
+    tags = (sc.UNDOTTED_UP, sc.DOTTED_LOW)
+    data = rng.normal(size=(4, 2, 2)) + 1j * rng.normal(size=(4, 2, 2))
+    want = np.array([sc.apply_sl2(sc.Spinor(d, tags), s2).data for d in data])
+    assert np.array_equal(sc._act(data, tags, s2), want)
+
+
+def test_frame_invariance_over_a_stack_is_the_max_of_the_per_matrix_reports():
+    stack = _random_sl2_stack(np.random.default_rng(9), (2, 5))
+    reports = [sc.frame_invariance_check(s2) for s2 in stack.reshape(-1, 2, 2)]
+    report = sc.frame_invariance_check(stack)
+    assert report.keys() == reports[0].keys()
+    for key, value in report.items():
+        assert np.array_equal(value, max(r[key] for r in reports)), key
+    assert report["max"] < 1e-10
+
+
+def test_frame_invariance_over_a_stack_keeps_a_nan_gamma(monkeypatch):
+    gammas = cl.weyl_gammas()
+    gammas[2, 1, 2] = np.nan
+    monkeypatch.setattr(sc, "weyl_gammas", lambda: gammas)
+    report = sc.frame_invariance_check(_random_sl2_stack(np.random.default_rng(10), (3,)))
+    assert max(report["epsilon_lower"], report["epsilon_upper"], report["sigma"]) < 1e-10
+    assert np.isnan(report["gamma"]) and np.isnan(report["max"])
+
+
+def test_frame_invariance_refuses_a_stack_with_one_non_unimodular_member():
+    stack = _random_sl2_stack(np.random.default_rng(11), (4,))
+    stack[2] *= 2.0
+    with pytest.raises(cl.NotUnimodular, match="at index 2$"):
+        sc.frame_invariance_check(stack)
+
+
+def _diagram_loop(s2, x):
+    # one sample at a time, through the public spinor objects
+    lam = cl.covering_lambda(s2)
+    lhs = sc.sigma_map(mk.LorentzVector(lam @ x))
+    return float(np.max(np.abs(lhs.data - sc.apply_sl2(sc.sigma_map(mk.LorentzVector(x)), s2).data)))
+
+
+def test_covering_diagram_check_matches_the_per_sample_loop():
+    rng = np.random.default_rng(12)
+    s2 = _random_sl2_stack(rng, (50,))
+    x = rng.normal(size=(50, 4))
+    per_pair = [sc.covering_diagram_check(s, v) for s, v in zip(s2, x)]
+    loop = [_diagram_loop(s, v) for s, v in zip(s2, x)]
+    assert sc.covering_diagram_check(s2, x) == max(per_pair)
+    np.testing.assert_allclose(per_pair, loop, rtol=0, atol=1e-14)
+    assert max(per_pair) < 1e-12
+
+
+def test_covering_diagram_check_broadcasts_its_stacks():
+    rng = np.random.default_rng(13)
+    s2 = _random_sl2_stack(rng, (3, 1))
+    x = rng.normal(size=(4, 4))
+    want = max(sc.covering_diagram_check(s2[i, 0], x[j]) for i in range(3) for j in range(4))
+    assert sc.covering_diagram_check(s2, x) == want
+
+
+def test_covering_diagram_check_refuses_bad_input():
+    s2 = _random_sl2_stack(np.random.default_rng(14), (2,))
+    with pytest.raises(ValueError, match=r"expected components of shape \(\.\.\., 4\), got \(2, 3\)"):
+        sc.covering_diagram_check(s2, np.zeros((2, 3)))
+    with pytest.raises(ValueError, match=r"expected shape \(\.\.\., 2, 2\)"):
+        sc.covering_diagram_check(np.eye(3), np.zeros(4))
+    with pytest.raises(cl.NotUnimodular):
+        sc.covering_diagram_check(2.0 * np.eye(2), np.zeros(4))
+    for bad in (np.nan, np.inf):
+        x = np.zeros((2, 4))
+        x[1, 2] = bad
+        with pytest.raises(ValueError, match="the soldering map needs finite components"):
+            sc.covering_diagram_check(s2, x)
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_sigma_map_refuses_a_non_finite_component(bad):
+    with pytest.raises(ValueError) as exc:
+        sc.sigma_map(mk.LorentzVector([bad, 0, 0, 0]))
+    assert str(exc.value) == "the soldering map needs finite components"
+
+
 def test_apply_sl2_uses_the_four_representations():
     rng = np.random.default_rng(1)
     mat = rng.normal(size=(2, 2)) + 1j * rng.normal(size=(2, 2))

@@ -18,7 +18,7 @@ import math
 
 import numpy as np
 
-from .minkowski import DEFAULT_TOL, ETA, _restricted
+from .minkowski import DEFAULT_TOL, ETA, _exponent, _ldexp, _restricted
 
 PAULI = np.array(
     [
@@ -29,6 +29,7 @@ PAULI = np.array(
     ],
     dtype=complex,
 )
+PAULI.flags.writeable = False
 
 #: The Levi-Civita symbol eps_ijk on {0, 1, 2}, in closed form (read-only).
 LEVI_CIVITA = np.fromfunction(lambda i, j, k: (i - j) * (j - k) * (k - i) / 2, (3, 3, 3))
@@ -284,9 +285,15 @@ def _refuse(ok: np.ndarray, exc: type[Exception], message: str, value=None) -> N
 
 def _require_unimodular(s2: np.ndarray) -> None:
     """Raise NotUnimodular unless |det S - 1| <= DEFAULT_TOL for S or every member of a stack."""
-    # det of a NaN/inf member would warn: I stands in for it, and its det reads NaN
+    # det of a NaN/inf member, or one whose det leaves the float range (read off its ray,
+    # 2^s S, as det(2^s S) 4^-s), would warn: I stands in for it, and its det reads NaN or inf
     finite = np.all(np.isfinite(s2), axis=(-2, -1))
-    det = np.where(finite, np.linalg.det(np.where(finite[..., None, None], s2, np.eye(2))), np.nan)
+    s2 = np.where(finite[..., None, None], s2, np.eye(2))
+    shift = 1 - _exponent(s2, 2)
+    ray_det = np.linalg.det(_ldexp(s2, shift, 2))
+    fits = (ray_det == 0) | (_exponent(ray_det, 0) - 2 * shift <= 1024)
+    det = np.linalg.det(np.where(fits[..., None, None], s2, np.eye(2)))
+    det = np.where(finite, np.where(fits, det, np.inf), np.nan)
     _refuse(np.abs(det - 1.0) <= DEFAULT_TOL, NotUnimodular, "det = {}, expected 1", det)
 
 
@@ -295,25 +302,34 @@ def covering_lambda(s2: np.ndarray) -> np.ndarray:
 
     Entry (a, b) is (1/2) tr(s_a S s_b S^dag), so the (..., 4, 4) result is the
     Kronecker form (1/2) conj(P) (S kron conj(S)) P^T, row a of P being s_a read
-    row-major; S and -S give the same matrix. Raises NotUnimodular when |det S - 1|
-    exceeds DEFAULT_TOL (NaN and inf fail closed), InvariantViolation when the
-    coefficients come out complex or a result fails the restricted-group test, whose
-    metric gap is bounded by DEFAULT_TOL max(1, max|lam|^2) per matrix (each naming a
-    stack's first failing index), and ValueError for a shape not ending in (2, 2).
+    row-major; S and -S give the same matrix. The product is formed on the ray of S
+    and scaled back exactly, so no step leaves the float range before lam does.
+    Raises NotUnimodular when |det S - 1| exceeds DEFAULT_TOL (NaN and inf fail
+    closed, a det past the float range reads inf), OverflowError when lam leaves the
+    float range, InvariantViolation when the coefficients come out complex or a result
+    fails the restricted-group test, whose metric gap is bounded by DEFAULT_TOL
+    max(1, max|lam|^2) per matrix (each naming a stack's first failing index), and
+    ValueError for a shape not ending in (2, 2).
     """
     s2 = np.asarray(s2, dtype=complex)
     if s2.shape[-2:] != (2, 2):
         raise ValueError(f"expected shape (..., 2, 2), got {s2.shape}")
     _require_unimodular(s2)
-    kron = s2[..., :, None, :, None] * s2.conj()[..., None, :, None, :]
+    # S read as its ray, 2^s S with a largest part in [1, 2): its Kronecker square cannot
+    # overflow, and the coefficients come out scaled by exactly 4^s
+    shift = 1 - _exponent(s2, 2)
+    unit = _ldexp(s2, shift, 2)
+    kron = unit[..., :, None, :, None] * unit.conj()[..., None, :, None, :]
     rows = PAULI.reshape(4, 4)
     coeff = rows.conj() @ kron.reshape(s2.shape[:-2] + (4, 4)) @ rows.T / 2.0
+    _refuse(_exponent(coeff, 2) - 2 * shift <= 1024, OverflowError,
+            "the Lorentz image of S leaves the float range")
+    coeff = _ldexp(coeff, -2 * shift, 2)
     # S s_b S^dag is Hermitian for any S, so the Pauli coefficients are real.
     imag = np.max(np.abs(coeff.imag), axis=(-2, -1))
     _refuse(imag < 1e-10, InvariantViolation, "complex Pauli coefficients (imag {:.3e})", imag)
     lam = coeff.real
     # lam^T eta lam rounds at about eps max|lam|^2, and max|lam| ~ |S|^2 is unbounded
-    scale = np.maximum(1.0, np.max(np.abs(lam), axis=(-2, -1)) ** 2)
-    _refuse(_restricted(lam, scale), InvariantViolation,
+    _refuse(_restricted(lam, relative=True), InvariantViolation,
             "covering output left the restricted group")
     return lam

@@ -81,7 +81,7 @@ import numbers
 from collections import deque
 from collections.abc import Iterable, Iterator
 from contextlib import contextmanager
-from dataclasses import asdict, dataclass
+from dataclasses import asdict, dataclass, fields
 
 import numpy as np
 
@@ -110,8 +110,10 @@ class EvolutionConfig:
 
     ``extent`` is the periodic domain length, ``points`` the number of
     cells (dz = extent / points), ``steps`` the number of time steps taken
-    beyond the initial level. The unit-speed constraint dt <= dz is
-    enforced here; the stricter leapfrog bound dt sqrt(dz^-2 + m^2) < 1 is
+    beyond the initial level. Each real, non-bool value is stored as a Python
+    float, or an int for an integral k, l, points or steps (16.0 points is 16);
+    any other value is refused with ValueError. The unit-speed constraint
+    dt <= dz is enforced here; the stricter leapfrog bound dt sqrt(dz^-2 + m^2) < 1 is
     enforced when time stepping starts, because the aligned dt = dz grid of
     the Green operator is valid with mass but must never be time-stepped.
     """
@@ -125,6 +127,12 @@ class EvolutionConfig:
     steps: int
 
     def __post_init__(self) -> None:
+        for name in ("mass", "k", "l", "extent", "points", "dt", "steps"):
+            value = getattr(self, name)
+            if isinstance(value, numbers.Real) and not isinstance(value, bool):
+                size = name in ("k", "l", "points", "steps") and (
+                    isinstance(value, numbers.Integral) or float(value).is_integer())
+                object.__setattr__(self, name, int(value) if size else float(value))
         for name, kind, what in (("mass", numbers.Real, "a real number"),
                                  ("extent", numbers.Real, "a real number"),
                                  ("dt", numbers.Real, "a real number"),
@@ -570,6 +578,7 @@ def causal_support_check(phi0, cfg: EvolutionConfig) -> dict:
 _HANKEL_SWITCH = 100.0
 #: c_n = prod_{j <= n} (2j - 1)^2 / (n! 8^n), n < 12: Hankel's P and Q at order 0 by powers of 1/x.
 _HANKEL_COEFFS = np.cumprod([1.0] + [(2 * n - 1) ** 2 / (8 * n) for n in range(1, 12)])
+_HANKEL_COEFFS.flags.writeable = False
 
 
 def _trapezoid_j0(x: np.ndarray, top: float | None = None) -> np.ndarray:
@@ -845,22 +854,11 @@ def _json_object(obj, what: str) -> dict:
     return obj
 
 
-def _is_number(value) -> bool:
-    return isinstance(value, (int, float)) and not isinstance(value, bool)
-
-
 def config_from_json(obj: dict) -> EvolutionConfig:
-    """Parse a config object; ValueError on a non-object, a non-number, or a
-    fractional k, l, points or steps (refused rather than truncated)."""
+    """Parse a config object: ValueError unless it is a JSON object, KeyError for a
+    missing key; ``EvolutionConfig`` types and checks the seven values."""
     obj = _json_object(obj, "config")
-    parsed = {}
-    for name in ("mass", "k", "l", "extent", "points", "dt", "steps"):
-        value, integral = obj[name], name in ("k", "l", "points", "steps")
-        if not _is_number(value) or integral and value % 1 != 0:
-            kind = "an integer" if integral else "a number"
-            raise ValueError(f"config {name} must be {kind}, got {value!r}")
-        parsed[name] = int(value) if integral else float(value)
-    return EvolutionConfig(**parsed)
+    return EvolutionConfig(**{field.name: obj[field.name] for field in fields(EvolutionConfig)})
 
 
 def snapshot_to_json(cfg: EvolutionConfig, level: np.ndarray, time: float) -> dict:
@@ -901,7 +899,8 @@ def snapshot_from_json(obj: dict) -> tuple[EvolutionConfig, float, np.ndarray]:
             raise ValueError(f"grid value {j} needs phi1 and phi2 as {half} [re, im] number pairs")
         data[j] = pairs.reshape(-1, 2).astype(float).view(complex)[:, 0]
     time = obj.get("time", 0.0)
-    if not (_is_number(time) and math.isfinite(time) and np.all(np.isfinite(data))):
+    numeric = isinstance(time, (int, float)) and not isinstance(time, bool)
+    if not (numeric and math.isfinite(time) and np.all(np.isfinite(data))):
         raise ValueError("snapshot holds a non-finite or non-numeric value")
     return cfg, float(time), data
 

@@ -7,6 +7,7 @@ points require real components and say so.
 
 from __future__ import annotations
 
+import contextlib
 import math
 from dataclasses import dataclass
 
@@ -14,6 +15,7 @@ import numpy as np
 
 ETA_DIAG = np.array([1.0, -1.0, -1.0, -1.0])
 ETA = np.diag(ETA_DIAG)
+ETA_DIAG.flags.writeable = ETA.flags.writeable = False
 
 DEFAULT_TOL = 1e-9
 
@@ -72,32 +74,29 @@ def metric_eval(x: LorentzVector, y: LorentzVector) -> complex:
     return complex(np.dot(x.components, ETA_DIAG * y.components))
 
 
-def _ray(x: LorentzVector, top: int = 1) -> LorentzVector:
-    """x scaled by an exact power of two so that its largest part lies in [2^(top-1), 2^top).
+def _exponent(a: np.ndarray, ndim: int = 1) -> np.ndarray:
+    """Per block of the trailing ``ndim`` axes, the e with the largest part in [2^(e-1), 2^e)."""
+    parts = np.maximum(np.abs(a.real), np.abs(a.imag))
+    return np.frexp(np.max(parts, axis=tuple(range(-ndim, 0))))[1]
+
+
+def _ldexp(a: np.ndarray, shift, ndim: int = 1) -> np.ndarray:
+    """Complex a times 2^shift, one shift per block of the trailing ``ndim`` axes, exactly."""
+    shift = np.asarray(shift)[(...,) + (None,) * ndim]
+    return np.ldexp(a.real, shift) + 1j * np.ldexp(a.imag, shift)
+
+
+def _ray(x: LorentzVector) -> LorentzVector:
+    """x scaled by an exact power of two so that its largest part lies in [1, 2).
 
     Nothing is divided, so no component overflows, and only parts far below the
-    largest one flush toward zero. The zero vector and a non-finite x come back as
-    they are, for the caller's own check.
+    largest one flush toward zero. A non-finite x comes back as it is, for the
+    caller's own check.
     """
     comp = x.components
-    peak = max(np.max(np.abs(comp.real)), np.max(np.abs(comp.imag)))
-    if peak == 0 or not np.isfinite(peak):
+    if not np.all(np.isfinite(comp)):
         return x
-    shift = top - int(np.frexp(peak)[1])
-    return LorentzVector(np.ldexp(comp.real, shift) + 1j * np.ldexp(comp.imag, shift), x.covariant)
-
-
-# with every part below 2^510, the three same-signed terms of eta(x, x) sum to under
-# 3 * 2^1020, so the form cannot leave the float range
-_FORM_SAFE_EXPONENT = 510
-
-
-def _require_real(x: LorentzVector, what: str) -> np.ndarray:
-    if not np.all(np.isfinite(x.components)):
-        raise ValueError(f"{what} requires finite components")
-    if np.max(np.abs(x.components.imag)) > 1e-12:
-        raise ValueError(f"{what} requires real components")
-    return x.components.real
+    return LorentzVector(_ldexp(comp, 1 - _exponent(comp)), x.covariant)
 
 
 def classify_causal(x: LorentzVector) -> tuple[str, str]:
@@ -112,24 +111,20 @@ def classify_causal(x: LorentzVector) -> tuple[str, str]:
     "none"; the zero vector is ("null", "none"). Raises ValueError on a
     complex, NaN or infinite component.
 
-    Where eta(x, x) could leave the float range, it is evaluated on x scaled by an
-    exact power of two and scaled back, so every x whose form fits gets exactly
-    the unscaled value; when the form does not fit, x is classified as its ray,
-    scaled to a largest part in [1, 2), with the orientation of x itself.
+    eta(x, x) is evaluated once, on the ray of x (``_ray``), and scaled back by
+    the same exact power of two, so every x whose form fits the float range gets
+    exactly the unscaled value; a form past the float range is read off the ray,
+    with the orientation of x itself.
     """
-    _require_real(x, "classify_causal")
+    if not np.all(np.isfinite(x.components)):
+        raise ValueError("classify_causal requires finite components")
+    if np.max(np.abs(x.components.imag)) > 1e-12:
+        raise ValueError("classify_causal requires real components")
     up = x.raised()
-    exponent = int(np.frexp(np.max(np.abs(x.components.real)))[1])
-    if exponent <= _FORM_SAFE_EXPONENT:
-        q = metric_eval(x, x).real
-    else:
-        # the same sums on x scaled by an exact power of two, then scaled back
-        scaled = _ray(x, top=_FORM_SAFE_EXPONENT)
-        try:
-            q = math.ldexp(metric_eval(scaled, scaled).real, 2 * (exponent - _FORM_SAFE_EXPONENT))
-        except OverflowError:  # eta(x, x) leaves the float range: only the ray of x counts
-            ray = _ray(x)
-            q = metric_eval(ray, ray).real
+    ray = _ray(x)
+    q = metric_eval(ray, ray).real
+    with contextlib.suppress(OverflowError):  # past the float range, the ray's form counts
+        q = math.ldexp(q, 2 * (int(_exponent(x.components)) - 1))
     if abs(q) <= DEFAULT_TOL:
         cls = "null"
     elif q > 0:
@@ -146,15 +141,24 @@ def classify_causal(x: LorentzVector) -> tuple[str, str]:
     return cls, orientation
 
 
-def _restricted(lam: np.ndarray, scale: float | np.ndarray = 1.0) -> np.ndarray:
+def _restricted(lam: np.ndarray, scale: float | np.ndarray = 1.0,
+                relative: bool = False) -> np.ndarray:
     """Per-matrix restricted-group mask of a real (..., 4, 4) stack: metric gap at most
     DEFAULT_TOL * scale, det > 0 and lam[0, 0] >= 1 - DEFAULT_TOL (the two positivity tests
     pick the proper orthochronous component). ``scale`` (a number, or one per matrix) widens
-    the metric gap alone: the round-off of lam^T eta lam grows like eps max|lam|^2. A NaN
-    fails every comparison."""
-    gap = np.max(np.abs(np.swapaxes(lam, -1, -2) @ ETA @ lam - ETA), axis=(-2, -1))
-    metric = gap <= DEFAULT_TOL * scale
-    return metric & (np.linalg.det(lam) > 0) & (lam[..., 0, 0] >= 1.0 - DEFAULT_TOL)
+    the metric gap alone, and ``relative`` widens it by max(1, max|lam|^2) more: the round-off
+    of lam^T eta lam grows like eps max|lam|^2. The gap is taken on lam scaled by an exact
+    power of two, 2^-s, to a largest entry below 2 (s >= 0), against eta and the bound scaled
+    by 4^-s, so it cannot overflow; det > 0 is read as the sign of the unscaled lam's
+    determinant. A NaN fails every comparison."""
+    shift = np.maximum(_exponent(lam, 2) - 1, 0)
+    unit = np.ldexp(lam, -shift[..., None, None])
+    one = np.ldexp(1.0, -2 * shift)  # 1 scaled by 4^-s, for eta and the bound
+    gap = np.max(np.abs(np.swapaxes(unit, -1, -2) @ ETA @ unit - one[..., None, None] * ETA),
+                 axis=(-2, -1))
+    widen = np.maximum(one, np.max(np.abs(unit), axis=(-2, -1)) ** 2) if relative else one
+    metric = gap <= DEFAULT_TOL * scale * widen
+    return metric & (np.linalg.slogdet(lam)[0] > 0) & (lam[..., 0, 0] >= 1.0 - DEFAULT_TOL)
 
 
 def is_restricted_lorentz(lam: np.ndarray) -> bool:

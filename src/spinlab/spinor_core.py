@@ -32,6 +32,7 @@ DOTTED_LOW = "d-"
 _ALL_TAGS = (UNDOTTED_UP, UNDOTTED_LOW, DOTTED_UP, DOTTED_LOW)
 
 EPS_MATRIX = np.array([[0.0, 1.0], [-1.0, 0.0]], dtype=complex)
+EPS_MATRIX.flags.writeable = False
 
 SQRT2 = float(np.sqrt(2.0))
 

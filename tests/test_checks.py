@@ -192,3 +192,42 @@ def test_the_planted_intertwiner_row_passes_with_a_tenfold_margin(seed):
     row = _row(checks.SUITES["algebra"](seed, timings=False), "intertwiner-planted")
     assert row["status"] == "pass" and row["tolerance"] == 1e-10
     assert row["residual"] <= 1e-11
+
+
+def _e0_signature_probe(monkeypatch, planted=()):
+    """Count gram_signature(k, e0) calls by rank, raising for the ranks in ``planted``."""
+    real, calls = hs.gram_signature, []
+
+    def probe(k, xi=None, require_future=True):
+        if xi is not None and xi.covariant and np.array_equal(xi.components, [1, 0, 0, 0]):
+            calls.append(k)
+            if k in planted:
+                raise RuntimeError(f"planted signature k = {k}")
+        return real(k, xi, require_future)
+
+    monkeypatch.setattr(hs, "gram_signature", probe)
+    return calls
+
+
+def test_each_rank_computes_its_e0_signature_once_per_suite_run(monkeypatch):
+    calls = _e0_signature_probe(monkeypatch)
+    report = checks.SUITES["signature"](0, timings=False).report()
+    assert calls == [0, 1, 2]
+    assert report["info"] == {"signature-k0": [4, 0, 0], "signature-k1": [12, 4, 0],
+                              "signature-k2": [24, 12, 0]}
+    assert {row["status"] for row in report["checks"]} == {"pass"}
+
+
+def test_a_signature_study_that_raises_makes_only_its_reading_rows_error(monkeypatch):
+    # each row that reads the study records its error; every other row still runs
+    calls = _e0_signature_probe(monkeypatch, planted=(0, 1))
+    report = checks.SUITES["signature"](0, timings=False).report()
+    rows = {row["id"]: row for row in report["checks"]}
+    readers = {"signature-k0-positive": 0, "signature-boost-invariance-k0": 0,
+               "signature-k1-report": 1, "signature-boost-invariance-k1": 1}
+    for check_id, k in readers.items():
+        assert rows.pop(check_id)["error"] == f"RuntimeError: planted signature k = {k}"
+    assert {row["status"] for row in rows.values()} == {"pass"}
+    assert "signature-k2-witnesses" in rows and "gram-dimension-k1" in rows
+    assert report["info"] == {"signature-k2": [24, 12, 0]}
+    assert calls == [0, 0, 1, 1, 2]  # a study that raised is not kept

@@ -15,6 +15,7 @@ import spinlab
 from spinlab import checks, cli
 from spinlab import clifford as cl
 from spinlab import evolution as ev
+from spinlab import higher_spin as hs
 
 
 def test_verify_algebra_passes_and_prints_the_suite(capsys):
@@ -501,6 +502,26 @@ def test_evolve_rejects_malformed_json_and_writes_nothing(tmp_path, capsys, case
     assert cli.run(["evolve", "--config", str(cfg_path), "--out", str(out_path)]) == 2
     assert capsys.readouterr().err.startswith("error:")
     assert not out_path.exists()
+
+
+def test_report_writes_its_json_when_a_signature_study_raises(tmp_path, capsys, monkeypatch):
+    # the study runs inside its rows, so its error is a row's, not a traceback
+    real = hs.gram_signature
+
+    def planted(k, xi=None, require_future=True):
+        if k == 2 and xi is not None and np.array_equal(xi.components, [1, 0, 0, 0]):
+            raise RuntimeError("planted")
+        return real(k, xi, require_future)
+
+    monkeypatch.setattr(hs, "gram_signature", planted)
+    out = tmp_path / "report.json"
+    assert cli.run(["report", "--seed", "0", "--no-timings", "--json", str(out)]) == 1
+    assert "[ERROR] signature/signature-k2-witnesses" in capsys.readouterr().out
+    report = json.loads(out.read_text())
+    errors = sorted(row["id"] for suite in report["suites"] for row in suite["checks"]
+                    if row["status"] == "error")
+    assert errors == ["signature-boost-invariance-k2", "signature-k2-witnesses"]
+    assert report["summary"]["failed"] == 2
 
 
 def test_signature_rejects_a_negative_rank(capsys):

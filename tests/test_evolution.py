@@ -1,5 +1,6 @@
 """Leapfrog Cauchy evolution, conservation, causality, and the Green operator."""
 
+import json
 import os
 import subprocess
 import sys
@@ -73,6 +74,36 @@ def test_config_takes_numpy_integer_sizes():
     # numpy scalars are real numbers too
     cfg = small_config(mass=np.float32(1.0), extent=np.int64(8), dt=np.float64(0.03125))
     assert cfg.dz == 0.0625
+
+
+def test_config_stores_python_numbers_so_a_numpy_built_run_writes_json():
+    cfg = small_config(mass=np.float32(1.0), k=np.int64(1), l=np.int64(1), extent=np.int64(8),
+                       points=np.float64(16.0), dt=np.float64(0.03125), steps=np.int32(4))
+    types = [type(value) for value in ev.config_to_json(cfg).values()]
+    assert types == [float, int, int, float, int, float, int]
+    level = np.arange(cfg.points * cfg.fiber).reshape(cfg.points, cfg.fiber) * (1 + 1j)
+    snap = json.loads(checks.stable_json(ev.snapshot_to_json(cfg, level, 0.5)))
+    back, time, data = ev.snapshot_from_json(snap)
+    assert back == cfg and time == 0.5 and np.array_equal(data, level)
+
+
+def test_config_takes_an_integral_float_for_a_size_as_the_json_reader_does():
+    cfg = small_config(k=1.0, l=np.float32(1.0), points=128.0, steps=32.0)
+    assert cfg == small_config(k=1, l=1) and type(cfg.points) is int
+    assert ev.config_from_json({**ev.config_to_json(cfg), "points": 128.0}) == cfg
+
+
+@pytest.mark.parametrize("field, value", [
+    ("k", 0.7), ("l", -1), ("points", "128"), ("points", 4.0), ("steps", True), ("mass", None),
+    ("extent", float("inf")), ("dt", 0.5), ("steps", 2.5),
+])
+def test_config_from_json_refuses_with_the_config_own_message(field, value):
+    # the JSON reader makes no check of its own: every refusal is EvolutionConfig's
+    with pytest.raises(ValueError) as direct:
+        small_config(**{field: value})
+    with pytest.raises(ValueError) as parsed:
+        ev.config_from_json({**ev.config_to_json(small_config()), field: value})
+    assert type(parsed.value) is type(direct.value) and str(parsed.value) == str(direct.value)
 
 
 def test_config_rejects_non_finite_parameters():

@@ -1,7 +1,10 @@
 """Source-level rules for the library modules."""
 
 import ast
+import importlib
 from pathlib import Path
+
+import numpy as np
 
 import spinlab
 
@@ -55,3 +58,16 @@ def test_no_yield_runs_under_the_float_range_flags():
                 found += [f"{name}:{inner.lineno}" for stmt in node.body for inner in ast.walk(stmt)
                           if isinstance(inner, (ast.Yield, ast.YieldFrom))]
     assert not found, f"yields under _float_range: {found}"
+
+
+def test_every_module_level_array_is_read_only():
+    # a writable constant lets one caller change every later result (spinlab.ETA[0, 0] = -1)
+    modules = [spinlab] + [importlib.import_module(f"spinlab.{path.stem}") for path in
+                           sorted(Path(spinlab.__file__).parent.glob("*.py"))
+                           if path.stem != "__init__"]
+    arrays = {f"{module.__name__}.{attr}": value for module in modules
+              for attr, value in vars(module).items() if isinstance(value, np.ndarray)}
+    assert {"spinlab.minkowski.ETA", "spinlab.minkowski.ETA_DIAG", "spinlab.clifford.PAULI",
+            "spinlab.spinor_core.EPS_MATRIX", "spinlab.evolution._HANKEL_COEFFS"} <= set(arrays)
+    writable = sorted(name for name, value in arrays.items() if value.flags.writeable)
+    assert not writable, f"writable module-level arrays: {writable}"

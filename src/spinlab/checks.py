@@ -238,13 +238,15 @@ def algebra_suite(suite: Suite, seed: int) -> None:
 
     suite.check("generator-blocks", "(GD)", 1e-12, generator_blocks)
 
-    exp_params = [(rng.normal(size=3) * 0.7, rng.normal(size=3) * 0.7) for _ in range(50)]
+    exp_params = np.array([(rng.normal(size=3), rng.normal(size=3)) for _ in range(50)]) * 0.7
+    exp_a, exp_b = exp_params[:, 0], exp_params[:, 1]
 
     def exp_spin_blocks():
-        zero = np.zeros((2, 2))
-        for a, b in exp_params:
-            s2, s4 = cl.exp_spin(a, b)
-            yield s4 - np.block([[s2, zero], [zero, np.linalg.inv(s2.conj().T)]])
+        s2, s4 = cl.exp_spin(exp_a, exp_b)
+        blocks = np.zeros_like(s4)
+        blocks[:, :2, :2] = s2
+        blocks[:, 2:, 2:] = np.linalg.inv(np.swapaxes(s2, 1, 2).conj())
+        yield s4 - blocks
 
     suite.check("exp-spin-blocks", "Appendix 3", 1e-9, exp_spin_blocks)
 
@@ -254,10 +256,9 @@ def algebra_suite(suite: Suite, seed: int) -> None:
     boost[:, 0, 1:] = boost[:, 1:, 0] = np.eye(3)
 
     def exp_spin_vector_rep():
-        for a, b in exp_params:
-            s2, _ = cl.exp_spin(a, b)
-            gen = np.einsum("i,iab->ab", a, rot) + np.einsum("i,iab->ab", b, boost)
-            yield cl.covering_lambda(s2) - cl.exp_lorentz(gen)
+        s2, _ = cl.exp_spin(exp_a, exp_b)
+        gen = np.einsum("ni,iab->nab", exp_a, rot) + np.einsum("ni,iab->nab", exp_b, boost)
+        yield cl.covering_lambda(s2) - cl.exp_lorentz(gen)
 
     suite.check("exp-spin-vector-rep", "Appendix 6", 1e-7, exp_spin_vector_rep)
 
@@ -285,22 +286,22 @@ def algebra_suite(suite: Suite, seed: int) -> None:
 
     suite.check("covering-map-batch", "Appendix 6", 1e-9, covering_batch)
 
+    def well_conditioned():
+        while True:  # rejection draws, one at a time
+            planted = rng.normal(size=(4, 4)) + 1j * rng.normal(size=(4, 4))
+            if np.linalg.cond(planted) < 100.0:
+                return planted
+
     def intertwiner_planted():
         gammas = cl.weyl_gammas()
-        for _ in range(50):
-            while True:
-                planted = rng.normal(size=(4, 4)) + 1j * rng.normal(size=(4, 4))
-                if np.linalg.cond(planted) < 100.0:
-                    break
-            target = np.array([planted @ g @ np.linalg.inv(planted) for g in gammas])
-            found = cl.pauli_intertwiner(gammas, target)
-            found_inv = np.linalg.inv(found)
-            for g, t in zip(gammas, target):
-                yield found @ g @ found_inv - t
-            # irreducibility forces found = scalar * planted
-            ratio = np.linalg.inv(planted) @ found
-            lam = np.trace(ratio) / 4.0
-            yield np.max(np.abs(ratio - lam * np.eye(4))) / abs(lam)
+        planted = np.array([well_conditioned() for _ in range(50)])[:, None]  # one per collection
+        target = planted @ gammas @ np.linalg.inv(planted)
+        found = cl.pauli_intertwiner(gammas, target)[:, None]
+        yield found @ gammas @ np.linalg.inv(found) - target
+        # irreducibility forces found = scalar * planted
+        ratio = (np.linalg.inv(planted) @ found)[:, 0]
+        lam = np.trace(ratio, axis1=1, axis2=2) / 4.0
+        yield np.max(np.abs(ratio - lam[:, None, None] * np.eye(4)), axis=(1, 2)) / np.abs(lam)
 
     suite.check("intertwiner-planted", "Appendix 1", 1e-10, intertwiner_planted)
 
@@ -426,26 +427,20 @@ def symbols_suite(
     if pairs is None:
         pairs = [(k, l) for k in range(3) for l in range(3)]
 
-    causal_set = [
-        mk.LorentzVector([1.0, 0, 0, 0], covariant=True),
-        mk.LorentzVector([1.0, 0, 0, 1.0], covariant=True),
-        mk.LorentzVector([1.0, 0, 0, -1.0], covariant=True),
-        mk.LorentzVector([0.0, 1.0, 0, 0], covariant=True),
-        mk.LorentzVector([0.0, 0, 0, 1.0], covariant=True),
-    ]
+    # covariant directions of each causal type: timelike, null both ways, spacelike
+    causal = np.array([[1.0, 0, 0, 0], [1.0, 0, 0, 1.0], [1.0, 0, 0, -1.0],
+                       [0.0, 1.0, 0, 0], [0.0, 0, 0, 1.0]])
 
     for k, l in pairs:
         def factorization(k=k, l=l):
-            for _ in range(100):
-                xi = mk.LorentzVector(rng.normal(size=4), covariant=True)
-                mass = float(rng.normal())
-                yield hs.check_prenormal_factorization(xi, mass, k, l)
+            draws = [(rng.normal(size=4), rng.normal()) for _ in range(100)]
+            xi, mass = np.array([x for x, _ in draws]), np.array([m for _, m in draws])
+            yield hs._factorization_residuals(k, l, xi, mass)
 
         suite.check(f"factorization-k{k}-l{l}", "Prop. 1", 1e-12, factorization)
 
         def square_causal(k=k, l=l):
-            for xi in causal_set:
-                yield hs.check_prenormal_factorization(xi, 0.5, k, l)
+            yield hs._factorization_residuals(k, l, causal, 0.5)
 
         suite.check(f"square-causal-k{k}-l{l}", "Prop. 1", 1e-12, square_causal)
 
@@ -465,34 +460,49 @@ def symbols_suite(
 
     suite.check("adjoint-rank-guard", "Definition 2", 0.5, rank_mismatch_guard)
 
-    def rand_pair(k):
+    def random_pairs(k, gaps, with_xi=True):
+        """gaps(a, b, xi) of 20 pairs of type (k, k), as sector blocks, each drawn before its
+        covariant xi (``with_xi``): all draws first, then the stack in bounded chunks."""
         dim = hs.fiber_dim(k, k)
-        a = hs.unpack(rng.normal(size=dim) + 1j * rng.normal(size=dim), k, k)
-        b = hs.unpack(rng.normal(size=dim) + 1j * rng.normal(size=dim), k, k)
-        return a, b
+        draws = []
+        for _ in range(20):
+            a = rng.normal(size=dim) + 1j * rng.normal(size=dim)
+            b = rng.normal(size=dim) + 1j * rng.normal(size=dim)
+            draws.append((a, b, rng.normal(size=4) if with_xi else np.zeros(4)))
+        a, b, xi = (np.array(part) for part in zip(*draws))
+        blocks = functools.partial(hs._sector_blocks, k=k, l=k)
+        member = 2 * 16 * 2 ** (2 + 2 * k)  # the complex sector blocks of a and b
+        return mk._stacked(lambda a, b, xi: gaps(blocks(a), blocks(b), xi), (20,), member, a, b, xi)
+
+    def pairings(k, phi, psi):
+        """gen_pairing member by member: the diagonal of the outer stack's pairings."""
+        return np.diagonal(hs._pairing_blocks(k, phi, psi))
+
+    def symbol(xi, phi):
+        return hs._symbol_blocks(xi, *phi, 1)
 
     for k in sorted({k for k, l in pairs if k == l}):
         def pairing_hermitian(k=k):
-            for _ in range(20):
-                a, b = rand_pair(k)
-                yield abs(np.conj(hs.gen_pairing(a, b)) - hs.gen_pairing(b, a))
+            def gaps(a, b, _):
+                return np.conj(pairings(k, a, b)) - pairings(k, b, a)
+
+            yield random_pairs(k, gaps, with_xi=False)
 
         suite.check(f"pairing-hermitian-k{k}", "Definition 2", 1e-12, pairing_hermitian)
 
         def self_adjoint_symbol(k=k):
-            for _ in range(20):
-                a, b = rand_pair(k)
-                xi = mk.LorentzVector(rng.normal(size=4), covariant=True)
-                lhs = hs.gen_pairing(a, hs.apply_symbol(xi, b))
-                yield abs(lhs - hs.gen_pairing(hs.apply_symbol(xi, a), b))
+            def gaps(a, b, xi):
+                return pairings(k, a, symbol(xi, b)) - pairings(k, symbol(xi, a), b)
+
+            yield random_pairs(k, gaps)
 
         suite.check(f"self-adjoint-symbol-k{k}", "Remark 5", 1e-12, self_adjoint_symbol)
 
         def xi_form_hermitian(k=k):
-            for _ in range(20):
-                a, b = rand_pair(k)
-                xi = mk.LorentzVector(rng.normal(size=4), covariant=True)
-                yield abs(np.conj(hs.xi_form(a, b, xi)) - hs.xi_form(b, a, xi))
+            def gaps(a, b, xi):  # (a, b)_xi = <a, s(xi) b>
+                return np.conj(pairings(k, a, symbol(xi, b))) - pairings(k, b, symbol(xi, a))
+
+            yield random_pairs(k, gaps)
 
         suite.check(f"xi-form-hermitian-k{k}", "Remark 5", 1e-12, xi_form_hermitian)
 
@@ -529,6 +539,11 @@ def signature_suite(suite: Suite, seed: int, ks: tuple[int, ...] = (0, 1, 2)) ->
     def e0_signature(k: int) -> tuple[int, int, int]:
         return hs.gram_signature(k, e0)
 
+    def mismatches(k, directions, expected):
+        """How many gram_signatures differ from ``expected``: rays checked one by one, stacked."""
+        rays = [hs._require_timelike_future(mk._ray(xi)).components for xi in directions]
+        return float(np.sum(np.any(hs._gram_signatures(k, np.array(rays)) != expected, axis=1)))
+
     for k in ks:
         def gram_dimension(k=k):
             return abs(hs.gram_matrix(k, e0).shape[0] - 4 * (k + 1) ** 2)
@@ -537,12 +552,9 @@ def signature_suite(suite: Suite, seed: int, ks: tuple[int, ...] = (0, 1, 2)) ->
 
         if k == 0:
             def signature_positive(k=k):
-                mismatches = 0 if e0_signature(0) == (4, 0, 0) else 1
-                for _ in range(20):
-                    xi = random_timelike_future(rng)
-                    if hs.gram_signature(0, xi) != (4, 0, 0):
-                        mismatches += 1
-                return float(mismatches)
+                at_e0 = 0 if e0_signature(0) == (4, 0, 0) else 1
+                directions = [random_timelike_future(rng) for _ in range(20)]
+                return at_e0 + mismatches(0, directions, (4, 0, 0))
 
             suite.check("signature-k0-positive", "Example 1", 0.5, signature_positive)
 
@@ -567,14 +579,10 @@ def signature_suite(suite: Suite, seed: int, ks: tuple[int, ...] = (0, 1, 2)) ->
         def boost_invariance(k=k):
             base = e0_signature(k)
             suite.info[f"signature-k{k}"] = list(base)
-            mismatches = 0
-            for _ in range(20):
-                s2, _ = cl.exp_spin(rng.normal(size=3) * 0.5, rng.normal(size=3) * 0.5)
-                lam = cl.covering_lambda(s2)
-                xi = mk.LorentzVector(lam @ np.array([1.0, 0, 0, 0])).lowered()
-                if hs.gram_signature(k, xi) != base:
-                    mismatches += 1
-            return float(mismatches)
+            params = np.array([(rng.normal(size=3), rng.normal(size=3)) for _ in range(20)]) * 0.5
+            s2, _ = cl.exp_spin(params[:, 0], params[:, 1])
+            lam = cl.covering_lambda(s2)  # the boosted time directions are its first columns
+            return mismatches(k, [mk.LorentzVector(col).lowered() for col in lam[:, :, 0]], base)
 
         suite.check(f"signature-boost-invariance-k{k}", "Remark 6", 0.5, boost_invariance)
 

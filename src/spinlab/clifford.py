@@ -18,7 +18,7 @@ import math
 
 import numpy as np
 
-from .minkowski import DEFAULT_TOL, ETA, _exponent, _ldexp, _restricted
+from .minkowski import DEFAULT_TOL, ETA, _exponent, _ldexp, _restricted, _stacked
 
 PAULI = np.array(
     [
@@ -79,27 +79,36 @@ def pauli_intertwiner(gammas_from: np.ndarray, gammas_to: np.ndarray) -> np.ndar
     S solves t_a S - S g_a = 0 for a = 0..3, in row-major vec the 4 d^2 x d^2
     system [kron(t_a, I) - kron(I, g_a^T)] vec(S) = 0. By Schur's lemma its null
     space is one line when the collections are irreducible and conjugate, so S is
-    the last right singular vector of one SVD (unit Frobenius norm). ValueError
-    unless both inputs are finite (4, d, d) stacks of one shape, when the smallest
-    singular value exceeds 1e-8 of the largest (the inputs are not conjugate), and
-    when the second smallest does not (they are not irreducible: S is not unique).
+    the last right singular vector of one SVD (unit Frobenius norm); leading stacks of
+    collections, (..., 4, d, d), broadcast and run in bounded chunks. ValueError unless
+    both inputs are finite (4, d, d) stacks of one shape, when the smallest singular value
+    exceeds 1e-8 of the largest (the inputs are not conjugate), and when the second
+    smallest does not (they are not irreducible: S is not unique), naming a stack's index.
     """
     g = np.asarray(gammas_from, dtype=complex)
     t = np.asarray(gammas_to, dtype=complex)
-    if g.ndim != 3 or g.shape[0] != 4 or not 0 < g.shape[1] == g.shape[2] or t.shape != g.shape:
+    member = g.shape[-3:]
+    if g.ndim < 3 or member[0] != 4 or not 0 < member[1] == member[2] or t.shape[-3:] != member:
         raise ValueError(f"expected two (4, d, d) stacks of one shape, got {g.shape}, {t.shape}")
-    if not (np.all(np.isfinite(g)) and np.all(np.isfinite(t))):
-        raise ValueError("pauli_intertwiner requires finite gamma matrices")
-    dim = g.shape[1]
+    g, t = np.broadcast_arrays(g, t)
+    _refuse(np.all(np.isfinite(g), axis=(-3, -2, -1)) & np.all(np.isfinite(t), axis=(-3, -2, -1)),
+            ValueError, "pauli_intertwiner requires finite gamma matrices")
+    dim = g.shape[-1]
     eye = np.eye(dim)
-    system = np.concatenate([np.kron(ta, eye) - np.kron(eye, ga.T) for ga, ta in zip(g, t)])
-    _, sv, vh = np.linalg.svd(system, full_matrices=False)
-    null = int(np.count_nonzero(sv <= 1e-8 * sv[0]))
-    if null == 0:
-        raise ValueError("the collections are not conjugate (no intertwiner)")
-    if null > 1:
-        raise ValueError("the collections are not irreducible (the intertwiner is not unique)")
-    return vh[-1].conj().reshape(dim, dim)
+
+    def intertwiners(g, t):
+        # rows (a, i, p), columns (j, q): t_a[i, j] I[p, q] - I[i, j] g_a[q, p], as np.kron forms
+        system = (t[:, :, :, None, :, None] * eye[:, None, :]
+                  - eye[:, None, :, None] * np.swapaxes(g, -1, -2)[:, :, None, :, None, :])
+        _, sv, vh = np.linalg.svd(system.reshape(-1, 4 * dim * dim, dim * dim), full_matrices=False)
+        null = np.count_nonzero(sv <= 1e-8 * sv[:, :1], axis=-1)
+        return vh[:, -1].conj().reshape(-1, dim, dim), null
+
+    found, null = _stacked(intertwiners, g.shape[:-3], 64 * dim**4, g, t)
+    _refuse(null > 0, ValueError, "the collections are not conjugate (no intertwiner)")
+    _refuse(null < 2, ValueError,
+            "the collections are not irreducible (the intertwiner is not unique)")
+    return found
 
 
 def _build_spin_generators() -> tuple[np.ndarray, np.ndarray]:
@@ -189,11 +198,34 @@ def _split(diff: float, prod: float) -> tuple[float, float]:
     return prod / b, b
 
 
-def _cubic(gen: np.ndarray, gen2: np.ndarray, coeffs) -> np.ndarray:
-    """c0 I + c1 G + c2 G^2 + c3 G^3, given G and G^2."""
-    c0, c1, c2, c3 = coeffs
-    eye = np.eye(len(gen))
+def _cubic(gen: np.ndarray, gen2: np.ndarray, diff: np.ndarray, prod: np.ndarray,
+           coefficients) -> np.ndarray:
+    """c0 I + c1 G + c2 G^2 + c3 G^3 per member of a (n, d, d) stack, given G and G^2, with
+    the scalar ``coefficients(diff, prod)`` of its invariants: its bits are its own call's."""
+    coeffs = np.array([coefficients(d, p) for d, p in zip(diff.tolist(), prod.tolist())])
+    c0, c1, c2, c3 = coeffs.reshape(-1, 4).T[..., None, None]
+    eye = np.eye(gen.shape[-1])
     return c0 * eye + c1 * gen + gen2 @ (c2 * eye + c3 * gen)
+
+
+def _spin_coefficients(diff: float, prod: float) -> tuple[float, float, float, float]:
+    """exp_spin's cubic coefficients from diff = x^2 - y^2 and prod = x^2 y^2."""
+    x2, y2 = _split(diff, prod)
+    cx, sx, ux, tx = _even_functions(x2)
+    cy, sy, uy, ty = _even_functions(-y2)
+    wx, wy = (x2 / (x2 + y2), y2 / (x2 + y2)) if x2 + y2 else (0.5, 0.5)
+    c2 = sx * sy / 2.0
+    c3 = (wx * (ux - tx) * sy + wy * (uy - ty) * sx) / 2.0
+    return cx * cy - diff * c2, wx * sx * cy + wy * cx * sy - diff * c3, c2, c3
+
+
+def _lorentz_coefficients(diff: float, prod: float) -> tuple[float, float, float, float]:
+    """exp_lorentz's cubic coefficients from diff = alpha^2 - beta^2 and prod = alpha^2 beta^2."""
+    a2, b2 = _split(diff, prod)
+    ca, sa, ua, ta = _even_functions(a2)
+    cb, sb, ub, tb = _even_functions(-b2)
+    wa, wb = (a2 / (a2 + b2), b2 / (a2 + b2)) if a2 + b2 else (0.5, 0.5)
+    return wa * cb + wb * ca, wa * sb + wb * sa, wa * ua + wb * ub, wa * ta + wb * tb
 
 
 def exp_spin(a, b) -> tuple[np.ndarray, np.ndarray]:
@@ -220,27 +252,27 @@ def exp_spin(a, b) -> tuple[np.ndarray, np.ndarray]:
 
     No coefficient divides by a difference of eigenvalues, so null generators
     (lam = 0, G != 0) and real or imaginary lam need no special case.
-    A NaN or infinite parameter raises ValueError.
+    Leading stacks of ``a`` and ``b``, (..., 3), broadcast and run in bounded chunks, each
+    member with its own call's bits. A NaN or infinite parameter raises ValueError, naming
+    the first such member of a stack.
     """
-    a = np.asarray(a, dtype=float)
-    b = np.asarray(b, dtype=float)
-    if not (np.all(np.isfinite(a)) and np.all(np.isfinite(b))):
-        raise ValueError("exp_spin requires finite parameters")
-    w = (b - 1j * a) / 2.0
-    lam = np.sqrt(w @ w)
-    shc = np.sinh(lam) / lam if lam != 0 else 1.0
-    s2 = np.cosh(lam) * PAULI[0] + shc * np.einsum("i,iab->ab", w, PAULI[1:])
-    gen = 0.5 * (np.einsum("i,iab->ab", a, SPIN_M4) + np.einsum("i,iab->ab", b, SPIN_N4))
-    gen2 = gen @ gen
-    diff = float(np.trace(gen2).real) / 4.0
-    x2, y2 = _split(diff, (diff * diff - float(np.trace(gen2 @ gen2).real) / 4.0) / 4.0)
-    cx, sx, ux, tx = _even_functions(x2)
-    cy, sy, uy, ty = _even_functions(-y2)
-    wx, wy = (x2 / (x2 + y2), y2 / (x2 + y2)) if x2 + y2 else (0.5, 0.5)
-    c2 = sx * sy / 2.0
-    c3 = (wx * (ux - tx) * sy + wy * (uy - ty) * sx) / 2.0
-    coeffs = (cx * cy - diff * c2, wx * sx * cy + wy * cx * sy - diff * c3, c2, c3)
-    return s2, _cubic(gen, gen2, coeffs)
+    a, b = np.broadcast_arrays(np.asarray(a, dtype=float), np.asarray(b, dtype=float))
+    _refuse(np.all(np.isfinite(a), axis=-1) & np.all(np.isfinite(b), axis=-1), ValueError,
+            "exp_spin requires finite parameters")
+
+    def exponentials(a, b):
+        w = (b - 1j * a) / 2.0
+        lam = np.sqrt((w[:, None, :] @ w[:, :, None])[:, 0, 0])  # w . w, as 1-d w @ w forms it
+        shc = np.divide(np.sinh(lam), lam, out=np.ones_like(lam), where=lam != 0)
+        s2 = (np.cosh(lam)[:, None, None] * PAULI[0]
+              + shc[:, None, None] * np.einsum("ni,iab->nab", w, PAULI[1:]))
+        gen = 0.5 * (np.einsum("ni,iab->nab", a, SPIN_M4) + np.einsum("ni,iab->nab", b, SPIN_N4))
+        gen2 = gen @ gen
+        diff = np.trace(gen2, axis1=1, axis2=2).real / 4.0
+        prod = (diff * diff - np.trace(gen2 @ gen2, axis1=1, axis2=2).real / 4.0) / 4.0
+        return s2, _cubic(gen, gen2, diff, prod, _spin_coefficients)
+
+    return _stacked(exponentials, a.shape[:-1], 256, a, b)
 
 
 def exp_lorentz(gen) -> np.ndarray:
@@ -257,22 +289,26 @@ def exp_lorentz(gen) -> np.ndarray:
         c0 = w_a cos beta + w_b cosh alpha,   c1 = w_a S(-beta^2) + w_b S(alpha^2),
         c2 = w_a U(alpha^2) + w_b U(-beta^2), c3 = w_a T(alpha^2) + w_b T(-beta^2).
 
-    ValueError for a non-finite K and for a K outside so(1,3).
+    A leading stack of ``gen`` runs in bounded chunks, each member with its own call's
+    bits. ValueError for a non-finite K and for a K outside so(1,3), naming a stack's index.
     """
     gen = np.asarray(gen, dtype=float)
-    if gen.shape != (4, 4) or not np.all(np.isfinite(gen)):
+    if gen.shape[-2:] != (4, 4):
         raise ValueError("exp_lorentz needs a finite 4x4 generator")
+    _refuse(np.all(np.isfinite(gen), axis=(-2, -1)), ValueError,
+            "exp_lorentz needs a finite 4x4 generator")
     lowered = ETA @ gen
-    if np.max(np.abs(lowered + lowered.T)) > 1e-12 * max(1.0, float(np.max(np.abs(gen)))):
-        raise ValueError("exp_lorentz needs eta K antisymmetric (a generator of so(1,3))")
-    gen2 = gen @ gen
-    diff = float(np.trace(gen2)) / 2.0
-    a2, b2 = _split(diff, (float(np.trace(gen2 @ gen2)) / 2.0 - diff * diff) / 2.0)
-    ca, sa, ua, ta = _even_functions(a2)
-    cb, sb, ub, tb = _even_functions(-b2)
-    wa, wb = (a2 / (a2 + b2), b2 / (a2 + b2)) if a2 + b2 else (0.5, 0.5)
-    coeffs = (wa * cb + wb * ca, wa * sb + wb * sa, wa * ua + wb * ub, wa * ta + wb * tb)
-    return _cubic(gen, gen2, coeffs)
+    gap = np.max(np.abs(lowered + np.swapaxes(lowered, -1, -2)), axis=(-2, -1))
+    _refuse(gap <= 1e-12 * np.maximum(1.0, np.max(np.abs(gen), axis=(-2, -1))),
+            ValueError, "exp_lorentz needs eta K antisymmetric (a generator of so(1,3))")
+
+    def exponentials(gen):
+        gen2 = gen @ gen
+        diff = np.trace(gen2, axis1=1, axis2=2) / 2.0
+        prod = (np.trace(gen2 @ gen2, axis1=1, axis2=2) / 2.0 - diff * diff) / 2.0
+        return _cubic(gen, gen2, diff, prod, _lorentz_coefficients)
+
+    return _stacked(exponentials, gen.shape[:-2], 128, gen)
 
 
 def _refuse(ok: np.ndarray, exc: type[Exception], message: str, value=None) -> None:

@@ -44,8 +44,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .clifford import PAULI, InvariantViolation, weyl_gammas
-from .minkowski import LorentzVector, _ray, basis_vector, classify_causal, metric_eval
+from .clifford import PAULI, InvariantViolation, _refuse, weyl_gammas
+from .minkowski import ETA_DIAG, LorentzVector, _ray, _stacked, basis_vector, classify_causal
 from .spinor_core import (
     DOTTED_LOW,
     DOTTED_UP,
@@ -60,6 +60,14 @@ from .spinor_core import (
 # read-only chiral-basis gammas that symbol_matrix contracts with xi^a
 _GAMMAS = weyl_gammas()
 _GAMMAS.flags.writeable = False
+
+# read-only Pauli matrices s^a_{A X}, both axes lowered with epsilon by the tensor engine;
+# xi^a times them is apply_symbol's xi_{A X}
+_PAULI_LOW = np.array([raise_lower(raise_lower(Spinor(s, (UNDOTTED_UP, DOTTED_UP)), 0), 1).data
+                       for s in PAULI])
+_PAULI_LOW.flags.writeable = False
+
+_NOT_HERMITIAN = "xi-form Gram not Hermitian (gap {:.3e})"
 
 
 class KNotEqualL(ValueError):
@@ -198,7 +206,7 @@ def apply_symbol(xi: LorentzVector, phi: HigherSpinVector) -> HigherSpinVector:
     """
     if not xi.covariant:
         raise ValueError("apply_symbol expects a covariant direction; use .lowered()")
-    new1, new2 = _symbol_blocks(xi, phi.phi1.data, phi.phi2.data, 0)
+    new1, new2 = _symbol_blocks(xi.components, phi.phi1.data, phi.phi2.data, 0)
     return HigherSpinVector(
         phi.k,
         phi.l,
@@ -208,17 +216,19 @@ def apply_symbol(xi: LorentzVector, phi: HigherSpinVector) -> HigherSpinVector:
 
 
 def _symbol_blocks(
-    xi: LorentzVector, phi1: np.ndarray, phi2: np.ndarray, stack: int
+    xi: np.ndarray, phi1: np.ndarray, phi2: np.ndarray, stack: int
 ) -> tuple[np.ndarray, np.ndarray]:
-    """apply_symbol's contractions on sector blocks whose first ``stack`` axes are a stack."""
-    up = xi.raised().components
-    xi_up = Spinor(np.einsum("a,aij->ij", up, PAULI), (UNDOTTED_UP, DOTTED_UP))
-    xi_dn = raise_lower(raise_lower(xi_up, 0), 1)
+    """apply_symbol's contractions on sector blocks whose first ``stack`` axes are a stack,
+    at covariant xi (..., 4): one direction per member, or one broadcast over the stack."""
+    up = ETA_DIAG * xi
+    xi_up = np.einsum("...a,aij->...ij", up, PAULI)
+    xi_dn = np.einsum("...a,aij->...ij", up, _PAULI_LOW)
+    chiral = phi1.shape[:stack] + (2, -1)  # the chiral axis, then every twist axis as one
     # phi1' ^A = xi_up[A, X] (phi2)_X ; contraction over the chiral axes only
-    new1 = np.tensordot(xi_up.data, phi2, axes=([1], [stack]))
+    new1 = xi_up @ phi2.reshape(chiral)
     # phi2' _X = xi_dn[A, X] (phi1)^A
-    new2 = np.tensordot(xi_dn.data, phi1, axes=([0], [stack]))
-    return np.moveaxis(new1, 0, stack), np.moveaxis(new2, 0, stack)
+    new2 = np.swapaxes(xi_dn, -1, -2) @ phi1.reshape(chiral)
+    return new1.reshape(phi2.shape), new2.reshape(phi1.shape)
 
 
 def symbol_matrix(k: int, l: int, xi: LorentzVector) -> np.ndarray:
@@ -229,8 +239,16 @@ def symbol_matrix(k: int, l: int, xi: LorentzVector) -> np.ndarray:
     on the (k+1)(l+1) twist slots. Built independently of apply_symbol's
     epsilon lowering, which checks it. Returns a fresh array on every call.
     """
-    chiral = np.einsum("a,aij->ij", xi.raised().components, _GAMMAS)
-    return np.kron(chiral, np.eye(fiber_dim(k, l) // 4))
+    return _symbol_matrices(k, l, xi.lowered().components)
+
+
+def _symbol_matrices(k: int, l: int, xi: np.ndarray) -> np.ndarray:
+    """symbol_matrix at covariant xi (..., 4): (..., F, F), one matrix per member."""
+    chiral = np.einsum("...a,aij->...ij", ETA_DIAG * xi, _GAMMAS)
+    slots = fiber_dim(k, l) // 4
+    # kron(chiral, I)[(i, p), (j, q)] = chiral[i, j] I[p, q], the products np.kron forms
+    kron = chiral[..., :, None, :, None] * np.eye(slots)[:, None, :]
+    return kron.reshape(xi.shape[:-1] + (4 * slots, 4 * slots))
 
 
 def symbol_columns(k: int, l: int, *axes: int) -> tuple[np.ndarray, tuple[np.ndarray, ...]]:
@@ -255,16 +273,17 @@ def symbol_columns(k: int, l: int, *axes: int) -> tuple[np.ndarray, tuple[np.nda
     return lifted, tuple(np.repeat(w, slots) for w in weights)
 
 
-def _unit_blocks(k: int, l: int) -> tuple[np.ndarray, np.ndarray]:
-    """The sector blocks of the packed unit basis, stacked: (F,) + (2,) * (1 + k + l) each."""
-    return _sector_blocks(np.eye(fiber_dim(k, l), dtype=complex), k, l)
-
-
 def _symbol_matrix_reference(k: int, l: int, xi: LorentzVector) -> np.ndarray:
     """symbol_matrix through the tensor engine: apply_symbol's contractions on the
-    stacked unit basis, packed, as columns. Each entry is one product, so the
-    stack equals one basis element at a time, entry for entry."""
-    return _packed(*_symbol_blocks(xi.lowered(), *_unit_blocks(k, l), 1), k, l).T
+    unit basis, packed, as columns, one bounded chunk of basis elements at a time. Each
+    entry is one product, so the chunks equal one basis element at a time, entry for entry."""
+    dim, xi = fiber_dim(k, l), xi.lowered().components
+    units = np.eye(dim)  # real: a chunk's sector blocks take half the bytes of complex ones
+
+    def columns(units):
+        return _packed(*_symbol_blocks(xi, *_sector_blocks(units, k, l), 1), k, l)
+
+    return _stacked(columns, (dim,), units.itemsize * 2 ** (2 + k + l), units).T
 
 
 def dirac_adjoint(psi: DiracSpinor):
@@ -349,10 +368,19 @@ def pairing_matrix(k: int) -> np.ndarray:
 
 
 def _pairing_matrix_reference(k: int) -> np.ndarray:
-    """pairing_matrix through the tensor engine: gen_pairing's contractions of the stacked
-    unit basis against itself. Each entry is an integer orbit count, so it is exact."""
-    basis = _unit_blocks(k, k)
-    return _pairing_blocks(k, basis, basis)
+    """pairing_matrix through the tensor engine: gen_pairing's contractions of the unit
+    basis against itself, one bounded chunk of rows against one of columns at a time.
+    Each entry is an integer orbit count, so it is exact."""
+    dim = fiber_dim(k, k)
+    units = np.eye(dim)  # real: a chunk's sector blocks take half the bytes of complex ones
+    member = units.itemsize * 2 ** (2 + 2 * k)
+
+    def rows(left):
+        blocks = _sector_blocks(left, k, k)
+        pair = lambda right: _pairing_blocks(k, blocks, _sector_blocks(right, k, k)).T
+        return _stacked(pair, (dim,), member, units).T
+
+    return _stacked(rows, (dim,), member, units)
 
 
 def closed_form_residual(k: int, l: int, directions: list[LorentzVector]) -> float:
@@ -381,13 +409,25 @@ def check_prenormal_factorization(
     identity shifted by the mass; the mass parameter is kept to make the
     factorized form explicit.
     """
-    xi_low = xi.lowered()
-    gam = symbol_matrix(k, l, xi_low)
+    return float(_factorization_residuals(k, l, xi.lowered().components, mass))
+
+
+def _factorization_residuals(k: int, l: int, xi: np.ndarray, mass) -> np.ndarray:
+    """check_prenormal_factorization at covariant xi (..., 4) and masses broadcast to its
+    stack, one residual per member, in bounded chunks."""
+    xi = np.asarray(xi, dtype=complex)
+    mass = np.broadcast_to(np.asarray(mass, dtype=float), xi.shape[:-1])
     dim = fiber_dim(k, l)
     eye = np.eye(dim)
-    q = metric_eval(xi_low, xi_low)
-    lhs = (gam + mass * eye) @ (gam - mass * eye)
-    return float(np.max(np.abs(lhs - (q - mass**2) * eye)))
+
+    def residuals(xi, mass):
+        gam = _symbol_matrices(k, l, xi)
+        q = xi[:, None, :] @ (ETA_DIAG * xi)[:, :, None]  # eta(xi, xi), as metric_eval's dot
+        mass = mass[:, None, None]
+        lhs = (gam + mass * eye) @ (gam - mass * eye)
+        return np.max(np.abs(lhs - (q - mass * mass) * eye), axis=(1, 2))
+
+    return _stacked(residuals, mass.shape, 16 * dim * dim, xi, mass)
 
 
 def _require_timelike_future(xi: LorentzVector) -> LorentzVector:
@@ -400,13 +440,20 @@ def _require_timelike_future(xi: LorentzVector) -> LorentzVector:
 
 def gram_matrix(k: int, xi: LorentzVector) -> np.ndarray:
     """Hermitian matrix of (., .)_xi on the packed basis of type (k, k)."""
+    gram, hermitian, gap = _gram_matrices(k, xi.lowered().components)
+    _refuse(hermitian, InvariantViolation, _NOT_HERMITIAN, gap)
+    return gram
+
+
+def _gram_matrices(k: int, xi: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(Hermitian parts, hermitian, gaps) of the xi-form at covariant xi (..., 4): whether each
+    member's P s(xi) is Hermitian within 1e-10 of its largest entry, and by what gap."""
     cols, w = pairing_columns(k)
-    mat = w[:, None] * symbol_matrix(k, k, xi.lowered())[cols]  # P s(xi), one row of s per row
-    herm_gap = float(np.max(np.abs(mat - mat.conj().T)))
-    scale = max(float(np.max(np.abs(mat))), 1e-30)
-    if not herm_gap <= 1e-10 * scale:
-        raise InvariantViolation(f"xi-form Gram not Hermitian (gap {herm_gap:.3e})")
-    return 0.5 * (mat + mat.conj().T)
+    mat = w[:, None] * _symbol_matrices(k, k, xi)[..., cols, :]  # P s(xi), one row of s per row
+    adjoint = np.conj(np.swapaxes(mat, -1, -2))
+    gap = np.max(np.abs(mat - adjoint), axis=(-2, -1))
+    scale = np.maximum(np.max(np.abs(mat), axis=(-2, -1)), 1e-30)
+    return 0.5 * (mat + adjoint), gap <= 1e-10 * scale, gap
 
 
 def gram_signature(
@@ -425,11 +472,25 @@ def gram_signature(
     xi = basis_vector(0, covariant=True) if xi is None else _ray(xi)
     if require_future:
         xi = _require_timelike_future(xi)
-    eig = np.linalg.eigvalsh(gram_matrix(k, xi))
-    tol = 1e-10 * max(float(np.max(np.abs(eig))), 1e-30)
-    n_plus = int(np.sum(eig > tol))
-    n_minus = int(np.sum(eig < -tol))
-    return n_plus, n_minus, len(eig) - n_plus - n_minus
+    return tuple(int(n) for n in _gram_signatures(k, xi.lowered().components))
+
+
+def _gram_signatures(k: int, xi: np.ndarray) -> np.ndarray:
+    """gram_signature's counts at covariant rays xi (..., 4): (..., 3), in bounded chunks.
+    A member whose Gram is not Hermitian is refused by its stack index."""
+    dim = fiber_dim(k, k)
+
+    def counts(xi):
+        gram, hermitian, gap = _gram_matrices(k, xi)
+        # a refused member, which may hold a NaN, is not read: the identity stands in
+        eig = np.linalg.eigvalsh(np.where(hermitian[:, None, None], gram, np.eye(dim)))
+        tol = 1e-10 * np.maximum(np.max(np.abs(eig), axis=1), 1e-30)[:, None]
+        n_plus, n_minus = np.sum(eig > tol, axis=1), np.sum(eig < -tol, axis=1)
+        return np.stack([n_plus, n_minus, dim - n_plus - n_minus], axis=1), hermitian, gap
+
+    signatures, hermitian, gap = _stacked(counts, xi.shape[:-1], 16 * dim * dim, xi)
+    _refuse(hermitian, InvariantViolation, _NOT_HERMITIAN, gap)
+    return signatures
 
 
 def witness_pair(

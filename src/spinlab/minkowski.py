@@ -19,6 +19,9 @@ ETA_DIAG.flags.writeable = ETA.flags.writeable = False
 
 DEFAULT_TOL = 1e-9
 
+#: The byte budget of one chunk of a stacked computation (see ``_stacked``).
+_CHUNK_BYTES = 16 << 20
+
 
 @dataclass(frozen=True)
 class LorentzVector:
@@ -84,6 +87,23 @@ def _ldexp(a: np.ndarray, shift, ndim: int = 1) -> np.ndarray:
     """Complex a times 2^shift, one shift per block of the trailing ``ndim`` axes, exactly."""
     shift = np.asarray(shift)[(...,) + (None,) * ndim]
     return np.ldexp(a.real, shift) + 1j * np.ldexp(a.imag, shift)
+
+
+def _stacked(fn, shape: tuple[int, ...], member_bytes: int, *arrays: np.ndarray):
+    """``fn`` over the arrays' leading ``shape``, flattened, in chunks of at most
+    _CHUNK_BYTES // member_bytes members (one at least): ``member_bytes`` is a member's share
+    of the chunk's largest array. ``fn``'s result, an array or a tuple of them with the chunk
+    first, is joined and given ``shape`` back; an empty stack makes one call."""
+    count = math.prod(shape)
+    flat = [np.reshape(a, (count,) + np.shape(a)[len(shape):]) for a in arrays]
+    step = max(1, _CHUNK_BYTES // max(1, member_bytes))
+    parts = [fn(*(a[i:i + step] for a in flat)) for i in range(0, max(count, 1), step)]
+
+    def join(*chunks):
+        whole = np.concatenate(chunks)
+        return whole.reshape(shape + whole.shape[1:])
+
+    return tuple(map(join, *parts)) if isinstance(parts[0], tuple) else join(*parts)
 
 
 def _ray(x: LorentzVector) -> LorentzVector:

@@ -68,15 +68,25 @@ def _assert_only_error(suite: checks.Suite, check_id: str) -> None:
     assert set(statuses.values()) == {"pass"}
 
 
+def _nan_at(index):
+    """A copy of an array with a NaN at ``index``, a later member of its stack."""
+    def poison(values):
+        values = values.copy()
+        values[index] = np.nan
+        return values
+    return poison
+
+
 def test_a_later_nan_exp_spin_result_makes_an_error_row(monkeypatch):
-    nan_s4 = lambda pair: (pair[0], np.full_like(pair[1], np.nan))
-    monkeypatch.setattr(cl, "exp_spin", _poison_call(cl.exp_spin, "exp_spin_blocks", 2, nan_s4))
+    nan_s4 = lambda pair: (pair[0], _nan_at(1)(pair[1]))
+    monkeypatch.setattr(cl, "exp_spin", _poison_call(cl.exp_spin, "exp_spin_blocks", 1, nan_s4))
     _assert_only_error(checks.SUITES["algebra"](0, timings=False), "exp-spin-blocks")
 
 
 def test_a_later_nan_pairing_makes_an_error_row_at_rank_one(monkeypatch):
-    poisoned = _poison_call(hs.gen_pairing, "pairing_hermitian", 4, lambda _: complex("nan"))
-    monkeypatch.setattr(hs, "gen_pairing", poisoned)
+    # the rows pair member by member through one outer stack; the first one pairing-hermitian makes
+    poisoned = _poison_call(hs._pairing_blocks, "pairings", 1, _nan_at((3, 3)))
+    monkeypatch.setattr(hs, "_pairing_blocks", poisoned)
     suite = checks.SUITES["symbols"](0, timings=False, pairs=[(1, 1)])
     _assert_only_error(suite, "pairing-hermitian-k1")
 

@@ -141,7 +141,7 @@ def test_verify_algebra_seed_ten_records_the_covering_batch_error(tmp_path, caps
     real = cl.covering_lambda
 
     def plant_member_646(s2):
-        if np.ndim(s2) == 3:
+        if np.ndim(s2) == 3 and len(s2) > 646:  # the batch's stacks, not the 50 exp_spin draws
             s2 = np.array(s2)
             s2[646] = np.sqrt(1 + 9e-10) * np.eye(2)
         return real(s2)
@@ -286,12 +286,21 @@ def test_evolve_refuses_a_packet_momentum_past_the_float_range(tmp_path, capsys)
     assert not out_path.exists()
 
 
-def _cli_subprocess(*args, preexec_fn=None, stdout=subprocess.PIPE):
+def _cli_subprocess(*args, preexec_fn=None, stdout=subprocess.PIPE, module="spinlab.cli"):
     # a fresh interpreter under the CI warning filter, with a timeout so a hang fails
     env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(spinlab.__file__)),
                PYTHONWARNINGS="error::RuntimeWarning", OPENBLAS_NUM_THREADS="1")
-    return subprocess.run([sys.executable, "-m", "spinlab.cli", *args], env=env, stdout=stdout,
+    return subprocess.run([sys.executable, "-m", module, *args], env=env, stdout=stdout,
                           stderr=subprocess.PIPE, text=True, timeout=60, preexec_fn=preexec_fn)
+
+
+def test_python_dash_m_spinlab_writes_the_report_of_cli_run(tmp_path, capsys):
+    assert cli.run(["report", "--seed", "0", "--no-timings", "--json", str(tmp_path / "a.json")]) == 0
+    capsys.readouterr()
+    run = _cli_subprocess("report", "--seed", "0", "--no-timings", "--json",
+                          str(tmp_path / "b.json"), module="spinlab")
+    assert run.returncode == 0 and "Traceback" not in run.stderr
+    assert (tmp_path / "a.json").read_bytes() == (tmp_path / "b.json").read_bytes()
 
 
 def test_signature_reads_a_huge_direction_as_its_ray():
@@ -412,6 +421,17 @@ def _cap_address_space():
     # array green builds is its (steps + 1, points, 4) complex source
     limit = 768 << 20
     resource.setrlimit(resource.RLIMIT_AS, (limit, limit))
+
+
+def test_the_rank_seven_references_fit_the_capped_address_space():
+    # the unit-basis references run in bounded chunks: whole, each sector block of the
+    # basis is F x 2^15 complex numbers, 128 MiB at k = l = 7, and failed to allocate here.
+    # The random-pair rows fail at this rank (their round-off passes 1e-12), so it exits 1
+    run = _cli_subprocess("verify", "symbols", "--k", "7", "--l", "7", "--no-timings",
+                          preexec_fn=_cap_address_space)
+    assert run.returncode == 1 and "Traceback" not in run.stderr
+    assert "[PASS] symbols/closed-form-k7-l7" in run.stdout
+    assert "residual=0.000e+00" in run.stdout.split("closed-form-k7-l7")[1].splitlines()[0]
 
 
 @pytest.mark.parametrize("command", ["signature", "green", "evolve"])

@@ -481,7 +481,7 @@ def test_stacked_contractions_equal_the_single_element_engine():
     xi = mk.LorentzVector(rng.normal(size=4), covariant=True)
     # a stack may sum in another order than one element at a time
     close = functools.partial(np.testing.assert_allclose, rtol=1e-13, atol=1e-13)
-    new1, new2 = hs._symbol_blocks(xi, *blocks, 2)
+    new1, new2 = hs._symbol_blocks(xi.components, *blocks, 2)
     for i, phi in enumerate(fibers):
         moved = hs.apply_symbol(xi, phi)
         close(new1[divmod(i, 3)], moved.phi1.data)

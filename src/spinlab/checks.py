@@ -6,8 +6,11 @@ fiber operators; ``signature`` Remark 6's indefinite xi-form; ``evolution``
 Theorem 1's retarded Green operator and finite propagation speed and
 Theorem 2's conserved slice product. A suite body records its rows as
 ordered ``suite.check`` calls that draw from the suite's one rng in that
-order, so a seed fixes every residual. ``SUITES`` lists the suites in
-report order; ``build_report`` turns a selection into the JSON document.
+order, so a seed fixes every residual. A row draws its whole batch (but
+``intertwiner-planted``'s rejection draws) before its first engine call, so
+a row that raises leaves the later rows' inputs as they were. ``SUITES``
+lists the suites in report order; ``build_report`` turns a selection into
+the JSON document.
 
 A row's check either returns its residual, one number, or is a generator
 that yields its gaps (arrays or numbers); the residual of a generator is
@@ -88,9 +91,20 @@ def sym_projector(k: int, l: int) -> np.ndarray:
     return s.data.reshape(dim, dim)
 
 
-def random_sl2(rng: np.random.Generator) -> np.ndarray:
-    mat = rng.normal(size=(2, 2)) + 1j * rng.normal(size=(2, 2))
-    return mat / np.sqrt(np.linalg.det(mat))
+def draw_normals(rng: np.random.Generator, n: int, *sizes) -> tuple[np.ndarray, ...]:
+    """n members' standard-normal blocks, one per size (an int or a shape), by one rng call:
+    block i is (n,) + size i, and member j holds what its own ``rng.normal(size=...)``
+    calls, one per block in order, would draw after member j - 1's."""
+    shapes = [(size,) if isinstance(size, int) else tuple(size) for size in sizes]
+    widths = [math.prod(shape) for shape in shapes]
+    flat = np.split(rng.normal(size=(n, sum(widths))), np.cumsum(widths)[:-1], axis=1)
+    return tuple(block.reshape((n,) + shape) for block, shape in zip(flat, shapes))
+
+
+def random_sl2(re: np.ndarray, im: np.ndarray) -> np.ndarray:
+    """SL(2,C) matrices (..., 2, 2) from normal blocks (..., 4): re + i im, over sqrt(det)."""
+    mat = (re + 1j * im).reshape(re.shape[:-1] + (2, 2))
+    return mat / np.sqrt(np.linalg.det(mat))[..., None, None]
 
 
 def random_timelike_future(rng: np.random.Generator) -> mk.LorentzVector:
@@ -238,8 +252,7 @@ def algebra_suite(suite: Suite, seed: int) -> None:
 
     suite.check("generator-blocks", "(GD)", 1e-12, generator_blocks)
 
-    exp_params = np.array([(rng.normal(size=3), rng.normal(size=3)) for _ in range(50)]) * 0.7
-    exp_a, exp_b = exp_params[:, 0], exp_params[:, 1]
+    exp_a, exp_b = (0.7 * params for params in draw_normals(rng, 50, 3, 3))
 
     def exp_spin_blocks():
         s2, s4 = cl.exp_spin(exp_a, exp_b)
@@ -275,14 +288,13 @@ def algebra_suite(suite: Suite, seed: int) -> None:
     suite.check("covering-map-examples", "Appendix 6", 1e-12, covering_examples)
 
     def covering_batch():
-        # every draw comes first, so a batch that raises leaves the later rows' inputs alone
-        draws = [(random_sl2(rng), rng.normal(size=4)) for _ in range(1000)]
-        s2 = np.array([s for s, _ in draws])
+        re, im, x = draw_normals(rng, 1000, 4, 4, 4)
+        s2 = random_sl2(re, im)
         lam = cl.covering_lambda(s2)
         yield np.swapaxes(lam, 1, 2) @ mk.ETA @ lam - mk.ETA
         yield cl.covering_lambda(-s2) - lam
         yield cl.covering_lambda(s2[:-1] @ s2[1:]) - lam[:-1] @ lam[1:]
-        yield sc.covering_diagram_check(s2, np.array([x for _, x in draws]))
+        yield sc.covering_diagram_check(s2, x)
 
     suite.check("covering-map-batch", "Appendix 6", 1e-9, covering_batch)
 
@@ -326,63 +338,62 @@ def algebra_suite(suite: Suite, seed: int) -> None:
     suite.check("epsilon-identities", "Appendix 5", 1e-13, epsilon_identities)
 
     def raise_lower_roundtrip():
+        re, im = draw_normals(rng, 100, 2, 2)
+        data = (re + 1j * im).reshape(5, 20, 2)  # 20 per tag, then 20 to contract
+        tags = (sc.UNDOTTED_UP, sc.UNDOTTED_LOW, sc.DOTTED_UP, sc.DOTTED_LOW)
         up = sc.Spinor(np.array([1.0, 0.0]), (sc.UNDOTTED_UP,))
         yield sc.raise_lower(up, 0).data - np.array([0.0, 1.0])
         up2 = sc.Spinor(np.array([0.0, 1.0]), (sc.UNDOTTED_UP,))
         yield sc.raise_lower(up2, 0).data - np.array([-1.0, 0.0])
-        for tag in (sc.UNDOTTED_UP, sc.UNDOTTED_LOW, sc.DOTTED_UP, sc.DOTTED_LOW):
-            for _ in range(20):
-                psi = sc.Spinor(rng.normal(size=2) + 1j * rng.normal(size=2), (tag,))
+        for tag, samples in zip(tags, data):
+            for sample in samples:
+                psi = sc.Spinor(sample, (tag,))
                 yield sc.raise_lower(sc.raise_lower(psi, 0), 0).data - psi.data
-        for _ in range(20):
-            psi = sc.Spinor(rng.normal(size=2) + 1j * rng.normal(size=2), (sc.UNDOTTED_UP,))
+        for sample in data[4]:
+            psi = sc.Spinor(sample, (sc.UNDOTTED_UP,))
             yield abs(sc.contract(sc.raise_lower(psi, 0), 0, psi, 0).item())
 
     suite.check("raise-lower-roundtrip", "Appendix 5", 1e-13, raise_lower_roundtrip)
 
     def sigma_isometry():
+        (samples,) = draw_normals(rng, 50, 4)
         yield sc.sigma_map(mk.basis_vector(0)).data - np.eye(2) / np.sqrt(2.0)
-        for _ in range(50):
-            x = mk.LorentzVector(rng.normal(size=4))
+        for x in map(mk.LorentzVector, samples):
             yield sc.sigma_inv(sc.sigma_map(x)).components - x.components
 
     suite.check("sigma-isometry", "Appendix 6", 1e-12, sigma_isometry)
 
     def eta_from_epsilon():
+        xs, ys = draw_normals(rng, 50, 4, 4)
         for a in range(4):
             for b in range(4):
                 yield sc.eta_from_eps_check(mk.basis_vector(a), mk.basis_vector(b))
-        for _ in range(50):
-            x = mk.LorentzVector(rng.normal(size=4))
-            y = mk.LorentzVector(rng.normal(size=4))
-            yield sc.eta_from_eps_check(x, y)
+        for x, y in zip(xs, ys):
+            yield sc.eta_from_eps_check(mk.LorentzVector(x), mk.LorentzVector(y))
 
     suite.check("eta-from-epsilon", "Appendix 6", 1e-12, eta_from_epsilon)
 
     def covering_diagram():
-        draws = [(random_sl2(rng), rng.normal(size=4)) for _ in range(100)]
-        return sc.covering_diagram_check(np.array([s for s, _ in draws]),
-                                         np.array([x for _, x in draws]))
+        re, im, x = draw_normals(rng, 100, 4, 4, 4)
+        return sc.covering_diagram_check(random_sl2(re, im), x)
 
     suite.check("covering-diagram", "Appendix 6", 1e-9, covering_diagram)
 
     def frame_invariance_batch():
-        return sc.frame_invariance_check(np.array([random_sl2(rng) for _ in range(100)]))["max"]
+        return sc.frame_invariance_check(random_sl2(*draw_normals(rng, 100, 4, 4)))["max"]
 
     suite.check("frame-invariance-batch", "Appendix 8", 1e-9, frame_invariance_batch)
 
     def clebsch_roundtrip():
-        for k in range(1, 5):
-            for l in range(3):
-                tags = (sc.UNDOTTED_UP,) * (k + 1) + (sc.DOTTED_LOW,) * l
-                data = rng.normal(size=(2,) * (k + 1 + l)) + 1j * rng.normal(
-                    size=(2,) * (k + 1 + l)
-                )
-                s = sc.Spinor(data, tags)
-                s = sc.symmetrize(s, tuple(range(1, k + 1)))
-                if l >= 2:
-                    s = sc.symmetrize(s, tuple(range(k + 1, k + 1 + l)))
-                yield sc.clebsch_reconstruct(*sc.clebsch_split(s)).data - s.data
+        ranks = [(k, l) for k in range(1, 5) for l in range(3)]
+        shapes = [(2,) * (k + 1 + l) for k, l in ranks]
+        draws = [rng.normal(size=shape) + 1j * rng.normal(size=shape) for shape in shapes]
+        for (k, l), data in zip(ranks, draws):
+            s = sc.Spinor(data, (sc.UNDOTTED_UP,) * (k + 1) + (sc.DOTTED_LOW,) * l)
+            s = sc.symmetrize(s, tuple(range(1, k + 1)))
+            if l >= 2:
+                s = sc.symmetrize(s, tuple(range(k + 1, k + 1 + l)))
+            yield sc.clebsch_reconstruct(*sc.clebsch_split(s)).data - s.data
 
     suite.check("clebsch-roundtrip", "Appendix 4", 1e-12, clebsch_roundtrip)
 
@@ -433,8 +444,7 @@ def symbols_suite(
 
     for k, l in pairs:
         def factorization(k=k, l=l):
-            draws = [(rng.normal(size=4), rng.normal()) for _ in range(100)]
-            xi, mass = np.array([x for x, _ in draws]), np.array([m for _, m in draws])
+            xi, mass = draw_normals(rng, 100, 4, ())
             yield hs._factorization_residuals(k, l, xi, mass)
 
         suite.check(f"factorization-k{k}-l{l}", "Prop. 1", 1e-12, factorization)
@@ -460,58 +470,44 @@ def symbols_suite(
 
     suite.check("adjoint-rank-guard", "Definition 2", 0.5, rank_mismatch_guard)
 
-    def random_pairs(k, gaps, with_xi=True):
-        """gaps(a, b, xi) of 20 pairs of type (k, k), as sector blocks, each drawn before its
-        covariant xi (``with_xi``): all draws first, then the stack in bounded chunks."""
+    def random_pairs(k, with_xi=True):
+        """20 pairs (a, b, xi) of type (k, k), a and b as sector blocks, each pair drawn before
+        its covariant xi (``with_xi``, else xi is empty)."""
         dim = hs.fiber_dim(k, k)
-        draws = []
-        for _ in range(20):
-            a = rng.normal(size=dim) + 1j * rng.normal(size=dim)
-            b = rng.normal(size=dim) + 1j * rng.normal(size=dim)
-            draws.append((a, b, rng.normal(size=4) if with_xi else np.zeros(4)))
-        a, b, xi = (np.array(part) for part in zip(*draws))
-        blocks = functools.partial(hs._sector_blocks, k=k, l=k)
-        member = 2 * 16 * 2 ** (2 + 2 * k)  # the complex sector blocks of a and b
-        return mk._stacked(lambda a, b, xi: gaps(blocks(a), blocks(b), xi), (20,), member, a, b, xi)
+        a_re, a_im, b_re, b_im, xi = draw_normals(rng, 20, dim, dim, dim, dim, 4 if with_xi else 0)
+        a, b = (hs._sector_blocks(re + 1j * im, k, k) for re, im in ((a_re, a_im), (b_re, b_im)))
+        return zip(zip(*a), zip(*b), xi.astype(complex))
 
-    def pairings(k, phi, psi):
-        """gen_pairing member by member: the diagonal of the outer stack's pairings."""
-        return np.diagonal(hs._pairing_blocks(k, phi, psi))
+    def symbols(xi, a, b):
+        return hs._symbol_blocks(xi, *a, 0), hs._symbol_blocks(xi, *b, 0)
 
-    def symbol(xi, phi):
-        return hs._symbol_blocks(xi, *phi, 1)
-
+    # gen_pairing's kernel per pair: an outer stack's diagonal sums in another order
     for k in sorted({k for k, l in pairs if k == l}):
         def pairing_hermitian(k=k):
-            def gaps(a, b, _):
-                return np.conj(pairings(k, a, b)) - pairings(k, b, a)
-
-            yield random_pairs(k, gaps, with_xi=False)
+            for a, b, _ in random_pairs(k, with_xi=False):
+                yield abs(np.conj(hs._pairing_blocks(k, a, b)) - hs._pairing_blocks(k, b, a))
 
         suite.check(f"pairing-hermitian-k{k}", "Definition 2", 1e-12, pairing_hermitian)
 
         def self_adjoint_symbol(k=k):
-            def gaps(a, b, xi):
-                return pairings(k, a, symbol(xi, b)) - pairings(k, symbol(xi, a), b)
-
-            yield random_pairs(k, gaps)
+            for a, b, xi in random_pairs(k):
+                s_a, s_b = symbols(xi, a, b)
+                yield abs(hs._pairing_blocks(k, a, s_b) - hs._pairing_blocks(k, s_a, b))
 
         suite.check(f"self-adjoint-symbol-k{k}", "Remark 5", 1e-12, self_adjoint_symbol)
 
         def xi_form_hermitian(k=k):
-            def gaps(a, b, xi):  # (a, b)_xi = <a, s(xi) b>
-                return np.conj(pairings(k, a, symbol(xi, b))) - pairings(k, b, symbol(xi, a))
-
-            yield random_pairs(k, gaps)
+            for a, b, xi in random_pairs(k):  # (a, b)_xi = <a, s(xi) b>
+                s_a, s_b = symbols(xi, a, b)
+                yield abs(np.conj(hs._pairing_blocks(k, a, s_b)) - hs._pairing_blocks(k, b, s_a))
 
         suite.check(f"xi-form-hermitian-k{k}", "Remark 5", 1e-12, xi_form_hermitian)
 
     def dirac_reduction():
-        for _ in range(20):
-            a = hs.DiracSpinor(rng.normal(size=2) + 1j * rng.normal(size=2),
-                               rng.normal(size=2) + 1j * rng.normal(size=2))
-            b = hs.DiracSpinor(rng.normal(size=2) + 1j * rng.normal(size=2),
-                               rng.normal(size=2) + 1j * rng.normal(size=2))
+        # per pair: a then b, each psi1 then psi2, each real then imaginary part
+        (parts,) = draw_normals(rng, 20, (2, 2, 2, 2))
+        for (a1, a2), (b1, b2) in parts[..., 0, :] + 1j * parts[..., 1, :]:
+            a, b = hs.DiracSpinor(a1, a2), hs.DiracSpinor(b1, b2)
             lhs = hs.dirac_adjoint(a)(b)
             yield abs(lhs - hs.gen_pairing(a.as_higher(), b.as_higher()))
 
@@ -552,8 +548,8 @@ def signature_suite(suite: Suite, seed: int, ks: tuple[int, ...] = (0, 1, 2)) ->
 
         if k == 0:
             def signature_positive(k=k):
-                at_e0 = 0 if e0_signature(0) == (4, 0, 0) else 1
                 directions = [random_timelike_future(rng) for _ in range(20)]
+                at_e0 = 0 if e0_signature(0) == (4, 0, 0) else 1
                 return at_e0 + mismatches(0, directions, (4, 0, 0))
 
             suite.check("signature-k0-positive", "Example 1", 0.5, signature_positive)
@@ -577,20 +573,21 @@ def signature_suite(suite: Suite, seed: int, ks: tuple[int, ...] = (0, 1, 2)) ->
             suite.check(f"signature-k{k}-{row}", "Remark 6", 0.5, witnesses)
 
         def boost_invariance(k=k):
+            rotation, boost = draw_normals(rng, 20, 3, 3)
             base = e0_signature(k)
             suite.info[f"signature-k{k}"] = list(base)
-            params = np.array([(rng.normal(size=3), rng.normal(size=3)) for _ in range(20)]) * 0.5
-            s2, _ = cl.exp_spin(params[:, 0], params[:, 1])
+            s2, _ = cl.exp_spin(0.5 * rotation, 0.5 * boost)
             lam = cl.covering_lambda(s2)  # the boosted time directions are its first columns
             return mismatches(k, [mk.LorentzVector(col).lowered() for col in lam[:, :, 0]], base)
 
         suite.check(f"signature-boost-invariance-k{k}", "Remark 6", 0.5, boost_invariance)
 
     def positivity_kron():
+        shapes = [(dim, dim) for dim in range(1, 6)]
+        draws = [rng.normal(size=shape) + 1j * rng.normal(size=shape) for shape in shapes]
         wrong = 0
-        for dim in range(1, 6):
-            basis = rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))
-            form = basis.conj().T @ basis + 0.1 * np.eye(dim)
+        for basis in draws:
+            form = basis.conj().T @ basis + 0.1 * np.eye(len(basis))
             if not hs.twisted_positivity_check(form):
                 wrong += 1
             eig, vec = np.linalg.eigh(form)

@@ -205,10 +205,11 @@ def _max_abs(x: np.ndarray, out: np.ndarray | None = None) -> float:
     return peak
 
 
-def _level_peak(level: np.ndarray, t: int, out: np.ndarray | None = None) -> float:
-    """max |level| of source level t: ValueError naming t for a NaN or inf entry, and,
-    for a finite entry whose modulus passes the largest float (see ``_max_abs``),
-    FloatingPointError for the caller's ``_float_range``. Only a failed peak is rescanned."""
+def _level_peak(level: np.ndarray, t: int, out: np.ndarray) -> float:
+    """max |level| of source level t, its moduli written into ``out``: ValueError naming t
+    for a NaN or inf entry, and, for a finite entry whose modulus passes the largest float
+    (see ``_max_abs``), FloatingPointError for the caller's ``_float_range``. Only a failed
+    peak is rescanned."""
     peak = np.max(np.abs(level, out=out))
     if not np.isfinite(peak):
         if not np.isfinite(level).all():

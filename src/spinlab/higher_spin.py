@@ -414,7 +414,8 @@ def check_prenormal_factorization(
 
 def _factorization_residuals(k: int, l: int, xi: np.ndarray, mass) -> np.ndarray:
     """check_prenormal_factorization at covariant xi (..., 4) and masses broadcast to its
-    stack, one residual per member, in bounded chunks."""
+    stack, one residual per member, in bounded chunks: a member holds four F x F complex
+    arrays at once, the symbol, its two mass shifts and their product."""
     xi = np.asarray(xi, dtype=complex)
     mass = np.broadcast_to(np.asarray(mass, dtype=float), xi.shape[:-1])
     dim = fiber_dim(k, l)
@@ -427,7 +428,7 @@ def _factorization_residuals(k: int, l: int, xi: np.ndarray, mass) -> np.ndarray
         lhs = (gam + mass * eye) @ (gam - mass * eye)
         return np.max(np.abs(lhs - (q - mass * mass) * eye), axis=(1, 2))
 
-    return _stacked(residuals, mass.shape, 16 * dim * dim, xi, mass)
+    return _stacked(residuals, mass.shape, 4 * 16 * dim * dim, xi, mass)
 
 
 def _require_timelike_future(xi: LorentzVector) -> LorentzVector:
@@ -476,8 +477,9 @@ def gram_signature(
 
 
 def _gram_signatures(k: int, xi: np.ndarray) -> np.ndarray:
-    """gram_signature's counts at covariant rays xi (..., 4): (..., 3), in bounded chunks.
-    A member whose Gram is not Hermitian is refused by its stack index."""
+    """gram_signature's counts at covariant rays xi (..., 4): (..., 3), in bounded chunks of
+    members that hold at most four F x F complex arrays at once (P s(xi), its adjoint, their
+    sum and their difference). A member whose Gram is not Hermitian is refused by its index."""
     dim = fiber_dim(k, k)
 
     def counts(xi):
@@ -488,7 +490,7 @@ def _gram_signatures(k: int, xi: np.ndarray) -> np.ndarray:
         n_plus, n_minus = np.sum(eig > tol, axis=1), np.sum(eig < -tol, axis=1)
         return np.stack([n_plus, n_minus, dim - n_plus - n_minus], axis=1), hermitian, gap
 
-    signatures, hermitian, gap = _stacked(counts, xi.shape[:-1], 16 * dim * dim, xi)
+    signatures, hermitian, gap = _stacked(counts, xi.shape[:-1], 4 * 16 * dim * dim, xi)
     _refuse(hermitian, InvariantViolation, _NOT_HERMITIAN, gap)
     return signatures
 

@@ -92,7 +92,7 @@ def _ldexp(a: np.ndarray, shift, ndim: int = 1) -> np.ndarray:
 def _stacked(fn, shape: tuple[int, ...], member_bytes: int, *arrays: np.ndarray):
     """``fn`` over the arrays' leading ``shape``, flattened, in chunks of at most
     _CHUNK_BYTES // member_bytes members (one at least): ``member_bytes`` is a member's share
-    of the chunk's largest array. ``fn``'s result, an array or a tuple of them with the chunk
+    of what the chunk holds at once. ``fn``'s result, an array or a tuple of them with the chunk
     first, is joined and given ``shape`` back; an empty stack makes one call."""
     count = math.prod(shape)
     flat = [np.reshape(a, (count,) + np.shape(a)[len(shape):]) for a in arrays]
@@ -161,23 +161,21 @@ def classify_causal(x: LorentzVector) -> tuple[str, str]:
     return cls, orientation
 
 
-def _restricted(lam: np.ndarray, scale: float | np.ndarray = 1.0,
-                relative: bool = False) -> np.ndarray:
+def _restricted(lam: np.ndarray, relative: bool = False) -> np.ndarray:
     """Per-matrix restricted-group mask of a real (..., 4, 4) stack: metric gap at most
-    DEFAULT_TOL * scale, det > 0 and lam[0, 0] >= 1 - DEFAULT_TOL (the two positivity tests
-    pick the proper orthochronous component). ``scale`` (a number, or one per matrix) widens
-    the metric gap alone, and ``relative`` widens it by max(1, max|lam|^2) more: the round-off
-    of lam^T eta lam grows like eps max|lam|^2. The gap is taken on lam scaled by an exact
-    power of two, 2^-s, to a largest entry below 2 (s >= 0), against eta and the bound scaled
-    by 4^-s, so it cannot overflow; det > 0 is read as the sign of the unscaled lam's
-    determinant. A NaN fails every comparison."""
+    DEFAULT_TOL, det > 0 and lam[0, 0] >= 1 - DEFAULT_TOL (the two positivity tests pick the
+    proper orthochronous component). ``relative`` widens the metric gap alone, by
+    max(1, max|lam|^2): the round-off of lam^T eta lam grows like eps max|lam|^2. The gap is
+    taken on lam scaled by an exact power of two, 2^-s, to a largest entry below 2 (s >= 0),
+    against eta and the bound scaled by 4^-s, so it cannot overflow; det > 0 is read as the
+    sign of the unscaled lam's determinant. A NaN fails every comparison."""
     shift = np.maximum(_exponent(lam, 2) - 1, 0)
     unit = np.ldexp(lam, -shift[..., None, None])
     one = np.ldexp(1.0, -2 * shift)  # 1 scaled by 4^-s, for eta and the bound
     gap = np.max(np.abs(np.swapaxes(unit, -1, -2) @ ETA @ unit - one[..., None, None] * ETA),
                  axis=(-2, -1))
     widen = np.maximum(one, np.max(np.abs(unit), axis=(-2, -1)) ** 2) if relative else one
-    metric = gap <= DEFAULT_TOL * scale * widen
+    metric = gap <= DEFAULT_TOL * widen
     return metric & (np.linalg.slogdet(lam)[0] > 0) & (lam[..., 0, 0] >= 1.0 - DEFAULT_TOL)
 
 

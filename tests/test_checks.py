@@ -1,5 +1,7 @@
 """The row contract of the check battery: gaps reduce to one NaN-keeping residual."""
 
+import functools
+import inspect
 import json
 import sys
 
@@ -10,6 +12,8 @@ from spinlab import checks
 from spinlab import clifford as cl
 from spinlab import evolution as ev
 from spinlab import higher_spin as hs
+from spinlab import minkowski as mk
+from spinlab import spinor_core as sc
 
 
 def _refuse_constant(token):
@@ -84,8 +88,8 @@ def test_a_later_nan_exp_spin_result_makes_an_error_row(monkeypatch):
 
 
 def test_a_later_nan_pairing_makes_an_error_row_at_rank_one(monkeypatch):
-    # the rows pair member by member through one outer stack; the first one pairing-hermitian makes
-    poisoned = _poison_call(hs._pairing_blocks, "pairings", 1, _nan_at((3, 3)))
+    # the row pairs one pair at a time, twice per pair: the 7th pairing is pair 4's
+    poisoned = _poison_call(hs._pairing_blocks, "pairing_hermitian", 7, lambda _: complex("nan"))
     monkeypatch.setattr(hs, "_pairing_blocks", poisoned)
     suite = checks.SUITES["symbols"](0, timings=False, pairs=[(1, 1)])
     _assert_only_error(suite, "pairing-hermitian-k1")
@@ -163,27 +167,98 @@ def test_the_rank_one_signature_row_certifies_its_witnesses(monkeypatch):
     assert row["status"] == "fail" and row["residual"] == 1.0
 
 
-@pytest.mark.parametrize("seed", [0, 10])
-def test_a_covering_batch_that_raises_leaves_the_later_rows_inputs_alone(monkeypatch, seed):
-    # the batch draws every sample before its first covering call, so raising there leaves
-    # every other row as it is when the batch runs to its end
-    def rows():
-        report = checks.SUITES["algebra"](seed, timings=False).report()
-        return {row["id"]: (row["status"], row["residual"]) for row in report["checks"]}
+def test_draw_normals_is_the_per_sample_loops_stream_bit_for_bit():
+    blocks = checks.draw_normals(np.random.default_rng(7), 5, 3, (), 0, (2, 2))
+    rng = np.random.default_rng(7)
+    looped = [(rng.normal(size=3), rng.normal(), rng.normal(size=0), rng.normal(size=(2, 2)))
+              for _ in range(5)]
+    assert [block.shape for block in blocks] == [(5, 3), (5,), (5, 0), (5, 2, 2)]
+    for block, samples in zip(blocks, zip(*looped)):
+        assert np.array_equal(block, np.array(samples))
+    assert blocks[1].dtype == float
+    assert rng.normal() == np.random.default_rng(7).normal(size=5 * 8 + 1)[-1]
 
-    completed = rows()
-    real = cl.covering_lambda
 
-    def refuse_the_batch(s2):
-        if sys._getframe(1).f_code.co_name == "covering_batch":
-            raise cl.InvariantViolation("planted")
-        return real(s2)
+#: Every row that reads its suite's rng, at these selections. ``intertwiner-planted`` is left
+#: out: its rejection draws come one at a time, after it builds its gammas.
+SAMPLE_ROWS = {
+    "algebra": ["exp-spin-blocks", "exp-spin-vector-rep", "covering-map-batch",
+                "raise-lower-roundtrip", "sigma-isometry", "eta-from-epsilon",
+                "covering-diagram", "frame-invariance-batch", "clebsch-roundtrip"],
+    "symbols": ["factorization-k1-l0", "factorization-k2-l2", "adjoint-rank-guard",
+                "pairing-hermitian-k2", "self-adjoint-symbol-k2", "xi-form-hermitian-k2",
+                "dirac-reduction"],
+    "signature": ["signature-k0-positive", "signature-boost-invariance-k0",
+                  "signature-boost-invariance-k1", "signature-boost-invariance-k2",
+                  "positivity-kron"],
+    "evolution": ["slice-product-crosscheck"],
+}
+SELECTION = {"symbols": {"pairs": [(1, 0), (2, 2)]}}
+#: they size a draw and read no sample, so a row may call them before it draws
+SIZES = {"fiber_dim", "sym_dimension"}
 
-    monkeypatch.setattr(cl, "covering_lambda", refuse_the_batch)
-    raised = rows()
-    assert raised.pop("covering-map-batch") == ("error", None)
-    completed.pop("covering-map-batch")
-    assert raised == completed
+
+def _suite_run(patch, suite_name):
+    """Each row's (status, residual) and the final state of every rng the suite made."""
+    made = []
+    real_rng = np.random.default_rng
+    patch.setattr(np.random, "default_rng", lambda *seed: made.append(real_rng(*seed)) or made[-1])
+    suite = checks.SUITES[suite_name](3, timings=False, **SELECTION.get(suite_name, {}))
+    rows = {row["id"]: (row["status"], row["residual"]) for row in suite.report()["checks"]}
+    return rows, [rng.bit_generator.state for rng in made]
+
+
+@functools.cache
+def _completed(suite_name):
+    with pytest.MonkeyPatch.context() as patch:
+        return _suite_run(patch, suite_name)
+
+
+@pytest.mark.parametrize("suite_name, row_id",
+                         [(suite, row) for suite, rows in SAMPLE_ROWS.items() for row in rows])
+def test_a_row_that_raises_at_its_first_engine_call_leaves_the_other_rows_alone(
+        monkeypatch, suite_name, row_id):
+    # every engine function raises while the row runs, so it raises at its first engine
+    # call; the row drew its whole batch before that, so the rng ends where a completed
+    # run leaves it, and every other row of the suite is as completed, bit for bit
+    completed, completed_streams = _completed(suite_name)
+    armed = [False]
+    real_check = checks.Suite.check
+
+    def check(self, check_id, *args, **kwargs):
+        armed[0] = check_id == row_id
+        try:
+            real_check(self, check_id, *args, **kwargs)
+        finally:
+            armed[0] = False
+
+    def planted(fn):
+        def wrapped(*args, **kwargs):
+            if armed[0]:
+                raise RuntimeError(f"planted at {fn.__name__}")
+            return fn(*args, **kwargs)
+        return wrapped
+
+    for module in (cl, sc, hs, mk, ev):
+        for name, fn in vars(module).items():
+            if inspect.isfunction(fn) and fn.__module__.startswith("spinlab") and name not in SIZES:
+                monkeypatch.setattr(module, name, planted(fn))
+    monkeypatch.setattr(checks.Suite, "check", check)
+    rows, streams = _suite_run(monkeypatch, suite_name)
+    status, residual = rows.pop(row_id)
+    assert status == "error" and residual is None
+    assert rows == {key: value for key, value in completed.items() if key != row_id}
+    assert streams == completed_streams
+
+
+@pytest.mark.parametrize("seed", [63, 140, 188])
+def test_the_rank_two_random_pair_rows_keep_a_tenfold_margin(seed):
+    # the seeds of these rows' smallest margins over seeds 0-199; one contraction per pair
+    report = checks.SUITES["symbols"](seed, timings=False).report()
+    rows = {row["id"]: row for row in report["checks"]}
+    for check_id in ("pairing-hermitian-k2", "self-adjoint-symbol-k2", "xi-form-hermitian-k2"):
+        assert rows[check_id]["status"] == "pass" and rows[check_id]["tolerance"] == 1e-12
+        assert rows[check_id]["residual"] <= 1e-13
 
 
 @pytest.mark.parametrize("seed", [10, 83, 105])

@@ -187,14 +187,15 @@ def test_restricted_mask_over_a_stack_matches_the_predicate_per_matrix():
     assert mk._restricted(stack.reshape(2, 4, 4, 4)).tolist() == [mask[:4].tolist(), mask[4:].tolist()]
 
 
-def test_restricted_scale_widens_the_metric_gap_alone():
-    near = (1 + 1e-6) * np.eye(4)  # misses eta by 2e-6
+def test_relative_widens_the_metric_gap_alone_by_the_largest_entry_squared():
+    boost = _z_boost(10.0)  # largest entry cosh 10, about 1.1e4
+    boost[0, 0] += 1e-8  # misses eta by about 2e-4, inside 1e-9 max|lam|^2
+    near = (1 + 1e-6) * np.eye(4)  # misses eta by 2e-6 at max|lam| = 1
     parity = np.diag([1.0, -1.0, -1.0, -1.0])
-    stack = np.array([near, parity, -np.eye(4)])
-    assert mk._restricted(stack).tolist() == [False, False, False]
-    assert mk._restricted(stack, 1e4).tolist() == [True, False, False]
-    assert mk._restricted(stack, np.array([1.0, 1e4, 1e4])).tolist() == [False] * 3
-    assert not mk.is_restricted_lorentz(near)  # the public predicate keeps scale 1
+    stack = np.array([boost, near, parity, -np.eye(4)])
+    assert mk._restricted(stack).tolist() == [False] * 4
+    assert mk._restricted(stack, relative=True).tolist() == [True, False, False, False]
+    assert not mk.is_restricted_lorentz(boost)  # the public predicate keeps the absolute gap
 
 
 @pytest.mark.parametrize("bad", [np.nan, np.inf])

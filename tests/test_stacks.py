@@ -1,11 +1,12 @@
 """Stacked kernels: each against its one-sample calls, in bounded chunks, with stack refusals.
 
-The report's sample rows draw every sample first and then make one stacked call; the
-per-sample loops they replaced are kept here as the reference for their draws and gaps.
+The report's sample rows draw every sample first; the per-sample loops they replaced are
+kept here as the reference for their draws and gaps.
 """
 
 import functools
 import sys
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -151,6 +152,23 @@ def test_many_chunks_give_the_bits_of_one(monkeypatch):
     _assert_equal(run(), whole)
 
 
+def test_a_chunk_holds_about_the_chunk_budget():
+    # a chunk is cut by a member's working set, four F x F complex arrays at k = l = 5
+    rng = np.random.default_rng(46)
+    xi, mass = rng.normal(size=(100, 4)) + 0j, rng.normal(size=100)
+    future = np.concatenate([1.0 + np.linalg.norm(xi[:, 1:], axis=1, keepdims=True), xi[:, 1:]], 1)
+    calls = {"factorization": lambda: hs._factorization_residuals(5, 5, xi, mass),
+             "gram": lambda: hs._gram_signatures(5, future)}
+    for name, call in calls.items():
+        tracemalloc.start()
+        try:
+            call()
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2 * mk._CHUNK_BYTES, name
+
+
 # ---------------------------------------------------------------------------
 # a refusal in a stack names the first failing member
 
@@ -268,15 +286,22 @@ def test_the_stacked_symbol_rows_draw_the_per_sample_loops_samples(monkeypatch, 
     # the kernel squares the mass as m * m, where the loop took m**2
     assert residuals[f"factorization-k{k}-l{k}"] == pytest.approx(max(rows["factorization"]),
                                                                   abs=1e-15)
-    # each row pairs twice, its first pairing with the a blocks on the left
-    pairings = seen[("pairings", "_pairing_blocks")]
-    symbols = seen[("symbol", "_symbol_blocks")]
-    assert len(pairings) == 6 and len(symbols) == 4
-    for row, (_, phi, _) in zip(("pairing-hermitian", "self-adjoint-symbol", "xi-form-hermitian"),
-                                pairings[::2]):
-        want = [[getattr(a, half).data for a, _, _ in samples[row]] for half in ("phi1", "phi2")]
-        assert np.array_equal(np.array(phi), np.array(want))
-        # one stacked product may sum in another order than one pair at a time
-        assert residuals[f"{row}-k{k}"] == pytest.approx(max(rows[row]), abs=1e-13)
-    for (xi, *_), row in zip(symbols[::2], ("self-adjoint-symbol", "xi-form-hermitian")):
-        assert np.array_equal(xi, [x.components.real for _, _, x in samples[row]])
+    # one contraction per pair, as the loop made, so the residuals are the loop's bits
+    for row in ("pairing-hermitian", "self-adjoint-symbol", "xi-form-hermitian"):
+        assert residuals[f"{row}-k{k}"] == max(rows[row])
+    # each row pairs each of its 20 pairs twice, on that pair's blocks and their symbols
+    monkeypatch.undo()
+    assert len(seen[("symbols", "_symbol_blocks")]) == 2 * 2 * 20
+    symbol = lambda xi, blocks: hs._symbol_blocks(xi.components, *blocks, 0)
+    expected = {  # each pair's two pairings, in the row's order
+        "pairing-hermitian": lambda a, b, xi: [(a, b), (b, a)],
+        "self-adjoint-symbol": lambda a, b, xi: [(a, symbol(xi, b)), (symbol(xi, a), b)],
+        "xi-form-hermitian": lambda a, b, xi: [(a, symbol(xi, b)), (b, symbol(xi, a))],
+    }
+    for row, pairing_arguments in expected.items():
+        calls = seen[(row.replace("-", "_"), "_pairing_blocks")]
+        want = [arguments for a, b, xi in samples[row] for arguments in pairing_arguments(
+            (a.phi1.data, a.phi2.data), (b.phi1.data, b.phi2.data), xi)]
+        assert len(calls) == len(want) == 2 * 20
+        for (_, *got), arguments in zip(calls, want):
+            assert all(np.array_equal(g, w) for pair in zip(got, arguments) for g, w in zip(*pair))

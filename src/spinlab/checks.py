@@ -5,12 +5,11 @@ calculus; ``symbols`` Prop. 1's prenormal factorization and the closed-form
 fiber operators; ``signature`` Remark 6's indefinite xi-form; ``evolution``
 Theorem 1's retarded Green operator and finite propagation speed and
 Theorem 2's conserved slice product. A suite body records its rows as
-ordered ``suite.check`` calls that draw from the suite's one rng in that
-order, so a seed fixes every residual. A row draws its whole batch (but
-``intertwiner-planted``'s rejection draws) before its first engine call, so
-a row that raises leaves the later rows' inputs as they were. ``SUITES``
-lists the suites in report order; ``build_report`` turns a selection into
-the JSON document.
+``suite.check`` calls. Each row draws its samples from its own generator,
+``suite.rng``, seeded by the seed and the row's ``suite/id``, so a row's
+residual depends on neither the rows before it nor the selection it runs in.
+``SUITES`` lists the suites in report order; ``build_report`` turns a
+selection into the JSON document.
 
 A row's check either returns its residual, one number, or is a generator
 that yields its gaps (arrays or numbers); the residual of a generator is
@@ -29,6 +28,7 @@ import functools
 import json
 import math
 import time
+import zlib
 from collections.abc import Callable, Generator
 
 import numpy as np
@@ -40,7 +40,7 @@ from . import higher_spin as hs
 from . import minkowski as mk
 from . import spinor_core as sc
 
-SCHEMA_VERSION = 1
+SCHEMA_VERSION = 2
 
 DIMENSION_FLAG = {
     "id": "twist-dimension-formula",
@@ -91,16 +91,6 @@ def sym_projector(k: int, l: int) -> np.ndarray:
     return s.data.reshape(dim, dim)
 
 
-def draw_normals(rng: np.random.Generator, n: int, *sizes) -> tuple[np.ndarray, ...]:
-    """n members' standard-normal blocks, one per size (an int or a shape), by one rng call:
-    block i is (n,) + size i, and member j holds what its own ``rng.normal(size=...)``
-    calls, one per block in order, would draw after member j - 1's."""
-    shapes = [(size,) if isinstance(size, int) else tuple(size) for size in sizes]
-    widths = [math.prod(shape) for shape in shapes]
-    flat = np.split(rng.normal(size=(n, sum(widths))), np.cumsum(widths)[:-1], axis=1)
-    return tuple(block.reshape((n,) + shape) for block, shape in zip(flat, shapes))
-
-
 def random_sl2(re: np.ndarray, im: np.ndarray) -> np.ndarray:
     """SL(2,C) matrices (..., 2, 2) from normal blocks (..., 4): re + i im, over sqrt(det)."""
     mat = (re + 1j * im).reshape(re.shape[:-1] + (2, 2))
@@ -139,15 +129,22 @@ def _summary(rows: list[dict]) -> dict:
 
 
 class Suite:
-    """Collects check rows; rows are sorted by id in the final report."""
+    """Collects check rows; rows are sorted by id in the final report.
 
-    def __init__(self, name: str, timings: bool = True):
+    ``rng`` is the running row's generator, made afresh for each row from
+    (seed, crc32 of "suite/id"): a row's samples depend on the seed and its id alone.
+    """
+
+    def __init__(self, name: str, seed: int = 0, timings: bool = True):
         self.name = name
+        self.seed = seed
         self.timings = timings
         self.checks: list[dict] = []
         self.info: dict = {}
 
     def check(self, check_id, anchor, tolerance, fn, direction="below") -> None:
+        key = zlib.crc32(f"{self.name}/{check_id}".encode())
+        self.rng = np.random.default_rng([self.seed, key])
         start = time.perf_counter()
         error = None
         try:
@@ -186,7 +183,7 @@ SUITES: dict[str, Callable[..., Suite]] = {}
 
 
 def _suite(body):
-    """Register ``body(suite, seed, **selection)`` as the suite it fills.
+    """Register ``body(suite, **selection)`` as the suite it fills.
 
     The suite is named after the body (``algebra_suite`` records ``algebra``);
     the runner constructs it, runs the body and returns it.
@@ -194,8 +191,8 @@ def _suite(body):
     name = body.__name__.removesuffix("_suite")
 
     def run(seed: int, timings: bool = True, **selection) -> Suite:
-        suite = Suite(name, timings)
-        body(suite, seed, **selection)
+        suite = Suite(name, seed, timings)
+        body(suite, **selection)
         return suite
 
     SUITES[name] = run
@@ -207,9 +204,7 @@ def _suite(body):
 
 
 @_suite
-def algebra_suite(suite: Suite, seed: int) -> None:
-    rng = np.random.default_rng(seed)
-
+def algebra_suite(suite: Suite) -> None:
     suite.check(
         "anticommutator-weyl",
         "Eq. (1)",
@@ -252,9 +247,8 @@ def algebra_suite(suite: Suite, seed: int) -> None:
 
     suite.check("generator-blocks", "(GD)", 1e-12, generator_blocks)
 
-    exp_a, exp_b = (0.7 * params for params in draw_normals(rng, 50, 3, 3))
-
     def exp_spin_blocks():
+        exp_a, exp_b = 0.7 * suite.rng.normal(size=(2, 50, 3))
         s2, s4 = cl.exp_spin(exp_a, exp_b)
         blocks = np.zeros_like(s4)
         blocks[:, :2, :2] = s2
@@ -269,6 +263,7 @@ def algebra_suite(suite: Suite, seed: int) -> None:
     boost[:, 0, 1:] = boost[:, 1:, 0] = np.eye(3)
 
     def exp_spin_vector_rep():
+        exp_a, exp_b = 0.7 * suite.rng.normal(size=(2, 50, 3))
         s2, _ = cl.exp_spin(exp_a, exp_b)
         gen = np.einsum("ni,iab->nab", exp_a, rot) + np.einsum("ni,iab->nab", exp_b, boost)
         yield cl.covering_lambda(s2) - cl.exp_lorentz(gen)
@@ -288,7 +283,7 @@ def algebra_suite(suite: Suite, seed: int) -> None:
     suite.check("covering-map-examples", "Appendix 6", 1e-12, covering_examples)
 
     def covering_batch():
-        re, im, x = draw_normals(rng, 1000, 4, 4, 4)
+        re, im, x = suite.rng.normal(size=(3, 1000, 4))
         s2 = random_sl2(re, im)
         lam = cl.covering_lambda(s2)
         yield np.swapaxes(lam, 1, 2) @ mk.ETA @ lam - mk.ETA
@@ -300,7 +295,7 @@ def algebra_suite(suite: Suite, seed: int) -> None:
 
     def well_conditioned():
         while True:  # rejection draws, one at a time
-            planted = rng.normal(size=(4, 4)) + 1j * rng.normal(size=(4, 4))
+            planted = suite.rng.normal(size=(4, 4)) + 1j * suite.rng.normal(size=(4, 4))
             if np.linalg.cond(planted) < 100.0:
                 return planted
 
@@ -338,8 +333,8 @@ def algebra_suite(suite: Suite, seed: int) -> None:
     suite.check("epsilon-identities", "Appendix 5", 1e-13, epsilon_identities)
 
     def raise_lower_roundtrip():
-        re, im = draw_normals(rng, 100, 2, 2)
-        data = (re + 1j * im).reshape(5, 20, 2)  # 20 per tag, then 20 to contract
+        re, im = suite.rng.normal(size=(2, 5, 20, 2))
+        data = re + 1j * im  # 20 per tag, then 20 to contract
         tags = (sc.UNDOTTED_UP, sc.UNDOTTED_LOW, sc.DOTTED_UP, sc.DOTTED_LOW)
         up = sc.Spinor(np.array([1.0, 0.0]), (sc.UNDOTTED_UP,))
         yield sc.raise_lower(up, 0).data - np.array([0.0, 1.0])
@@ -356,15 +351,14 @@ def algebra_suite(suite: Suite, seed: int) -> None:
     suite.check("raise-lower-roundtrip", "Appendix 5", 1e-13, raise_lower_roundtrip)
 
     def sigma_isometry():
-        (samples,) = draw_normals(rng, 50, 4)
         yield sc.sigma_map(mk.basis_vector(0)).data - np.eye(2) / np.sqrt(2.0)
-        for x in map(mk.LorentzVector, samples):
+        for x in map(mk.LorentzVector, suite.rng.normal(size=(50, 4))):
             yield sc.sigma_inv(sc.sigma_map(x)).components - x.components
 
     suite.check("sigma-isometry", "Appendix 6", 1e-12, sigma_isometry)
 
     def eta_from_epsilon():
-        xs, ys = draw_normals(rng, 50, 4, 4)
+        xs, ys = suite.rng.normal(size=(2, 50, 4))
         for a in range(4):
             for b in range(4):
                 yield sc.eta_from_eps_check(mk.basis_vector(a), mk.basis_vector(b))
@@ -374,26 +368,26 @@ def algebra_suite(suite: Suite, seed: int) -> None:
     suite.check("eta-from-epsilon", "Appendix 6", 1e-12, eta_from_epsilon)
 
     def covering_diagram():
-        re, im, x = draw_normals(rng, 100, 4, 4, 4)
+        re, im, x = suite.rng.normal(size=(3, 100, 4))
         return sc.covering_diagram_check(random_sl2(re, im), x)
 
     suite.check("covering-diagram", "Appendix 6", 1e-9, covering_diagram)
 
     def frame_invariance_batch():
-        return sc.frame_invariance_check(random_sl2(*draw_normals(rng, 100, 4, 4)))["max"]
+        return sc.frame_invariance_check(random_sl2(*suite.rng.normal(size=(2, 100, 4))))["max"]
 
     suite.check("frame-invariance-batch", "Appendix 8", 1e-9, frame_invariance_batch)
 
     def clebsch_roundtrip():
-        ranks = [(k, l) for k in range(1, 5) for l in range(3)]
-        shapes = [(2,) * (k + 1 + l) for k, l in ranks]
-        draws = [rng.normal(size=shape) + 1j * rng.normal(size=shape) for shape in shapes]
-        for (k, l), data in zip(ranks, draws):
-            s = sc.Spinor(data, (sc.UNDOTTED_UP,) * (k + 1) + (sc.DOTTED_LOW,) * l)
-            s = sc.symmetrize(s, tuple(range(1, k + 1)))
-            if l >= 2:
-                s = sc.symmetrize(s, tuple(range(k + 1, k + 1 + l)))
-            yield sc.clebsch_reconstruct(*sc.clebsch_split(s)).data - s.data
+        for k in range(1, 5):
+            for l in range(3):
+                shape = (2,) * (k + 1 + l)
+                data = suite.rng.normal(size=shape) + 1j * suite.rng.normal(size=shape)
+                s = sc.Spinor(data, (sc.UNDOTTED_UP,) * (k + 1) + (sc.DOTTED_LOW,) * l)
+                s = sc.symmetrize(s, tuple(range(1, k + 1)))
+                if l >= 2:
+                    s = sc.symmetrize(s, tuple(range(k + 1, k + 1 + l)))
+                yield sc.clebsch_reconstruct(*sc.clebsch_split(s)).data - s.data
 
     suite.check("clebsch-roundtrip", "Appendix 4", 1e-12, clebsch_roundtrip)
 
@@ -431,10 +425,7 @@ def algebra_suite(suite: Suite, seed: int) -> None:
 
 
 @_suite
-def symbols_suite(
-    suite: Suite, seed: int, pairs: list[tuple[int, int]] | None = None
-) -> None:
-    rng = np.random.default_rng(seed)
+def symbols_suite(suite: Suite, pairs: list[tuple[int, int]] | None = None) -> None:
     if pairs is None:
         pairs = [(k, l) for k in range(3) for l in range(3)]
 
@@ -444,7 +435,7 @@ def symbols_suite(
 
     for k, l in pairs:
         def factorization(k=k, l=l):
-            xi, mass = draw_normals(rng, 100, 4, ())
+            xi, mass = suite.rng.normal(size=(100, 4)), suite.rng.normal(size=100)
             yield hs._factorization_residuals(k, l, xi, mass)
 
         suite.check(f"factorization-k{k}-l{l}", "Prop. 1", 1e-12, factorization)
@@ -455,28 +446,24 @@ def symbols_suite(
         suite.check(f"square-causal-k{k}-l{l}", "Prop. 1", 1e-12, square_causal)
 
         def closed_form(k=k, l=l):
-            # own generator, so the draws of the other rows stay as they were
-            xi_rng = np.random.default_rng([seed, k, l])
-            directions = [
-                mk.LorentzVector(xi_rng.normal(size=4), covariant=True) for _ in range(2)
-            ]
-            return hs.closed_form_residual(k, l, directions)
+            xis = suite.rng.normal(size=(2, 4))
+            return hs.closed_form_residual(k, l, [mk.LorentzVector(xi, covariant=True) for xi in xis])
 
         suite.check(f"closed-form-k{k}-l{l}", "Prop. 1", 1e-12, closed_form)
 
     def rank_mismatch_guard():
-        vec = rng.normal(size=hs.fiber_dim(1, 0)) + 0j
+        vec = suite.rng.normal(size=hs.fiber_dim(1, 0)) + 0j
         return _misses(hs.KNotEqualL, hs.gen_dirac_adjoint, hs.unpack(vec, 1, 0))
 
     suite.check("adjoint-rank-guard", "Definition 2", 0.5, rank_mismatch_guard)
 
-    def random_pairs(k, with_xi=True):
-        """20 pairs (a, b, xi) of type (k, k), a and b as sector blocks, each pair drawn before
-        its covariant xi (``with_xi``, else xi is empty)."""
-        dim = hs.fiber_dim(k, k)
-        a_re, a_im, b_re, b_im, xi = draw_normals(rng, 20, dim, dim, dim, dim, 4 if with_xi else 0)
+    def random_pairs(k):
+        """20 triples (a, b, xi) from the row's generator: a and b of type (k, k) as sector
+        blocks, xi covariant."""
+        a_re, a_im, b_re, b_im = suite.rng.normal(size=(4, 20, hs.fiber_dim(k, k)))
+        xi = suite.rng.normal(size=(20, 4)).astype(complex)
         a, b = (hs._sector_blocks(re + 1j * im, k, k) for re, im in ((a_re, a_im), (b_re, b_im)))
-        return zip(zip(*a), zip(*b), xi.astype(complex))
+        return zip(zip(*a), zip(*b), xi)
 
     def symbols(xi, a, b):
         return hs._symbol_blocks(xi, *a, 0), hs._symbol_blocks(xi, *b, 0)
@@ -484,7 +471,7 @@ def symbols_suite(
     # gen_pairing's kernel per pair: an outer stack's diagonal sums in another order
     for k in sorted({k for k, l in pairs if k == l}):
         def pairing_hermitian(k=k):
-            for a, b, _ in random_pairs(k, with_xi=False):
+            for a, b, _ in random_pairs(k):
                 yield abs(np.conj(hs._pairing_blocks(k, a, b)) - hs._pairing_blocks(k, b, a))
 
         suite.check(f"pairing-hermitian-k{k}", "Definition 2", 1e-12, pairing_hermitian)
@@ -505,7 +492,7 @@ def symbols_suite(
 
     def dirac_reduction():
         # per pair: a then b, each psi1 then psi2, each real then imaginary part
-        (parts,) = draw_normals(rng, 20, (2, 2, 2, 2))
+        parts = suite.rng.normal(size=(20, 2, 2, 2, 2))
         for (a1, a2), (b1, b2) in parts[..., 0, :] + 1j * parts[..., 1, :]:
             a, b = hs.DiracSpinor(a1, a2), hs.DiracSpinor(b1, b2)
             lhs = hs.dirac_adjoint(a)(b)
@@ -526,8 +513,7 @@ def symbols_suite(
 
 
 @_suite
-def signature_suite(suite: Suite, seed: int, ks: tuple[int, ...] = (0, 1, 2)) -> None:
-    rng = np.random.default_rng(seed)
+def signature_suite(suite: Suite, ks: tuple[int, ...] = (0, 1, 2)) -> None:
     e0 = mk.basis_vector(0, covariant=True)
 
     # each rank's e0 signature is one study for the rows that read it (see evolution_suite)
@@ -548,7 +534,7 @@ def signature_suite(suite: Suite, seed: int, ks: tuple[int, ...] = (0, 1, 2)) ->
 
         if k == 0:
             def signature_positive(k=k):
-                directions = [random_timelike_future(rng) for _ in range(20)]
+                directions = [random_timelike_future(suite.rng) for _ in range(20)]
                 at_e0 = 0 if e0_signature(0) == (4, 0, 0) else 1
                 return at_e0 + mismatches(0, directions, (4, 0, 0))
 
@@ -573,7 +559,7 @@ def signature_suite(suite: Suite, seed: int, ks: tuple[int, ...] = (0, 1, 2)) ->
             suite.check(f"signature-k{k}-{row}", "Remark 6", 0.5, witnesses)
 
         def boost_invariance(k=k):
-            rotation, boost = draw_normals(rng, 20, 3, 3)
+            rotation, boost = suite.rng.normal(size=(2, 20, 3))
             base = e0_signature(k)
             suite.info[f"signature-k{k}"] = list(base)
             s2, _ = cl.exp_spin(0.5 * rotation, 0.5 * boost)
@@ -583,10 +569,9 @@ def signature_suite(suite: Suite, seed: int, ks: tuple[int, ...] = (0, 1, 2)) ->
         suite.check(f"signature-boost-invariance-k{k}", "Remark 6", 0.5, boost_invariance)
 
     def positivity_kron():
-        shapes = [(dim, dim) for dim in range(1, 6)]
-        draws = [rng.normal(size=shape) + 1j * rng.normal(size=shape) for shape in shapes]
         wrong = 0
-        for basis in draws:
+        for dim in range(1, 6):
+            basis = suite.rng.normal(size=(dim, dim)) + 1j * suite.rng.normal(size=(dim, dim))
             form = basis.conj().T @ basis + 0.1 * np.eye(len(basis))
             if not hs.twisted_positivity_check(form):
                 wrong += 1
@@ -680,9 +665,7 @@ def conservation_drift(k: int) -> float:
 
 
 @_suite
-def evolution_suite(suite: Suite, seed: int) -> None:
-    rng = np.random.default_rng(seed)
-
+def evolution_suite(suite: Suite) -> None:
     suite.check("conservation-k0", "Theorem 2", 1e-5, lambda: conservation_drift(0))
     suite.check("conservation-k2", "Theorem 2", 1e-5, lambda: conservation_drift(2))
 
@@ -820,13 +803,13 @@ def evolution_suite(suite: Suite, seed: int) -> None:
             mass=0.5, k=1, l=1, extent=extent, points=n_pts, dt=0.5 * dz, steps=1
         )
         dim = cfg.fiber
-        data_a = rng.normal(size=(2, n_pts, dim)) + 1j * rng.normal(size=(2, n_pts, dim))
-        data_b = rng.normal(size=(2, n_pts, dim)) + 1j * rng.normal(size=(2, n_pts, dim))
-        packed = ev.conservation_fold(cfg, data_a[:1], data_b[:1])["initial"]
+        re, im = suite.rng.normal(size=(2, 2, n_pts, dim))
+        data_a, data_b = re + 1j * im
+        packed = ev.conservation_fold(cfg, [data_a], [data_b])["initial"]
         e0 = mk.basis_vector(0, covariant=True)
         semantic = sum(
             hs.xi_form(hs.unpack(a, cfg.k, cfg.l), hs.unpack(b, cfg.k, cfg.l), e0)
-            for a, b in zip(data_a[0], data_b[0])
+            for a, b in zip(data_a, data_b)
         ) * dz
         return abs(packed - semantic)
 
@@ -862,7 +845,6 @@ def build_report(
         "schema": SCHEMA_VERSION,
         "tool": {"name": "spinlab", "version": __version__},
         "seed": seed,
-        "tol_scale": 1.0,  # a schema-1 field: tolerances are fixed; schema 2 drops it
         "suites": reports,
         "flags": [DIMENSION_FLAG],
         "summary": summary,

@@ -279,11 +279,14 @@ def _symbol_matrix_reference(k: int, l: int, xi: LorentzVector) -> np.ndarray:
     entry is one product, so the chunks equal one basis element at a time, entry for entry."""
     dim, xi = fiber_dim(k, l), xi.lowered().components
     units = np.eye(dim)  # real: a chunk's sector blocks take half the bytes of complex ones
+    # a member holds its two real sector blocks, the complex cast of one of them for the
+    # chiral product, its two complex symbol blocks and its packed column
+    member = 2 ** (1 + k + l) * (2 * units.itemsize + 3 * 16) + 16 * dim
 
     def columns(units):
         return _packed(*_symbol_blocks(xi, *_sector_blocks(units, k, l), 1), k, l)
 
-    return _stacked(columns, (dim,), units.itemsize * 2 ** (2 + k + l), units).T
+    return _stacked(columns, (dim,), member, units).T
 
 
 def dirac_adjoint(psi: DiracSpinor):
@@ -373,7 +376,9 @@ def _pairing_matrix_reference(k: int) -> np.ndarray:
     Each entry is an integer orbit count, so it is exact."""
     dim = fiber_dim(k, k)
     units = np.eye(dim)  # real: a chunk's sector blocks take half the bytes of complex ones
-    member = units.itemsize * 2 ** (2 + 2 * k)
+    # a member of either chunk holds its two real sector blocks and one real copy of a block
+    # (conj's, or tensordot's transpose); the row chunk and the column chunk share the budget
+    member = 2 * 3 * units.itemsize * 2 ** (1 + 2 * k)
 
     def rows(left):
         blocks = _sector_blocks(left, k, k)

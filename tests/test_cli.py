@@ -132,8 +132,11 @@ def test_verify_reports_a_non_finite_row_as_error(monkeypatch, capsys):
     assert "suite symbols: 8/9 passed" in out
 
 
-def test_verify_algebra_seed_ten_records_the_covering_batch_error(tmp_path, capsys, monkeypatch):
-    # seed 10's batch passes since the covering map's metric gate scales with max|lam|^2
+def test_verify_algebra_seed_ten_records_the_covering_batch_error(tmp_path, capsys, monkeypatch,
+                                                                  shared_stream):
+    # seed 10's batch from the suite's shared generator passes since the covering map's
+    # metric gate scales with max|lam|^2
+    shared_stream("algebra", 10, "covering-map-batch")
     assert cli.run(["verify", "algebra", "--seed", "10", "--no-timings"]) == 0
     assert "[PASS] algebra/covering-map-batch" in capsys.readouterr().out
     # a batch member whose image genuinely leaves the group is recorded as an error row:
@@ -189,7 +192,7 @@ def test_same_seed_gives_byte_identical_json(tmp_path):
                         "--json", str(path)]) == 0
     assert path_a.read_bytes() == path_b.read_bytes()
     payload = json.loads(path_a.read_text())
-    assert payload["schema"] == 1
+    assert payload["schema"] == 2 and "tol_scale" not in payload
     assert payload["seed"] == 11
 
 

@@ -1,12 +1,13 @@
 """Stacked kernels: each against its one-sample calls, in bounded chunks, with stack refusals.
 
-The report's sample rows draw every sample first; the per-sample loops they replaced are
-kept here as the reference for their draws and gaps.
+The per-sample loops that the report's stacked rows replaced are kept here as the reference
+for their gaps, on the samples each row draws from its own generator.
 """
 
 import functools
 import sys
 import tracemalloc
+import zlib
 
 import numpy as np
 import pytest
@@ -152,6 +153,15 @@ def test_many_chunks_give_the_bits_of_one(monkeypatch):
     _assert_equal(run(), whole)
 
 
+def _peak_bytes(call):
+    tracemalloc.start()
+    try:
+        call()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
 def test_a_chunk_holds_about_the_chunk_budget():
     # a chunk is cut by a member's working set, four F x F complex arrays at k = l = 5
     rng = np.random.default_rng(46)
@@ -160,13 +170,17 @@ def test_a_chunk_holds_about_the_chunk_budget():
     calls = {"factorization": lambda: hs._factorization_residuals(5, 5, xi, mass),
              "gram": lambda: hs._gram_signatures(5, future)}
     for name, call in calls.items():
-        tracemalloc.start()
-        try:
-            call()
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        assert peak < 2 * mk._CHUNK_BYTES, name
+        assert _peak_bytes(call) < 2 * mk._CHUNK_BYTES, name
+
+
+def test_a_unit_basis_reference_holds_about_the_chunk_budget():
+    # at k = l = 6 a member's sector blocks are 2^13 entries each; the references count
+    # their symbol blocks, casts and copies too, not the real unit blocks alone
+    direction = mk.LorentzVector(np.array([1.3, 0.2, -0.4, 0.5]), covariant=True)
+    calls = {"symbol": lambda: hs._symbol_matrix_reference(6, 6, direction),
+             "pairing": lambda: hs._pairing_matrix_reference(6)}
+    for name, call in calls.items():
+        assert _peak_bytes(call) < 2 * mk._CHUNK_BYTES, name
 
 
 # ---------------------------------------------------------------------------
@@ -224,22 +238,19 @@ def _factorization_by_sample(xi, mass, k, l):
     return float(np.max(np.abs(lhs - (q - mass**2) * eye)))
 
 
+def _row_stream(seed, row):
+    return np.random.default_rng([seed, zlib.crc32(f"symbols/{row}".encode())])
+
+
 def _symbols_rows_by_sample(seed, k):
     """The symbols suite's sample rows at pairs=[(k, k)] as per-sample loops, each row's gaps,
-    with every sample each row drew."""
-    rng = np.random.default_rng(seed)
+    with every sample each row drew from its generator."""
     rows, samples = {}, {}
-    draws = [(mk.LorentzVector(rng.normal(size=4), covariant=True), float(rng.normal()))
-             for _ in range(100)]
+    rng = _row_stream(seed, f"factorization-k{k}-l{k}")
+    xis, masses = rng.normal(size=(100, 4)), rng.normal(size=100)
+    draws = [(mk.LorentzVector(xi, covariant=True), float(m)) for xi, m in zip(xis, masses)]
     rows["factorization"] = [_factorization_by_sample(xi, m, k, k) for xi, m in draws]
     samples["factorization"] = draws
-    rng.normal(size=hs.fiber_dim(1, 0))  # adjoint-rank-guard
-
-    def rand_pair():
-        dim = hs.fiber_dim(k, k)
-        a = hs.unpack(rng.normal(size=dim) + 1j * rng.normal(size=dim), k, k)
-        b = hs.unpack(rng.normal(size=dim) + 1j * rng.normal(size=dim), k, k)
-        return a, b
 
     gap_of = {  # each row's per-sample gap, as the loops computed it
         "pairing-hermitian": lambda a, b, _: abs(np.conj(hs.gen_pairing(a, b))
@@ -250,12 +261,11 @@ def _symbols_rows_by_sample(seed, k):
                                                   - hs.xi_form(b, a, xi)),
     }
     for row, gap in gap_of.items():
-        pairs = []
-        for _ in range(20):  # a pair, then (except for pairing-hermitian) its xi
-            a, b = rand_pair()
-            with_xi = row != "pairing-hermitian"
-            pairs.append((a, b, mk.LorentzVector(rng.normal(size=4), covariant=True)
-                          if with_xi else None))
+        rng = _row_stream(seed, f"{row}-k{k}")  # a and b, real and imaginary parts, then xi
+        parts, xis = rng.normal(size=(4, 20, hs.fiber_dim(k, k))), rng.normal(size=(20, 4))
+        pairs = [(hs.unpack(a_re + 1j * a_im, k, k), hs.unpack(b_re + 1j * b_im, k, k),
+                  mk.LorentzVector(xi, covariant=True))
+                 for a_re, a_im, b_re, b_im, xi in zip(*parts, xis)]
         rows[row], samples[row] = [gap(*pair) for pair in pairs], pairs
     return rows, samples
 

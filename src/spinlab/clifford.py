@@ -18,7 +18,7 @@ import math
 
 import numpy as np
 
-from .minkowski import DEFAULT_TOL, ETA, _exponent, _ldexp, _restricted, _stacked
+from .minkowski import DEFAULT_TOL, ETA, _exponent, _ldexp, _metric_gap, _stacked
 
 PAULI = np.array(
     [
@@ -104,7 +104,8 @@ def pauli_intertwiner(gammas_from: np.ndarray, gammas_to: np.ndarray) -> np.ndar
         null = np.count_nonzero(sv <= 1e-8 * sv[:, :1], axis=-1)
         return vh[:, -1].conj().reshape(-1, dim, dim), null
 
-    found, null = _stacked(intertwiners, g.shape[:-3], 64 * dim**4, g, t)
+    # a member holds the system and its SVD's U (64 d^4 B each), V^H and the singular values
+    found, null = _stacked(intertwiners, g.shape[:-3], 144 * dim**4 + 8 * dim**2, g, t)
     _refuse(null > 0, ValueError, "the collections are not conjugate (no intertwiner)")
     _refuse(null < 2, ValueError,
             "the collections are not irreducible (the intertwiner is not unique)")
@@ -272,7 +273,8 @@ def exp_spin(a, b) -> tuple[np.ndarray, np.ndarray]:
         prod = (diff * diff - np.trace(gen2 @ gen2, axis1=1, axis2=2).real / 4.0) / 4.0
         return s2, _cubic(gen, gen2, diff, prod, _spin_coefficients)
 
-    return _stacked(exponentials, a.shape[:-1], 256, a, b)
+    # a member: w, lam, S2, invariants (160 B), G, G^2, the cubic's 3 temporaries and coefficients
+    return _stacked(exponentials, a.shape[:-1], 160 + 5 * 256 + 32, a, b)
 
 
 def exp_lorentz(gen) -> np.ndarray:
@@ -297,8 +299,7 @@ def exp_lorentz(gen) -> np.ndarray:
         raise ValueError("exp_lorentz needs a finite 4x4 generator")
     _refuse(np.all(np.isfinite(gen), axis=(-2, -1)), ValueError,
             "exp_lorentz needs a finite 4x4 generator")
-    lowered = ETA @ gen
-    gap = np.max(np.abs(lowered + np.swapaxes(lowered, -1, -2)), axis=(-2, -1))
+    gap = np.max(np.abs(ETA @ gen + np.swapaxes(ETA @ gen, -1, -2)), axis=(-2, -1))
     _refuse(gap <= 1e-12 * np.maximum(1.0, np.max(np.abs(gen), axis=(-2, -1))),
             ValueError, "exp_lorentz needs eta K antisymmetric (a generator of so(1,3))")
 
@@ -308,7 +309,8 @@ def exp_lorentz(gen) -> np.ndarray:
         prod = (np.trace(gen2 @ gen2, axis1=1, axis2=2) / 2.0 - diff * diff) / 2.0
         return _cubic(gen, gen2, diff, prod, _lorentz_coefficients)
 
-    return _stacked(exponentials, gen.shape[:-2], 128, gen)
+    # a member: G^2, three 4x4 real temporaries of the cubic (one is exp K) and six floats
+    return _stacked(exponentials, gen.shape[:-2], 4 * 128 + 48, gen)
 
 
 def _refuse(ok: np.ndarray, exc: type[Exception], message: str, value=None) -> None:
@@ -340,12 +342,13 @@ def covering_lambda(s2: np.ndarray) -> np.ndarray:
     Kronecker form (1/2) conj(P) (S kron conj(S)) P^T, row a of P being s_a read
     row-major; S and -S give the same matrix. The product is formed on the ray of S
     and scaled back exactly, so no step leaves the float range before lam does.
-    Raises NotUnimodular when |det S - 1| exceeds DEFAULT_TOL (NaN and inf fail
-    closed, a det past the float range reads inf), OverflowError when lam leaves the
-    float range, InvariantViolation when the coefficients come out complex or a result
-    fails the restricted-group test, whose metric gap is bounded by DEFAULT_TOL
-    max(1, max|lam|^2) per matrix (each naming a stack's first failing index), and
-    ValueError for a shape not ending in (2, 2).
+    det S = 1 fixes the component, as det lam = |det S|^4 and lam[0, 0] = |S|_F^2 / 2 >=
+    |det S|, so lam's one test is its metric gap, the formula's round-off, at most DEFAULT_TOL
+    max(1, max|lam|^2). Raises NotUnimodular when |det S - 1| exceeds DEFAULT_TOL (NaN and inf
+    fail closed, a det past the float range reads inf), OverflowError when lam leaves the float
+    range, InvariantViolation when the coefficients come out complex or the gap passes its
+    bound (each naming a stack's first failing index), and ValueError for a shape not ending
+    in (2, 2).
     """
     s2 = np.asarray(s2, dtype=complex)
     if s2.shape[-2:] != (2, 2):
@@ -365,7 +368,7 @@ def covering_lambda(s2: np.ndarray) -> np.ndarray:
     imag = np.max(np.abs(coeff.imag), axis=(-2, -1))
     _refuse(imag < 1e-10, InvariantViolation, "complex Pauli coefficients (imag {:.3e})", imag)
     lam = coeff.real
-    # lam^T eta lam rounds at about eps max|lam|^2, and max|lam| ~ |S|^2 is unbounded
-    _refuse(_restricted(lam, relative=True), InvariantViolation,
+    gap, one, peak = _metric_gap(lam)
+    _refuse(gap <= DEFAULT_TOL * np.maximum(one, peak), InvariantViolation,
             "covering output left the restricted group")
     return lam

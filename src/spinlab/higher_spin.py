@@ -159,13 +159,18 @@ def _orbits(k: int, l: int) -> tuple[np.ndarray, np.ndarray]:
 
     Index (c, undotted..., dotted...) lies in slot
     (c (k+1) + ones among the undotted axes) (l+1) + ones among the dotted
-    axes, the position of its permutation orbit within the sector. A slot's
-    first row-major index is its sorted representative: zeros before ones
-    is the smallest index of each orbit.
+    axes, the position of its permutation orbit within the sector; the ones are
+    counted off the bits of the row-major index. A slot's first row-major index
+    is its sorted representative, zeros before ones, so slot (c, a, b) starts at
+    (c 2^k + 2^a - 1) 2^l + 2^b - 1.
     """
-    idx = np.indices((2,) * (1 + k + l))
-    slots = (idx[0] * (k + 1) + idx[1:k + 1].sum(axis=0)) * (l + 1) + idx[k + 1:].sum(axis=0)
-    return slots, np.unique(slots, return_index=True)[1]
+    index = np.arange(2 ** (1 + k + l))
+    undotted = np.bitwise_count(index >> l & (2**k - 1))
+    dotted = np.bitwise_count(index & (2**l - 1))
+    slots = ((index >> (k + l)) * (k + 1) + undotted) * (l + 1) + dotted
+    first = ((np.array([0, 2**k])[:, None, None] + 2 ** np.arange(k + 1)[:, None] - 1) * 2**l
+             + 2 ** np.arange(l + 1) - 1)
+    return slots.reshape((2,) * (1 + k + l)), first.ravel()
 
 
 def pack(phi: HigherSpinVector) -> np.ndarray:

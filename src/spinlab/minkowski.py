@@ -161,30 +161,27 @@ def classify_causal(x: LorentzVector) -> tuple[str, str]:
     return cls, orientation
 
 
-def _restricted(lam: np.ndarray, relative: bool = False) -> np.ndarray:
-    """Per-matrix restricted-group mask of a real (..., 4, 4) stack: metric gap at most
-    DEFAULT_TOL, det > 0 and lam[0, 0] >= 1 - DEFAULT_TOL (the two positivity tests pick the
-    proper orthochronous component). ``relative`` widens the metric gap alone, by
-    max(1, max|lam|^2): the round-off of lam^T eta lam grows like eps max|lam|^2. The gap is
-    taken on lam scaled by an exact power of two, 2^-s, to a largest entry below 2 (s >= 0),
-    against eta and the bound scaled by 4^-s, so it cannot overflow; det > 0 is read as the
-    sign of the unscaled lam's determinant. A NaN fails every comparison."""
+def _metric_gap(lam: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(gap, one, peak) per matrix of a real (..., 4, 4) stack, read on unit = 2^-s lam, whose
+    largest entry is below 2 (s >= 0), so nothing overflows: gap = max|unit^T eta unit - one
+    eta|, one = 4^-s and peak = max|unit|^2. A caller bounds the gap by DEFAULT_TOL one, or by
+    DEFAULT_TOL max(one, peak) to allow lam^T eta lam its round-off, about eps max|lam|^2."""
     shift = np.maximum(_exponent(lam, 2) - 1, 0)
     unit = np.ldexp(lam, -shift[..., None, None])
-    one = np.ldexp(1.0, -2 * shift)  # 1 scaled by 4^-s, for eta and the bound
+    one = np.ldexp(1.0, -2 * shift)
     gap = np.max(np.abs(np.swapaxes(unit, -1, -2) @ ETA @ unit - one[..., None, None] * ETA),
                  axis=(-2, -1))
-    widen = np.maximum(one, np.max(np.abs(unit), axis=(-2, -1)) ** 2) if relative else one
-    metric = gap <= DEFAULT_TOL * widen
-    return metric & (np.linalg.slogdet(lam)[0] > 0) & (lam[..., 0, 0] >= 1.0 - DEFAULT_TOL)
+    return gap, one, np.max(np.abs(unit), axis=(-2, -1)) ** 2
 
 
 def is_restricted_lorentz(lam: np.ndarray) -> bool:
-    """True when one (4, 4) lam passes ``_restricted``. Any other shape, a NaN or infinite
-    entry, or an imaginary part above DEFAULT_TOL gives False before any arithmetic."""
+    """True when one (4, 4) lam has a metric gap (``_metric_gap``) at most DEFAULT_TOL, det > 0
+    and lam[0, 0] >= 1 - DEFAULT_TOL, the proper orthochronous component. Any other shape, a
+    NaN or infinite entry, or an imaginary part above DEFAULT_TOL gives False at once."""
     lam = np.asarray(lam)
-    if lam.shape != (4, 4) or not np.all(np.isfinite(lam)):
+    if lam.shape != (4, 4) or not np.all(np.isfinite(lam)) or np.max(abs(lam.imag)) > DEFAULT_TOL:
         return False
-    if np.max(np.abs(lam.imag)) > DEFAULT_TOL:
-        return False
-    return bool(_restricted(lam.real))
+    lam = lam.real
+    gap, one, _ = _metric_gap(lam)
+    return bool(gap <= DEFAULT_TOL * one and np.linalg.slogdet(lam)[0] > 0
+                and lam[0, 0] >= 1.0 - DEFAULT_TOL)

@@ -82,6 +82,16 @@ def test_pack_reads_the_sorted_representative(k, l):
     assert np.array_equal(packed, expect)
 
 
+@pytest.mark.parametrize("k, l", [(0, 0), (1, 0), (0, 3), (1, 2), (2, 2), (3, 1), (7, 7)])
+def test_closed_form_slot_map_equals_the_enumeration(k, l):
+    # the reference enumerates every index's axes and sorts the slots for their first indices
+    idx = np.indices((2,) * (1 + k + l))
+    slots = (idx[0] * (k + 1) + idx[1:k + 1].sum(axis=0)) * (l + 1) + idx[k + 1:].sum(axis=0)
+    got_slots, got_first = hs._orbits(k, l)
+    assert got_slots.shape == slots.shape and np.array_equal(got_slots, slots)
+    assert np.array_equal(got_first, np.unique(slots, return_index=True)[1])
+
+
 def test_unpack_validates_length():
     with pytest.raises(ValueError):
         hs.unpack(np.zeros(5), 0, 0)

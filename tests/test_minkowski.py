@@ -175,27 +175,34 @@ def test_restricted_lorentz_rejects_other_components_and_junk():
     assert not mk.is_restricted_lorentz(np.eye(4) * (1 + 1j))
 
 
-def test_restricted_mask_over_a_stack_matches_the_predicate_per_matrix():
+def test_metric_gap_over_a_stack_matches_it_per_matrix():
     rot = np.eye(4)
     rot[1:3, 1:3] = [[np.cos(0.4), -np.sin(0.4)], [np.sin(0.4), np.cos(0.4)]]
     stack = np.array([np.eye(4), _z_boost(0.7), rot, np.diag([1.0, -1.0, -1.0, -1.0]),
                       np.diag([-1.0, 1.0, 1.0, 1.0]), -np.eye(4), 2.0 * np.eye(4),
-                      np.eye(4) + 1e-3])
-    mask = mk._restricted(stack)
-    assert mask.tolist() == [True] * 3 + [False] * 5
-    assert mask.tolist() == [mk.is_restricted_lorentz(lam) for lam in stack]
-    assert mk._restricted(stack.reshape(2, 4, 4, 4)).tolist() == [mask[:4].tolist(), mask[4:].tolist()]
+                      np.eye(4) + 1e-3, 3e100 * _z_boost(0.7)])
+    gap, one, peak = mk._metric_gap(stack)
+    assert gap.shape == one.shape == peak.shape == (9,)
+    # the other components of O(1, 3) keep the metric; only the last three miss it
+    assert (gap <= mk.DEFAULT_TOL * one).tolist() == [True] * 6 + [False] * 3
+    for i, lam in enumerate(stack):
+        assert [v[i] for v in (gap, one, peak)] == list(mk._metric_gap(lam))
+    for v, whole in zip(mk._metric_gap(stack.reshape(3, 3, 4, 4)), (gap, one, peak)):
+        assert np.array_equal(v, whole.reshape(3, 3))
+    # the last matrix is read on its ray, 2^-s lam with entries below 2, against eta scaled by 4^-s
+    assert 0 < one[-1] < 1e-190 and 1.0 <= peak[-1] < 4.0 and gap[-1] > one[-1]
 
 
-def test_relative_widens_the_metric_gap_alone_by_the_largest_entry_squared():
+def test_the_covering_bound_widens_the_metric_gap_alone_by_the_largest_entry_squared():
     boost = _z_boost(10.0)  # largest entry cosh 10, about 1.1e4
     boost[0, 0] += 1e-8  # misses eta by about 2e-4, inside 1e-9 max|lam|^2
     near = (1 + 1e-6) * np.eye(4)  # misses eta by 2e-6 at max|lam| = 1
-    parity = np.diag([1.0, -1.0, -1.0, -1.0])
-    stack = np.array([boost, near, parity, -np.eye(4)])
-    assert mk._restricted(stack).tolist() == [False] * 4
-    assert mk._restricted(stack, relative=True).tolist() == [True, False, False, False]
+    gap, one, peak = mk._metric_gap(np.array([boost, near]))
+    assert (gap <= mk.DEFAULT_TOL * np.maximum(one, peak)).tolist() == [True, False]
+    assert not (gap <= mk.DEFAULT_TOL * one).any()
     assert not mk.is_restricted_lorentz(boost)  # the public predicate keeps the absolute gap
+    for other in (np.diag([1.0, -1.0, -1.0, -1.0]), np.diag([-1.0, 1.0, 1.0, 1.0]), -np.eye(4)):
+        assert not mk.is_restricted_lorentz(other)
 
 
 @pytest.mark.parametrize("bad", [np.nan, np.inf])

@@ -153,16 +153,17 @@ def test_many_chunks_give_the_bits_of_one(monkeypatch):
     _assert_equal(run(), whole)
 
 
-def _peak_bytes(call):
+def _peak_bytes(call, returned=lambda out: 0):
+    """The traced peak of ``call``, less ``returned(result)`` bytes."""
     tracemalloc.start()
     try:
-        call()
-        return tracemalloc.get_traced_memory()[1]
+        out = call()
+        return tracemalloc.get_traced_memory()[1] - returned(out)
     finally:
         tracemalloc.stop()
 
 
-def test_a_chunk_holds_about_the_chunk_budget():
+def test_a_chunk_holds_about_the_chunk_budget(monkeypatch):
     # a chunk is cut by a member's working set, four F x F complex arrays at k = l = 5
     rng = np.random.default_rng(46)
     xi, mass = rng.normal(size=(100, 4)) + 0j, rng.normal(size=100)
@@ -171,6 +172,18 @@ def test_a_chunk_holds_about_the_chunk_budget():
              "gram": lambda: hs._gram_signatures(5, future)}
     for name, call in calls.items():
         assert _peak_bytes(call) < 2 * mk._CHUNK_BYTES, name
+    # and the arrays each clifford kernel holds: at a 1 MiB budget, these stacks would be one
+    # chunk if a member counted its output alone (256, 128 and 64 d^4 bytes); the join holds
+    # the chunks' results and their joined whole at once
+    monkeypatch.setattr(mk, "_CHUNK_BYTES", 1 << 20)
+    a, b = rng.normal(size=(2, 8192, 3))
+    gen, target = _lorentz_generators(a, b), _planted_targets(rng, (64,))
+    calls = {"exp_spin": lambda: cl.exp_spin(a[:4096], b[:4096]),
+             "exp_lorentz": lambda: (cl.exp_lorentz(gen),),
+             "pauli_intertwiner": lambda: (cl.pauli_intertwiner(GAMMAS, target),)}
+    for name, call in calls.items():
+        joined = _peak_bytes(call, lambda out: 2 * sum(x.nbytes for x in out))
+        assert joined < 2 * mk._CHUNK_BYTES, name
 
 
 def test_a_unit_basis_reference_holds_about_the_chunk_budget():

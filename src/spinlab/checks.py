@@ -621,9 +621,10 @@ def green_pulse(mass: float, n_pts: int) -> tuple[ev.GridField, float, float]:
 
     The source is allocated first, so an impossible size fails before any
     other grid-sized work. The pulse is the outer product of a t-bump and a
-    z-bump written straight into it, and |G f| is reduced one level at a
-    time: no grid-sized array other than the source and G f is held. Raises
-    ValueError on a point count below one.
+    z-bump written straight into it, and |G f| is reduced a block of levels
+    at a time (``evolution.level_maxima``): no grid-sized array other than
+    the source and G f is held. Raises ValueError on a point count below
+    one.
     """
     if n_pts < 1:
         raise ValueError(f"the pulse needs at least one point, got {n_pts}")
@@ -642,7 +643,7 @@ def green_pulse(mass: float, n_pts: int) -> tuple[ev.GridField, float, float]:
     residual = ev.green_residual(result, source)
     # a level's largest source value is its t-bump times the z-bump's peak
     first = int(np.nonzero(t_bump * z_bump.max())[0][0])
-    level_peaks = np.array([np.abs(level).max() for level in result.data])
+    level_peaks = ev.level_maxima(result.data)
     peak = float(level_peaks.max())
     before = float(level_peaks[: first - 1].max()) if first > 1 else 0.0
     return result, residual, before / peak

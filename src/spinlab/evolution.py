@@ -32,12 +32,12 @@ speed. One helper, ``_first_order``, builds the leapfrog's first-order operator
 on one level, applying A D_z as one multiply of the z-difference by a
 level-shaped weight and B as a gather and a scale, u[..., cols] * w. The
 Green operator (sigma = -1) and its residual (sigma = +1) apply the Dirac
-operator level by level through ``_dirac_levels``,
+operator a block of levels at a time through ``_dirac_levels``,
 
     (D + sigma i m) u = Gamma0 d_t u + Gamma3 D_z u + sigma i m u.
 
 The two derivatives, each scaled by a weight indexed by source column, are
-summed and gathered once per level; no level is divided. Both operators cost
+summed and gathered once per block; no level is divided. Both operators cost
 N F work per level instead of the N F^2 of a dense product. X^0 and X^3
 share their columns by construction, so the divergence fold gathers once for
 both. One public generator, ``leapfrog``, is the only time-stepping loop; it
@@ -48,13 +48,14 @@ arrive; ``evolve`` stores them, and ``conservation_report`` and
 workload. The causality audit reduces |u| over at most two contiguous row
 slices per level, the rows outside the cone. ``_float_range`` is the one
 owner of arithmetic that leaves the float range: each level of the stream,
-the folds and the Green operator runs under it and stops with OverflowError.
+the folds and each block of the Green operator runs under it and stops with
+OverflowError; a block that fails names its first bad level.
 
 The retarded Green operator is that of the cylinder R x S^1 the evolver
 runs on: it convolves the source with the periodic kernel
 E_per(t, z) = sum_j E(t, z + j L), the image sum of the sampled retarded
-kernel, over the whole (t, z) grid, then applies D - i m to the result level
-by level, in place. It acts per fiber component for any
+kernel, over the whole (t, z) grid, then applies D - i m to the result a
+block of levels at a time, in place. It acts per fiber component for any
 twist (k, l): E is scalar and Gamma(e^a) = kron(G(e^a), I) touches only the
 chiral axes, so the twisted operator is the untwisted one applied per twist
 slot. The convolution is cyclic in z, at size n, and
@@ -63,15 +64,18 @@ source's last nonzero level. The kernel is real, so each nonzero real or
 imaginary part of a fiber component convolves to a real output on its own:
 its levels up to t1 take one real transform along z, and the inverse real
 transform writes the result straight into that part of u. The source is
-scanned one level at a time, the kernel is kept as the quarter of its
+scanned a block of levels at a time, the kernel is kept as the quarter of its
 spectrum that its symmetries leave, scaled once by the dt dz cell weight,
 and one (n_fft, n // 2 + 1) spectrum is transformed in place for every
 part; so the apply holds u, a spectrum the size of one fiber component
 (a quarter field at k = 0) and the kernel's quarter at its peak, and the
-kernel, built in blocks of levels, a few kernels. The Dirac step and the
-residual hold a few levels. The module needs numpy (>= 2.0, for the
-transforms' ``out=``) alone: J0 is a trapezoid sum, or Hankel's asymptotic
-form for large arguments, and the transforms are numpy.fft.
+kernel, built in blocks of levels, a few kernels. The Green operator's
+level loops (the Dirac step, its residual and the source scan) take a
+block of max(1, n_t // 64) levels per numpy call (``_block_length``), so
+each holds a few blocks of at most 1/64 of the field, and the Dirac step
+copies one level per block. The module needs numpy (>= 2.0, for the
+transforms' ``out=``) alone: J0 is a trapezoid sum, or Hankel's
+asymptotic form for large arguments, and the transforms are numpy.fft.
 """
 
 from __future__ import annotations
@@ -79,7 +83,7 @@ from __future__ import annotations
 import math
 import numbers
 from collections import deque
-from collections.abc import Iterable, Iterator
+from collections.abc import Callable, Iterable, Iterator
 from contextlib import contextmanager
 from dataclasses import asdict, dataclass, fields
 
@@ -187,13 +191,17 @@ class GridField:
 
 
 @contextmanager
-def _float_range(message: str) -> Iterator[None]:
-    """Run the block under raising numpy flags, as OverflowError(message); never around a yield."""
+def _float_range(message: str | Callable[[], str]) -> Iterator[None]:
+    """Run the block under raising numpy flags, as OverflowError(message); never around a yield.
+
+    ``message`` may be a function, called only on failure, that names where
+    the block failed, such as the first bad level of a block of levels.
+    """
     try:
         with np.errstate(over="raise", invalid="raise"):
             yield
     except FloatingPointError:
-        raise OverflowError(message) from None
+        raise OverflowError(message() if callable(message) else message) from None
 
 
 def _max_abs(x: np.ndarray, out: np.ndarray | None = None) -> float:
@@ -205,17 +213,55 @@ def _max_abs(x: np.ndarray, out: np.ndarray | None = None) -> float:
     return peak
 
 
-def _level_peak(level: np.ndarray, t: int, out: np.ndarray) -> float:
-    """max |level| of source level t, its moduli written into ``out``: ValueError naming t
-    for a NaN or inf entry, and, for a finite entry whose modulus passes the largest float
-    (see ``_max_abs``), FloatingPointError for the caller's ``_float_range``. Only a failed
-    peak is rescanned."""
-    peak = np.max(np.abs(level, out=out))
-    if not np.isfinite(peak):
-        if not np.isfinite(level).all():
-            raise ValueError(f"source level {t} holds a non-finite value")
+def _block_length(levels: int) -> int:
+    """Levels per block in the Green operator's level loops: max(1, levels // 64).
+
+    A block is at most 1/64 of a field's levels, so the loops' few block
+    buffers stay a fixed, small fraction of the field whatever its shape. At
+    1024 points (513 levels of 64 KB at k = 0) the Dirac step's block
+    buffers and the block of u it reads take about 1.7 MB, inside a 2 MB
+    per-core L2 cache.
+    """
+    return max(1, levels // 64)
+
+
+def _level_peaks(block: np.ndarray, out: np.ndarray) -> np.ndarray:
+    """max |level| of each level of a (levels, points, fiber) block, its moduli written into
+    ``out``. A NaN or inf entry, or a finite one whose modulus passes the largest float (see
+    ``_max_abs``), gives its level a non-finite peak and raises no numpy flag."""
+    return np.abs(block, out=out).reshape(len(block), -1).max(axis=1)
+
+
+def _first_past(block: np.ndarray, out: np.ndarray) -> int:
+    """The first level of ``block`` whose peak (``_level_peaks``) is not finite."""
+    return int(np.argmin(np.isfinite(_level_peaks(block, out))))
+
+
+def _source_peaks(block: np.ndarray, t0: int, out: np.ndarray) -> np.ndarray:
+    """``_level_peaks`` of the source levels t0, t0 + 1, .. in ``block``, checked.
+
+    The first level whose peak is not finite decides: ValueError naming it
+    when it holds a NaN or inf entry, else FloatingPointError, for the
+    caller's ``_float_range``, as a finite entry's modulus passes the float
+    range. Only a failed block is rescanned.
+    """
+    peaks = _level_peaks(block, out)
+    if not np.isfinite(peaks).all():
+        t = int(np.argmin(np.isfinite(peaks)))
+        if not np.isfinite(block[t]).all():
+            raise ValueError(f"source level {t0 + t} holds a non-finite value")
         raise FloatingPointError("overflow encountered in absolute")
-    return peak
+    return peaks
+
+
+def level_maxima(data: np.ndarray) -> np.ndarray:
+    """max |level| of each level of a (levels, points, fiber) field, a block of levels at a time."""
+    size = _block_length(len(data))
+    mag, peaks = np.empty((size,) + data.shape[1:]), np.empty(len(data))
+    for t0 in range(0, len(data), size):
+        block = data[t0 : t0 + size]
+        peaks[t0 : t0 + len(block)] = _level_peaks(block, mag[: len(block)])
+    return peaks
 
 
 def _periodic_difference(u: np.ndarray, out: np.ndarray) -> np.ndarray:
@@ -256,43 +302,78 @@ def _first_order(cfg: EvolutionConfig):
     return rhs
 
 
-def _dirac_levels(cfg: EvolutionConfig, u: np.ndarray, sigma: float) -> Iterator[np.ndarray]:
-    """Yield ((D + sigma i m) u)[t] = Gamma0 d_t u[t] + Gamma3 D_z u[t] + sigma i m u[t].
+def _dirac_levels(
+    cfg: EvolutionConfig, u: np.ndarray, sigma: float
+) -> Iterator[tuple[int, np.ndarray]]:
+    """Yield (t0, block), rows t0, t0 + 1, .. of (D + sigma i m) u, a block of levels at a time.
 
-    d_t is the centered difference inside and the one-sided first
-    difference at the two ends. Gamma0 and Gamma3 gather the same columns,
-    so (d_t u) w0 + (D_z u) w3, with each weight indexed by source column
-    and 1/(2 dt) and 1/(2 dz) folded in, is gathered once per level; the
+    Row t is Gamma0 d_t u[t] + Gamma3 D_z u[t] + sigma i m u[t], with d_t the
+    centered difference inside and the one-sided first difference at the
+    two ends, levels 0 and steps. Blocks hold ``_block_length`` levels, the
+    last one what is left. Gamma0 and Gamma3 gather the same columns, so
+    (d_t u) w0 + (D_z u) w3, with each weight indexed by source column and
+    1/(2 dt) and 1/(2 dz) folded in, is gathered once per block; the
     one-sided differences are doubled (exactly) to share the 1/(2 dt)
-    weight, and nothing is divided inside the loop. Each yielded level is
-    one reused buffer. Level t of u is copied before it is yielded and u is
-    never written, so a caller may overwrite u[t] with the level it gets.
-    Raises InvariantViolation unless Gamma0 and Gamma3 gather the same
-    columns, each column once, and OverflowError in place of a level that overflows.
+    weight, and nothing is divided. Each entry takes the arithmetic of a
+    level-by-level step, so the result does not depend on the block length.
+    Each yielded block is one reused buffer. u is never written: a block's
+    first row reads the level before it from one copied level, the halo,
+    taken before the previous block is yielded, so a caller may overwrite
+    u[t0 : t0 + len(block)] with the block it gets. Raises InvariantViolation
+    unless Gamma0 and Gamma3 gather the same columns, each column once, and
+    OverflowError naming the first level that overflows: only a block that
+    fails is rerun, a level at a time, to find it.
     """
     cols, (w0, w3) = symbol_columns(cfg.k, cfg.l, 0, 3)
+    steps, size = cfg.steps, _block_length(cfg.steps + 1)
     # level-shaped weights (see _first_order) indexed by source column:
-    # x[:, cols] * w == (x * v)[:, cols] for v[cols] = w, as cols is a permutation
-    prev, cur, d_t, d_z, level, t_scale, z_scale = np.empty(
-        (7, cfg.points, cfg.fiber), dtype=complex
-    )
+    # x[..., cols] * w == (x * v)[..., cols] for v[cols] = w, as cols is a permutation
+    halo, t_scale, z_scale = np.empty((3, cfg.points, cfg.fiber), dtype=complex)
+    scratch, out = np.empty((2, size, cfg.points, cfg.fiber), dtype=complex)
     t_scale[:, cols] = w0 * (1.0 / (2.0 * cfg.dt))
     z_scale[:, cols] = w3 * (1.0 / (2.0 * cfg.dz))
     mass = sigma * 1j * cfg.mass
     sign = "+" if sigma > 0 else "-"
-    for t in range(cfg.steps + 1):
-        with _float_range(f"(D {sign} i m) u overflows at level {t}"):
-            np.copyto(cur, u[t])
-            # u[t + 1] is not overwritten yet; at t = 0 the copy of u[t] stands in for u[t - 1]
-            np.subtract(u[min(t + 1, cfg.steps)], prev if t > 0 else cur, out=d_t)
-            if t in (0, cfg.steps):
-                d_t *= 2.0  # a one-sided difference spans dt, not 2 dt
-            d_t *= t_scale
-            d_t += np.multiply(_periodic_difference(cur, d_z), z_scale, out=d_z)
-            np.take(d_t, cols, axis=1, out=level, mode="clip")
-            level += np.multiply(cur, mass, out=d_z)
-        yield level
-        prev, cur = cur, prev
+
+    def step(t0: int, t1: int, before: np.ndarray) -> np.ndarray:
+        """Rows t0 .. t1 - 1 into ``out``; ``before`` stands for u[t0 - 1] in row 0."""
+        cur, d_t, row = u[t0:t1], scratch[: t1 - t0], out[: t1 - t0]
+        # rows 1 .. of levels t < steps are centered, u[t + 1] - u[t - 1], and
+        # level steps reads u[steps] itself
+        last = min(t1, steps)
+        np.subtract(u[t0 + 2 : last + 1], u[t0 : last - 1], out=d_t[1 : last - t0])
+        np.subtract(u[min(t0 + 1, steps)], before, out=d_t[0])
+        if t0 == 0:
+            d_t[0] *= 2.0  # a one-sided difference spans dt, not 2 dt
+        if t1 > steps:
+            if len(d_t) > 1:
+                np.subtract(u[steps], u[steps - 1], out=d_t[-1])
+            d_t[-1] *= 2.0
+        d_t *= t_scale
+        _periodic_difference(cur.swapaxes(0, 1), row.swapaxes(0, 1))  # D_z u into row
+        d_t += np.multiply(row, z_scale, out=row)
+        np.take(d_t, cols, axis=2, out=row, mode="clip")
+        row += np.multiply(cur, mass, out=d_t)
+        return row
+
+    def first_overflow(t0: int, t1: int) -> int:
+        """The block's first level whose row overflows on its own; a level after t0 reads
+        u[t - 1], which the caller has not overwritten yet."""
+        for t in range(t0, t1 - 1):
+            try:
+                with _float_range(""):
+                    step(t, t + 1, halo if t == t0 else u[t - 1])
+            except OverflowError:
+                return t
+        return t1 - 1
+
+    np.copyto(halo, u[0])  # at t = 0 the copy of u[0] stands in for u[-1]
+    for t0 in range(0, steps + 1, size):
+        t1 = min(t0 + size, steps + 1)
+        with _float_range(lambda: f"(D {sign} i m) u overflows at level {first_overflow(t0, t1)}"):
+            block = step(t0, t1, halo)
+        np.copyto(halo, u[t1 - 1])
+        yield t0, block
 
 
 def _coerce_initial(phi0, cfg: EvolutionConfig) -> np.ndarray:
@@ -746,20 +827,24 @@ def _source_support(f: np.ndarray) -> tuple[int, np.ndarray]:
 
     t1 is its last nonzero level and components the indices of its nonzero
     fiber components (empty, with t1 = -1, for an all-zero source). The
-    scan takes |f| one level at a time into one level-sized buffer, keeps
-    each level's max and folds the level into a running max over levels,
-    from which the component maxima are read, so it holds no field-sized
-    temporary. Each level's peak comes from ``_level_peak``, so a NaN or
-    infinite entry, which the transforms would otherwise spread over a
-    whole output component, is refused with ValueError naming its first
-    level, and a finite entry whose modulus passes the float range raises
-    FloatingPointError.
+    scan takes |f| a block of levels at a time (``_block_length``) into one
+    block-sized buffer, keeps each level's max and folds the block into a
+    running max over levels, from which the component maxima are read, so
+    it holds no field-sized temporary. The level peaks come from
+    ``_source_peaks``, so a NaN or infinite entry, which the transforms would
+    otherwise spread over a whole output component, is refused with
+    ValueError naming its first level, and a finite entry whose modulus
+    passes the float range raises FloatingPointError.
     """
-    amp, columns = np.empty(f.shape[1:]), np.zeros(f.shape[1:])
+    size = _block_length(len(f))
+    amp, block_max = np.empty((size,) + f.shape[1:]), np.empty(f.shape[1:])
+    columns = np.zeros(f.shape[1:])
     levels = np.empty(len(f))
-    for t, level in enumerate(f):
-        levels[t] = _level_peak(level, t, amp)
-        np.maximum(columns, amp, out=columns)
+    for t0 in range(0, len(f), size):
+        block = f[t0 : t0 + size]
+        mag = amp[: len(block)]
+        levels[t0 : t0 + len(block)] = _source_peaks(block, t0, mag)
+        np.maximum(columns, np.max(mag, axis=0, out=block_max), out=columns)
     components = np.flatnonzero(columns.max(axis=0))
     if components.size == 0:
         return -1, components
@@ -822,15 +907,16 @@ def retarded_green_apply(source: GridField, cfg: EvolutionConfig) -> GridField:
     """Apply the retarded Green operator to a source field of any twist (k, l).
 
     Computes u = E_per * f, cyclic in z and a retarded sum in t, then
-    G f = (D - i m) u = Gamma0 d_t u + Gamma3 D_z u - i m u level by level
-    (``_dirac_levels``), written over u in place, with D_z the leapfrog's
-    periodic centered difference and d_t centered inside and one sided at
-    the time ends. So the kernel, D and the leapfrog share the periodic
-    grid's one boundary condition, and the Dirac step holds a few levels
-    beyond u. Applying the equation operator
-    (D + i m) to the result reproduces f up to discretization error on
-    interior levels, on every column, and the output vanishes to round-off
-    at levels more than one stencil width before the source support.
+    G f = (D - i m) u = Gamma0 d_t u + Gamma3 D_z u - i m u a block of
+    levels at a time (``_dirac_levels``), each block written over u in
+    place, with D_z the leapfrog's periodic centered difference and d_t
+    centered inside and one sided at the time ends. So the kernel, D and
+    the leapfrog share the periodic grid's one boundary condition, and the
+    Dirac step holds two blocks and three levels beyond u. Applying the
+    equation operator (D + i m) to the result reproduces f up to
+    discretization error on interior levels, on every column, and the
+    output vanishes to round-off at levels more than one stencil width
+    before the source support.
 
     Any twist (k, l) works: E is scalar and Gamma(e^a) = kron(G(e^a), I)
     acts on the chiral axes only, so u is convolved per fiber component.
@@ -840,8 +926,8 @@ def retarded_green_apply(source: GridField, cfg: EvolutionConfig) -> GridField:
     if source.config != cfg:
         raise ValueError(f"source was built for {source.config}, not {cfg}")
     u = _retarded_convolution(source.data, cfg)
-    for t, level in enumerate(_dirac_levels(cfg, u, -1.0)):
-        u[t] = level
+    for t0, block in _dirac_levels(cfg, u, -1.0):
+        u[t0 : t0 + len(block)] = block
     return GridField(cfg, u)
 
 
@@ -909,39 +995,46 @@ def snapshot_from_json(obj: dict) -> tuple[EvolutionConfig, float, np.ndarray]:
 def green_residual(result: GridField, source: GridField) -> float:
     """Relative interior residual of (D + i m) G f = f.
 
-    (D + i m) u = Gamma0 d_t u + Gamma3 D_z u + i m u is taken level by
-    level (``_dirac_levels``) with centered differences, periodic in z, on
-    every column. The fold keeps max |(D + i m) u - f| over levels
-    2 .. steps - 2, so it drops two levels at each end of the time axis,
-    where the one-sided derivatives inside the Green application
-    contaminate the comparison, and max |f| over every level for the
-    scale. The one whole-field temporary is the boolean mask of a single
-    finiteness pass over ``result`` (1/16 of the field); only when it fails
-    are the levels scanned. Raises ValueError when the two fields were
-    built for different configs and, naming the level, when ``result`` or
-    ``source`` holds a NaN or inf. A finite result can still leave the
-    float range, as G f carries m u and the fold multiplies it by m again:
-    OverflowError names the level where (D + i m) u, or its gap to f, or
-    the scale |f| of a finite source, does.
+    (D + i m) u = Gamma0 d_t u + Gamma3 D_z u + i m u is taken a block of
+    levels at a time (``_dirac_levels``) with centered differences,
+    periodic in z, on every column. The fold keeps max |(D + i m) u - f|
+    over levels 2 .. steps - 2, so it drops two levels at each end of the
+    time axis, where the one-sided derivatives inside the Green
+    application contaminate the comparison, and max |f| over every level
+    for the scale, each block's maxima in one call. The one whole-field
+    temporary is the boolean mask of a single finiteness pass over
+    ``result`` (1/16 of the field), reduced per level at once. Raises
+    ValueError when the two fields were built for different configs and,
+    naming the level, when ``result`` or ``source`` holds a NaN or inf. A
+    finite result can still leave the float range, as G f carries m u and
+    the fold multiplies it by m again: OverflowError names the level where
+    (D + i m) u, or its gap to f, or the scale |f| of a finite source, does.
+    Within a block these are checked in that order, so when two kinds of
+    failure fall in one block, the first kind's first level is named.
     """
     cfg = result.config
     if source.config != cfg:
         raise ValueError(f"result was built for {cfg}, source for {source.config}")
     if cfg.steps < 6:
         raise ValueError("need more time levels for an interior residual")
-    if not np.isfinite(result.data).all():
-        # scan the levels only now, to name the first bad one
-        bad = next(t for t, level in enumerate(result.data) if not np.isfinite(level).all())
-        raise ValueError(f"result level {bad} holds a non-finite value")
-    mag = np.empty((cfg.points, cfg.fiber))
+    finite = np.isfinite(result.data).reshape(cfg.steps + 1, -1).all(axis=1)
+    if not finite.all():
+        raise ValueError(f"result level {int(np.argmin(finite))} holds a non-finite value")
+    mag = np.empty((_block_length(cfg.steps + 1), cfg.points, cfg.fiber))
     worst = scale = 0.0
-    for t, level in enumerate(_dirac_levels(cfg, result.data, 1.0)):
+    for t0, block in _dirac_levels(cfg, result.data, 1.0):
+        t1 = t0 + len(block)
+        f = source.data[t0:t1]
         # an inf scale would divide worst to 0
-        with _float_range(f"|f| at source level {t} leaves the float range"):
-            scale = max(scale, _level_peak(source.data[t], t, mag))
-        if 2 <= t <= cfg.steps - 2:
-            with _float_range(f"(D + i m) u - f overflows at level {t}"):
-                level -= source.data[t]
-                worst = max(worst, _max_abs(level, mag))
+        with _float_range(lambda: f"|f| at source level {t0 + _first_past(f, mag[: len(f)])} "
+                          "leaves the float range"):
+            scale = max(scale, _source_peaks(f, t0, mag[: len(f)]).max())
+        lo, hi = max(t0, 2), min(t1, cfg.steps - 1)  # the block's interior levels
+        if lo < hi:
+            gap = block[lo - t0 : hi - t0]
+            with _float_range(lambda: f"(D + i m) u - f overflows at level "
+                              f"{lo + _first_past(gap, mag[: len(gap)])}"):
+                gap -= source.data[lo:hi]
+                worst = max(worst, _max_abs(gap, mag[: len(gap)]))
     with _float_range("the relative residual leaves the float range"):
         return float(worst / max(float(scale), 1e-300))

@@ -1245,6 +1245,132 @@ def test_dirac_levels_leave_the_callers_float_flags_alone():
             assert np.geterr()["over"] == "warn"
 
 
+def _reference_dirac_levels(cfg, u, sigma):
+    """The level-by-level Dirac step the block step replaced, kept as its bitwise reference."""
+    cols, (w0, w3) = ev.symbol_columns(cfg.k, cfg.l, 0, 3)
+    prev, cur, d_t, d_z, level, t_scale, z_scale = np.empty(
+        (7, cfg.points, cfg.fiber), dtype=complex
+    )
+    t_scale[:, cols] = w0 * (1.0 / (2.0 * cfg.dt))
+    z_scale[:, cols] = w3 * (1.0 / (2.0 * cfg.dz))
+    mass = sigma * 1j * cfg.mass
+    sign = "+" if sigma > 0 else "-"
+    for t in range(cfg.steps + 1):
+        with ev._float_range(f"(D {sign} i m) u overflows at level {t}"):
+            np.copyto(cur, u[t])
+            # u[t + 1] is not overwritten yet; at t = 0 the copy of u[t] stands in for u[t - 1]
+            np.subtract(u[min(t + 1, cfg.steps)], prev if t > 0 else cur, out=d_t)
+            if t in (0, cfg.steps):
+                d_t *= 2.0  # a one-sided difference spans dt, not 2 dt
+            d_t *= t_scale
+            d_t += np.multiply(ev._periodic_difference(cur, d_z), z_scale, out=d_z)
+            np.take(d_t, cols, axis=1, out=level, mode="clip")
+            level += np.multiply(cur, mass, out=d_z)
+        yield level
+        prev, cur = cur, prev
+
+
+def _reference_green_residual(result, source):
+    """green_residual as a level-by-level fold over the reference Dirac step."""
+    cfg = result.config
+    worst = scale = 0.0
+    for t, level in enumerate(_reference_dirac_levels(cfg, result.data, 1.0)):
+        scale = max(scale, np.abs(source.data[t]).max())
+        if 2 <= t <= cfg.steps - 2:
+            worst = max(worst, np.abs(level - source.data[t]).max())
+    return float(worst / max(float(scale), 1e-300))
+
+
+def _reference_source_support(f):
+    """(t1, components) of a source from |f| of the whole field."""
+    amp = np.abs(f)
+    components = np.flatnonzero(amp.max(axis=(0, 1)))
+    if components.size == 0:
+        return -1, components
+    return int(np.flatnonzero(amp.max(axis=(1, 2)))[-1]), components
+
+
+# 129 levels take blocks of 2 and 200 levels blocks of 3, each with a shorter last block
+@pytest.mark.parametrize("levels", [129, 200])
+@pytest.mark.parametrize("points", [8, 9, 64, 256])
+@pytest.mark.parametrize("k, l", [(0, 0), (1, 1), (2, 1)])
+def test_block_loops_are_bitwise_the_level_by_level_reference(k, l, points, levels):
+    dz = 0.25
+    cfg = small_config(k=k, l=l, points=points, extent=points * dz, dt=dz, steps=levels - 1)
+    size = ev._block_length(levels)
+    assert size > 1 and levels % size != 0
+    rng = np.random.default_rng([k, l, points, levels])
+    u, f = _random_levels(rng, cfg), _random_levels(rng, cfg)
+    f[-5:] = 0.0  # the support ends before the last level
+    for sigma in (1.0, -1.0):
+        starts, blocks = zip(*[(t0, block.copy()) for t0, block in ev._dirac_levels(cfg, u, sigma)])
+        # every block but the last holds ``size`` levels, and every level is in one
+        assert list(starts) == list(range(0, levels, size))
+        assert [len(b) for b in blocks] == [size] * (len(blocks) - 1) + [levels % size]
+        expect = np.array([level.copy() for level in _reference_dirac_levels(cfg, u, sigma)])
+        assert np.concatenate(blocks).tobytes() == expect.tobytes()
+    source = ev.GridField(cfg, f)
+    conv = ev._retarded_convolution(f, cfg)
+    expect = np.array([level.copy() for level in _reference_dirac_levels(cfg, conv, -1.0)])
+    assert ev.retarded_green_apply(source, cfg).data.tobytes() == expect.tobytes()
+    result = ev.GridField(cfg, u)
+    assert ev.green_residual(result, source) == _reference_green_residual(result, source)
+    t1, components = ev._source_support(f)
+    ref_t1, ref_components = _reference_source_support(f)
+    assert t1 == ref_t1 == levels - 6 and np.array_equal(components, ref_components)
+
+
+def _named_level_case(kind, t):
+    """A call that fails at level t alone, and the message that must name it."""
+    mass = {"apply-dirac": 1e30, "residual-gap": 1.3e8}.get(kind, 1.0)
+    cfg = small_config(mass=mass, points=64, extent=64.0, dt=1.0, steps=200)
+    shape = (cfg.steps + 1, cfg.points, cfg.fiber)
+    result, source = np.zeros(shape, dtype=complex), np.ones(shape, dtype=complex)
+    if kind == "apply-dirac":
+        # E * f stays finite, but (D - i m) u carries m u from the source's first level on
+        source[:] = 0.0
+        source[t : t + 3, 30:34, 0] = 1e290
+        return (lambda: ev.retarded_green_apply(ev.GridField(cfg, source), cfg),
+                OverflowError, f"(D - i m) u overflows at level {t}")
+    if kind == "apply-source":
+        source[t, 7, 2] = np.nan
+        return (lambda: ev.retarded_green_apply(ev.GridField(cfg, source), cfg),
+                ValueError, f"source level {t} holds a non-finite value")
+    if kind == "residual-dirac":
+        # d_t u[t] = u[t + 1] - u[t - 1] overflows; the levels around t stay finite
+        result[t - 1, 7, 2], result[t + 1, 7, 2] = 1e308, -1e308
+        message, error = f"(D + i m) u overflows at level {t}", OverflowError
+    elif kind == "residual-gap":
+        # each component of (D + i m) u is finite on level t, its modulus is not
+        result[t] = complex(1e300, 1e300)
+        message, error = f"(D + i m) u - f overflows at level {t}", OverflowError
+    elif kind == "residual-scale":
+        source[t, 7, 2] = complex(1.7e308, 1.7e308)
+        message, error = f"|f| at source level {t} leaves the float range", OverflowError
+    elif kind == "residual-source":
+        source[t, 7, 2] = complex(0.0, -np.inf)
+        message, error = f"source level {t} holds a non-finite value", ValueError
+    else:
+        result[t, 7, 2] = np.inf
+        message, error = f"result level {t} holds a non-finite value", ValueError
+    return (lambda: ev.green_residual(ev.GridField(cfg, result), ev.GridField(cfg, source)),
+            error, message)
+
+
+@pytest.mark.parametrize("kind", ["apply-dirac", "apply-source", "residual-dirac", "residual-gap",
+                                  "residual-scale", "residual-source", "residual-result"])
+def test_a_failure_inside_a_block_names_its_own_level_and_never_warns(kind):
+    t = 100
+    size = ev._block_length(201)
+    assert 0 < t % size < size - 1  # neither the first nor the last level of its block
+    call, error, message = _named_level_case(kind, t)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(error) as exc:
+            call()
+    assert type(exc.value) is error and str(exc.value) == message
+
+
 def test_conservation_fold_refuses_an_empty_stream():
     cfg = small_config(k=1, l=1)
     with pytest.raises(ValueError, match="^the level stream is empty$"):

@@ -2,8 +2,10 @@
 
 One table crosses the values below with every argument slot of ``classify_causal``,
 ``gram_signature``, ``witness_pair``, ``EvolutionConfig``, ``config_from_json`` and
-``covering_lambda``. Each case runs with every warning turned into an error, so a numpy
-RuntimeWarning, or any exception outside the slot's documented ones, fails it.
+``covering_lambda``, and with the fields of ``retarded_green_apply`` and ``green_residual``,
+where the value is planted at one entry of an interior level. Each case runs with every
+warning turned into an error, so a numpy RuntimeWarning, or any exception outside the
+slot's documented ones, fails it.
 """
 
 import json
@@ -48,6 +50,19 @@ def _config_json(field, value):
     return ev.config_from_json({**CONFIG, field: value})
 
 
+#: an aligned dt = dz grid of 129 levels, so the Green loops take blocks of two levels
+GREEN = {"mass": 1.0, "k": 0, "l": 0, "extent": 16.0, "points": 16, "dt": 1.0, "steps": 128}
+GREEN_CONFIG = ev.EvolutionConfig(**GREEN)
+
+
+def _green_field(value=None):
+    """An all-ones field on the Green grid, with ``value`` at one entry of level 65."""
+    data = np.ones((GREEN["steps"] + 1, GREEN["points"], GREEN_CONFIG.fiber), dtype=complex)
+    if value is not None:
+        data[65, 7, 2] = value
+    return ev.GridField(GREEN_CONFIG, data)
+
+
 SIGNATURE_ERRORS = (ValueError,)  # NotTimelikeFuture is a ValueError
 WITNESS_ERRORS = (ValueError, hs.NoNegativeDirection)
 
@@ -74,6 +89,13 @@ SLOTS = {
                                (ValueError, OverflowError, cl.InvariantViolation)),
     "covering_lambda-shear": (lambda v: cl.covering_lambda([[1, v], [0, 1]]),
                               (ValueError, OverflowError, cl.InvariantViolation)),
+    "retarded_green_apply-source": (
+        lambda v: ev.retarded_green_apply(_green_field(v), GREEN_CONFIG),
+        (ValueError, OverflowError)),
+    "green_residual-result": (lambda v: ev.green_residual(_green_field(v), _green_field()),
+                              (ValueError, OverflowError)),
+    "green_residual-source": (lambda v: ev.green_residual(_green_field(), _green_field(v)),
+                              (ValueError, OverflowError)),
 }
 
 
